@@ -8,11 +8,10 @@ keeps every matching template; downstream split logic resolves ambiguity.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Instance, Seed
+from .corpus import Instance, Seed, write_lines
 from .qlang import extract_predicates, match_nlq, predicates_subsequence
 from .synthesis import Template
 
@@ -57,15 +56,10 @@ class AttributionIndex:
         return frozenset(i for i, ts in self.by_instance.items() if not ts)
 
 
-def build_index(instances, templates, workers: int = 1) -> AttributionIndex:
-    """Attribute every instance; results are independent of worker count."""
+def build_index(instances, templates) -> AttributionIndex:
+    """Attribute every instance."""
     template_list = list(templates)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            attributed = list(pool.map(lambda i: attribute_instance(i, template_list), instances))
-    else:
-        attributed = [attribute_instance(i, template_list) for i in instances]
-    by_instance = {inst.id: tuple(ts) for inst, ts in zip(instances, attributed)}
+    by_instance = {inst.id: tuple(attribute_instance(inst, template_list)) for inst in instances}
     counts = {t.id: 0 for t in template_list}
     for ts in by_instance.values():
         for tid in ts:
@@ -76,8 +70,7 @@ def build_index(instances, templates, workers: int = 1) -> AttributionIndex:
 
 def write_attribution(path, instances, index: AttributionIndex) -> None:
     """TSV: instance_id <TAB> comma-joined template ids (empty = unattributed)."""
-    lines = [f"{inst.id}\t{','.join(index.attributed(inst.id))}" for inst in instances]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    write_lines(path, [f"{inst.id}\t{','.join(index.attributed(inst.id))}" for inst in instances])
 
 
 def read_attribution(path) -> dict[str, tuple[str, ...]]:

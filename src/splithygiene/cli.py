@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Stages are exposed as subcommands (extract, generate, attribute, partition,
-memorize, lm, eval, report) plus `run` for the exp1/exp2/exp3 presets. Every
-subcommand accepts --rng-seed, --config, and --workdir; the workdir defaults
-to $SPLITHYGIENE_WORKDIR or the current directory. Exit codes: 0 success,
-2 validation/usage error, 1 runtime error.
+memorize, lm, eval, report) plus `run` for the exp1/exp2/exp3 presets. The
+stage subcommands call the same stage functions as the presets, so a chain of
+them builds the corpus and splits a preset builds. `generate` and `partition`
+take --rng-seed; `run` and `report` take --config and --workdir, the workdir
+defaulting to $SPLITHYGIENE_WORKDIR or the current directory. Exit codes:
+0 success, 2 validation/usage error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import click
 
-from . import experiments, qlang, rng as rng_mod
+from . import experiments, qlang
 from .attribution import build_index, write_attribution
 from .baselines import lm_perplexity, memorizer_predict, score_sentence, train_memorizer, train_ngram_lm
 from .corpus import (
@@ -26,16 +27,17 @@ from .corpus import (
     SANITIZED,
     dedup,
     file_digest,
-    make_manifest,
     read_parallel,
     read_seeds,
-    write_split,
+    write_lines,
+    write_parallel,
+    write_text,
 )
 from .errors import SplitHygieneError
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, perplexity
-from .partitioner import diagnostics, leaky_partition, sanitized_partition, split_templates
-from .synthesis import extract_template, generate_instances, read_templates, write_templates
+from .partitioner import leaky_partition, sanitized_partition, split_templates
+from .synthesis import read_templates, write_templates
 
 _WORKDIR_ENV = "SPLITHYGIENE_WORKDIR"
 
@@ -45,34 +47,37 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def common_options(fn):
-    @click.option("--rng-seed", type=int, default=0, show_default=True, help="Seed for every shuffle.")
-    @click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file.")
-    @click.option("--workdir", type=click.Path(), default=None,
-                  help=f"Working directory (default: ${_WORKDIR_ENV} or '.').")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """Maps validation errors of any subcommand to exit code 2, other I/O errors to 1."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (SplitHygieneError, FileNotFoundError, ValueError) as exc:
             _fail(2, str(exc))
         except OSError as exc:
             _fail(1, str(exc))
 
-    return wrapper
+
+_rng_seed_option = click.option("--rng-seed", type=int, default=0, show_default=True,
+                                help="Seed for every shuffle.")
 
 
-def _load_config(config_path, workdir, rng_seed=None) -> experiments.RunConfig:
+def _config_options(fn):
+    fn = click.option("--workdir", type=click.Path(), default=None,
+                      help=f"Working directory (default: ${_WORKDIR_ENV} or '.').")(fn)
+    return click.option("--config", "config_path", type=click.Path(), default=None,
+                        help="Flat key=value config file.")(fn)
+
+
+def _load_config(config_path, workdir) -> experiments.RunConfig:
     cfg = experiments.load_config(config_path) if config_path else experiments.RunConfig()
     if workdir is None:
         workdir = os.environ.get(_WORKDIR_ENV, cfg.workdir)
-    updates = {"workdir": str(workdir)}
-    if rng_seed is not None:
-        updates["rng_seeds"] = (rng_seed,) + tuple(s for s in cfg.rng_seeds if s != rng_seed)
-    return dataclasses.replace(cfg, **updates)
+    return dataclasses.replace(cfg, workdir=str(workdir))
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Template-generated corpora, split hygiene, and leakage metrics."""
 
@@ -80,14 +85,11 @@ def main():
 @main.command()
 @click.option("--seeds", "seeds_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="templates.jsonl output.")
-@common_options
-def extract(seeds_path, out_path, rng_seed, config_path, workdir):
+def extract(seeds_path, out_path):
     """Extract templates from a seeds.jsonl file."""
-    from .synthesis import dedup_templates
-    seeds, _ = dedup(read_seeds(seeds_path))
-    templates, removed = dedup_templates(extract_template(s) for s in seeds)
+    _, templates, removed = experiments.extract_stage(seeds_path)
     write_templates(out_path, templates)
-    click.echo(f"extracted {len(templates)} templates ({removed} duplicates dropped)")
+    click.echo(f"extracted {len(templates)} templates ({removed['templates']} duplicates dropped)")
 
 
 @main.command()
@@ -95,8 +97,8 @@ def extract(seeds_path, out_path, rng_seed, config_path, workdir):
 @click.option("--kg", "kg_path", type=click.Path(exists=True), required=True)
 @click.option("--limit", type=int, default=100, show_default=True, help="Instances per template.")
 @click.option("--out-dir", type=click.Path(), required=True)
-@common_options
-def generate(templates_path, kg_path, limit, out_dir, rng_seed, config_path, workdir):
+@_rng_seed_option
+def generate(templates_path, kg_path, limit, out_dir, rng_seed):
     """Instantiate templates against an N-Triples graph."""
     templates = read_templates(templates_path)
     graph = load_ntriples(kg_path)
@@ -104,21 +106,15 @@ def generate(templates_path, kg_path, limit, out_dir, rng_seed, config_path, wor
         click.echo(f"warning: {len(graph.load_report.malformed_lines)} malformed KG lines skipped", err=True)
     if graph.load_report.skipped_literals:
         click.echo(f"warning: {graph.load_report.skipped_literals} literal-object KG lines skipped", err=True)
-    instances = []
-    for t in templates:
-        instances.extend(generate_instances(t, graph, limit, rng_seed))
-    instances, removed = dedup(instances)
+    instances, removed = experiments.generate_stage(templates, graph, limit, rng_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    nlq_lines = [i.pair.nlq_text() for i in instances]
-    ql_lines = [i.pair.query_text for i in instances]
-    (out / "instances.nlq").write_text("".join(l + "\n" for l in nlq_lines), encoding="utf-8", newline="\n")
-    (out / "instances.ql").write_text("".join(l + "\n" for l in ql_lines), encoding="utf-8", newline="\n")
+    write_parallel(out, "instances", instances)
     doc = {
         "ids": [i.id for i in instances],
         "origins": {i.id: i.origin_template_id for i in instances if i.origin_template_id},
     }
-    (out / "instances.manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
+    write_text(out / "instances.manifest.json", json.dumps(doc, indent=2) + "\n")
     click.echo(f"generated {len(instances)} instances ({removed} duplicates dropped)")
 
 
@@ -128,16 +124,13 @@ def generate(templates_path, kg_path, limit, out_dir, rng_seed, config_path, wor
 @click.option("--manifest", "manifest_path", type=click.Path(exists=True), default=None)
 @click.option("--templates", "templates_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="attribution.tsv output.")
-@common_options
-def attribute(nlq_path, ql_path, manifest_path, templates_path, out_path, rng_seed, config_path, workdir):
+def attribute(nlq_path, ql_path, manifest_path, templates_path, out_path):
     """Attribute each instance to the templates that could have generated it."""
     instances = read_parallel(nlq_path, ql_path, manifest_path)
-    templates = read_templates(templates_path)
-    index = build_index(instances, templates)
+    index = build_index(instances, read_templates(templates_path))
     write_attribution(out_path, instances, index)
-    ambiguous = len(index.ambiguous_ids)
-    unattributed = sum(1 for i in instances if not index.attributed(i.id))
-    click.echo(f"attributed {len(instances)} instances ({ambiguous} ambiguous, {unattributed} unattributed)")
+    click.echo(f"attributed {len(instances)} instances ({len(index.ambiguous_ids)} ambiguous, "
+               f"{len(index.unattributed_ids)} unattributed)")
 
 
 @main.command()
@@ -152,35 +145,26 @@ def attribute(nlq_path, ql_path, manifest_path, templates_path, out_path, rng_se
               help="Required for the sanitized scheme.")
 @click.option("--seed-test-fraction", type=float, default=0.2, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
-@common_options
+@_rng_seed_option
 def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
-              seeds_path, seed_test_fraction, out_dir, rng_seed, config_path, workdir):
+              seeds_path, seed_test_fraction, out_dir, rng_seed):
     """Split a parallel corpus into train/valid/test."""
     ratio_tuple = tuple(float(r) for r in ratios.split(","))
     instances = read_parallel(nlq_path, ql_path, manifest_path)
-    digest = file_digest([nlq_path, ql_path])
+    index = tsplit = None
     if scheme == LEAKY:
         split = leaky_partition(instances, ratio_tuple, rng_seed)
-        tsplit = None
-        index = None
     else:
         if not templates_path or not seeds_path:
             _fail(2, "sanitized partitioning needs --templates and --seeds")
         templates = read_templates(templates_path)
-        seeds = read_seeds(seeds_path)
+        seeds, _ = dedup(read_seeds(seeds_path))
         index = build_index(instances, templates)
-        seed_ids = [s.id for s in seeds]
-        order = rng_mod.permutation(len(seed_ids), rng_seed, "seed-split")
-        n_test = round(len(seed_ids) * seed_test_fraction)
-        seed_test_ids = sorted(seed_ids[i] for i in order[:n_test])
+        seed_test_ids = experiments.held_out_seed_ids(seeds, seed_test_fraction, rng_seed)
         tsplit = split_templates(templates, seeds, seed_test_ids)
         split = sanitized_partition(instances, tsplit, index, rng_seed)
-    manifest = make_manifest(split, scheme, rng_seed, ratio_tuple, digest)
-    write_split(out_dir, split, manifest)
-    if index is not None:
-        diag = diagnostics(split, index, tsplit)
-        (Path(out_dir) / "diagnostics.json").write_text(
-            json.dumps(diag, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    experiments.write_partition(out_dir, split, scheme, rng_seed, ratio_tuple,
+                                file_digest([nlq_path, ql_path]), index, tsplit)
     click.echo(f"split counts: train={split.counts[0]} valid={split.counts[1]} test={split.counts[2]}")
 
 
@@ -192,9 +176,7 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True,
               help="NLQ file to predict queries for.")
 @click.option("--out", "out_path", type=click.Path(), required=True, help="pred.ql output.")
-@common_options
-def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, out_path,
-             rng_seed, config_path, workdir):
+def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, out_path):
     """Train the template memorizer and predict queries for an NLQ file."""
     train = read_parallel(train_nlq, train_ql, train_manifest)
     templates = read_templates(templates_path)
@@ -202,7 +184,7 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
     model = train_memorizer(train, templates, index)
     lines = Path(input_path).read_text(encoding="utf-8").splitlines()
     preds = [" ".join(memorizer_predict(model, qlang.tokenize_nlq(line))) for line in lines]
-    Path(out_path).write_text("".join(p + "\n" for p in preds), encoding="utf-8", newline="\n")
+    write_lines(out_path, preds)
     click.echo(f"wrote {len(preds)} predictions")
 
 
@@ -212,16 +194,14 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
 @click.option("--order", type=int, default=5, show_default=True)
 @click.option("--k", type=float, default=0.1, show_default=True)
 @click.option("--out-logp", type=click.Path(), default=None, help="Optional pred.logp output.")
-@common_options
-def lm(train_ql, eval_ql, order, k, out_logp, rng_seed, config_path, workdir):
+def lm(train_ql, eval_ql, order, k, out_logp):
     """Train the n-gram query LM and report perplexity on an evaluation file."""
     train = [line.split() for line in Path(train_ql).read_text(encoding="utf-8").splitlines()]
     eval_sents = [line.split() for line in Path(eval_ql).read_text(encoding="utf-8").splitlines()]
     model = train_ngram_lm(train, order=order, k=k)
     if out_logp:
         scored = [score_sentence(model, sent) for sent in eval_sents]
-        lines = [" ".join(repr(lp) for lp in sent) for sent in scored]
-        Path(out_logp).write_text("".join(l + "\n" for l in lines), encoding="utf-8", newline="\n")
+        write_lines(out_logp, [" ".join(repr(lp) for lp in sent) for sent in scored])
     value = lm_perplexity(model, eval_sents)
     click.echo(json.dumps({"metric": "lm_perplexity", "value": value}))
 
@@ -232,8 +212,7 @@ def lm(train_ql, eval_ql, order, k, out_logp, rng_seed, config_path, workdir):
 @click.option("--logp", "logp_path", type=click.Path(exists=True), default=None,
               help="Optional per-token natural-log probabilities, one line per sentence.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report JSON here.")
-@common_options
-def eval_cmd(pred_path, test_path, logp_path, out_path, rng_seed, config_path, workdir):
+def eval_cmd(pred_path, test_path, logp_path, out_path):
     """Score predictions against references: BLEU, and perplexity from --logp."""
     preds = [line.split() for line in Path(pred_path).read_text(encoding="utf-8").splitlines()]
     refs = [line.split() for line in Path(test_path).read_text(encoding="utf-8").splitlines()]
@@ -251,18 +230,17 @@ def eval_cmd(pred_path, test_path, logp_path, out_path, rng_seed, config_path, w
         doc["perplexity"] = perplexity(sents)
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8", newline="\n")
+        write_text(out_path, text)
     click.echo(text, nl=False)
 
 
 @main.command()
-@common_options
-def report(rng_seed, config_path, workdir):
+@_config_options
+def report(config_path, workdir):
     """Consolidate every preset report under the workdir into one CSV."""
     cfg = _load_config(config_path, workdir)
-    consolidated = experiments.consolidate_reports(cfg.workdir)
     out = Path(cfg.workdir) / "consolidated.csv"
-    out.write_text(consolidated, encoding="utf-8", newline="\n")
+    write_text(out, experiments.consolidate_reports(cfg.workdir))
     click.echo(str(out))
 
 
@@ -272,8 +250,8 @@ def report(rng_seed, config_path, workdir):
               help="seeds.jsonl (default: bundled toy seeds).")
 @click.option("--kg", "kg_path", type=click.Path(exists=True), default=None,
               help="N-Triples graph (default: bundled toy graph).")
-@common_options
-def run(preset, seeds_path, kg_path, rng_seed, config_path, workdir):
+@_config_options
+def run(preset, seeds_path, kg_path, config_path, workdir):
     """Run an experiment preset end to end."""
     cfg = _load_config(config_path, workdir)
     overrides = {}

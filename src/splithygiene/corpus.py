@@ -84,7 +84,6 @@ class Instance:
     id: str
     pair: QAPair
     origin_template_id: str | None = None
-    attributed_template_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -186,9 +185,21 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     return out
 
 
-def _write_lines(path: Path, lines) -> None:
-    text = "".join(line + "\n" for line in lines)
-    path.write_text(text, encoding="utf-8", newline="\n")
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text with LF line endings; every file the package writes goes through here."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def write_lines(path, lines) -> None:
+    """Write one LF-terminated line per item."""
+    write_text(path, "".join(line + "\n" for line in lines))
+
+
+def write_parallel(out_dir, name: str, instances) -> None:
+    """Write ``<name>.nlq`` and ``<name>.ql`` under out_dir, one instance per line."""
+    out = Path(out_dir)
+    write_lines(out / f"{name}.nlq", [i.pair.nlq_text() for i in instances])
+    write_lines(out / f"{name}.ql", [i.pair.query_text for i in instances])
 
 
 def write_split(out_dir, split3, manifest: PartitionManifest) -> None:
@@ -197,9 +208,8 @@ def write_split(out_dir, split3, manifest: PartitionManifest) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
-            _write_lines(out / f"{name}.nlq", [i.pair.nlq_text() for i in instances])
-            _write_lines(out / f"{name}.ql", [i.pair.query_text for i in instances])
-        (out / "manifest.json").write_text(manifest_to_json(manifest), encoding="utf-8", newline="\n")
+            write_parallel(out, name, instances)
+        write_text(out / "manifest.json", manifest_to_json(manifest))
     except OSError as exc:
         raise OSError(f"writing split under {out}: {exc}") from exc
 
@@ -310,7 +320,7 @@ def seed_from_dict(doc: dict) -> Seed:
 
 
 def write_seeds(path, seeds) -> None:
-    _write_lines(Path(path), [json.dumps(seed_to_dict(s)) for s in seeds])
+    write_lines(path, [json.dumps(seed_to_dict(s)) for s in seeds])
 
 
 def read_seeds(path) -> list[Seed]:

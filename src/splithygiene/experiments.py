@@ -1,4 +1,8 @@
-"""Experiment presets wiring the full pipeline.
+"""The pipeline stages and the experiment presets that wire them together.
+
+The stage functions (template extraction, generation, the held-out seed
+split, the partition writer) are the ones the CLI stage subcommands call, so
+a preset and a chain of subcommands build the same corpus and splits.
 
 exp1 compares template-naive (leaky) partitions, replicated over several rng
 seeds, against one sanitized partition. exp2 sweeps nested training
@@ -14,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,6 +34,7 @@ from .corpus import (
     make_manifest,
     read_seeds,
     write_split,
+    write_text,
 )
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, leakage_report
@@ -64,7 +70,6 @@ class RunConfig:
     instance_limit: int = 100
     lm_order: int = 5
     lm_k: float = 0.1
-    workers: int = 1
 
     def resolved_seeds_path(self) -> Path:
         return Path(self.seeds_path) if self.seeds_path else toydata.toy_seeds_path()
@@ -73,10 +78,21 @@ class RunConfig:
         return Path(self.kg_path) if self.kg_path else toydata.toy_kg_path()
 
 
+def _split_list(raw: str) -> list[str]:
+    """Split on the commas that lie outside double-quoted strings."""
+    parts = [""]
+    for i, chunk in enumerate(re.split(r'("[^"]*")', raw)):
+        pieces = [chunk] if i % 2 else chunk.split(",")  # odd chunks are quoted strings
+        parts[-1] += pieces[0]
+        parts += pieces[1:]
+    return parts
+
+
 def _parse_value(raw: str):
     raw = raw.strip()
-    if "," in raw:
-        return tuple(_parse_value(part) for part in raw.split(",") if part.strip())
+    parts = _split_list(raw)
+    if len(parts) > 1:
+        return tuple(_parse_value(part) for part in parts if part.strip())
     if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
         return raw[1:-1]
     try:
@@ -124,6 +140,25 @@ class PipelineData:
     dedup_removed: dict[str, int] = field(default_factory=dict)
 
 
+def extract_stage(seeds_path) -> tuple[list, list, dict[str, int]]:
+    """Read seeds and extract one template per seed, de-duplicating both.
+
+    Returns (seeds, templates, removed), where removed counts the duplicates
+    dropped from the seeds and from the templates.
+    """
+    seeds, seeds_removed = dedup(read_seeds(seeds_path))
+    templates, templates_removed = dedup_templates(extract_template(s) for s in seeds)
+    return seeds, templates, {"seeds": seeds_removed, "templates": templates_removed}
+
+
+def generate_stage(templates, graph, limit: int, rng_seed: int) -> tuple[list, int]:
+    """Instantiate every template and de-duplicate; returns (instances, removed)."""
+    instances = []
+    for template in templates:
+        instances.extend(generate_instances(template, graph, limit, rng_seed))
+    return dedup(instances)
+
+
 def build_pipeline_data(config: RunConfig) -> PipelineData:
     """Load seeds and KG, extract templates, generate and attribute instances.
 
@@ -134,36 +169,32 @@ def build_pipeline_data(config: RunConfig) -> PipelineData:
     seeds_path = config.resolved_seeds_path()
     kg_path = config.resolved_kg_path()
     digest = file_digest([seeds_path, kg_path])
-    seeds, seeds_removed = dedup(read_seeds(seeds_path))
+    seeds, templates, removed = extract_stage(seeds_path)
     graph = load_ntriples(kg_path)
-    templates, templates_removed = dedup_templates(extract_template(s) for s in seeds)
-    gen_seed = config.rng_seeds[0]
-    instances = []
-    for template in templates:
-        instances.extend(generate_instances(template, graph, config.instance_limit, gen_seed))
-    instances, instances_removed = dedup(instances)
-    index = build_index(instances, templates, workers=config.workers)
+    instances, removed["instances"] = generate_stage(
+        templates, graph, config.instance_limit, config.rng_seeds[0])
     return PipelineData(
         seeds=seeds,
         templates=templates,
         instances=instances,
-        index=index,
+        index=build_index(instances, templates),
         graph=graph,
         config_digest=digest,
-        dedup_removed={
-            "seeds": seeds_removed,
-            "templates": templates_removed,
-            "instances": instances_removed,
-        },
+        dedup_removed=removed,
     )
+
+
+def held_out_seed_ids(seeds, fraction: float, rng_seed: int) -> list[str]:
+    """A seeded sample of `fraction` of the seed ids, sorted."""
+    ids = [s.id for s in seeds]
+    n_test = round(len(ids) * fraction)
+    order = rng.permutation(len(ids), rng_seed, "seed-split")
+    return sorted(ids[i] for i in order[:n_test])
 
 
 def seed_split_ids(data: PipelineData, config: RunConfig) -> list[str]:
     """Held-out seed ids: a seeded sample of seed_test_fraction of all seeds."""
-    ids = [s.id for s in data.seeds]
-    n_test = round(len(ids) * config.seed_test_fraction)
-    order = rng.permutation(len(ids), config.rng_seeds[0], "seed-split")
-    return sorted(ids[i] for i in order[:n_test])
+    return held_out_seed_ids(data.seeds, config.seed_test_fraction, config.rng_seeds[0])
 
 
 def halve_seed_test_ids(seed_test_ids, rng_seed: int) -> list[str]:
@@ -250,18 +281,17 @@ def _write_report(out_dir: Path, rows) -> None:
     writer = csv.DictWriter(buffer, fieldnames=_REPORT_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    (out_dir / "report.csv").write_text(buffer.getvalue(), encoding="utf-8", newline="\n")
-    (out_dir / "report.json").write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8", newline="\n")
+    write_text(out_dir / "report.csv", buffer.getvalue())
+    write_text(out_dir / "report.json", json.dumps(rows, indent=2) + "\n")
 
 
-def _emit_partition(out_dir: Path, name: str, split: Split3, scheme: str, rng_seed: int,
-                    ratios, data: PipelineData, tsplit=None) -> None:
-    manifest = make_manifest(split, scheme, rng_seed, ratios, data.config_digest)
-    write_split(out_dir / name, split, manifest)
-    diag = diagnostics(split, data.index, tsplit)
-    (out_dir / name / "diagnostics.json").write_text(
-        json.dumps(diag, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n",
-    )
+def write_partition(out_dir, split: Split3, scheme: str, rng_seed: int, ratios, digest: str,
+                    index: AttributionIndex | None = None, tsplit=None) -> None:
+    """Write the split files and manifest.json, plus diagnostics.json when an index is given."""
+    write_split(out_dir, split, make_manifest(split, scheme, rng_seed, ratios, digest))
+    if index is not None:
+        write_text(Path(out_dir) / "diagnostics.json",
+                   json.dumps(diagnostics(split, index, tsplit), indent=2, sort_keys=True) + "\n")
 
 
 def _sanitized_split(data: PipelineData, config: RunConfig, seed_test_ids):
@@ -294,34 +324,26 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
             for seed in config.rng_seeds:
                 stage = f"leaky-{seed}"
                 split = leaky_partition(data.instances, config.ratios, seed)
-                _emit_partition(out_dir, stage, split, LEAKY, seed, config.ratios, data)
+                write_partition(out_dir / stage, split, LEAKY, seed, config.ratios, digest, data.index)
                 rows += _rows_for(_evaluate_partition(split, data, config),
                                   "exp1", LEAKY, seed, 1.0, digest)
             rows += _aggregate_rows(rows, "exp1", LEAKY, digest)
-            stage = "sanitized"
-            tsplit, split = _sanitized_split(data, config, seed_test)
-            _emit_partition(out_dir, "sanitized", split, SANITIZED, config.rng_seeds[0],
-                            config.ratios, data, tsplit)
-            rows += _rows_for(_evaluate_partition(split, data, config),
-                              "exp1", SANITIZED, config.rng_seeds[0], 1.0, digest)
-        elif preset == "exp2":
-            stage = "sanitized"
-            tsplit, split = _sanitized_split(data, config, seed_test)
-            _emit_partition(out_dir, "sanitized", split, SANITIZED, config.rng_seeds[0],
-                            config.ratios, data, tsplit)
+
+        stage = "sanitized-halved" if preset == "exp3" else "sanitized"
+        if preset == "exp3":
+            seed_test = halve_seed_test_ids(seed_test, config.rng_seeds[0])
+        tsplit, split = _sanitized_split(data, config, seed_test)
+        write_partition(out_dir / "sanitized", split, SANITIZED, config.rng_seeds[0],
+                        config.ratios, digest, data.index, tsplit)
+        if preset == "exp2":
             for fraction in config.fractions:
                 stage = f"fraction-{fraction}"
                 sub = subsample_train(split, fraction, config.rng_seeds[0])
                 rows += _rows_for(_evaluate_partition(sub, data, config),
                                   "exp2", SANITIZED, config.rng_seeds[0], fraction, digest)
-        else:  # exp3
-            stage = "sanitized-halved"
-            halved = halve_seed_test_ids(seed_test, config.rng_seeds[0])
-            tsplit, split = _sanitized_split(data, config, halved)
-            _emit_partition(out_dir, "sanitized", split, SANITIZED, config.rng_seeds[0],
-                            config.ratios, data, tsplit)
+        else:
             rows += _rows_for(_evaluate_partition(split, data, config),
-                              "exp3", SANITIZED, config.rng_seeds[0], 1.0, digest)
+                              preset, SANITIZED, config.rng_seeds[0], 1.0, digest)
     except Exception as exc:
         rows.append({
             "experiment": preset, "scheme": "", "rng_seed": "", "fraction": "",

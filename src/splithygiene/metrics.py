@@ -32,8 +32,6 @@ class BleuReport:
 class LeakageStats:
     test_seen_fraction: float
     valid_seen_fraction: float
-    ambiguous_count: int
-    unattributed_count: int
     empty_splits: tuple[str, ...] = ()
 
 
@@ -124,11 +122,8 @@ def leakage_report(split: Split3, index: AttributionIndex) -> LeakageStats:
         name for name, part in (("train", split.train), ("valid", split.valid), ("test", split.test))
         if not part
     )
-    all_instances = list(split.train) + list(split.valid) + list(split.test)
     return LeakageStats(
         test_seen_fraction=seen_fraction(split.test),
         valid_seen_fraction=seen_fraction(split.valid),
-        ambiguous_count=sum(1 for i in all_instances if i.id in index.ambiguous_ids),
-        unattributed_count=sum(1 for i in all_instances if not index.attributed(i.id)),
         empty_splits=empty,
     )

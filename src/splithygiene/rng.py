@@ -2,8 +2,7 @@
 
 Every shuffle in the package draws from a counter-based Philox generator keyed
 by (rng_seed, stream label). The label isolates independent uses of the same
-seed, so results never depend on call order or on how work is distributed
-across threads.
+seed, so results never depend on call order.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import qlang, rng
-from .corpus import Instance, QAPair, Seed
+from .corpus import Instance, QAPair, Seed, write_lines
 from .errors import UnlocatableEntity
 from .kgstore import Graph, evaluate
 from .qlang import Iri, NlqPattern, Placeholder, QueryAst, Slot, Var, Word
@@ -223,8 +223,7 @@ def template_from_dict(doc: dict) -> Template:
 
 
 def write_templates(path, templates) -> None:
-    text = "".join(json.dumps(template_to_dict(t)) + "\n" for t in templates)
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_lines(path, [json.dumps(template_to_dict(t)) for t in templates])
 
 
 def read_templates(path) -> list[Template]:

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import rng
-from .corpus import Seed, SurfaceForm, write_seeds
+from .corpus import Seed, SurfaceForm, write_lines, write_seeds
 from .kgstore import Graph
 from .qlang import NlqPattern, Word, match_nlq, parse_query
 from .synthesis import Template, generate_instances
@@ -304,8 +304,7 @@ def build_seeds(graph: Graph | None = None) -> list[Seed]:
 def write_toy_dataset(out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"<{s}> <{p}> <{o}> ." for s, p, o in build_triples()]
-    (out / "toy.nt").write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    write_lines(out / "toy.nt", [f"<{s}> <{p}> <{o}> ." for s, p, o in build_triples()])
     write_seeds(out / "seeds.jsonl", build_seeds())
 
 

@@ -212,24 +212,16 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 def test_criterion_8_determinism(capsys, tmp_path):
     config_path = tmp_path / "run.conf"
     config_path.write_text("rng_seeds = 101, 102\ninstance_limit = 40\n")
-    config_workers = tmp_path / "run_workers.conf"
-    config_workers.write_text("rng_seeds = 101, 102\ninstance_limit = 40\nworkers = 4\n")
     failures = []
     for preset in experiments.PRESETS:
         runs = []
-        for label, (conf, hash_seed) in (
-            ("first", (config_path, "0")),
-            ("second", (config_path, "12345")),
-            ("workers", (config_workers, "777")),
-        ):
+        for label, hash_seed in (("first", "0"), ("second", "12345")):
             workdir = tmp_path / f"{preset}-{label}"
-            _run_preset(preset, workdir, conf, hash_seed)
+            _run_preset(preset, workdir, config_path, hash_seed)
             runs.append(_tree_bytes(workdir))
         if runs[0] != runs[1]:
             failures.append(f"{preset}: repeat run differs")
-        if runs[0] != runs[2]:
-            failures.append(f"{preset}: worker count changed output")
     _announce(capsys, 8, not failures,
-              "determinism: exp1/exp2/exp3 byte-identical across repeat runs, "
-              "hash seeds, and worker counts"
+              "determinism: exp1/exp2/exp3 byte-identical across repeat runs "
+              "and hash seeds"
               + ("; " + "; ".join(failures) if failures else ""))

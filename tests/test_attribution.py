@@ -131,11 +131,6 @@ def test_index_equals_per_instance_attribution_on_random_corpora():
                 attribution.attribute_instance(inst, templates))
 
 
-def test_index_worker_count_does_not_change_results(toy_data):
-    parallel = attribution.build_index(toy_data.instances, toy_data.templates, workers=4)
-    assert parallel == toy_data.index
-
-
 # ---------------------------------------------------------------------------
 # attribution.tsv
 # ---------------------------------------------------------------------------

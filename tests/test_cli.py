@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from splithygiene import toydata
+from splithygiene import experiments, toydata
 from splithygiene.cli import main
 from splithygiene.corpus import manifest_from_json
 
@@ -183,3 +183,54 @@ def test_failed_stage_is_named(tmp_path, monkeypatch):
         experiments.run_experiment("exp3", config)
     report = (tmp_path / "exp3" / "report.csv").read_text()
     assert "incomplete" in report
+
+
+def test_stage_subcommands_match_preset(tmp_path, runner):
+    work = tmp_path / "stages"
+    templates = work / "templates.jsonl"
+    corpus = ["--nlq", str(work / "gen" / "instances.nlq"), "--ql", str(work / "gen" / "instances.ql"),
+              "--manifest", str(work / "gen" / "instances.manifest.json")]
+    work.mkdir()
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
+    _ok(runner.invoke(main, ["generate", "--templates", str(templates), "--kg", KG, "--limit", "40",
+                             "--rng-seed", "101", "--out-dir", str(work / "gen")]))
+    _ok(runner.invoke(main, ["attribute", *corpus, "--templates", str(templates),
+                             "--out", str(work / "attribution.tsv")]))
+    _ok(runner.invoke(main, ["partition", "--scheme", "leaky", *corpus, "--rng-seed", "101",
+                             "--out-dir", str(work / "leaky-101")]))
+    _ok(runner.invoke(main, ["partition", "--scheme", "sanitized", *corpus, "--templates", str(templates),
+                             "--seeds", SEEDS, "--rng-seed", "101", "--out-dir", str(work / "sanitized")]))
+
+    experiments.run_experiment("exp1", experiments.RunConfig(
+        workdir=str(tmp_path), rng_seeds=(101, 102), instance_limit=40))
+    preset = tmp_path / "exp1"
+    split_files = [f"{part}.{ext}" for part in ("train", "valid", "test") for ext in ("nlq", "ql")]
+    same_bytes = ["templates.jsonl", "attribution.tsv", "sanitized/diagnostics.json"]
+    same_bytes += [f"{d}/{f}" for d in ("leaky-101", "sanitized") for f in split_files]
+    for rel in same_bytes:
+        assert (work / rel).read_bytes() == (preset / rel).read_bytes(), rel
+    for d in ("leaky-101", "sanitized"):
+        ours, theirs = (json.loads((root / d / "manifest.json").read_text()) for root in (work, preset))
+        assert ours.pop("config_digest") != theirs.pop("config_digest")
+        assert ours == theirs
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "exp3", "--rng-seed", "5"],
+    ["extract", "--seeds", SEEDS, "--out", "templates.jsonl", "--config", "run.conf"],
+    ["lm", "--train-ql", SEEDS, "--eval-ql", SEEDS, "--workdir", "."],
+])
+def test_options_a_command_does_not_read_are_rejected(args, runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_config_values_keep_quoted_commas(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text('seeds_path = "a,b.jsonl"\nrng_seeds = 101, 102\nkg_path = "g.nt"\n')
+    cfg = experiments.load_config(config)
+    assert cfg.seeds_path == "a,b.jsonl"
+    assert cfg.kg_path == "g.nt"
+    assert cfg.rng_seeds == (101, 102)

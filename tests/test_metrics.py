@@ -192,13 +192,3 @@ def test_leakage_empty_test_split_flagged():
     assert stats.test_seen_fraction == 0.0
     assert "test" in stats.empty_splits and "valid" in stats.empty_splits
 
-
-def test_leakage_counts_ambiguous_and_unattributed():
-    templates, instances, index = _toy_split_corpus(n_templates=2, per_template=4)
-    stray = make_instance("stray", "unrelated words here ?", ASK_Q % 1)
-    all_instances = instances + [stray]
-    index = attribution.build_index(all_instances, templates)
-    split = partitioner.Split3(train=tuple(all_instances), valid=(), test=())
-    stats = metrics.leakage_report(split, index)
-    assert stats.unattributed_count == 1
-    assert stats.ambiguous_count == 0
