@@ -36,6 +36,7 @@ from .corpus import (
     write_split,
     write_text,
 )
+from .errors import RatioError
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, leakage_report
 from .partitioner import (
@@ -185,7 +186,9 @@ def build_pipeline_data(config: RunConfig) -> PipelineData:
 
 
 def held_out_seed_ids(seeds, fraction: float, rng_seed: int) -> list[str]:
-    """A seeded sample of `fraction` of the seed ids, sorted."""
+    """A seeded sample of `fraction` of the seed ids, sorted; `fraction` is in [0, 1]."""
+    if not 0 <= fraction <= 1:
+        raise RatioError(f"seed test fraction must be in [0, 1]: {fraction}")
     ids = [s.id for s in seeds]
     n_test = round(len(ids) * fraction)
     order = rng.permutation(len(ids), rng_seed, "seed-split")
@@ -304,8 +307,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
     """Run one preset end to end; returns the report rows it wrote.
 
     On failure the rows gathered so far are still written, with a final
-    `incomplete` row naming the stage that broke, and the error is re-raised
-    with that stage in its message.
+    `incomplete` row naming the stage that broke, and the error is re-raised.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
@@ -344,7 +346,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
         else:
             rows += _rows_for(_evaluate_partition(split, data, config),
                               preset, SANITIZED, config.rng_seeds[0], 1.0, digest)
-    except Exception as exc:
+    except Exception:
         rows.append({
             "experiment": preset, "scheme": "", "rng_seed": "", "fraction": "",
             "metric": "incomplete", "split": stage, "statistic": "value",
@@ -354,7 +356,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
             _write_report(out_dir, rows)
         except OSError:
             pass
-        raise RuntimeError(f"{preset} failed during stage {stage!r}: {exc}") from exc
+        raise
     _write_report(out_dir, rows)
     return rows
 

@@ -1,7 +1,8 @@
 """In-memory triple store with basic-graph-pattern evaluation.
 
 Stands in for a live SPARQL endpoint: holds IRI-only triples loaded from an
-N-Triples file and answers the ASK / SELECT DISTINCT subset of qlang.
+N-Triples file and answers the ASK / SELECT DISTINCT subset of qlang, every
+pattern shape from one lookup table (see `Graph`) and one unifier.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import UnboundVariable
-from .qlang import ASK, Iri, QueryAst, Var
+from .qlang import ASK, Iri, QueryAst
 
 _TRIPLE_LINE = re.compile(r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+(.+?)\s*\.\s*$")
 _IRI_OBJECT = re.compile(r"^<([^<>\s]+)>$")
@@ -25,22 +26,22 @@ class LoadReport:
 
 
 class Graph:
-    """Immutable set of (subject, predicate, object) IRI triples with indexes."""
+    """Immutable set of (subject, predicate, object) IRI triples with one index.
+
+    The index maps a pattern's bound positions, None where unbound, to the
+    matching triples in sorted order, for the shapes the evaluator looks up:
+    (None, p, None), (s, p, None), (None, p, o) and (None, None, None).
+    """
 
     def __init__(self, triples, load_report: LoadReport | None = None):
         self.triples: frozenset[tuple[str, str, str]] = frozenset(triples)
         self.load_report = load_report
-        by_p: dict[str, list[tuple[str, str]]] = {}
-        by_ps: dict[tuple[str, str], list[str]] = {}
-        by_po: dict[tuple[str, str], list[str]] = {}
-        for s, p, o in sorted(self.triples):
-            by_p.setdefault(p, []).append((s, o))
-            by_ps.setdefault((p, s), []).append(o)
-            by_po.setdefault((p, o), []).append(s)
-        self._by_p = by_p
-        self._by_ps = by_ps
-        self._by_po = by_po
-        self._all = sorted(self.triples)
+        index: dict[tuple, list[tuple[str, str, str]]] = {}
+        for triple in sorted(self.triples):
+            s, p, o = triple
+            for key in ((None, None, None), (None, p, None), (s, p, None), (None, p, o)):
+                index.setdefault(key, []).append(triple)
+        self._index = index
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -80,84 +81,48 @@ def load_ntriples(path) -> Graph:
     return Graph(triples, report)
 
 
-def _resolve(term, binding: dict[str, str]):
-    if isinstance(term, Var) and term.name in binding:
-        return Iri(binding[term.name])
-    return term
+def _bound(term, binding: dict[str, str]) -> str | None:
+    """The IRI a term stands for under `binding`; None for an unbound variable."""
+    return term.value if isinstance(term, Iri) else binding.get(term.name)
 
 
-def _estimate(graph: Graph, pattern, binding: dict[str, str]) -> int:
-    s, p, o = (_resolve(t, binding) for t in pattern)
-    if isinstance(p, Iri):
-        if isinstance(s, Iri) and isinstance(o, Iri):
-            return 1
-        if isinstance(s, Iri):
-            return len(graph._by_ps.get((p.value, s.value), ()))
-        if isinstance(o, Iri):
-            return len(graph._by_po.get((p.value, o.value), ()))
-        return len(graph._by_p.get(p.value, ()))
-    return len(graph._all)
+def _candidates(graph: Graph, pattern, binding: dict[str, str]):
+    """The triples, in sorted order, that agree with the pattern's IRI positions.
+
+    A fully bound pattern is a membership test on `graph.triples`; a variable
+    predicate gets every triple, which `_unify` then narrows.
+    """
+    s, p, o = (_bound(term, binding) for term in pattern)
+    if p is None:
+        return graph._index.get((None, None, None), ())
+    if s is not None and o is not None:
+        return ((s, p, o),) if (s, p, o) in graph.triples else ()
+    return graph._index.get((s, p, None) if s is not None else (None, p, o), ())
 
 
-def _extend(graph: Graph, pattern, binding: dict[str, str]):
-    """Yield bindings extending `binding` to solutions of one pattern."""
-    s, p, o = (_resolve(t, binding) for t in pattern)
-
-    def unify(new_binding, term, value) -> dict[str, str] | None:
-        if isinstance(term, Iri):
-            return new_binding if term.value == value else None
-        name = term.name
-        if name in new_binding:
-            return new_binding if new_binding[name] == value else None
-        nb = dict(new_binding)
-        nb[name] = value
-        return nb
-
-    if isinstance(p, Iri):
-        if isinstance(s, Iri) and isinstance(o, Iri):
-            if (s.value, p.value, o.value) in graph.triples:
-                yield binding
-            return
-        if isinstance(s, Iri):
-            for obj in graph._by_ps.get((p.value, s.value), ()):
-                nb = unify(binding, o, obj)
-                if nb is not None:
-                    yield nb
-            return
-        if isinstance(o, Iri):
-            for subj in graph._by_po.get((p.value, o.value), ()):
-                nb = unify(binding, s, subj)
-                if nb is not None:
-                    yield nb
-            return
-        for subj, obj in graph._by_p.get(p.value, ()):
-            nb = unify(binding, s, subj)
-            if nb is None:
-                continue
-            nb = unify(nb, o, obj)
-            if nb is not None:
-                yield nb
-        return
-    for subj, pred, obj in graph._all:
-        nb = unify(binding, s, subj)
-        if nb is None:
-            continue
-        nb = unify(nb, p, pred)
-        if nb is None:
-            continue
-        nb = unify(nb, o, obj)
-        if nb is not None:
-            yield nb
+def _unify(pattern, triple, binding: dict[str, str]) -> dict[str, str] | None:
+    """`binding` extended so that `pattern` matches `triple`, or None if it cannot."""
+    for term, value in zip(pattern, triple):
+        bound = _bound(term, binding)
+        if bound is None:
+            binding = {**binding, term.name: value}
+        elif bound != value:
+            return None
+    return binding
 
 
 def _solutions(graph: Graph, patterns, binding: dict[str, str], stop_at_first: bool):
     if not patterns:
         yield binding
         return
-    # greedy: evaluate the currently most selective pattern first
-    idx = min(range(len(patterns)), key=lambda i: (_estimate(graph, patterns[i], binding), i))
+    # greedy: evaluate the pattern with the fewest candidates first
+    candidates = [_candidates(graph, pattern, binding) for pattern in patterns]
+    idx = min(range(len(patterns)), key=lambda i: len(candidates[i]))
     rest = patterns[:idx] + patterns[idx + 1:]
-    for nb in _extend(graph, patterns[idx], binding):
+    for triple in candidates[idx]:
+        nb = _unify(patterns[idx], triple, binding)
+        if nb is None:
+            continue
         for sol in _solutions(graph, rest, nb, stop_at_first):
             yield sol
             if stop_at_first:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -171,18 +174,55 @@ def test_runtime_failure_exits_1(tmp_path, runner):
     assert result.exit_code == 1
 
 
-def test_failed_stage_is_named(tmp_path, monkeypatch):
-    from splithygiene import experiments
+def _report_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
+
+def test_failed_stage_is_named(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(experiments, "_evaluate_partition", boom)
     config = experiments.RunConfig(workdir=str(tmp_path))
-    with pytest.raises(RuntimeError, match="exp3 failed during stage 'sanitized-halved'"):
+    with pytest.raises(ValueError, match="^synthetic failure$"):
         experiments.run_experiment("exp3", config)
-    report = (tmp_path / "exp3" / "report.csv").read_text()
-    assert "incomplete" in report
+    last = _report_rows(tmp_path / "exp3" / "report.csv")[-1]
+    assert (last["metric"], last["split"]) == ("incomplete", "sanitized-halved")
+
+
+@pytest.mark.parametrize("line, stage", [
+    ("ratios = 0.5, 0.5, 0.5", "leaky-101"),
+    ("seed_test_fraction = 1.5", "pipeline"),
+])
+def test_invalid_preset_config_exits_2_without_traceback(tmp_path, line, stage):
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "splithygiene.cli", "run", "exp1", "--config", str(config),
+         "--workdir", str(tmp_path / "w")],
+        capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stdout + result.stderr
+    last = _report_rows(tmp_path / "w" / "exp1" / "report.csv")[-1]
+    assert (last["metric"], last["split"]) == ("incomplete", stage)
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-1"])
+def test_seed_test_fraction_out_of_range_is_rejected(tmp_path, runner, fraction):
+    templates = tmp_path / "templates.jsonl"
+    gen = tmp_path / "gen"
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
+    _ok(runner.invoke(main, ["generate", "--templates", str(templates), "--kg", KG,
+                             "--limit", "3", "--out-dir", str(gen)]))
+    result = runner.invoke(main, [
+        "partition", "--scheme", "sanitized", "--nlq", str(gen / "instances.nlq"),
+        "--ql", str(gen / "instances.ql"), "--manifest", str(gen / "instances.manifest.json"),
+        "--templates", str(templates), "--seeds", SEEDS, "--seed-test-fraction", fraction,
+        "--out-dir", str(tmp_path / "split")])
+    assert result.exit_code == 2, result.output
+    assert "seed test fraction must be in [0, 1]" in result.output
 
 
 def test_stage_subcommands_match_preset(tmp_path, runner):
@@ -213,6 +253,22 @@ def test_stage_subcommands_match_preset(tmp_path, runner):
         ours, theirs = (json.loads((root / d / "manifest.json").read_text()) for root in (work, preset))
         assert ours.pop("config_digest") != theirs.pop("config_digest")
         assert ours == theirs
+
+    # the evaluation subcommands on the sanitized split reproduce the preset's test numbers
+    split = work / "sanitized"
+    _ok(runner.invoke(main, ["memorize", "--train-nlq", str(split / "train.nlq"),
+                             "--train-ql", str(split / "train.ql"),
+                             "--train-manifest", str(split / "manifest.json"),
+                             "--templates", str(templates), "--input", str(split / "test.nlq"),
+                             "--out", str(work / "pred.ql")]))
+    bleu = json.loads(_ok(runner.invoke(main, ["eval", "--pred", str(work / "pred.ql"),
+                                               "--test", str(split / "test.ql")])).output)["bleu"]
+    ppl = json.loads(_ok(runner.invoke(main, ["lm", "--train-ql", str(split / "train.ql"),
+                                              "--eval-ql", str(split / "test.ql")])).output)["value"]
+    expected = {(row["metric"], row["split"]): float(row["value"])
+                for row in _report_rows(preset / "report.csv") if row["scheme"] == "sanitized"}
+    assert bleu == expected["memorizer_bleu", "test"]
+    assert ppl == expected["lm_perplexity", "test"]
 
 
 @pytest.mark.parametrize("args", [

@@ -143,6 +143,42 @@ def test_evaluate_matches_nested_loop_reference():
         assert kgstore.evaluate(kgstore.Graph(triples), ast) == ref_eval(triples, ast)
 
 
+def _random_variable_predicate_case(rnd: random.Random):
+    """Like `_random_case`, but predicates are often variables, and predicate IRIs
+    also occur as subjects and objects, so a variable shared between the
+    predicate and the subject or object position can match."""
+    nodes = [f"n:{i}" for i in range(rnd.randrange(2, 7))]
+    preds = nodes[:rnd.randrange(1, 4)]
+    triples = {(rnd.choice(nodes), rnd.choice(preds), rnd.choice(nodes))
+               for _ in range(rnd.randrange(1, 40))}
+    variables = ["x", "y", "z"]
+    patterns = []
+    for _ in range(rnd.randrange(1, 4)):
+        s = rnd.choice([Var(rnd.choice(variables)), Iri(rnd.choice(nodes))])
+        p = Var(rnd.choice(variables)) if rnd.random() < 0.6 else Iri(rnd.choice(preds))
+        o = rnd.choice([Var(rnd.choice(variables)), Iri(rnd.choice(nodes))])
+        patterns.append((s, p, o))
+    pattern_vars = sorted({t.name for pat in patterns for t in pat if isinstance(t, Var)})
+    if pattern_vars and rnd.random() < 0.7:
+        k = rnd.randrange(1, len(pattern_vars) + 1)
+        ast = QueryAst("select_distinct", tuple(rnd.sample(pattern_vars, k)), tuple(patterns))
+    else:
+        ast = QueryAst(ASK, (), tuple(patterns))
+    return sorted(triples), ast
+
+
+def test_variable_predicates_match_nested_loop_reference():
+    rnd = random.Random(2024)
+    shared_with_matches = 0
+    for _ in range(500):
+        triples, ast = _random_variable_predicate_case(rnd)
+        result = kgstore.evaluate(kgstore.Graph(triples), ast)
+        assert result == ref_eval(triples, ast)
+        if result and any(isinstance(p, Var) and p in (s, o) for s, p, o in ast.patterns):
+            shared_with_matches += 1
+    assert shared_with_matches >= 20
+
+
 def test_ask_agrees_with_select_nonemptiness():
     rnd = random.Random(17)
     for _ in range(100):
