@@ -13,10 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import metrics
 from .attribution import AttributionIndex
 from .errors import EmptyCorpus
-from .qlang import Iri, Placeholder, QueryAst, Var, match_nlq, serialize, span_tokens
+from .qlang import Iri, Placeholder, QueryAst, Var, Word, match_nlq, serialize, span_tokens
 from .synthesis import Template, bind_placeholders
 
 BOS = "<s>"
@@ -32,9 +34,22 @@ _DEFAULT_NAMESPACE = "http://example.org/resource/"
 
 @dataclass
 class MemorizerModel:
+    """Seen templates, harvested labels, and the indexes prediction reads.
+
+    ``postings`` maps each distinct train question token to the sorted train
+    positions holding it; ``sizes`` is the distinct-token count of each train
+    question and ``id_rank`` the rank of each train instance in id order (then
+    position). ``template_words`` holds each seen template's case-folded
+    literal words.
+    """
+
     templates: dict[str, Template]
     label_index: dict[str, str]
     fallback: list  # train instances, in training order
+    postings: dict[str, np.ndarray] = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
+    id_rank: np.ndarray = field(repr=False)
+    template_words: dict[str, frozenset[str]] = field(repr=False)
     entity_namespace: str = _DEFAULT_NAMESPACE
 
 
@@ -116,11 +131,29 @@ def train_memorizer(train_instances, templates, index: AttributionIndex) -> Memo
                 label_index.setdefault(text, iris[label])
     namespaces = Counter(_namespace(iri) for iri in label_index.values())
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
+    seen = {tid: by_id[tid] for tid in seen_ids if tid in by_id}
+    postings: dict[str, list[int]] = {}
+    sizes = []
+    for pos, inst in enumerate(train):
+        distinct = set(inst.pair.nlq)
+        sizes.append(len(distinct))
+        for token in distinct:
+            postings.setdefault(token, []).append(pos)
+    id_order = sorted(range(len(train)), key=lambda pos: (train[pos].id, pos))
+    id_rank = np.zeros(len(train), dtype=np.int64)
+    id_rank[np.array(id_order, dtype=np.int64)] = np.arange(len(train))
     return MemorizerModel(
-        templates={tid: by_id[tid] for tid in seen_ids if tid in by_id},
+        templates=seen,
         label_index=label_index,
         fallback=train,
         entity_namespace=namespace,
+        postings={token: np.array(positions, dtype=np.int64) for token, positions in postings.items()},
+        sizes=np.array(sizes, dtype=np.int64),
+        id_rank=id_rank,
+        template_words={
+            tid: frozenset(e.token.casefold() for e in t.nlq_pattern.elements if isinstance(e, Word))
+            for tid, t in seen.items()
+        },
     )
 
 
@@ -133,14 +166,22 @@ def memorizer_predict(model: MemorizerModel, nlq) -> list[str]:
     """Predict the formal-query token sequence for a question.
 
     Seen templates matching the question compete; the one binding the fewest
-    slot tokens wins (then lowest template id). Slot texts are resolved via
-    the label index, falling back to the IRI naming convention. When no
-    template matches, the training question with the highest token-overlap
-    Jaccard supplies its query verbatim.
+    slot tokens wins (then lowest template id). A template whose case-folded
+    literal words are not all among the question's case-folded tokens cannot
+    match and is skipped. Slot texts are resolved via the label index, falling
+    back to the IRI naming convention. When no template matches, the training
+    question with the highest Jaccard similarity of distinct tokens supplies
+    its query verbatim, ties going to the lowest instance id. Overlaps are
+    counted from the token postings, and the union is |q| + |t| - overlap, so
+    each score is the same correctly rounded quotient a set-based
+    ``len(q & t) / len(q | t)`` gives.
     """
     tokens = tuple(nlq)
+    folded = {t.casefold() for t in tokens}
     matches = []
     for tid in sorted(model.templates):
+        if not model.template_words[tid] <= folded:
+            continue
         template = model.templates[tid]
         bindings = match_nlq(template.nlq_pattern, tokens)
         if bindings is None:
@@ -160,13 +201,14 @@ def memorizer_predict(model: MemorizerModel, nlq) -> list[str]:
     if not model.fallback:
         return []
     question = set(tokens)
-
-    def jaccard(inst) -> float:
-        other = set(inst.pair.nlq)
-        union = question | other
-        return len(question & other) / len(union) if union else 0.0
-
-    chosen = min(model.fallback, key=lambda inst: (-jaccard(inst), inst.id))
+    hits = [model.postings[t] for t in question if t in model.postings]
+    if hits:
+        overlap = np.bincount(np.concatenate(hits), minlength=len(model.fallback))
+        scores = overlap / (len(question) + model.sizes - overlap)
+        best = np.flatnonzero(scores == scores.max())
+    else:  # every score is 0: the lowest id over all of train
+        best = np.arange(len(model.fallback))
+    chosen = model.fallback[best[np.argmin(model.id_rank[best])]]
     return chosen.pair.query_text.split()
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,8 +188,21 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
 
 
 def write_text(path, text: str) -> None:
-    """Write UTF-8 text with LF line endings; every file the package writes goes through here."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write UTF-8 text with LF line endings; every file the package writes goes through here.
+
+    The text goes to a new temporary file beside the target, which then
+    replaces the target in one rename: an interrupted write leaves either the
+    old file or the new one, never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_lines(path, lines) -> None:

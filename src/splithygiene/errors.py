@@ -46,6 +46,14 @@ class UnboundVariable(SplitHygieneError):
     """A selected variable never occurs in the query's triple patterns."""
 
 
+class ConfigError(SplitHygieneError):
+    """A config value has the wrong type or lies outside its range; ``key`` names it."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 class RatioError(SplitHygieneError):
     """Split ratios or a subsample fraction are out of range."""
 

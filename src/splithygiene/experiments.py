@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import statistics
 from dataclasses import dataclass, field, fields
@@ -36,7 +37,7 @@ from .corpus import (
     write_split,
     write_text,
 )
-from .errors import RatioError
+from .errors import ConfigError, RatioError
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, leakage_report
 from .partitioner import (
@@ -72,11 +73,44 @@ class RunConfig:
     lm_order: int = 5
     lm_k: float = 0.1
 
+    def __post_init__(self):
+        """Check every key's type, and the range of the keys no stage checks where it reads them.
+
+        The ranges of ratios, seed_test_fraction and fractions are checked by
+        the stages that use them.
+        """
+        def tuple_of(values, check) -> bool:
+            return isinstance(values, tuple) and bool(values) and all(map(check, values))
+
+        expected = {
+            "seeds_path": (isinstance(self.seeds_path, str), "a string"),
+            "kg_path": (isinstance(self.kg_path, str), "a string"),
+            "workdir": (isinstance(self.workdir, str), "a string"),
+            "rng_seeds": (tuple_of(self.rng_seeds, _is_int), "one or more integers"),
+            "ratios": (tuple_of(self.ratios, _is_real) and len(self.ratios) == 3, "three numbers"),
+            "seed_test_fraction": (_is_real(self.seed_test_fraction), "a number"),
+            "fractions": (tuple_of(self.fractions, _is_real), "one or more numbers"),
+            "instance_limit": (_is_int(self.instance_limit) and self.instance_limit >= 0, "an integer >= 0"),
+            "lm_order": (_is_int(self.lm_order) and self.lm_order >= 1, "an integer >= 1"),
+            "lm_k": (_is_real(self.lm_k) and math.isfinite(self.lm_k) and self.lm_k > 0, "a finite number > 0"),
+        }
+        for key, (ok, what) in expected.items():
+            if not ok:
+                raise ConfigError(key, f"{key}: expected {what}, got {getattr(self, key)!r}")
+
     def resolved_seeds_path(self) -> Path:
         return Path(self.seeds_path) if self.seeds_path else toydata.toy_seeds_path()
 
     def resolved_kg_path(self) -> Path:
         return Path(self.kg_path) if self.kg_path else toydata.toy_kg_path()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _split_list(raw: str) -> list[str]:
@@ -108,9 +142,10 @@ def _parse_value(raw: str):
 
 
 def load_config(path) -> RunConfig:
-    """Flat key = value file; unknown keys are rejected."""
+    """Flat key = value file; unknown keys and values of the wrong type or range are rejected."""
     known = {f.name: f for f in fields(RunConfig)}
     values: dict = {}
+    key_lines: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -125,7 +160,11 @@ def load_config(path) -> RunConfig:
         if key in ("rng_seeds", "ratios", "fractions") and not isinstance(value, tuple):
             value = (value,)
         values[key] = value
-    return RunConfig(**values)
+        key_lines[key] = line_no
+    try:
+        return RunConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(exc.key, f"{path}:{key_lines[exc.key]}: {exc}") from None
 
 
 @dataclass

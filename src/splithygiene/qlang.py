@@ -325,31 +325,35 @@ def match_nlq(pattern: NlqPattern, nlq) -> SlotBindings | None:
     Words must equal the question tokens (case-folded); each slot absorbs one
     or more contiguous tokens. Among all segmentations the leftmost-shortest
     one wins: scanning left to right, every slot takes the fewest tokens that
-    still lets the rest match.
+    still lets the rest match. Whether the rest matches depends only on the
+    (element, position) pair, so a slot records the pairs that failed and never
+    retries them: O(elements x tokens^2) in the worst case, not exponential in
+    the slot count.
     """
     elems = pattern.elements
     tokens = list(nlq)
     n = len(tokens)
-    # minimum tokens needed from element e onward, for pruning
-    need = [0] * (len(elems) + 1)
-    for e in range(len(elems) - 1, -1, -1):
-        need[e] = need[e + 1] + 1
+    m = len(elems)  # every element takes at least one token: prune when fewer tokens are left
     bindings: SlotBindings = {}
+    failed: set[tuple[int, int]] = set()
 
     def walk(e: int, i: int) -> bool:
-        if e == len(elems):
+        if e == m:
             return i == n
-        if n - i < need[e]:
+        if n - i < m - e:
             return False
         el = elems[e]
         if isinstance(el, Word):
             if tokens[i].casefold() != el.token.casefold():
                 return False
             return walk(e + 1, i + 1)
-        for end in range(i + 1, n - need[e + 1] + 1):
+        if (e, i) in failed:
+            return False
+        for end in range(i + 1, n - (m - e - 1) + 1):  # leave a token for each later element
             if walk(e + 1, end):
                 bindings[el.label] = (i, end)
                 return True
+        failed.add((e, i))
         return False
 
     if not walk(0, 0):

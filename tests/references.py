@@ -3,7 +3,10 @@
 These deliberately share no code with the package: n-gram clipping is done by
 multiset intersection, BGP evaluation by exhaustive nested loops over the
 triple list, slot matching by enumerating every segmentation, and subsequence
-checking by trying every index mapping.
+checking by trying every index mapping. The one exception is the memorizer
+reference, which is the package's earlier linear-scan prediction: it calls the
+package's matcher and binder, and differs from the indexed prediction only in
+how it finds the template candidates and the nearest training question.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import itertools
 import math
 from collections import Counter
 
-from splithygiene.qlang import Iri, Slot, Word
+from splithygiene.baselines import label_to_iri_form
+from splithygiene.qlang import Iri, Slot, Word, match_nlq, serialize, span_tokens
+from splithygiene.synthesis import bind_placeholders
 
 
 # ---------------------------------------------------------------------------
@@ -147,3 +152,41 @@ def ref_dedup_keys(keys):
         if not any(key == existing for existing in kept):
             kept.append(key)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Memorizer prediction
+# ---------------------------------------------------------------------------
+
+def ref_memorizer_predict(model, nlq) -> list[str]:
+    """Try every seen template, then scan every training question for the best Jaccard."""
+    tokens = tuple(nlq)
+    matches = []
+    for tid in sorted(model.templates):
+        template = model.templates[tid]
+        bindings = match_nlq(template.nlq_pattern, tokens)
+        if bindings is None:
+            continue
+        slot_total = sum(end - start for start, end in bindings.values())
+        matches.append((slot_total, tid, template, bindings))
+    if matches:
+        _, _, template, bindings = min(matches, key=lambda m: (m[0], m[1]))
+        row = {}
+        for label, span in bindings.items():
+            text = " ".join(span_tokens(tokens, span))
+            iri = model.label_index.get(text)
+            if iri is None:
+                iri = label_to_iri_form(text, model.entity_namespace)
+            row[label.lower()] = iri
+        return serialize(bind_placeholders(template, row)).split()
+    if not model.fallback:
+        return []
+    question = set(tokens)
+
+    def jaccard(inst) -> float:
+        other = set(inst.pair.nlq)
+        union = question | other
+        return len(question & other) / len(union) if union else 0.0
+
+    chosen = min(model.fallback, key=lambda inst: (-jaccard(inst), inst.id))
+    return chosen.pair.query_text.split()

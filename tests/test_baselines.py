@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -11,8 +12,10 @@ from conftest import (
     AIRCRAFT_INSTANCE_NLQ,
     AIRCRAFT_INSTANCE_QUERY,
     make_instance,
+    random_corpus,
 )
-from splithygiene import attribution, baselines, metrics, qlang
+from references import ref_memorizer_predict
+from splithygiene import attribution, baselines, corpus, experiments, metrics, partitioner, qlang
 from splithygiene.errors import EmptyCorpus
 
 DBR = "http://dbpedia.org/resource/"
@@ -116,6 +119,116 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
     for inst in split_instances[::23]:
         predicted = baselines.memorizer_predict(model, inst.pair.nlq)
         assert predicted == qlang.serialize(inst.pair.query_ast).split()
+
+
+def _instance(instance_id, tokens, n):
+    """A train instance with the given question tokens, case kept as given."""
+    query = f"ASK WHERE {{ <e:n{n}> <p:p> <e:x> }}"
+    return corpus.Instance(id=instance_id, pair=corpus.QAPair(tuple(tokens), query, qlang.parse_query(query)))
+
+
+def _jaccard(a, b):
+    a, b = set(a), set(b)
+    return len(a & b) / len(a | b) if a | b else 0.0
+
+
+def test_predict_fallback_ties_across_fractions_go_to_lowest_id(industry_template):
+    # 1/2 and 2/4 are the same double: both instances tie and the lower id wins
+    train = [_instance("z-half", ["alpha"], 0), _instance("m-half", ["alpha", "beta", "x", "y"], 1),
+             _instance("a-third", ["alpha", "q", "r"], 2)]
+    index = attribution.build_index(train, [industry_template])
+    model = baselines.train_memorizer(train, [industry_template], index)
+    question = ("alpha", "beta", "alpha")
+    assert _jaccard(question, train[0].pair.nlq) == _jaccard(question, train[1].pair.nlq) == 0.5
+    assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
+    assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
+
+
+def test_predict_fallback_without_overlap_takes_lowest_id(industry_template):
+    train = [_instance("b", ["alpha"], 0), _instance("a", ["beta", "gamma"], 1), _instance("c", ["x"], 2)]
+    index = attribution.build_index(train, [industry_template])
+    model = baselines.train_memorizer(train, [industry_template], index)
+    for question in (("never", "seen", "?"), ("ALPHA",), ()):
+        assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
+        assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
+
+
+def test_predict_prefilter_casefolds_template_words(industry_template):
+    # "straße", "Straße" and "STRASSE" are equal only under casefold, not under lower()
+    template = dataclasses.replace(industry_template, nlq_pattern=qlang.NlqPattern.from_tokens(
+        ["is", "<B>", "in", "the", "<A>", "straße", "?"]))
+    inst = make_instance("i1", "Is robot comics in the publishing straße?", COMICS_INSTANCE_QUERY,
+                         origin=template.id)
+    index = attribution.build_index([inst], [template])
+    model = baselines.train_memorizer([inst], [template], index)
+    expected = qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
+    for word in ("STRASSE", "Straße"):
+        question = ("IS", "Tiger", "aircraft", "In", "THE", "aerospace", word, "?")
+        assert baselines.memorizer_predict(model, question) == expected
+        assert ref_memorizer_predict(model, question) == expected
+
+
+_NOISE_WORDS = ["alpha", "beta", "gamma", "rook", "one", "two", "q1", "q2", "q3", "?"]
+
+
+def _case_variant(rnd, tokens):
+    return tuple(rnd.choice((t, t.upper(), t.title())) for t in tokens)
+
+
+def _memorizer_case(rnd):
+    """A random memorizer with held-out templates, noisy train and mixed questions."""
+    _, templates, instances, _ = random_corpus(rnd)
+    held_out = {t.id for t in templates if rnd.random() < 0.4}
+    train = [inst for inst in instances if inst.origin_template_id not in held_out and rnd.random() < 0.8]
+    for n in range(rnd.randrange(0, 25)):
+        tokens = [rnd.choice(_NOISE_WORDS) for _ in range(rnd.randrange(1, 7))]
+        if rnd.random() < 0.2:
+            tokens = _case_variant(rnd, tokens)
+        train.append(_instance(f"n{rnd.randrange(30):02d}", tokens, n))  # ids may repeat
+    rnd.shuffle(train)
+    index = attribution.build_index(train, templates)
+    model = baselines.train_memorizer(train, templates, index)
+    questions = [inst.pair.nlq for inst in instances]
+    questions += [_case_variant(rnd, q) for q in questions]
+    questions += [tuple(rnd.choice(_NOISE_WORDS + ["unseen", "zzz"]) for _ in range(rnd.randrange(1, 8)))
+                  for _ in range(10)]
+    questions += [("unseen", "zzz", "unseen"), ()]
+    return model, questions
+
+
+def test_predict_equals_linear_scan_on_random_corpora():
+    seen = {"template": 0, "fraction_tie": 0, "no_overlap": 0, "repeated": 0, "case_variant": 0}
+    for case in range(500):
+        rnd = random.Random(case)
+        model, questions = _memorizer_case(rnd)
+        train_tokens = {t for inst in model.fallback for t in inst.pair.nlq}
+        for question in questions:
+            expected = ref_memorizer_predict(model, question)
+            assert baselines.memorizer_predict(model, question) == expected, (case, question)
+            matched = [tid for tid, t in model.templates.items()
+                       if qlang.match_nlq(t.nlq_pattern, question) is not None]
+            seen["template"] += bool(matched)
+            seen["repeated"] += len(set(question)) < len(question)
+            seen["case_variant"] += bool(matched) and any(t != t.lower() for t in question)
+            if matched or not model.fallback:
+                continue
+            seen["no_overlap"] += not set(question) & train_tokens
+            scores = [(_jaccard(question, inst.pair.nlq), len(set(question) & set(inst.pair.nlq)))
+                      for inst in model.fallback]
+            best = max(score for score, _ in scores)
+            seen["fraction_tie"] += best > 0 and len({o for score, o in scores if score == best}) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_predict_equals_linear_scan_on_default_sanitized_split(toy_data, toy_config):
+    seed_test = experiments.seed_split_ids(toy_data, toy_config)
+    tsplit = partitioner.split_templates(toy_data.templates, toy_data.seeds, seed_test)
+    split = partitioner.sanitized_partition(toy_data.instances, tsplit, toy_data.index,
+                                            toy_config.rng_seeds[0])
+    model = baselines.train_memorizer(split.train, toy_data.templates, toy_data.index)
+    assert len(split.test) > 500
+    for inst in split.test:
+        assert baselines.memorizer_predict(model, inst.pair.nlq) == ref_memorizer_predict(model, inst.pair.nlq)
 
 
 # ---------------------------------------------------------------------------

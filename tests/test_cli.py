@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splithygiene import experiments, toydata
 from splithygiene.cli import main
 from splithygiene.corpus import manifest_from_json
+from splithygiene.errors import SplitHygieneError
 
 SEEDS = str(toydata.toy_seeds_path())
 KG = str(toydata.toy_kg_path())
@@ -207,6 +211,70 @@ def test_invalid_preset_config_exits_2_without_traceback(tmp_path, line, stage):
     assert "Traceback" not in result.stdout + result.stderr
     last = _report_rows(tmp_path / "w" / "exp1" / "report.csv")[-1]
     assert (last["metric"], last["split"]) == ("incomplete", stage)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("instance_limit = 1.5", "instance_limit"),
+    ("instance_limit = -1", "instance_limit"),
+    ("lm_order = 0", "lm_order"),
+    ("lm_k = nan", "lm_k"),
+    ("rng_seeds = 7, seven", "rng_seeds"),
+])
+def test_config_of_wrong_type_or_range_exits_2_without_traceback(tmp_path, line, key):
+    config = tmp_path / "run.conf"
+    config.write_text("# a comment\n" + line + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "splithygiene.cli", "run", "exp3", "--config", str(config),
+         "--workdir", str(tmp_path / "w")],
+        capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {config}:2: {key}: expected")
+    assert "Traceback" not in result.stdout + result.stderr
+    assert not (tmp_path / "w").exists()
+
+
+# the exceptions cli._Main maps to exit code 2
+_EXIT_2 = (SplitHygieneError, FileNotFoundError, ValueError)
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(experiments.RunConfig)]
+_SCALARS = st.one_of(
+    st.integers(-3, 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", '""', '"a,b"', "true", "None", "1_000", "0x10", "1e400", "-0.0", "nan"]),
+    st.text(max_size=8),
+)
+_CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS),
+              st.lists(_SCALARS, min_size=1, max_size=4).map(", ".join)),
+    st.text(max_size=20),
+)
+
+
+def _is_int(value):
+    return type(value) is int
+
+
+def _is_real(value):
+    return type(value) in (int, float)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CONFIG_LINES, max_size=6))
+def test_load_config_returns_a_valid_config_or_an_exit_2_error(tmp_path, lines):
+    path = tmp_path / "fuzz.conf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        cfg = experiments.load_config(path)
+    except _EXIT_2:
+        return
+    for key in ("seeds_path", "kg_path", "workdir"):
+        assert type(getattr(cfg, key)) is str
+    assert type(cfg.rng_seeds) is tuple and cfg.rng_seeds and all(map(_is_int, cfg.rng_seeds))
+    assert type(cfg.ratios) is tuple and len(cfg.ratios) == 3 and all(map(_is_real, cfg.ratios))
+    assert _is_real(cfg.seed_test_fraction)
+    assert type(cfg.fractions) is tuple and cfg.fractions and all(map(_is_real, cfg.fractions))
+    assert _is_int(cfg.instance_limit) and cfg.instance_limit >= 0
+    assert _is_int(cfg.lm_order) and cfg.lm_order >= 1
+    assert _is_real(cfg.lm_k) and math.isfinite(cfg.lm_k) and cfg.lm_k > 0
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "-1"])

@@ -201,3 +201,29 @@ def test_seed_span_validation():
     with pytest.raises(ValueError):
         corpus.Seed(id="s", pair=pair, surface_forms={
             "A": corpus.SurfaceForm(0, 2), "B": corpus.SurfaceForm(1, 3)})
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+def test_write_text_replaces_the_target_with_lf_bytes(tmp_path):
+    target = tmp_path / "report.csv"
+    corpus.write_text(target, "old\n")
+    corpus.write_text(target, "a\nb\n")
+    assert target.read_bytes() == b"a\nb\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_write_text_failure_keeps_old_content_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "manifest.json"
+    corpus.write_text(target, "old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(corpus.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        corpus.write_text(target, "new\n")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +286,16 @@ def test_match_equals_enumeration_exhaustive_small():
     assert checked > 100_000
 
 
+def _many_slot_pattern(rnd, n_slots):
+    """Slots separated by single words drawn mostly from one repeated token."""
+    parts = [rnd.choice(("x", "x", "y"))] if rnd.random() < 0.5 else []
+    for k in range(n_slots):
+        parts += [f"<S{k}>", rnd.choice(("x", "x", "y"))]
+    if rnd.random() < 0.5:
+        parts.pop()  # end on a slot
+    return NlqPattern.from_tokens(parts)
+
+
 def test_match_equals_enumeration_random_to_12_tokens():
     rnd = random.Random(4242)
     patterns = _all_patterns(max_slots=3, max_words=4)
@@ -293,6 +304,29 @@ def test_match_equals_enumeration_random_to_12_tokens():
         n = rnd.randrange(0, 13)
         nlq = tuple(rnd.choice(("x", "y", "z")) for _ in range(n))
         assert match_nlq(pattern, nlq) == ref_match_nlq(pattern, nlq)
+    for _ in range(1500):  # 4-5 slots over repeated tokens: many failed (element, position) retries
+        pattern = _many_slot_pattern(rnd, rnd.choice((4, 5)))
+        n = rnd.randrange(4, 13)
+        nlq = tuple(rnd.choice(("x", "x", "x", "y", "z")) for _ in range(n))
+        assert match_nlq(pattern, nlq) == ref_match_nlq(pattern, nlq)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("match_nlq took longer than 2 s")
+
+
+def test_match_cost_is_polynomial_in_the_slot_count():
+    # 9 slots and a final word that never matches: a matcher without memory of
+    # failed (element, position) pairs tries every segmentation, about C(40, 9)
+    slots = NlqPattern.from_tokens([t for k in range(9) for t in (f"<S{k}>", "a")] + ["zzz"])
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert match_nlq(slots, ("a",) * 40) is None
+        assert match_nlq(slots, ("a",) * 39 + ("zzz",))["S8"] == (16, 38)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
