@@ -9,10 +9,9 @@ keeps every matching template; downstream split logic resolves ambiguity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from .corpus import Instance, Seed, write_lines
-from .qlang import extract_predicates, match_nlq, predicates_subsequence
+from .corpus import Instance, Seed, read_text, write_lines
+from .qlang import NlqPattern, extract_predicates, match_nlq, predicates_subsequence
 from .synthesis import Template
 
 
@@ -28,16 +27,31 @@ def template_matches_seed(template: Template, seed: Seed) -> bool:
     return template_predicates(template) == extract_predicates(seed.pair.query_ast)
 
 
+def _prepare(templates) -> list[tuple[str, frozenset[str], list[str], NlqPattern]]:
+    """Templates in id order, each with its literal words and concrete predicates."""
+    return [(t.id, t.nlq_pattern.words, template_predicates(t), t.nlq_pattern)
+            for t in sorted(templates, key=lambda t: t.id)]
+
+
+def _attribute(instance: Instance, prepared) -> list[str]:
+    """Ids of the prepared templates that could have generated the instance.
+
+    Two cheap tests come first, each a necessary condition of a match: the
+    template's case-folded literal words must all be among the question's
+    case-folded tokens, and its predicates must be a subsequence of the
+    query's. Only the templates passing both go to the matcher.
+    """
+    instance_preds = extract_predicates(instance.pair.query_ast)
+    nlq = instance.pair.nlq
+    folded = {tok.casefold() for tok in nlq}
+    return [tid for tid, words, preds, pattern in prepared
+            if words <= folded and predicates_subsequence(preds, instance_preds)
+            and match_nlq(pattern, nlq) is not None]
+
+
 def attribute_instance(instance: Instance, templates) -> list[str]:
     """Ids of all templates that could have generated the instance, sorted by id."""
-    instance_preds = extract_predicates(instance.pair.query_ast)
-    out = []
-    for t in sorted(templates, key=lambda t: t.id):
-        if match_nlq(t.nlq_pattern, instance.pair.nlq) is None:
-            continue
-        if predicates_subsequence(template_predicates(t), instance_preds):
-            out.append(t.id)
-    return out
+    return _attribute(instance, _prepare(templates))
 
 
 @dataclass(frozen=True)
@@ -57,10 +71,10 @@ class AttributionIndex:
 
 
 def build_index(instances, templates) -> AttributionIndex:
-    """Attribute every instance."""
-    template_list = list(templates)
-    by_instance = {inst.id: tuple(attribute_instance(inst, template_list)) for inst in instances}
-    counts = {t.id: 0 for t in template_list}
+    """Attribute every instance; each template is prepared once for all of them."""
+    prepared = _prepare(templates)
+    by_instance = {inst.id: tuple(_attribute(inst, prepared)) for inst in instances}
+    counts = {tid: 0 for tid, *_ in prepared}
     for ts in by_instance.values():
         for tid in ts:
             counts[tid] += 1
@@ -75,7 +89,7 @@ def write_attribution(path, instances, index: AttributionIndex) -> None:
 
 def read_attribution(path) -> dict[str, tuple[str, ...]]:
     out: dict[str, tuple[str, ...]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if not line.strip():
             continue
         instance_id, _, joined = line.partition("\t")

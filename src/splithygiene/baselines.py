@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .attribution import AttributionIndex
 from .errors import EmptyCorpus
-from .qlang import Iri, Placeholder, QueryAst, Var, Word, match_nlq, serialize, span_tokens
+from .qlang import Iri, Placeholder, QueryAst, Var, match_nlq, serialize, span_tokens
 from .synthesis import Template, bind_placeholders
 
 BOS = "<s>"
@@ -150,10 +150,7 @@ def train_memorizer(train_instances, templates, index: AttributionIndex) -> Memo
         postings={token: np.array(positions, dtype=np.int64) for token, positions in postings.items()},
         sizes=np.array(sizes, dtype=np.int64),
         id_rank=id_rank,
-        template_words={
-            tid: frozenset(e.token.casefold() for e in t.nlq_pattern.elements if isinstance(e, Word))
-            for tid, t in seen.items()
-        },
+        template_words={tid: t.nlq_pattern.words for tid, t in seen.items()},
     )
 
 

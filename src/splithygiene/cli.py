@@ -29,6 +29,7 @@ from .corpus import (
     file_digest,
     read_parallel,
     read_seeds,
+    read_text,
     write_lines,
     write_parallel,
     write_text,
@@ -182,7 +183,7 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
     templates = read_templates(templates_path)
     index = build_index(train, templates)
     model = train_memorizer(train, templates, index)
-    lines = Path(input_path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(input_path).splitlines()
     preds = [" ".join(memorizer_predict(model, qlang.tokenize_nlq(line))) for line in lines]
     write_lines(out_path, preds)
     click.echo(f"wrote {len(preds)} predictions")
@@ -196,8 +197,8 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
 @click.option("--out-logp", type=click.Path(), default=None, help="Optional pred.logp output.")
 def lm(train_ql, eval_ql, order, k, out_logp):
     """Train the n-gram query LM and report perplexity on an evaluation file."""
-    train = [line.split() for line in Path(train_ql).read_text(encoding="utf-8").splitlines()]
-    eval_sents = [line.split() for line in Path(eval_ql).read_text(encoding="utf-8").splitlines()]
+    train = [line.split() for line in read_text(train_ql).splitlines()]
+    eval_sents = [line.split() for line in read_text(eval_ql).splitlines()]
     model = train_ngram_lm(train, order=order, k=k)
     if out_logp:
         scored = [score_sentence(model, sent) for sent in eval_sents]
@@ -214,8 +215,8 @@ def lm(train_ql, eval_ql, order, k, out_logp):
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report JSON here.")
 def eval_cmd(pred_path, test_path, logp_path, out_path):
     """Score predictions against references: BLEU, and perplexity from --logp."""
-    preds = [line.split() for line in Path(pred_path).read_text(encoding="utf-8").splitlines()]
-    refs = [line.split() for line in Path(test_path).read_text(encoding="utf-8").splitlines()]
+    preds = [line.split() for line in read_text(pred_path).splitlines()]
+    refs = [line.split() for line in read_text(test_path).splitlines()]
     report = corpus_bleu(preds, refs)
     doc = {
         "bleu": report.bleu,
@@ -226,7 +227,7 @@ def eval_cmd(pred_path, test_path, logp_path, out_path):
     }
     if logp_path:
         sents = [[float(x) for x in line.split()]
-                 for line in Path(logp_path).read_text(encoding="utf-8").splitlines()]
+                 for line in read_text(logp_path).splitlines()]
         doc["perplexity"] = perplexity(sents)
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import qlang
-from .errors import LineCountMismatch, ParseError
+from .errors import InputFileError, LineCountMismatch, ParseError
 
 LEAKY = "leaky"
 SANITIZED = "sanitized"
@@ -138,8 +138,54 @@ def dedup(records):
 # Parallel corpus I/O
 # ---------------------------------------------------------------------------
 
+def read_text(path) -> str:
+    """A file's text; a byte sequence that is not UTF-8 raises InputFileError naming path:line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return read_text(path).splitlines()
+
+
+# (check, description) pairs for the keys of JSON records read from outside
+STRING = (lambda v: isinstance(v, str), "a string")
+STRING_LIST = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings")
+STRING_MAP = (lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+              "an object of strings")
+
+
+def _excerpt(value, width: int = 40) -> str:
+    text = json.dumps(value, ensure_ascii=False)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def json_record(text: str, path, line: int, required: dict, optional: dict | None = None) -> dict:
+    """Parse the JSON object that starts at ``line`` of ``path`` and check its keys.
+
+    ``required`` and ``optional`` map each key to a (check, description) pair.
+    Invalid JSON, a value that is not an object, a missing required key and a
+    key whose value fails its check raise InputFileError naming path, line and key.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"{path}:{line + exc.lineno - 1}: not valid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise InputFileError(f"{path}:{line}: JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise InputFileError(f"{path}:{line}: expected a JSON object, got {_excerpt(doc)}")
+    for key, (check, description) in {**(optional or {}), **required}.items():
+        if key not in doc:
+            if key in required:
+                raise InputFileError(f"{path}:{line}: missing key {key!r}")
+        elif not check(doc[key]):
+            raise InputFileError(f"{path}:{line}: {key}: expected {description}, got {_excerpt(doc[key])}")
+    return doc
 
 
 def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
@@ -159,12 +205,15 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     ids = [f"line-{i}" for i in range(len(nlq_lines))]
     origins: dict[str, str] = {}
     if manifest_path is not None:
-        doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        keys = {"assignments": STRING_MAP, "ids": STRING_LIST, "origins": STRING_MAP}
+        doc = json_record(read_text(manifest_path), manifest_path, 1, {}, keys)
         if "assignments" in doc:
             split = Path(nlq_path).stem
             ids = [k for k, v in doc["assignments"].items() if v == split]
-        else:
+        elif "ids" in doc:
             ids = list(doc["ids"])
+        else:
+            raise InputFileError(f"{manifest_path}:1: missing key 'ids' (or 'assignments')")
         origins = doc.get("origins", {})
         if len(ids) != len(nlq_lines):
             raise LineCountMismatch(
@@ -326,6 +375,18 @@ def seed_to_dict(seed: Seed) -> dict:
     }
 
 
+def _is_surface_forms(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(entry, dict) and isinstance(entry.get("iri", ""), str)
+        and isinstance(entry.get("span"), list) and len(entry["span"]) == 2
+        and all(type(x) is int for x in entry["span"])
+        for entry in value.values())
+
+
+_SEED_KEYS = {"id": STRING, "nlq": STRING, "query": STRING}
+_SURFACE_FORMS = {"surface_forms": (_is_surface_forms, 'an object of {"span": [start, end], "iri": ...} objects')}
+
+
 def seed_from_dict(doc: dict) -> Seed:
     forms = {
         label: SurfaceForm(entry["span"][0], entry["span"][1], entry.get("iri"))
@@ -339,4 +400,5 @@ def write_seeds(path, seeds) -> None:
 
 
 def read_seeds(path) -> list[Seed]:
-    return [seed_from_dict(json.loads(line)) for line in _read_lines(path) if line.strip()]
+    return [seed_from_dict(json_record(line, path, i, _SEED_KEYS, _SURFACE_FORMS))
+            for i, line in enumerate(_read_lines(path), start=1) if line.strip()]

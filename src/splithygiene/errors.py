@@ -54,6 +54,13 @@ class ConfigError(SplitHygieneError):
         self.key = key
 
 
+class InputFileError(SplitHygieneError):
+    """An input file is not UTF-8, or a JSON record in it has the wrong shape.
+
+    The message starts with the path, and with ``:<line>`` where a line applies.
+    """
+
+
 class RatioError(SplitHygieneError):
     """Split ratios or a subsample fraction are out of range."""
 

@@ -34,6 +34,7 @@ from .corpus import (
     file_digest,
     make_manifest,
     read_seeds,
+    read_text,
     write_split,
     write_text,
 )
@@ -146,7 +147,7 @@ def load_config(path) -> RunConfig:
     known = {f.name: f for f in fields(RunConfig)}
     values: dict = {}
     key_lines: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

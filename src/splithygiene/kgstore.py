@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import UnboundVariable
+from .errors import InputFileError, UnboundVariable
 from .qlang import ASK, Iri, QueryAst
 
 _TRIPLE_LINE = re.compile(r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+(.+?)\s*\.\s*$")
@@ -50,18 +50,26 @@ class Graph:
         return tuple(triple) in self.triples
 
 
+def _utf8_lines(fh, path):
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_ntriples(path) -> Graph:
     """Load IRI-object triples from an N-Triples file.
 
     Literal-object lines are skipped and counted; lines that are neither
     comments, blank, nor well-formed triples are recorded as malformed
-    (1-based line numbers) in the graph's load report, not raised.
+    (1-based line numbers) in the graph's load report, not raised. A file
+    that is not UTF-8 raises InputFileError.
     """
     triples: set[tuple[str, str, str]] = set()
     skipped = 0
     malformed: list[int] = []
     with open(Path(path), encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -312,6 +312,11 @@ class NlqPattern:
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.elements if isinstance(e, Slot))
 
+    @property
+    def words(self) -> frozenset[str]:
+        """Case-folded literal words: each must be a case-folded question token for a match."""
+        return frozenset(e.token.casefold() for e in self.elements if isinstance(e, Word))
+
     def marker_text(self) -> str:
         return " ".join(str(e) for e in self.elements)
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import qlang, rng
-from .corpus import Instance, QAPair, Seed, write_lines
+from .corpus import STRING, Instance, QAPair, Seed, json_record, read_text, write_lines
 from .errors import UnlocatableEntity
 from .kgstore import Graph, evaluate
 from .qlang import Iri, NlqPattern, Placeholder, QueryAst, Slot, Var, Word
@@ -226,6 +225,10 @@ def write_templates(path, templates) -> None:
     write_lines(path, [json.dumps(template_to_dict(t)) for t in templates])
 
 
+_TEMPLATE_KEYS = {"id": STRING, "nlq_pattern": STRING, "query_pattern": STRING, "origin_seed_id": STRING}
+
+
 def read_templates(path) -> list[Template]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [template_from_dict(json.loads(line)) for line in lines if line.strip()]
+    lines = read_text(path).splitlines()
+    return [template_from_dict(json_record(line, path, i, _TEMPLATE_KEYS))
+            for i, line in enumerate(lines, start=1) if line.strip()]

@@ -3,10 +3,12 @@
 These deliberately share no code with the package: n-gram clipping is done by
 multiset intersection, BGP evaluation by exhaustive nested loops over the
 triple list, slot matching by enumerating every segmentation, and subsequence
-checking by trying every index mapping. The one exception is the memorizer
-reference, which is the package's earlier linear-scan prediction: it calls the
-package's matcher and binder, and differs from the indexed prediction only in
-how it finds the template candidates and the nearest training question.
+checking by trying every index mapping. The two exceptions are the package's
+earlier loops kept as references for their fast replacements. The memorizer
+reference is the linear-scan prediction: it calls the package's matcher and
+binder, and differs from the indexed prediction only in how it finds the
+template candidates and the nearest training question. The attribution
+reference tries the matcher on every template, with no pre-filter.
 """
 
 from __future__ import annotations
@@ -15,8 +17,18 @@ import itertools
 import math
 from collections import Counter
 
+from splithygiene.attribution import template_predicates
 from splithygiene.baselines import label_to_iri_form
-from splithygiene.qlang import Iri, Slot, Word, match_nlq, serialize, span_tokens
+from splithygiene.qlang import (
+    Iri,
+    Slot,
+    Word,
+    extract_predicates,
+    match_nlq,
+    predicates_subsequence,
+    serialize,
+    span_tokens,
+)
 from splithygiene.synthesis import bind_placeholders
 
 
@@ -190,3 +202,19 @@ def ref_memorizer_predict(model, nlq) -> list[str]:
 
     chosen = min(model.fallback, key=lambda inst: (-jaccard(inst), inst.id))
     return chosen.pair.query_text.split()
+
+
+# ---------------------------------------------------------------------------
+# Attribution
+# ---------------------------------------------------------------------------
+
+def ref_attribute_instance(instance, templates) -> list[str]:
+    """Try every template's matcher, then its predicate rule."""
+    instance_preds = extract_predicates(instance.pair.query_ast)
+    out = []
+    for t in sorted(templates, key=lambda t: t.id):
+        if match_nlq(t.nlq_pattern, instance.pair.nlq) is None:
+            continue
+        if predicates_subsequence(template_predicates(t), instance_preds):
+            out.append(t.id)
+    return out

@@ -1,15 +1,27 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import sys
+from pathlib import Path
 
+import pytest
 from conftest import (
     AIRCRAFT_INSTANCE_NLQ,
     AIRCRAFT_INSTANCE_QUERY,
     make_instance,
     random_corpus,
 )
-from splithygiene import attribution, corpus, synthesis
-from splithygiene.qlang import NlqPattern, parse_query
+from references import ref_attribute_instance
+from splithygiene import attribution, corpus, experiments, synthesis
+from splithygiene.errors import PlaceholderPredicate
+from splithygiene.kgstore import load_ntriples
+from splithygiene.qlang import Iri, NlqPattern, Placeholder, QueryAst, Word, match_nlq, parse_query
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import world  # noqa: E402
 
 DBR = "http://dbpedia.org/resource/"
 
@@ -149,3 +161,160 @@ def test_attribution_tsv_empty_field_for_unattributed(tmp_path, industry_templat
     attribution.write_attribution(tmp_path / "a.tsv", [inst], index)
     assert (tmp_path / "a.tsv").read_text() == "lonely\t\n"
     assert attribution.read_attribution(tmp_path / "a.tsv") == {"lonely": ()}
+
+
+# ---------------------------------------------------------------------------
+# pre-filtered index against the unfiltered reference loop
+# ---------------------------------------------------------------------------
+
+_POOL = ["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "theta", "zeta"]
+
+
+def _assert_index_equals_reference(instances, templates):
+    index = attribution.build_index(instances, templates)
+    expected = {inst.id: tuple(ref_attribute_instance(inst, templates)) for inst in instances}
+    assert index.by_instance == expected
+    counts = {t.id: 0 for t in templates}
+    for tids in expected.values():
+        for tid in tids:
+            counts[tid] += 1
+    assert index.counts == counts
+    assert index.ambiguous_ids == frozenset(i for i, tids in expected.items() if len(tids) >= 2)
+    return expected
+
+
+def _word_positions(pattern, nlq) -> dict[int, int]:
+    """Element index -> question position of each literal word, under the pattern's match."""
+    bindings = match_nlq(pattern, nlq)
+    out, pos = {}, 0
+    for e, el in enumerate(pattern.elements):
+        if isinstance(el, Word):
+            out[e] = pos
+            pos += 1
+        else:
+            pos = bindings[el.label][1]
+    return out
+
+
+def _with_elements(template, tid, elements):
+    return dataclasses.replace(template, id=tid, nlq_pattern=NlqPattern(tuple(elements)))
+
+
+def _with_patterns(template, tid, patterns):
+    query = QueryAst(template.query_pattern.form, template.query_pattern.select_vars, tuple(patterns))
+    return dataclasses.replace(template, id=tid, query_pattern=query)
+
+
+def _adversaries(rnd, template, inst, tid):
+    """(kind, template, target instance) cases built from a template and an instance it generated.
+
+    The near-miss, repeated-word, wrong-order and predicate-order cases pass
+    one or both pre-filters and are meant to fail at the target; the case
+    and placeholder-predicate cases are meant to be attributed to it.
+    """
+    elements = list(template.nlq_pattern.elements)
+    words = [e for e, el in enumerate(elements) if isinstance(el, Word)]
+    e = rnd.choice(words)
+    token = elements[e].token
+    out = []
+    # near miss: one literal word changed, the new word often elsewhere in the question
+    near = elements.copy()
+    near[e] = Word(rnd.choice([w for w in _POOL if w != token.casefold()]))
+    out.append(("near_miss", _with_elements(template, f"{tid}-near", near), inst))
+    # case variant of one word; the straße/STRASSE pair also rewrites the question token
+    variant = rnd.choice(["upper", "title", "strasse"])
+    cased = elements.copy()
+    target = inst
+    if variant == "strasse":
+        template_form, question_form = rnd.choice([("STRASSE", "straße"), ("straße", "STRASSE"),
+                                                   ("Straße", "strasse")])
+        cased[e] = Word(template_form)
+        nlq = list(inst.pair.nlq)
+        nlq[_word_positions(template.nlq_pattern, inst.pair.nlq)[e]] = question_form
+        target = dataclasses.replace(inst, id=f"{inst.id}-{tid}",
+                                     pair=dataclasses.replace(inst.pair, nlq=tuple(nlq)))
+    else:
+        cased[e] = Word(token.upper() if variant == "upper" else token.title())
+    out.append((variant, _with_elements(template, f"{tid}-case", cased), target))
+    # a literal word repeated: same word set, one more token to match
+    repeated = elements[:e + 1] + [Word(token)] + elements[e + 1:]
+    out.append(("repeated", _with_elements(template, f"{tid}-rep", repeated), inst))
+    # two different literal words swapped: same word set, wrong order
+    distinct = [w for w in words if elements[w].token != token]
+    if distinct:
+        f = rnd.choice(distinct)
+        swapped = elements.copy()
+        swapped[e], swapped[f] = elements[f], elements[e]
+        out.append(("wrong_order", _with_elements(template, f"{tid}-swap", swapped), inst))
+    # the query's triple patterns reversed: same predicates, other order
+    patterns = template.query_pattern.patterns
+    preds = attribution.template_predicates(template)
+    if preds != preds[::-1]:
+        out.append(("preds_out_of_order", _with_patterns(template, f"{tid}-rev", patterns[::-1]), inst))
+    # the only predicate a placeholder: no concrete predicate to test
+    labels = template.nlq_pattern.labels
+    other = Placeholder(labels[1]) if len(labels) > 1 else Iri("http://rand.example.org/e0")
+    lone = (Iri("http://rand.example.org/e1"), Placeholder(labels[0]), other)
+    out.append(("placeholder_predicate", _with_patterns(template, f"{tid}-ph", [lone]), inst))
+    return out
+
+
+def test_index_equals_unfiltered_reference_on_random_corpora():
+    fail_kinds = ("near_miss", "repeated", "wrong_order", "preds_out_of_order")
+    seen = dict.fromkeys(fail_kinds + ("case_variant", "strasse", "placeholder_predicate"), 0)
+    for case in range(500):
+        rnd = random.Random(case)
+        _, templates, instances, index = random_corpus(rnd)
+        by_id = {t.id: t for t in templates}
+        pairs = [(tid, inst) for inst in instances for tid in index.attributed(inst.id)]
+        cases = []
+        for n, (tid, inst) in enumerate(rnd.sample(pairs, min(4, len(pairs)))):
+            cases += _adversaries(rnd, by_id[tid], inst, f"adv{n}")
+        extra = [target for _, _, target in cases if target not in instances]
+        result = _assert_index_equals_reference(instances + extra, templates + [t for _, t, _ in cases])
+        for kind, template, target in cases:
+            attributed = template.id in result[target.id]
+            if kind in fail_kinds:
+                seen[kind] += not attributed
+            elif kind == "placeholder_predicate":
+                seen[kind] += attributed
+            else:
+                seen["case_variant"] += attributed
+                seen["strasse"] += attributed and kind == "strasse"
+    assert min(seen.values()) >= 20, seen
+
+
+def test_index_equals_unfiltered_reference_on_default_toy_data(toy_data):
+    _assert_index_equals_reference(toy_data.instances, toy_data.templates)
+
+
+def test_index_equals_unfiltered_reference_on_scaled_world(tmp_path):
+    world.write_world(tmp_path, seed=1, scale=4)
+    _, templates, _ = experiments.extract_stage(tmp_path / "seeds.jsonl")
+    instances, _ = experiments.generate_stage(templates, load_ntriples(tmp_path / "world.nt"), 1000, 0)
+    assert len(instances) > 15_000
+    _assert_index_equals_reference(instances, templates)
+
+
+def test_prefilter_keeps_matcher_calls_few_on_default_toy_data(toy_data, monkeypatch):
+    calls = 0
+
+    def counted(pattern, nlq):
+        nonlocal calls
+        calls += 1
+        return match_nlq(pattern, nlq)
+
+    monkeypatch.setattr(attribution, "match_nlq", counted)
+    index = attribution.build_index(toy_data.instances, toy_data.templates)
+    assert index.by_instance == toy_data.index.by_instance
+    # every toy instance times every template is 157,248 pairs; the pre-filters leave ~4,200
+    assert 0 < calls <= 5_000
+
+
+def test_placeholder_predicate_instance_raises_even_when_no_template_words_match(industry_template):
+    inst = make_instance("ph", "nothing like it here ?", "ASK WHERE { <e:s> <Placeholder:A> <e:o> }")
+    assert not industry_template.nlq_pattern.words <= set(inst.pair.nlq)
+    with pytest.raises(PlaceholderPredicate):
+        attribution.build_index([inst], [industry_template])
+    with pytest.raises(PlaceholderPredicate):
+        attribution.attribute_instance(inst, [])

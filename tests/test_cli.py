@@ -233,6 +233,68 @@ def test_config_of_wrong_type_or_range_exits_2_without_traceback(tmp_path, line,
     assert not (tmp_path / "w").exists()
 
 
+_ONE_QUERY = "ASK WHERE { <http://x.org/This> <p:p> <e:o> }"
+_SEED_LINE = json.dumps({"id": "s0", "nlq": "is this here ?", "query": _ONE_QUERY,
+                         "surface_forms": {"A": {"span": [1, 2]}}})
+_TEMPLATE_LINE = json.dumps({"id": "t0", "nlq_pattern": "is <A> here ?",
+                             "query_pattern": "ASK WHERE { <Placeholder:A> <p:p> <e:o> }",
+                             "origin_seed_id": "s0"})
+
+
+@pytest.mark.parametrize("option, text, line, message", [
+    ("--manifest", '{"foo": 1}', 1, "missing key 'ids'"),
+    ("--manifest", "[1, 2]", 1, "expected a JSON object, got [1, 2]"),
+    ("--manifest", '{"ids": [1], "origins": []}', 1, "ids: expected a list of strings, got [1]"),
+    ("--manifest", '{"ids": ["line-0"], "origins": []}', 1, "origins: expected an object of strings"),
+    ("--manifest", '{"ids": "x"}', 1, 'ids: expected a list of strings, got "x"'),
+    ("--seeds", "{}", 2, "missing key 'id'"),
+    ("--seeds", '{"id": "s1"}', 2, "missing key 'nlq'"),
+    ("--seeds", "[1]", 2, "expected a JSON object, got [1]"),
+    ("--seeds", _SEED_LINE.replace("[1, 2]", "[1]"), 2, "surface_forms: expected an object of"),
+    ("--templates", "{}", 2, "missing key 'id'"),
+    ("--templates", "[1]", 2, "expected a JSON object, got [1]"),
+    ("--templates", '{"id": "t1"', 2, "not valid JSON"),
+])
+def test_malformed_json_input_exits_2_without_traceback(tmp_path, option, text, line, message):
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text(_ONE_QUERY + "\n")
+    bad = tmp_path / "bad.json"
+    # a seeds or templates file gets one valid record first, so the error names line 2
+    if option == "--seeds":
+        bad.write_text(_SEED_LINE + "\n" + text + "\n")
+        args = ["extract", "--seeds", str(bad), "--out", str(tmp_path / "t.jsonl")]
+    else:
+        templates = tmp_path / "t.jsonl"
+        templates.write_text(_TEMPLATE_LINE + "\n")
+        if option == "--templates":
+            bad.write_text(_TEMPLATE_LINE + "\n" + text + "\n")
+            templates = bad
+        else:
+            bad.write_text(text + "\n")
+        args = ["attribute", "--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql"),
+                "--templates", str(templates), "--out", str(tmp_path / "a.tsv")]
+        if option == "--manifest":
+            args += ["--manifest", str(bad)]
+    result = subprocess.run([sys.executable, "-m", "splithygiene.cli", *args], capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {bad}:{line}: ")
+    assert message in result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+
+
+def test_valid_json_inputs_of_the_malformed_input_cases_are_accepted(tmp_path, runner):
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text(_ONE_QUERY + "\n")
+    (tmp_path / "m.json").write_text('{"ids": ["x0"], "origins": {"x0": "s0"}}\n')
+    (tmp_path / "s.jsonl").write_text(_SEED_LINE + "\n")
+    (tmp_path / "t.jsonl").write_text(_TEMPLATE_LINE + "\n")
+    _ok(runner.invoke(main, ["extract", "--seeds", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "o.jsonl")]))
+    _ok(runner.invoke(main, ["attribute", "--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql"),
+                             "--manifest", str(tmp_path / "m.json"), "--templates", str(tmp_path / "t.jsonl"),
+                             "--out", str(tmp_path / "a.tsv")]))
+    assert (tmp_path / "a.tsv").read_text() == "x0\tt0\n"
+
+
 # the exceptions cli._Main maps to exit code 2
 _EXIT_2 = (SplitHygieneError, FileNotFoundError, ValueError)
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(experiments.RunConfig)]
