@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Instance, Seed, read_text, write_lines
+from .corpus import Instance, Seed, write_lines
 from .qlang import NlqPattern, extract_predicates, match_nlq, predicates_subsequence
 from .synthesis import Template
 
@@ -49,11 +49,6 @@ def _attribute(instance: Instance, prepared) -> list[str]:
             and match_nlq(pattern, nlq) is not None]
 
 
-def attribute_instance(instance: Instance, templates) -> list[str]:
-    """Ids of all templates that could have generated the instance, sorted by id."""
-    return _attribute(instance, _prepare(templates))
-
-
 @dataclass(frozen=True)
 class AttributionIndex:
     """Per-instance template lists plus per-template tallies."""
@@ -85,13 +80,3 @@ def build_index(instances, templates) -> AttributionIndex:
 def write_attribution(path, instances, index: AttributionIndex) -> None:
     """TSV: instance_id <TAB> comma-joined template ids (empty = unattributed)."""
     write_lines(path, [f"{inst.id}\t{','.join(index.attributed(inst.id))}" for inst in instances])
-
-
-def read_attribution(path) -> dict[str, tuple[str, ...]]:
-    out: dict[str, tuple[str, ...]] = {}
-    for line in read_text(path).splitlines():
-        if not line.strip():
-            continue
-        instance_id, _, joined = line.partition("\t")
-        out[instance_id] = tuple(joined.split(",")) if joined else ()
-    return out

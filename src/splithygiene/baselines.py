@@ -230,8 +230,8 @@ def train_ngram_lm(sentences, order: int = 5, k: float = 0.1) -> NGramLM:
     """Count n-grams of every order up to `order` with begin/end markers."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if k <= 0:
-        raise ValueError(f"smoothing constant must be > 0, got {k}")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"smoothing constant must be finite and > 0, got {k}")
     corpus = [list(s) for s in sentences]
     if not corpus:
         raise EmptyCorpus("no training sentences")

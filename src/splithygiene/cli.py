@@ -27,6 +27,7 @@ from .corpus import (
     SANITIZED,
     dedup,
     file_digest,
+    read_logp,
     read_parallel,
     read_seeds,
     read_text,
@@ -226,9 +227,7 @@ def eval_cmd(pred_path, test_path, logp_path, out_path):
         "reference_len": report.reference_len,
     }
     if logp_path:
-        sents = [[float(x) for x in line.split()]
-                 for line in read_text(logp_path).splitlines()]
-        doc["perplexity"] = perplexity(sents)
+        doc["perplexity"] = perplexity(read_logp(logp_path))
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
         write_text(out_path, text)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import qlang
-from .errors import InputFileError, LineCountMismatch, ParseError
+from .errors import InputFileError, LineCountMismatch, ParseError, SplitHygieneError
 
 LEAKY = "leaky"
 SANITIZED = "sanitized"
@@ -54,10 +54,6 @@ class SurfaceForm:
     end: int
     iri: str | None = None
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 @dataclass(frozen=True)
 class Seed:
@@ -88,19 +84,6 @@ class Instance:
     origin_template_id: str | None = None
 
 
-@dataclass(frozen=True)
-class PartitionManifest:
-    """Deterministic record of how a corpus was split. No timestamps."""
-
-    scheme: str
-    rng_seed: int
-    ratios: tuple[float, float, float]
-    assignments: dict[str, str]
-    counts: tuple[int, int, int]
-    config_digest: str
-    origins: dict[str, str] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # De-duplication
 # ---------------------------------------------------------------------------
@@ -115,17 +98,13 @@ def canonical_key(pair: QAPair) -> str:
     return nlq + "\n" + query
 
 
-def _pair_of(record) -> QAPair:
-    return record.pair if hasattr(record, "pair") else record
-
-
 def dedup(records):
     """Drop canonical-key duplicates, keeping first occurrences in order."""
     seen: set[str] = set()
     kept = []
     removed = 0
     for rec in records:
-        key = canonical_key(_pair_of(rec))
+        key = canonical_key(rec.pair)
         if key in seen:
             removed += 1
             continue
@@ -188,6 +167,23 @@ def json_record(text: str, path, line: int, required: dict, optional: dict | Non
     return doc
 
 
+def read_records(path, build, required: dict, optional: dict | None = None) -> list:
+    """``build`` applied to each JSON record of a JSONL file, blank lines skipped.
+
+    A record that passes ``json_record`` but that ``build`` rejects with a
+    ValueError or SplitHygieneError raises InputFileError naming path and line.
+    """
+    out = []
+    for i, line in enumerate(_read_lines(path), start=1):
+        if line.strip():
+            doc = json_record(line, path, i, required, optional)
+            try:
+                out.append(build(doc))
+            except (ValueError, SplitHygieneError) as exc:
+                raise InputFileError(f"{path}:{i}: {exc}") from None
+    return out
+
+
 def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     """Read line-aligned .nlq/.ql files into instances.
 
@@ -236,6 +232,23 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     return out
 
 
+def read_logp(path) -> list[list[float]]:
+    """Space-separated per-token log probabilities, one line per sentence.
+
+    A token that is not a number raises InputFileError naming path and line.
+    """
+    out = []
+    for i, line in enumerate(_read_lines(path), start=1):
+        values = []
+        for token in line.split():
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise InputFileError(f"{path}:{i}: not a number: {token!r}") from None
+        out.append(values)
+    return out
+
+
 def write_text(path, text: str) -> None:
     """Write UTF-8 text with LF line endings; every file the package writes goes through here.
 
@@ -266,86 +279,47 @@ def write_parallel(out_dir, name: str, instances) -> None:
     write_lines(out / f"{name}.ql", [i.pair.query_text for i in instances])
 
 
-def write_split(out_dir, split3, manifest: PartitionManifest) -> None:
+def write_split(out_dir, split3, manifest: dict) -> None:
     """Write train/valid/test as parallel .nlq/.ql files plus manifest.json."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
             write_parallel(out, name, instances)
-        write_text(out / "manifest.json", manifest_to_json(manifest))
+        write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"writing split under {out}: {exc}") from exc
 
 
-def record_id(record) -> str:
-    """Instance id for full records; plain ids pass through unchanged."""
-    return record.id if hasattr(record, "id") else str(record)
+def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str) -> dict:
+    """The JSON document recording how a corpus was split; no timestamps.
 
-
-def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str) -> PartitionManifest:
+    ``origins`` maps instance ids to origin template ids and is present only
+    when some instance has one.
+    """
     assignments: dict[str, str] = {}
     origins: dict[str, str] = {}
     for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
         for inst in instances:
-            assignments[record_id(inst)] = name
-            origin = getattr(inst, "origin_template_id", None)
-            if origin is not None:
-                origins[record_id(inst)] = origin
-    counts = (len(split3.train), len(split3.valid), len(split3.test))
-    return PartitionManifest(
-        scheme=scheme,
-        rng_seed=rng_seed,
-        ratios=tuple(ratios),
-        assignments=assignments,
-        counts=counts,
-        config_digest=config_digest,
-        origins=origins,
-    )
-
-
-def manifest_to_json(manifest: PartitionManifest) -> str:
+            assignments[inst.id] = name
+            if inst.origin_template_id is not None:
+                origins[inst.id] = inst.origin_template_id
     doc = {
-        "scheme": manifest.scheme,
-        "rng_seed": manifest.rng_seed,
-        "ratios": list(manifest.ratios),
-        "counts": list(manifest.counts),
-        "config_digest": manifest.config_digest,
-        "assignments": manifest.assignments,
+        "scheme": scheme,
+        "rng_seed": rng_seed,
+        "ratios": list(ratios),
+        "counts": [len(split3.train), len(split3.valid), len(split3.test)],
+        "config_digest": config_digest,
+        "assignments": assignments,
     }
-    if manifest.origins:
-        doc["origins"] = manifest.origins
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def manifest_from_json(text: str) -> PartitionManifest:
-    doc = json.loads(text)
-    return PartitionManifest(
-        scheme=doc["scheme"],
-        rng_seed=doc["rng_seed"],
-        ratios=tuple(doc["ratios"]),
-        assignments=dict(doc["assignments"]),
-        counts=tuple(doc["counts"]),
-        config_digest=doc["config_digest"],
-        origins=dict(doc.get("origins", {})),
-    )
+    if origins:
+        doc["origins"] = origins
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # Digests
 # ---------------------------------------------------------------------------
-
-def corpus_digest(instances) -> str:
-    """SHA-256 over the corpus exactly as its parallel files would concatenate."""
-    h = hashlib.sha256()
-    for inst in instances:
-        h.update(inst.pair.nlq_text().encode("utf-8"))
-        h.update(b"\n")
-    for inst in instances:
-        h.update(inst.pair.query_text.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
-
 
 def file_digest(paths) -> str:
     """SHA-256 of the given files' bytes, concatenated in order."""
@@ -400,5 +374,4 @@ def write_seeds(path, seeds) -> None:
 
 
 def read_seeds(path) -> list[Seed]:
-    return [seed_from_dict(json_record(line, path, i, _SEED_KEYS, _SURFACE_FORMS))
-            for i, line in enumerate(_read_lines(path), start=1) if line.strip()]
+    return read_records(path, seed_from_dict, _SEED_KEYS, _SURFACE_FORMS)

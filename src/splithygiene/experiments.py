@@ -176,7 +176,6 @@ class PipelineData:
     templates: list
     instances: list
     index: AttributionIndex
-    graph: object
     config_digest: str
     dedup_removed: dict[str, int] = field(default_factory=dict)
 
@@ -205,21 +204,19 @@ def build_pipeline_data(config: RunConfig) -> PipelineData:
 
     Each stage is de-duplicated. Generation is keyed by the first rng seed
     and the template id, so the corpus is one deterministic function of the
-    config.
+    config. The KG is freed once generation ends.
     """
     seeds_path = config.resolved_seeds_path()
     kg_path = config.resolved_kg_path()
     digest = file_digest([seeds_path, kg_path])
     seeds, templates, removed = extract_stage(seeds_path)
-    graph = load_ntriples(kg_path)
     instances, removed["instances"] = generate_stage(
-        templates, graph, config.instance_limit, config.rng_seeds[0])
+        templates, load_ntriples(kg_path), config.instance_limit, config.rng_seeds[0])
     return PipelineData(
         seeds=seeds,
         templates=templates,
         instances=instances,
         index=build_index(instances, templates),
-        graph=graph,
         config_digest=digest,
         dedup_removed=removed,
     )
@@ -273,21 +270,17 @@ def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig) ->
     return out
 
 
+def _row(*values) -> dict[str, str]:
+    """One report row: a value for each of _REPORT_COLUMNS, in order."""
+    return dict(zip(_REPORT_COLUMNS, values, strict=True))
+
+
 def _rows_for(results, experiment, scheme, rng_seed, fraction, digest):
     rows = []
     for metric, by_split in sorted(results.items()):
         for split_name, value in sorted(by_split.items()):
-            rows.append({
-                "experiment": experiment,
-                "scheme": scheme,
-                "rng_seed": str(rng_seed),
-                "fraction": repr(float(fraction)),
-                "metric": metric,
-                "split": split_name,
-                "statistic": "value",
-                "value": repr(float(value)),
-                "config_digest": digest,
-            })
+            rows.append(_row(experiment, scheme, str(rng_seed), repr(float(fraction)), metric,
+                             split_name, "value", repr(float(value)), digest))
     return rows
 
 
@@ -304,17 +297,8 @@ def _aggregate_rows(rows, experiment, scheme, digest):
         if len(values) >= 2:
             stats.append(("stdev", statistics.stdev(values)))
         for stat, value in stats:
-            out.append({
-                "experiment": experiment,
-                "scheme": scheme,
-                "rng_seed": "all",
-                "fraction": fraction,
-                "metric": metric,
-                "split": split_name,
-                "statistic": stat,
-                "value": repr(float(value)),
-                "config_digest": digest,
-            })
+            out.append(_row(experiment, scheme, "all", fraction, metric, split_name, stat,
+                            repr(float(value)), digest))
     return out
 
 
@@ -387,11 +371,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
             rows += _rows_for(_evaluate_partition(split, data, config),
                               preset, SANITIZED, config.rng_seeds[0], 1.0, digest)
     except Exception:
-        rows.append({
-            "experiment": preset, "scheme": "", "rng_seed": "", "fraction": "",
-            "metric": "incomplete", "split": stage, "statistic": "value",
-            "value": "", "config_digest": "",
-        })
+        rows.append(_row(preset, "", "", "", "incomplete", stage, "value", "", ""))
         try:
             _write_report(out_dir, rows)
         except OSError:

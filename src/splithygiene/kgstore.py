@@ -20,7 +20,6 @@ _IRI_OBJECT = re.compile(r"^<([^<>\s]+)>$")
 
 @dataclass(frozen=True)
 class LoadReport:
-    triple_count: int
     skipped_literals: int
     malformed_lines: tuple[int, ...]
 
@@ -45,9 +44,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def __contains__(self, triple) -> bool:
-        return tuple(triple) in self.triples
 
 
 def _utf8_lines(fh, path):
@@ -85,8 +81,7 @@ def load_ntriples(path) -> Graph:
                 skipped += 1
             else:
                 malformed.append(line_no)
-    report = LoadReport(len(triples), skipped, tuple(malformed))
-    return Graph(triples, report)
+    return Graph(triples, LoadReport(skipped, tuple(malformed)))
 
 
 def _bound(term, binding: dict[str, str]) -> str | None:

@@ -2,8 +2,7 @@
 
 BLEU is computed in unsmoothed corpus mode: clipped n-gram counts (n=1..4)
 pooled over the corpus, geometric mean weighted 1/4 each, times a brevity
-penalty, on the 0-100 scale. A separate sentence-level mode with an epsilon
-floor exists for diagnostics only.
+penalty, on the 0-100 scale.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class BleuReport:
 class LeakageStats:
     test_seen_fraction: float
     valid_seen_fraction: float
-    empty_splits: tuple[str, ...] = ()
 
 
 def _ngrams(tokens, n: int) -> Counter:
@@ -83,13 +81,6 @@ def corpus_bleu(candidates, references) -> BleuReport:
     )
 
 
-def sentence_bleu(candidate, reference, eps: float = 1e-9) -> float:
-    """Diagnostic single-pair BLEU; zero precisions are floored at eps."""
-    report = corpus_bleu([candidate], [reference])
-    floored = [max(p, eps) for p in report.precisions]
-    return 100.0 * report.brevity_penalty * math.exp(sum(math.log(p) for p in floored) / MAX_ORDER)
-
-
 def perplexity(log_probs) -> float:
     """exp of the negative mean per-token natural-log probability."""
     total = 0.0
@@ -118,12 +109,7 @@ def leakage_report(split: Split3, index: AttributionIndex) -> LeakageStats:
         hits = sum(1 for inst in instances if set(index.attributed(inst.id)) & seen)
         return hits / len(instances)
 
-    empty = tuple(
-        name for name, part in (("train", split.train), ("valid", split.valid), ("test", split.test))
-        if not part
-    )
     return LeakageStats(
         test_seen_fraction=seen_fraction(split.test),
         valid_seen_fraction=seen_fraction(split.valid),
-        empty_splits=empty,
     )

@@ -38,7 +38,6 @@ class TemplateSplit:
 
     train_template_ids: frozenset[str]
     test_template_ids: frozenset[str]
-    source_ratio: float
     # templates matching both train and test seeds; routed to test
     both_matched_ids: frozenset[str] = frozenset()
 
@@ -108,11 +107,9 @@ def split_templates(templates, seeds, seed_test_ids) -> TemplateSplit:
                 both.add(t.id)
         else:
             train_ids.add(t.id)
-    ratio = len(test_seed_ids) / len(seed_list) if seed_list else 0.0
     return TemplateSplit(
         train_template_ids=frozenset(train_ids),
         test_template_ids=frozenset(test_ids),
-        source_ratio=ratio,
         both_matched_ids=frozenset(both),
     )
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from . import qlang, rng
-from .corpus import STRING, Instance, QAPair, Seed, json_record, read_text, write_lines
+from .corpus import STRING, Instance, QAPair, Seed, read_records, write_lines
 from .errors import UnlocatableEntity
 from .kgstore import Graph, evaluate
 from .qlang import Iri, NlqPattern, Placeholder, QueryAst, Slot, Var, Word
@@ -53,7 +53,7 @@ def _locate_iri(ast: QueryAst, span_text: str) -> str | None:
     return None
 
 
-def extract_template(seed: Seed, template_id: str | None = None) -> Template:
+def extract_template(seed: Seed) -> Template:
     """Turn a seed's labeled surface forms into slots and placeholders.
 
     Each labeled NLQ span becomes a slot; the corresponding entity IRI
@@ -98,7 +98,7 @@ def extract_template(seed: Seed, template_id: str | None = None) -> Template:
         patterns=patterns,
     )
     return Template(
-        id=template_id or f"t-{seed.id}",
+        id=f"t-{seed.id}",
         nlq_pattern=nlq_pattern,
         query_pattern=query_pattern,
         origin_seed_id=seed.id,
@@ -229,6 +229,4 @@ _TEMPLATE_KEYS = {"id": STRING, "nlq_pattern": STRING, "query_pattern": STRING, 
 
 
 def read_templates(path) -> list[Template]:
-    lines = read_text(path).splitlines()
-    return [template_from_dict(json_record(line, path, i, _TEMPLATE_KEYS))
-            for i, line in enumerate(lines, start=1) if line.strip()]
+    return read_records(path, template_from_dict, _TEMPLATE_KEYS)

@@ -277,18 +277,14 @@ def _check_vocabulary(companies, persons) -> None:
         raise AssertionError(f"entity words collide with pattern words: {sorted(overlap)}")
 
 
-def build_graph() -> Graph:
-    return Graph(build_triples())
-
-
-def build_seeds(graph: Graph | None = None) -> list[Seed]:
+def build_seeds() -> list[Seed]:
     """One seed per family, instantiated from the toy graph.
 
     The surface-form spans come from matching the family pattern back
     against the sampled question, so extracting a template from each seed
     reproduces its family exactly.
     """
-    graph = graph or build_graph()
+    graph = Graph(build_triples())
     seeds = []
     for num, template in enumerate(family_templates()):
         instances = generate_instances(template, graph, limit=1, rng_seed=TOY_BUILD_SEED)

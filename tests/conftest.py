@@ -180,5 +180,4 @@ def random_template_split(rnd: random.Random, templates) -> partitioner.Template
     return partitioner.TemplateSplit(
         train_template_ids=frozenset(i for i in ids if i not in test),
         test_template_ids=frozenset(test),
-        source_ratio=n_test / len(ids),
     )

@@ -307,6 +307,9 @@ def test_lm_validation_errors():
         baselines.train_ngram_lm([["x"]], order=0, k=0.1)
     with pytest.raises(ValueError):
         baselines.train_ngram_lm([["x"]], order=2, k=0.0)
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="smoothing constant must be finite and > 0"):
+            baselines.train_ngram_lm([["x"]], order=2, k=k)
     lm = baselines.train_ngram_lm([["x"]], order=2, k=0.1)
     with pytest.raises(EmptyCorpus):
         baselines.lm_perplexity(lm, [])

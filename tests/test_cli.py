@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splithygiene import experiments, toydata
 from splithygiene.cli import main
-from splithygiene.corpus import manifest_from_json
 from splithygiene.errors import SplitHygieneError
 
 SEEDS = str(toydata.toy_seeds_path())
@@ -55,10 +54,10 @@ def test_stage_subcommands_compose(tmp_path, runner):
         "partition", "--scheme", "leaky", "--nlq", str(nlq), "--ql", str(ql),
         "--manifest", str(manifest), "--ratios", "0.8,0.1,0.1",
         "--rng-seed", "42", "--out-dir", str(split_dir)]))
-    doc = manifest_from_json((split_dir / "manifest.json").read_text())
-    assert doc.scheme == "leaky"
-    assert doc.rng_seed == 42
-    assert sum(doc.counts) == len(nlq.read_text().splitlines())
+    doc = json.loads((split_dir / "manifest.json").read_text())
+    assert doc["scheme"] == "leaky"
+    assert doc["rng_seed"] == 42
+    assert sum(doc["counts"]) == len(nlq.read_text().splitlines())
 
     pred = tmp_path / "pred.ql"
     _ok(runner.invoke(main, [
@@ -100,8 +99,8 @@ def test_sanitized_partition_subcommand(tmp_path, runner):
         "--seed-test-fraction", "0.2", "--rng-seed", "7", "--out-dir", str(split_dir)]))
     diag = json.loads((split_dir / "diagnostics.json").read_text())
     assert "ambiguous_count" in diag and "template_histograms" in diag
-    manifest = manifest_from_json((split_dir / "manifest.json").read_text())
-    assert manifest.scheme == "sanitized"
+    manifest = json.loads((split_dir / "manifest.json").read_text())
+    assert manifest["scheme"] == "sanitized"
 
 
 def test_partition_sanitized_requires_templates(tmp_path, runner):
@@ -280,6 +279,49 @@ def test_malformed_json_input_exits_2_without_traceback(tmp_path, option, text, 
     assert result.stderr.startswith(f"error: {bad}:{line}: ")
     assert message in result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("option, record, message", [
+    ("--templates", {"nlq_pattern": "is <A> here ?", "query_pattern": "ASK WHERE { <e:s> <p:p> <e:o> }"},
+     "template t1: NLQ, query, and label list disagree on labels"),
+    ("--seeds", {"surface_forms": {"A": {"span": [1, 9]}}}, "seed s1: span for 'A' out of bounds"),
+    ("--templates", {"nlq_pattern": "is <A> <B> here ?"}, "slots <A> and <B> are adjacent"),
+    ("--templates", {"query_pattern": "ASK WHERE { <e:sss> FILTER }"},
+     "position 20: expected an IRI, variable, or placeholder term"),
+])
+def test_semantic_record_errors_name_the_file_and_line(tmp_path, option, record, message):
+    valid = json.loads(_SEED_LINE if option == "--seeds" else _TEMPLATE_LINE)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(valid) + "\n" + json.dumps({**valid, "id": valid["id"][0] + "1", **record}) + "\n")
+    if option == "--seeds":
+        args = ["extract", "--seeds", str(bad), "--out", str(tmp_path / "t.jsonl")]
+    else:
+        (tmp_path / "c.nlq").write_text("is this here ?\n")
+        (tmp_path / "c.ql").write_text(_ONE_QUERY + "\n")
+        args = ["attribute", "--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql"),
+                "--templates", str(bad), "--out", str(tmp_path / "a.tsv")]
+    result = subprocess.run([sys.executable, "-m", "splithygiene.cli", *args], capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {bad}:2: {message}\n"
+
+
+def test_eval_logp_names_the_file_and_line_of_a_bad_value(tmp_path, runner):
+    (tmp_path / "pred.ql").write_text("a b\na c\n")
+    logp = tmp_path / "pred.logp"
+    logp.write_text("-0.5 -1.0\n-0.5 x\n")
+    result = runner.invoke(main, ["eval", "--pred", str(tmp_path / "pred.ql"), "--test", str(tmp_path / "pred.ql"),
+                                  "--logp", str(logp)])
+    assert result.exit_code == 2
+    assert result.output == f"error: {logp}:2: not a number: 'x'\n"
+
+
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_lm_rejects_a_non_finite_k(tmp_path, runner, k):
+    (tmp_path / "q.ql").write_text("a b\n")
+    result = runner.invoke(main, ["lm", "--train-ql", str(tmp_path / "q.ql"), "--eval-ql", str(tmp_path / "q.ql"),
+                                  "--k", k])
+    assert result.exit_code == 2
+    assert result.output == f"error: smoothing constant must be finite and > 0, got {k}\n"
 
 
 def test_valid_json_inputs_of_the_malformed_input_cases_are_accepted(tmp_path, runner):

@@ -43,24 +43,24 @@ def test_qapair_reserialization_is_stable():
 # ---------------------------------------------------------------------------
 
 def test_dedup_identity_duplicates():
-    a = _pair("is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
-    b = _pair("is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
+    a = make_instance("a", "is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
+    b = make_instance("b", "is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
     kept, removed = corpus.dedup([a, b])
     assert kept == [a]
     assert removed == 1
 
 
 def test_dedup_normalizes_query_whitespace():
-    a = _pair("is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
-    b = _pair("is x here ?", "ASK WHERE {  <e:s>  <p:p>    <e:o> }")
+    a = make_instance("a", "is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
+    b = make_instance("b", "is x here ?", "ASK WHERE {  <e:s>  <p:p>    <e:o> }")
     kept, removed = corpus.dedup([a, b])
     assert kept == [a]
     assert removed == 1
 
 
 def test_dedup_preserves_query_case():
-    a = _pair("is x here ?", "ASK WHERE { <e:S> <p:p> <e:o> }")
-    b = _pair("is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
+    a = make_instance("a", "is x here ?", "ASK WHERE { <e:S> <p:p> <e:o> }")
+    b = make_instance("b", "is x here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
     kept, removed = corpus.dedup([a, b])
     assert len(kept) == 2 and removed == 0
 
@@ -135,7 +135,7 @@ def test_write_split_round_trip(tmp_path):
     assert [i.id for i in back] == [i.id for i in items[:8]]
     assert [i.pair.nlq_text() for i in back] == [i.pair.nlq_text() for i in items[:8]]
     assert [i.pair.query_text for i in back] == [i.pair.query_text for i in items[:8]]
-    assert manifest.counts == (8, 1, 1)
+    assert manifest["counts"] == [8, 1, 1]
 
 
 def test_write_split_empty_test_files(tmp_path):
@@ -151,22 +151,50 @@ def test_write_split_empty_test_files(tmp_path):
 def test_manifest_round_trip_and_deterministic_bytes(tmp_path):
     items = _instances(10)
     split = _split_of(items[:8], items[8:9], items[9:])
-    digest = corpus.corpus_digest(items)
-    m1 = corpus.make_manifest(split, corpus.SANITIZED, 11, (0.8, 0.1, 0.1), digest)
-    m2 = corpus.make_manifest(split, corpus.SANITIZED, 11, (0.8, 0.1, 0.1), digest)
-    assert corpus.manifest_to_json(m1) == corpus.manifest_to_json(m2)
-    assert corpus.manifest_from_json(corpus.manifest_to_json(m1)) == m1
-    doc = json.loads(corpus.manifest_to_json(m1))
+    m1 = corpus.make_manifest(split, corpus.SANITIZED, 11, (0.8, 0.1, 0.1), "c" * 64)
+    m2 = corpus.make_manifest(split, corpus.SANITIZED, 11, (0.8, 0.1, 0.1), "c" * 64)
+    corpus.write_split(tmp_path / "a", split, m1)
+    corpus.write_split(tmp_path / "b", split, m2)
+    text = (tmp_path / "a" / "manifest.json").read_bytes()
+    assert text == (tmp_path / "b" / "manifest.json").read_bytes()
+    doc = json.loads(text)
+    assert doc == m1
     assert set(doc) >= {"scheme", "rng_seed", "ratios", "counts", "assignments", "config_digest"}
 
 
-def test_manifest_accepts_plain_id_records():
-    from splithygiene.partitioner import leaky_partition
-    split = leaky_partition([f"id-{i}" for i in range(10)], (0.8, 0.1, 0.1), 3)
-    manifest = corpus.make_manifest(split, corpus.LEAKY, 3, (0.8, 0.1, 0.1), "e" * 64)
-    assert manifest.counts == (8, 1, 1)
-    assert set(manifest.assignments) == {f"id-{i}" for i in range(10)}
-    assert manifest.origins == {}
+# the manifest.json bytes of a two-instance split, one instance with an origin template
+_GOLDEN_MANIFEST = """{
+  "scheme": "sanitized",
+  "rng_seed": 11,
+  "ratios": [
+    0.8,
+    0.1,
+    0.1
+  ],
+  "counts": [
+    1,
+    0,
+    1
+  ],
+  "config_digest": "cccc",
+  "assignments": {
+    "a0": "train",
+    "b1": "test"
+  }%s
+}
+"""
+
+
+@pytest.mark.parametrize("origin, tail", [
+    (None, ""),
+    ("t-x", ',\n  "origins": {\n    "b1": "t-x"\n  }'),
+])
+def test_manifest_golden_bytes(tmp_path, origin, tail):
+    split = _split_of([make_instance("a0", "is zero here ?", ASK_Q % 0)], [],
+                      [make_instance("b1", "is one here ?", ASK_Q % 1, origin=origin)])
+    manifest = corpus.make_manifest(split, corpus.SANITIZED, 11, (0.8, 0.1, 0.1), "cccc")
+    corpus.write_split(tmp_path, split, manifest)
+    assert (tmp_path / "manifest.json").read_bytes() == (_GOLDEN_MANIFEST % tail).encode("utf-8")
 
 
 def test_manifest_supplies_origins(tmp_path):

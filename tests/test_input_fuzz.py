@@ -86,7 +86,7 @@ def test_load_ntriples_returns_a_graph_or_raises_a_named_error(tmp_path, data):
     except SplitHygieneError as exc:
         assert str(path) in str(exc)
         return
-    assert len(graph) == graph.load_report.triple_count
+    assert all(len(triple) == 3 for triple in graph.triples)
 
 
 @_FUZZ
@@ -101,6 +101,24 @@ def test_read_parallel_returns_instances_or_raises_a_named_error(tmp_path, files
     except SplitHygieneError:
         return
     assert all(inst.pair.nlq for inst in instances)
+
+
+_LOGP_PIECES = ["-0.5", "0", "-1e-3", "nan", "-inf", "1_0", "x", "\n", "\r\n", "\x85", " ", "\t"]
+
+
+@_FUZZ
+@given(text=st.one_of(st.text(max_size=40), _near(_LOGP_PIECES)))
+def test_read_logp_returns_floats_or_names_the_path_and_line(tmp_path, text):
+    path = tmp_path / "pred.logp"
+    path.write_bytes(_utf8(text))
+    try:
+        sents = corpus.read_logp(path)
+    except InputFileError as exc:
+        line = str(exc)[len(f"{path}:"):].split(":")[0]
+        assert str(exc).startswith(f"{path}:") and 1 <= int(line) <= max(1, len(text.splitlines()))
+        return
+    assert len(sents) == len(text.splitlines())
+    assert all(type(lp) is float for sent in sents for lp in sent)
 
 
 @pytest.mark.parametrize("name", ["kg.nt", "c.nlq", "c.ql", "m.json", "s.jsonl"])

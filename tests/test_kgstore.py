@@ -23,7 +23,7 @@ def test_load_single_triple(tmp_path):
     path.write_text(f"<{DBR}Peter_Piper_Pizza> <{DBO_INDUSTRY}> <{DBR}Pizza> .\n")
     graph = kgstore.load_ntriples(path)
     assert len(graph) == 1
-    assert (f"{DBR}Peter_Piper_Pizza", DBO_INDUSTRY, f"{DBR}Pizza") in graph
+    assert (f"{DBR}Peter_Piper_Pizza", DBO_INDUSTRY, f"{DBR}Pizza") in graph.triples
 
 
 def test_load_duplicate_lines_collapse(tmp_path):

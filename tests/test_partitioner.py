@@ -171,7 +171,6 @@ def test_sanitized_ambiguous_instances_stay_in_train_pool():
     tsplit = partitioner.TemplateSplit(
         train_template_ids=frozenset({"tB"}),
         test_template_ids=frozenset({"tA"}),
-        source_ratio=0.5,
     )
     split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=3)
     assert "both" in _ids(split.train) + _ids(split.valid)
