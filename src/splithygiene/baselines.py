@@ -4,7 +4,8 @@ The memorizer stores the templates seen in training and answers by template
 lookup plus a label-to-IRI index, so it is near-perfect on questions from
 seen templates and falls back to nearest-neighbour copying otherwise. The
 n-gram language model scores query token sequences with add-k smoothing and
-backoff, providing the perplexity axis.
+backoff, providing the perplexity axis. Its n-grams are numbered once per
+corpus, and each partition's model counts its train rows over those numbers.
 """
 
 from __future__ import annotations
@@ -213,71 +214,184 @@ def memorizer_predict(model: MemorizerModel, nlq) -> list[str]:
 # Add-k n-gram language model over query tokens
 # ---------------------------------------------------------------------------
 
+_BOS_ID = 0
+_EOS_ID = 1
+
+
+@dataclass
+class NGramIndex:
+    """Every n-gram of a corpus up to `order`, each with an exact integer id.
+
+    Tokens are interned in ``token_ids`` (``<s>`` is 0, ``</s>`` is 1), and the
+    order-1 gram id of a token is its token id. An order-m gram (m >= 2) is the
+    pair (id of its first m-1 tokens, id of its last token); its id is the rank
+    of ``prefix * width + token`` in ``keys[m]``, the sorted distinct keys of
+    the corpus, so ids never collide. Sentence r owns the events
+    ``starts[r]:starts[r + 1]``, one per token and one for the end marker; for
+    each event ``grams[m]`` holds the id of the order-m gram ending at it and
+    ``contexts[m]`` (m >= 2) the id of the m-1 tokens before it.
+    """
+
+    order: int
+    token_ids: dict[str, int] = field(repr=False)
+    keys: dict[int, np.ndarray] = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    grams: dict[int, np.ndarray] = field(repr=False)
+    contexts: dict[int, np.ndarray] = field(repr=False)
+
+    @property
+    def width(self) -> int:
+        return len(self.token_ids)
+
+
+def _padded(sentences, order: int, token_id) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The sentences as one id array, each after order-1 ``<s>`` and before ``</s>``.
+
+    Returns the ids, each position's offset in its padded sentence, and each
+    sentence's event count (its tokens plus the end marker).
+    """
+    flat: list[int] = []
+    sizes = []
+    pad = [_BOS_ID] * (order - 1)
+    for sent in sentences:
+        start = len(flat)
+        flat += pad
+        flat.extend(map(token_id, sent))
+        flat.append(_EOS_ID)
+        sizes.append(len(flat) - start)
+    ids = np.array(flat, dtype=np.int64)
+    padded = np.array(sizes, dtype=np.int64)
+    offset = np.arange(ids.size) - np.repeat(np.cumsum(padded) - padded, padded)
+    return ids, offset, [size - (order - 1) for size in sizes]
+
+
+def ngram_index(sentences, order: int) -> NGramIndex:
+    """Intern a corpus's tokens and number its n-grams of every order up to `order`."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    token_ids = {BOS: _BOS_ID, EOS: _EOS_ID}
+    tokens, offset, sizes = _padded(sentences, order, lambda t: token_ids.setdefault(t, len(token_ids)))
+    width = len(token_ids)
+    events = np.flatnonzero(offset >= order - 1)
+    grams = {1: tokens[events].astype(np.int32)}
+    contexts: dict[int, np.ndarray] = {}
+    keys: dict[int, np.ndarray] = {}
+    ids = tokens.astype(np.int32)
+    for m in range(2, order + 1):  # ids: the order-(m-1) gram ending at each position, -1 before one fits
+        contexts[m] = ids[events - 1]
+        at = np.flatnonzero(offset >= m - 1)
+        keys[m], inverse = np.unique(ids[at - 1].astype(np.int64) * width + tokens[at], return_inverse=True)
+        ids = np.full(tokens.size, -1, dtype=np.int32)
+        ids[at] = inverse
+        del at, inverse
+        grams[m] = ids[events]
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    return NGramIndex(order=order, token_ids=token_ids, keys=keys, starts=starts,
+                      grams=grams, contexts=contexts)
+
+
 @dataclass
 class NGramLM:
-    order: int
+    """Add-k counts of some rows of an NGramIndex.
+
+    ``counts[m]`` is the train count of each order-m gram id and ``totals[m]``
+    (m >= 2) the train count of each order-(m-1) context id; ``events`` is the
+    number of train events, the total of the empty unigram context.
+    """
+
+    index: NGramIndex = field(repr=False)
     k: float
-    vocab: frozenset[str]
-    counts: dict[int, dict[tuple, Counter]] = field(repr=False)
-    context_totals: dict[int, dict[tuple, int]] = field(repr=False)
+    vocab: frozenset[str] = field(repr=False)
+    counts: dict[int, np.ndarray] = field(repr=False)
+    totals: dict[int, np.ndarray] = field(repr=False)
+    events: int
+
+    @property
+    def order(self) -> int:
+        return self.index.order
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
 
+    @property
+    def context_totals(self) -> dict[int, dict[tuple, int]]:
+        """The unigram context's train total, keyed as a dict-of-Counters model keys it.
 
-def train_ngram_lm(sentences, order: int = 5, k: float = 0.1) -> NGramLM:
-    """Count n-grams of every order up to `order` with begin/end markers."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        ``context_totals[1][()]`` is the number of train events: the tokens
+        plus one end marker per sentence. The totals of longer contexts are
+        in ``totals``, by context id.
+        """
+        return {1: {(): self.events}}
+
+
+def _events(index: NGramIndex, rows) -> np.ndarray:
+    """The event positions of the given sentence rows, a row listed twice counting twice."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    first = index.starts[rows]
+    sizes = index.starts[rows + 1] - first
+    return np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
+def train_ngram_lm(index: NGramIndex, rows, k: float = 0.1) -> NGramLM:
+    """Count the n-grams of the index's sentence `rows`: one np.bincount per order."""
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"smoothing constant must be finite and > 0, got {k}")
-    corpus = [list(s) for s in sentences]
-    if not corpus:
+    events = _events(index, rows)
+    if events.size == 0:
         raise EmptyCorpus("no training sentences")
-    vocab = {tok for sent in corpus for tok in sent}
-    vocab.update((EOS, UNK))
-    counts: dict[int, dict[tuple, Counter]] = {m: {} for m in range(1, order + 1)}
-    totals: dict[int, dict[tuple, int]] = {m: {} for m in range(1, order + 1)}
-    for sent in corpus:
-        padded = [BOS] * (order - 1) + sent + [EOS]
-        for pos in range(order - 1, len(padded)):
-            token = padded[pos]
-            for m in range(1, order + 1):
-                ctx = tuple(padded[pos - m + 1:pos])
-                counts[m].setdefault(ctx, Counter())[token] += 1
-                totals[m][ctx] = totals[m].get(ctx, 0) + 1
-    return NGramLM(order=order, k=k, vocab=frozenset(vocab), counts=counts, context_totals=totals)
+    sizes = {1: index.width, **{m: keys.size for m, keys in index.keys.items()}}
+    counts = {m: np.bincount(grams[events], minlength=sizes[m]) for m, grams in index.grams.items()}
+    totals = {m: np.bincount(ctx[events], minlength=sizes[m - 1]) for m, ctx in index.contexts.items()}
+    seen = np.flatnonzero(counts[1]).tolist()
+    tokens = {i: token for token, i in index.token_ids.items()}
+    vocab = frozenset(tokens[i] for i in seen) | {EOS, UNK}
+    return NGramLM(index=index, k=k, vocab=vocab, counts=counts, totals=totals, events=int(events.size))
 
 
-def _map_token(lm: NGramLM, token: str) -> str:
-    return token if token in lm.vocab or token == BOS else UNK
+def score_sentences(lm: NGramLM, sentences) -> list[list[float]]:
+    """Per-token log probabilities of each sentence, the end-of-sentence marker included.
 
-
-def token_log_prob(lm: NGramLM, context, token: str) -> float:
-    """log P(token | context) with add-k smoothing and unseen-context backoff."""
-    w = _map_token(lm, token)
-    history = [_map_token(lm, t) for t in context]
-    v = lm.vocab_size
-    for m in range(lm.order, 1, -1):
-        ctx = tuple(([BOS] * (m - 1) + history)[-(m - 1):])
-        total = lm.context_totals[m].get(ctx)
-        if total:
-            count = lm.counts[m][ctx][w]
-            return math.log((count + lm.k) / (total + lm.k * v))
-    total = lm.context_totals[1].get((), 0)
-    count = lm.counts[1].get((), Counter())[w]
-    return math.log((count + lm.k) / (total + lm.k * v))
-
-
-def score_sentence(lm: NGramLM, tokens) -> list[float]:
-    """Per-token log probabilities, including the end-of-sentence marker."""
-    sent = list(tokens)
+    A token outside the vocabulary (other than ``<s>``) is scored as ``<unk>``.
+    Each token backs off to the highest order m >= 2 whose context has a train
+    total > 0, else to the unigram table, and scores
+    ``log((count + k) / (total + k * |vocab|))``. The ids and backoff are found
+    for all tokens at once; the quotient and ``math.log`` run per token on
+    Python numbers.
+    """
+    index = lm.index
+    ids = {token: index.token_ids[token] for token in lm.vocab if token in index.token_ids}
+    ids[BOS] = _BOS_ID
+    unk = ids.get(UNK, -1)  # -1: a token the corpus never has
+    tokens, offset, sizes = _padded(sentences, lm.order, lambda t: ids.get(t, unk))
+    events = np.flatnonzero(offset >= lm.order - 1)
+    last = tokens[events]
+    count = np.where(last >= 0, lm.counts[1][last], 0)
+    total = np.full(events.size, lm.events, dtype=np.int64)
+    grams = tokens  # the order-(m-1) gram ending at each position, -1 when absent
+    for m in range(2, lm.order + 1):
+        context = grams[events - 1]
+        at = np.flatnonzero(offset >= m - 1)
+        prefix, token = grams[at - 1], tokens[at]
+        keys = index.keys[m]
+        key = prefix * index.width + token
+        found = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        grams = np.full(tokens.size, -1, dtype=np.int64)
+        grams[at] = np.where((prefix >= 0) & (token >= 0) & (keys[found] == key), found, -1)
+        seen = np.flatnonzero(context >= 0)
+        seen_total = lm.totals[m][context[seen]]
+        seen, seen_total = seen[seen_total > 0], seen_total[seen_total > 0]  # these score at order m, not lower
+        gram = grams[events[seen]]
+        total[seen] = seen_total
+        count[seen] = np.where(gram >= 0, lm.counts[m][gram], 0)
+    k, kv = lm.k, lm.k * lm.vocab_size
+    logs = [math.log((c + k) / (t + kv)) for c, t in zip(count.tolist(), total.tolist())]
     out = []
-    history: list[str] = []
-    for token in sent + [EOS]:
-        out.append(token_log_prob(lm, history, token))
-        history.append(token)
+    start = 0
+    for size in sizes:
+        out.append(logs[start:start + size])
+        start += size
     return out
 
 
@@ -285,4 +399,4 @@ def lm_perplexity(lm: NGramLM, sentences) -> float:
     corpus = [list(s) for s in sentences]
     if not corpus:
         raise EmptyCorpus("no evaluation sentences")
-    return metrics.perplexity([score_sentence(lm, sent) for sent in corpus])
+    return metrics.perplexity(score_sentences(lm, corpus))

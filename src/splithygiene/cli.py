@@ -21,7 +21,14 @@ import click
 
 from . import experiments, qlang
 from .attribution import build_index, write_attribution
-from .baselines import lm_perplexity, memorizer_predict, score_sentence, train_memorizer, train_ngram_lm
+from .baselines import (
+    lm_perplexity,
+    memorizer_predict,
+    ngram_index,
+    score_sentences,
+    train_memorizer,
+    train_ngram_lm,
+)
 from .corpus import (
     LEAKY,
     SANITIZED,
@@ -35,7 +42,7 @@ from .corpus import (
     write_parallel,
     write_text,
 )
-from .errors import SplitHygieneError
+from .errors import LineCountMismatch, SplitHygieneError
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, perplexity
 from .partitioner import leaky_partition, sanitized_partition, split_templates
@@ -200,9 +207,9 @@ def lm(train_ql, eval_ql, order, k, out_logp):
     """Train the n-gram query LM and report perplexity on an evaluation file."""
     train = [line.split() for line in read_text(train_ql).splitlines()]
     eval_sents = [line.split() for line in read_text(eval_ql).splitlines()]
-    model = train_ngram_lm(train, order=order, k=k)
+    model = train_ngram_lm(ngram_index(train, order), range(len(train)), k)
     if out_logp:
-        scored = [score_sentence(model, sent) for sent in eval_sents]
+        scored = score_sentences(model, eval_sents)
         write_lines(out_logp, [" ".join(repr(lp) for lp in sent) for sent in scored])
     value = lm_perplexity(model, eval_sents)
     click.echo(json.dumps({"metric": "lm_perplexity", "value": value}))
@@ -218,6 +225,8 @@ def eval_cmd(pred_path, test_path, logp_path, out_path):
     """Score predictions against references: BLEU, and perplexity from --logp."""
     preds = [line.split() for line in read_text(pred_path).splitlines()]
     refs = [line.split() for line in read_text(test_path).splitlines()]
+    if len(preds) != len(refs):
+        raise LineCountMismatch(f"{pred_path} has {len(preds)} lines but {test_path} has {len(refs)}")
     report = corpus_bleu(preds, refs)
     doc = {
         "bleu": report.bleu,

@@ -373,5 +373,17 @@ def write_seeds(path, seeds) -> None:
     write_lines(path, [json.dumps(seed_to_dict(s)) for s in seeds])
 
 
-def read_seeds(path) -> list[Seed]:
-    return read_records(path, seed_from_dict, _SEED_KEYS, _SURFACE_FORMS)
+def read_seeds(path, extract=None) -> list:
+    """The seeds of a seeds.jsonl file.
+
+    With ``extract``, each item is ``(seed, extract(seed))`` instead, so an
+    error that ``extract`` raises names the record's path and line.
+    """
+    if extract is None:
+        return read_records(path, seed_from_dict, _SEED_KEYS, _SURFACE_FORMS)
+
+    def build(doc):
+        seed = seed_from_dict(doc)
+        return seed, extract(seed)
+
+    return read_records(path, build, _SEED_KEYS, _SURFACE_FORMS)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import rng, toydata
 from .attribution import AttributionIndex, build_index, write_attribution
-from .baselines import lm_perplexity, memorizer_predict, train_memorizer, train_ngram_lm
+from .baselines import NGramIndex, lm_perplexity, memorizer_predict, ngram_index, train_memorizer, train_ngram_lm
 from .corpus import (
     LEAKY,
     SANITIZED,
@@ -184,10 +184,13 @@ def extract_stage(seeds_path) -> tuple[list, list, dict[str, int]]:
     """Read seeds and extract one template per seed, de-duplicating both.
 
     Returns (seeds, templates, removed), where removed counts the duplicates
-    dropped from the seeds and from the templates.
+    dropped from the seeds and from the templates. Each record is extracted as
+    it is read, so an extraction error names the file and line.
     """
-    seeds, seeds_removed = dedup(read_seeds(seeds_path))
-    templates, templates_removed = dedup_templates(extract_template(s) for s in seeds)
+    extracted = read_seeds(seeds_path, extract_template)
+    seeds, seeds_removed = dedup(seed for seed, _ in extracted)
+    kept = {id(seed) for seed in seeds}
+    templates, templates_removed = dedup_templates(t for seed, t in extracted if id(seed) in kept)
     return seeds, templates, {"seeds": seeds_removed, "templates": templates_removed}
 
 
@@ -245,14 +248,21 @@ def halve_seed_test_ids(seed_test_ids, rng_seed: int) -> list[str]:
     return sorted(ids[i] for i in order[:keep])
 
 
-def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig) -> dict[str, dict[str, float]]:
-    """Baseline metrics for one partition: memorizer BLEU, LM ppl, leakage."""
+def lm_corpus(data: PipelineData, config: RunConfig) -> tuple[NGramIndex, dict[str, int]]:
+    """The n-gram index over every instance's query tokens, and each instance id's row in it."""
+    index = ngram_index([inst.pair.query_text.split() for inst in data.instances], config.lm_order)
+    return index, {inst.id: row for row, inst in enumerate(data.instances)}
+
+
+def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig,
+                        lm_index: NGramIndex, lm_rows: dict[str, int]) -> dict[str, dict[str, float]]:
+    """Baseline metrics for one partition: memorizer BLEU, LM ppl, leakage.
+
+    The LM counts the train rows of `lm_index`, which covers the whole corpus;
+    `lm_rows` maps each instance id to its row.
+    """
     memorizer = train_memorizer(split.train, data.templates, data.index)
-    lm = train_ngram_lm(
-        [inst.pair.query_text.split() for inst in split.train],
-        order=config.lm_order,
-        k=config.lm_k,
-    )
+    lm = train_ngram_lm(lm_index, [lm_rows[inst.id] for inst in split.train], config.lm_k)
     leakage = leakage_report(split, data.index)
     out: dict[str, dict[str, float]] = {
         "memorizer_bleu": {},
@@ -344,6 +354,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
         out_dir.mkdir(parents=True, exist_ok=True)
         write_templates(out_dir / "templates.jsonl", data.templates)
         write_attribution(out_dir / "attribution.tsv", data.instances, data.index)
+        lm_index, lm_rows = lm_corpus(data, config)
 
         seed_test = seed_split_ids(data, config)
         if preset == "exp1":
@@ -351,7 +362,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
                 stage = f"leaky-{seed}"
                 split = leaky_partition(data.instances, config.ratios, seed)
                 write_partition(out_dir / stage, split, LEAKY, seed, config.ratios, digest, data.index)
-                rows += _rows_for(_evaluate_partition(split, data, config),
+                rows += _rows_for(_evaluate_partition(split, data, config, lm_index, lm_rows),
                                   "exp1", LEAKY, seed, 1.0, digest)
             rows += _aggregate_rows(rows, "exp1", LEAKY, digest)
 
@@ -365,10 +376,10 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
             for fraction in config.fractions:
                 stage = f"fraction-{fraction}"
                 sub = subsample_train(split, fraction, config.rng_seeds[0])
-                rows += _rows_for(_evaluate_partition(sub, data, config),
+                rows += _rows_for(_evaluate_partition(sub, data, config, lm_index, lm_rows),
                                   "exp2", SANITIZED, config.rng_seeds[0], fraction, digest)
         else:
-            rows += _rows_for(_evaluate_partition(split, data, config),
+            rows += _rows_for(_evaluate_partition(split, data, config, lm_index, lm_rows),
                               preset, SANITIZED, config.rng_seeds[0], 1.0, digest)
     except Exception:
         rows.append(_row(preset, "", "", "", "incomplete", stage, "value", "", ""))

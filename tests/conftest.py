@@ -41,6 +41,12 @@ def toy_data(toy_config):
 
 
 @pytest.fixture(scope="session")
+def toy_lm_corpus(toy_data, toy_config):
+    """The n-gram index over the toy corpus and each instance id's row in it."""
+    return experiments.lm_corpus(toy_data, toy_config)
+
+
+@pytest.fixture(scope="session")
 def pizza_seed():
     pair = corpus.QAPair.from_text(PIZZA_SEED_NLQ, PIZZA_SEED_QUERY)
     # tokens: is peter piper pizza in the pizza industry ?

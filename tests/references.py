@@ -8,7 +8,9 @@ earlier loops kept as references for their fast replacements. The memorizer
 reference is the linear-scan prediction: it calls the package's matcher and
 binder, and differs from the indexed prediction only in how it finds the
 template candidates and the nearest training question. The attribution
-reference tries the matcher on every template, with no pre-filter.
+reference tries the matcher on every template, with no pre-filter. The
+n-gram LM reference is the dict-of-Counters model, counted one token and
+order at a time; the indexed LM must give the same float for every token.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 
+from splithygiene import metrics
 from splithygiene.attribution import template_predicates
-from splithygiene.baselines import label_to_iri_form
+from splithygiene.baselines import BOS, EOS, UNK, label_to_iri_form
+from splithygiene.errors import EmptyCorpus
 from splithygiene.qlang import (
     Iri,
     Slot,
@@ -218,3 +223,82 @@ def ref_attribute_instance(instance, templates) -> list[str]:
         if predicates_subsequence(template_predicates(t), instance_preds):
             out.append(t.id)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Add-k n-gram language model
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RefNGramLM:
+    order: int
+    k: float
+    vocab: frozenset[str]
+    counts: dict[int, dict[tuple, Counter]] = field(repr=False)
+    context_totals: dict[int, dict[tuple, int]] = field(repr=False)
+
+    @property
+    def vocab_size(self) -> int:
+        return len(self.vocab)
+
+
+def ref_train_ngram_lm(sentences, order: int = 5, k: float = 0.1) -> RefNGramLM:
+    """Count n-grams of every order up to `order` with begin/end markers."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"smoothing constant must be finite and > 0, got {k}")
+    corpus = [list(s) for s in sentences]
+    if not corpus:
+        raise EmptyCorpus("no training sentences")
+    vocab = {tok for sent in corpus for tok in sent}
+    vocab.update((EOS, UNK))
+    counts: dict[int, dict[tuple, Counter]] = {m: {} for m in range(1, order + 1)}
+    totals: dict[int, dict[tuple, int]] = {m: {} for m in range(1, order + 1)}
+    for sent in corpus:
+        padded = [BOS] * (order - 1) + sent + [EOS]
+        for pos in range(order - 1, len(padded)):
+            token = padded[pos]
+            for m in range(1, order + 1):
+                ctx = tuple(padded[pos - m + 1:pos])
+                counts[m].setdefault(ctx, Counter())[token] += 1
+                totals[m][ctx] = totals[m].get(ctx, 0) + 1
+    return RefNGramLM(order=order, k=k, vocab=frozenset(vocab), counts=counts, context_totals=totals)
+
+
+def _ref_map_token(lm: RefNGramLM, token: str) -> str:
+    return token if token in lm.vocab or token == BOS else UNK
+
+
+def ref_token_log_prob(lm: RefNGramLM, context, token: str) -> float:
+    """log P(token | context) with add-k smoothing and unseen-context backoff."""
+    w = _ref_map_token(lm, token)
+    history = [_ref_map_token(lm, t) for t in context]
+    v = lm.vocab_size
+    for m in range(lm.order, 1, -1):
+        ctx = tuple(([BOS] * (m - 1) + history)[-(m - 1):])
+        total = lm.context_totals[m].get(ctx)
+        if total:
+            count = lm.counts[m][ctx][w]
+            return math.log((count + lm.k) / (total + lm.k * v))
+    total = lm.context_totals[1].get((), 0)
+    count = lm.counts[1].get((), Counter())[w]
+    return math.log((count + lm.k) / (total + lm.k * v))
+
+
+def ref_score_sentence(lm: RefNGramLM, tokens) -> list[float]:
+    """Per-token log probabilities, including the end-of-sentence marker."""
+    sent = list(tokens)
+    out = []
+    history: list[str] = []
+    for token in sent + [EOS]:
+        out.append(ref_token_log_prob(lm, history, token))
+        history.append(token)
+    return out
+
+
+def ref_lm_perplexity(lm: RefNGramLM, sentences) -> float:
+    corpus = [list(s) for s in sentences]
+    if not corpus:
+        raise EmptyCorpus("no evaluation sentences")
+    return metrics.perplexity([ref_score_sentence(lm, sent) for sent in corpus])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from conftest import (
     make_instance,
     random_corpus,
 )
+import references
 from references import ref_memorizer_predict
 from splithygiene import attribution, baselines, corpus, experiments, metrics, partitioner, qlang
 from splithygiene.errors import EmptyCorpus
@@ -235,9 +237,19 @@ def test_predict_equals_linear_scan_on_default_sanitized_split(toy_data, toy_con
 # n-gram language model
 # ---------------------------------------------------------------------------
 
+def _lm(sentences, order, k):
+    """A model of every sentence, over an index of those sentences."""
+    return baselines.train_ngram_lm(baselines.ngram_index(sentences, order), range(len(sentences)), k)
+
+
+def _log_prob(lm, history, token):
+    """log P(token | history): the score of `token` after `history` in one sentence."""
+    return baselines.score_sentences(lm, [list(history) + [token]])[0][len(history)]
+
+
 def test_lm_repeated_sentence_perplexity_tends_to_1():
     sentence = ["ASK", "WHERE", "{", "<a>", "<b>", "<c>", "}"]
-    lm = baselines.train_ngram_lm([sentence] * 50, order=3, k=1e-9)
+    lm = _lm([sentence] * 50, order=3, k=1e-9)
     assert baselines.lm_perplexity(lm, [sentence]) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -248,7 +260,7 @@ def test_lm_uniform_unigram_tends_to_vocab_size():
     symbols = [f"s{i}" for i in range(8)]
     length = 400
     sentence = [symbols[i % 8] for i in range(length)]
-    lm = baselines.train_ngram_lm([sentence], order=1, k=1e-12)
+    lm = _lm([sentence], order=1, k=1e-12)
     p_sym = (length / 8) / (length + 1)
     p_eos = 1 / (length + 1)
     expected = math.exp(-(length * math.log(p_sym) + math.log(p_eos)) / (length + 1))
@@ -260,63 +272,151 @@ def test_lm_uniform_unigram_tends_to_vocab_size():
 def test_lm_two_sentence_bigram_hand_computed():
     # corpus: "x y" and "x z"; order 2, k = 0.1
     # vocab = {x, y, z, </s>, <unk>}, so V = 5
-    lm = baselines.train_ngram_lm([["x", "y"], ["x", "z"]], order=2, k=0.1)
+    lm = _lm([["x", "y"], ["x", "z"]], order=2, k=0.1)
     v = 5
     p_x_bos = (2 + 0.1) / (2 + 0.1 * v)       # context (<s>,): x seen twice
     p_y_x = (1 + 0.1) / (2 + 0.1 * v)         # context (x,): y once of two
     p_eos_y = (1 + 0.1) / (1 + 0.1 * v)       # context (y,): only </s>
     expected = [p_x_bos, p_y_x, p_eos_y]
-    scored = baselines.score_sentence(lm, ["x", "y"])
+    scored = baselines.score_sentences(lm, [["x", "y"]])[0]
     assert scored == pytest.approx([math.log(p) for p in expected])
     expected_ppl = math.exp(-sum(math.log(p) for p in expected) / 3)
     assert baselines.lm_perplexity(lm, [["x", "y"]]) == pytest.approx(expected_ppl)
 
 
 def test_lm_backoff_on_unseen_context():
-    lm = baselines.train_ngram_lm([["x", "y", "z"]], order=3, k=0.1)
+    lm = _lm([["x", "y", "z"]], order=3, k=0.1)
     # context ("q", "q") is unseen at order 3 and ("q",) at order 2: falls
     # back to the unigram table
     v = lm.vocab_size
     unigram_total = lm.context_totals[1][()]
     expected = math.log((1 + 0.1) / (unigram_total + 0.1 * v))
-    assert baselines.token_log_prob(lm, ["q", "q"], "x") == pytest.approx(expected)
+    assert _log_prob(lm, ["q", "q"], "x") == pytest.approx(expected)
 
 
 def test_lm_unknown_tokens_map_to_unk():
-    lm = baselines.train_ngram_lm([["x", "y"]], order=2, k=0.5)
-    lp = baselines.token_log_prob(lm, ["x"], "never-seen")
+    lm = _lm([["x", "y"]], order=2, k=0.5)
+    lp = _log_prob(lm, ["x"], "never-seen")
     assert lp < 0
-    assert lp == baselines.token_log_prob(lm, ["x"], baselines.UNK)
+    assert lp == _log_prob(lm, ["x"], baselines.UNK)
 
 
 def test_lm_distributions_normalize():
     rnd = random.Random(3)
     vocab = [f"w{i}" for i in range(6)]
     corpus = [[rnd.choice(vocab) for _ in range(rnd.randrange(1, 7))] for _ in range(30)]
-    lm = baselines.train_ngram_lm(corpus, order=3, k=0.1)
+    lm = _lm(corpus, order=3, k=0.1)
     symbols = sorted(lm.vocab)
     for history in ([], ["w0"], ["w0", "w1"], ["zzz"], ["w3", "w3"]):
-        total = sum(math.exp(baselines.token_log_prob(lm, history, w)) for w in symbols)
+        total = sum(math.exp(_log_prob(lm, history, w)) for w in symbols)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lm_validation_errors():
     with pytest.raises(EmptyCorpus):
-        baselines.train_ngram_lm([], order=2, k=0.1)
+        _lm([], order=2, k=0.1)
+    with pytest.raises(EmptyCorpus):
+        baselines.train_ngram_lm(baselines.ngram_index([["x"]], 2), [], 0.1)
     with pytest.raises(ValueError):
-        baselines.train_ngram_lm([["x"]], order=0, k=0.1)
+        _lm([["x"]], order=0, k=0.1)
     with pytest.raises(ValueError):
-        baselines.train_ngram_lm([["x"]], order=2, k=0.0)
+        _lm([["x"]], order=2, k=0.0)
     for k in (math.nan, math.inf):
         with pytest.raises(ValueError, match="smoothing constant must be finite and > 0"):
-            baselines.train_ngram_lm([["x"]], order=2, k=k)
-    lm = baselines.train_ngram_lm([["x"]], order=2, k=0.1)
+            _lm([["x"]], order=2, k=k)
+    lm = _lm([["x"]], order=2, k=0.1)
     with pytest.raises(EmptyCorpus):
         baselines.lm_perplexity(lm, [])
 
 
 def test_lm_perplexity_uses_metrics_definition():
-    lm = baselines.train_ngram_lm([["x", "y"], ["y", "x"]], order=2, k=0.2)
+    lm = _lm([["x", "y"], ["y", "x"]], order=2, k=0.2)
     sents = [["x", "y"], ["y"]]
-    scored = [baselines.score_sentence(lm, s) for s in sents]
-    assert baselines.lm_perplexity(lm, sents) == pytest.approx(metrics.perplexity(scored))
+    scored = baselines.score_sentences(lm, sents)
+    assert baselines.lm_perplexity(lm, sents) == metrics.perplexity(scored)
+
+
+def test_lm_unigram_context_total_counts_tokens_and_end_markers():
+    # the benchmark's tracer reads context_totals[1].get((), 0) as the train token count
+    corpus = [["a", "b", "c"], [], ["a", "<s>", "</s>", "<unk>"], ["b"]]
+    index = baselines.ngram_index(corpus, 3)
+    rows = [0, 1, 2]
+    lm = baselines.train_ngram_lm(index, rows, 0.1)
+    assert lm.context_totals[1].get((), 0) == sum(len(corpus[r]) for r in rows) + len(rows) == 10
+    assert lm.context_totals[1][()] == 10
+
+
+_SPECIALS = [baselines.BOS, baselines.EOS, baselines.UNK]
+
+
+def _random_lm_case(rnd: random.Random):
+    """(corpus, train rows, eval sentences, order, k) over a small alphabet with special tokens."""
+    alphabet = [f"w{i}" for i in range(rnd.randrange(1, 9))]
+    alphabet += rnd.sample(_SPECIALS, rnd.randrange(0, 4))
+
+    def sentence(extra=()):
+        pool = alphabet + list(extra)
+        return [rnd.choice(pool) for _ in range(rnd.choice([0, 1, 2, 3, 5, 8, 13]))]
+
+    corpus = [sentence() for _ in range(rnd.randrange(1, 14))]
+    rows = [rnd.randrange(len(corpus)) for _ in range(rnd.randrange(1, len(corpus) + 2))]
+    evals = [sentence(extra=("oov", "OOV2")) for _ in range(rnd.randrange(1, 6))]
+    evals += rnd.sample(corpus, min(2, len(corpus)))
+    return corpus, rows, evals, rnd.randrange(1, 7), rnd.choice([1e-9, 0.1, 2.5])
+
+
+def test_lm_equals_reference_on_random_corpora():
+    """Every per-token float of the indexed LM equals the dict-of-Counters reference's, with ==."""
+    rnd = random.Random(2026)
+    seen = Counter()
+    for _ in range(600):
+        corpus, rows, evals, order, k = _random_lm_case(rnd)
+        lm = baselines.train_ngram_lm(baselines.ngram_index(corpus, order), rows, k)
+        ref = references.ref_train_ngram_lm([corpus[r] for r in rows], order, k)
+        assert lm.vocab == ref.vocab
+        assert lm.context_totals[1][()] == ref.context_totals[1][()]
+        assert baselines.score_sentences(lm, evals) == [references.ref_score_sentence(ref, s) for s in evals]
+        assert baselines.lm_perplexity(lm, evals) == references.ref_lm_perplexity(ref, evals)
+        train_tokens = {t for r in rows for t in corpus[r]}
+        seen["order", order] += 1
+        seen["k", k] += 1
+        seen["empty sentence"] += any(not s for s in corpus + evals)
+        seen["repeated row"] += len(set(rows)) < len(rows)
+        seen["oov eval token"] += any(t not in train_tokens for s in evals for t in s)
+        for special in _SPECIALS:
+            seen["literal", special] += any(special in s for s in corpus + evals)
+    for order in range(1, 7):
+        assert seen["order", order] >= 50, seen
+    for k in (1e-9, 0.1, 2.5):
+        assert seen["k", k] >= 100, seen
+    for case in ("empty sentence", "repeated row", "oov eval token"):
+        assert seen[case] >= 100, seen
+    for special in _SPECIALS:
+        assert seen["literal", special] >= 100, seen
+
+
+def _toy_partitions(toy_data, toy_config):
+    """The ten partitions exp1 and exp2 evaluate: five leaky, the sanitized one, four fractions."""
+    parts = [partitioner.leaky_partition(toy_data.instances, toy_config.ratios, seed)
+             for seed in toy_config.rng_seeds]
+    _, sanitized = experiments._sanitized_split(
+        toy_data, toy_config, experiments.seed_split_ids(toy_data, toy_config))
+    parts.append(sanitized)
+    parts += [partitioner.subsample_train(sanitized, f, toy_config.rng_seeds[0]) for f in toy_config.fractions]
+    return parts
+
+
+def test_lm_equals_reference_on_toy_partitions(toy_data, toy_config, toy_lm_corpus):
+    lm_index, rows = toy_lm_corpus
+    parts = _toy_partitions(toy_data, toy_config)
+    assert len(parts) == 10
+    for split in parts:
+        lm = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in split.train], toy_config.lm_k)
+        ref = references.ref_train_ngram_lm([i.pair.query_text.split() for i in split.train],
+                                            toy_config.lm_order, toy_config.lm_k)
+        assert lm.context_totals[1][()] == ref.context_totals[1][()]
+        for part in (split.valid, split.test):
+            sents = [i.pair.query_text.split() for i in part]
+            assert sents
+            assert baselines.score_sentences(lm, sents) == [references.ref_score_sentence(ref, s) for s in sents]
+            assert baselines.lm_perplexity(lm, sents) == references.ref_lm_perplexity(ref, sents)

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import references
 from splithygiene import experiments, toydata
 from splithygiene.cli import main
 from splithygiene.errors import SplitHygieneError
@@ -288,6 +289,11 @@ def test_malformed_json_input_exits_2_without_traceback(tmp_path, option, text, 
     ("--templates", {"nlq_pattern": "is <A> <B> here ?"}, "slots <A> and <B> are adjacent"),
     ("--templates", {"query_pattern": "ASK WHERE { <e:sss> FILTER }"},
      "position 20: expected an IRI, variable, or placeholder term"),
+    ("--seeds", {"nlq": "is this here now ?",
+                 "surface_forms": {"A": {"span": [1, 2]}, "B": {"span": [2, 3], "iri": "e:o"}}},
+     "slots <A> and <B> are adjacent"),
+    ("--seeds", {"nlq": "is this the one ?", "surface_forms": {"A": {"span": [2, 3]}}},
+     "no query IRI matches the span for label 'A'"),
 ])
 def test_semantic_record_errors_name_the_file_and_line(tmp_path, option, record, message):
     valid = json.loads(_SEED_LINE if option == "--seeds" else _TEMPLATE_LINE)
@@ -313,6 +319,31 @@ def test_eval_logp_names_the_file_and_line_of_a_bad_value(tmp_path, runner):
                                   "--logp", str(logp)])
     assert result.exit_code == 2
     assert result.output == f"error: {logp}:2: not a number: 'x'\n"
+
+
+def test_eval_names_both_files_on_a_line_count_mismatch(tmp_path, runner):
+    pred, test = tmp_path / "pred.ql", tmp_path / "test.ql"
+    pred.write_text("a b\na c\n")
+    test.write_text("a b\n")
+    result = runner.invoke(main, ["eval", "--pred", str(pred), "--test", str(test)])
+    assert result.exit_code == 2
+    assert result.output == f"error: {pred} has 2 lines but {test} has 1\n"
+
+
+def test_lm_out_logp_bytes_equal_the_reference_on_the_sanitized_split(tmp_path, runner, toy_data, toy_config):
+    _, split = experiments._sanitized_split(toy_data, toy_config, experiments.seed_split_ids(toy_data, toy_config))
+    experiments.write_partition(tmp_path, split, "sanitized", toy_config.rng_seeds[0], toy_config.ratios,
+                                toy_data.config_digest)
+    train, test, logp = tmp_path / "train.ql", tmp_path / "test.ql", tmp_path / "pred.logp"
+    result = _ok(runner.invoke(main, ["lm", "--train-ql", str(train), "--eval-ql", str(test),
+                                      "--out-logp", str(logp)]))
+    ref = references.ref_train_ngram_lm([line.split() for line in train.read_text().splitlines()],
+                                        toy_config.lm_order, toy_config.lm_k)
+    sents = [line.split() for line in test.read_text().splitlines()]
+    assert len(sents) == len(split.test) > 500
+    expected = "".join(" ".join(repr(lp) for lp in references.ref_score_sentence(ref, s)) + "\n" for s in sents)
+    assert logp.read_bytes() == expected.encode("utf-8")
+    assert json.loads(result.output)["value"] == references.ref_lm_perplexity(ref, sents)
 
 
 @pytest.mark.parametrize("k", ["nan", "inf"])

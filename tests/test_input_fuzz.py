@@ -1,13 +1,20 @@
-"""Fuzzing of the readers of outside input: each returns a value or raises a SplitHygieneError."""
+"""Fuzzing of the readers of outside input: each returns a value or raises a SplitHygieneError.
+
+The `lm` and `eval` commands are fuzzed end to end: each exits 0, or exits 2
+with one `error:` line, never with a traceback.
+"""
 
 from __future__ import annotations
 
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import references
 from splithygiene import corpus, kgstore, qlang
+from splithygiene.cli import main
 from splithygiene.errors import InputFileError, SplitHygieneError
 
 _FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -138,3 +145,53 @@ def test_non_utf8_input_names_the_file(tmp_path, name):
         readers[name]()
     # the N-Triples reader streams and names the file; the others also name the line
     assert str(err.value).startswith(f"{path}:" if name == "kg.nt" else f"{path}:2:")
+
+
+_TOKEN_PIECES = ["ASK", "WHERE", "{", "}", "<e:s>", "<p:p>", "?x", "<s>", "</s>", "<unk>", "\n", "\n\n", "\r\n",
+                 "\x85", " ", "\t"]
+
+
+def _lines(text: str) -> list[list[str]]:
+    """Sentences as the CLI reads them: one per line, split on whitespace."""
+    return [line.split() for line in text.splitlines()]
+
+
+@_FUZZ
+@given(train=st.one_of(st.text(max_size=40), _near(_TOKEN_PIECES, 20)),
+       evals=st.one_of(st.text(max_size=40), _near(_TOKEN_PIECES, 20)),
+       order=st.integers(0, 6), k=st.sampled_from(["0.1", "2.5", "1e-9", "0", "nan"]))
+def test_lm_cli_exits_0_with_the_reference_perplexity_or_2_with_an_error(tmp_path, train, evals, order, k):
+    paths = {name: tmp_path / f"{name}.ql" for name in ("train", "eval")}
+    for name, text in (("train", train), ("eval", evals)):
+        paths[name].write_bytes(_utf8(text))
+    logp = tmp_path / "pred.logp"
+    result = CliRunner().invoke(main, ["lm", "--train-ql", str(paths["train"]), "--eval-ql", str(paths["eval"]),
+                                       "--order", str(order), "--k", k, "--out-logp", str(logp)])
+    assert result.exit_code in (0, 2), result.output
+    if result.exit_code == 2:
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
+        return
+    ref = references.ref_train_ngram_lm(_lines(train), order, float(k))
+    sents = _lines(evals)
+    assert json.loads(result.output)["value"] == references.ref_lm_perplexity(ref, sents)
+    expected = "".join(" ".join(repr(lp) for lp in references.ref_score_sentence(ref, s)) + "\n" for s in sents)
+    assert logp.read_bytes() == expected.encode("utf-8")
+
+
+@_FUZZ
+@given(pred=st.one_of(st.text(max_size=40), _near(_TOKEN_PIECES, 16)),
+       test=st.one_of(st.text(max_size=40), _near(_TOKEN_PIECES, 16)),
+       logp=st.one_of(st.none(), st.text(max_size=30), _near(_LOGP_PIECES)))
+def test_eval_cli_exits_0_or_2_with_an_error(tmp_path, pred, test, logp):
+    args = ["eval"]
+    for name, text in (("pred", pred), ("test", test), ("logp", logp)):
+        if text is not None:
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(_utf8(text))
+            args += [f"--{name}", str(path)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2), result.output
+    if result.exit_code == 2:
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
+    else:
+        assert 0.0 <= json.loads(result.output)["bleu"] <= 100.0
