@@ -8,33 +8,23 @@ keeps every matching template; downstream split logic resolves ambiguity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Instance, Seed, write_lines
-from .qlang import NlqPattern, extract_predicates, match_nlq, predicates_subsequence
+from .qlang import extract_predicates, match_nlq, predicates_subsequence
 from .synthesis import Template
-
-
-def template_predicates(template: Template) -> list[str]:
-    """Concrete predicate IRIs of a template, placeholder-predicate patterns skipped."""
-    return extract_predicates(template.query_pattern, skip_placeholders=True)
 
 
 def template_matches_seed(template: Template, seed: Seed) -> bool:
     """True when the NLQs align slot-wise and the predicate lists are equal."""
     if match_nlq(template.nlq_pattern, seed.pair.nlq) is None:
         return False
-    return template_predicates(template) == extract_predicates(seed.pair.query_ast)
+    return list(template.predicates) == extract_predicates(seed.pair.query_ast)
 
 
-def _prepare(templates) -> list[tuple[str, frozenset[str], list[str], NlqPattern]]:
-    """Templates in id order, each with its literal words and concrete predicates."""
-    return [(t.id, t.nlq_pattern.words, template_predicates(t), t.nlq_pattern)
-            for t in sorted(templates, key=lambda t: t.id)]
-
-
-def _attribute(instance: Instance, prepared) -> list[str]:
-    """Ids of the prepared templates that could have generated the instance.
+def _attribute(instance: Instance, templates) -> list[str]:
+    """Ids of the templates that could have generated the instance.
 
     Two cheap tests come first, each a necessary condition of a match: the
     template's case-folded literal words must all be among the question's
@@ -44,21 +34,26 @@ def _attribute(instance: Instance, prepared) -> list[str]:
     instance_preds = extract_predicates(instance.pair.query_ast)
     nlq = instance.pair.nlq
     folded = {tok.casefold() for tok in nlq}
-    return [tid for tid, words, preds, pattern in prepared
-            if words <= folded and predicates_subsequence(preds, instance_preds)
-            and match_nlq(pattern, nlq) is not None]
+    return [t.id for t in templates
+            if t.nlq_pattern.words <= folded and predicates_subsequence(t.predicates, instance_preds)
+            and match_nlq(t.nlq_pattern, nlq) is not None]
 
 
 @dataclass(frozen=True)
 class AttributionIndex:
-    """Per-instance template lists plus per-template tallies."""
+    """Per-instance template lists, per-template tallies, and the templates by id."""
 
     by_instance: dict[str, tuple[str, ...]]
     counts: dict[str, int]
     ambiguous_ids: frozenset[str]
+    templates: dict[str, Template]  # in id order; of two with one id, the later
 
     def attributed(self, instance_id: str) -> tuple[str, ...]:
         return self.by_instance.get(instance_id, ())
+
+    def templates_of(self, instances) -> set[str]:
+        """Ids of the templates attributed to any of the instances."""
+        return {tid for inst in instances for tid in self.attributed(inst.id)}
 
     @property
     def unattributed_ids(self) -> frozenset[str]:
@@ -66,15 +61,14 @@ class AttributionIndex:
 
 
 def build_index(instances, templates) -> AttributionIndex:
-    """Attribute every instance; each template is prepared once for all of them."""
-    prepared = _prepare(templates)
-    by_instance = {inst.id: tuple(_attribute(inst, prepared)) for inst in instances}
-    counts = {tid: 0 for tid, *_ in prepared}
-    for ts in by_instance.values():
-        for tid in ts:
-            counts[tid] += 1
+    """Attribute every instance to the templates, tried in id order."""
+    ordered = sorted(templates, key=lambda t: t.id)
+    by_instance = {inst.id: tuple(_attribute(inst, ordered)) for inst in instances}
+    tally = Counter(tid for ts in by_instance.values() for tid in ts)
+    by_id = {t.id: t for t in ordered}
     ambiguous = frozenset(i for i, ts in by_instance.items() if len(ts) >= 2)
-    return AttributionIndex(by_instance=by_instance, counts=counts, ambiguous_ids=ambiguous)
+    return AttributionIndex(by_instance=by_instance, counts={tid: tally[tid] for tid in by_id},
+                            ambiguous_ids=ambiguous, templates=by_id)
 
 
 def write_attribution(path, instances, index: AttributionIndex) -> None:

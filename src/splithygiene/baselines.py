@@ -27,6 +27,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 _DEFAULT_NAMESPACE = "http://example.org/resource/"
+_NO_POSTINGS = np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -35,22 +36,18 @@ _DEFAULT_NAMESPACE = "http://example.org/resource/"
 
 @dataclass
 class MemorizerModel:
-    """Seen templates, harvested labels, and the indexes prediction reads.
+    """Seen templates in id order, harvested labels, and the fallback table.
 
-    ``postings`` maps each distinct train question token to the sorted train
-    positions holding it; ``sizes`` is the distinct-token count of each train
-    question and ``id_rank`` the rank of each train instance in id order (then
-    position). ``template_words`` holds each seen template's case-folded
-    literal words.
+    ``fallback`` holds the train instances in (id, training position) order;
+    ``postings`` maps each distinct question token to the sorted ``fallback``
+    positions holding it, and ``sizes`` is each question's distinct-token count.
     """
 
     templates: dict[str, Template]
     label_index: dict[str, str]
-    fallback: list  # train instances, in training order
+    fallback: list
     postings: dict[str, np.ndarray] = field(repr=False)
     sizes: np.ndarray = field(repr=False)
-    id_rank: np.ndarray = field(repr=False)
-    template_words: dict[str, frozenset[str]] = field(repr=False)
     entity_namespace: str = _DEFAULT_NAMESPACE
 
 
@@ -77,22 +74,32 @@ def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, 
     """Map each placeholder label to the IRI it binds in the instance query.
 
     Template patterns are aligned to an ordered subsequence of the instance
-    patterns; None when no consistent alignment exists.
+    patterns, earliest first; None when no consistent alignment exists. A
+    failed (template pattern, instance pattern, bindings) state is never
+    retried, so the walk makes O(|template| x |instance| x B) unifications for
+    B distinct partial bindings, not one per subsequence.
     """
     t_pats = template.query_pattern.patterns
     i_pats = instance_ast.patterns
+    failed: set[tuple[int, int, frozenset]] = set()
 
     def walk(ti: int, ii: int, mapping: dict[str, str]):
         if ti == len(t_pats):
             return mapping
         if len(i_pats) - ii < len(t_pats) - ti:
             return None
+        state = (ti, ii, frozenset(mapping.items()))
+        if state in failed:
+            return None
         unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
         if unified is not None:
             result = walk(ti + 1, ii + 1, unified)
             if result is not None:
                 return result
-        return walk(ti, ii + 1, mapping)
+        result = walk(ti, ii + 1, mapping)
+        if result is None:
+            failed.add(state)
+        return result
 
     return walk(0, 0, {})
 
@@ -105,25 +112,19 @@ def _namespace(iri: str) -> str:
     return _DEFAULT_NAMESPACE
 
 
-def train_memorizer(train_instances, templates, index: AttributionIndex) -> MemorizerModel:
-    """Store seen templates and harvest a label-to-IRI index from train."""
-    by_id = {t.id: t for t in templates}
+def train_memorizer(train_instances, index: AttributionIndex) -> MemorizerModel:
+    """Store the templates `index` attributes to train, and harvest a label-to-IRI index.
+
+    Labels are harvested in training order, the first IRI bound to a text kept.
+    """
     train = list(train_instances)
-    seen_ids = sorted({tid for inst in train for tid in index.attributed(inst.id)})
     label_index: dict[str, str] = {}
     for inst in train:
         attributed = index.attributed(inst.id)
-        if inst.origin_template_id in attributed:
-            candidates = [inst.origin_template_id]
-        else:
-            candidates = list(attributed)
-        for tid in candidates:
-            template = by_id.get(tid)
-            if template is None:
-                continue
+        origin = inst.origin_template_id
+        for tid in [origin] if origin in attributed else attributed:
+            template = index.templates[tid]
             bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
-            if bindings is None:
-                continue
             iris = align_placeholders(template, inst.pair.query_ast)
             if iris is None:
                 continue
@@ -132,26 +133,20 @@ def train_memorizer(train_instances, templates, index: AttributionIndex) -> Memo
                 label_index.setdefault(text, iris[label])
     namespaces = Counter(_namespace(iri) for iri in label_index.values())
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
-    seen = {tid: by_id[tid] for tid in seen_ids if tid in by_id}
+    seen = index.templates_of(train)
+    fallback = sorted(train, key=lambda inst: inst.id)  # stable: ties keep training order
+    distinct = [set(inst.pair.nlq) for inst in fallback]
     postings: dict[str, list[int]] = {}
-    sizes = []
-    for pos, inst in enumerate(train):
-        distinct = set(inst.pair.nlq)
-        sizes.append(len(distinct))
-        for token in distinct:
+    for pos, tokens in enumerate(distinct):
+        for token in tokens:
             postings.setdefault(token, []).append(pos)
-    id_order = sorted(range(len(train)), key=lambda pos: (train[pos].id, pos))
-    id_rank = np.zeros(len(train), dtype=np.int64)
-    id_rank[np.array(id_order, dtype=np.int64)] = np.arange(len(train))
     return MemorizerModel(
-        templates=seen,
+        templates={tid: t for tid, t in index.templates.items() if tid in seen},
         label_index=label_index,
-        fallback=train,
+        fallback=fallback,
         entity_namespace=namespace,
         postings={token: np.array(positions, dtype=np.int64) for token, positions in postings.items()},
-        sizes=np.array(sizes, dtype=np.int64),
-        id_rank=id_rank,
-        template_words={tid: t.nlq_pattern.words for tid, t in seen.items()},
+        sizes=np.array([len(tokens) for tokens in distinct], dtype=np.int64),
     )
 
 
@@ -169,25 +164,23 @@ def memorizer_predict(model: MemorizerModel, nlq) -> list[str]:
     match and is skipped. Slot texts are resolved via the label index, falling
     back to the IRI naming convention. When no template matches, the training
     question with the highest Jaccard similarity of distinct tokens supplies
-    its query verbatim, ties going to the lowest instance id. Overlaps are
-    counted from the token postings, and the union is |q| + |t| - overlap, so
-    each score is the same correctly rounded quotient a set-based
-    ``len(q & t) / len(q | t)`` gives.
+    its query verbatim. Overlaps are counted from the token postings in one
+    ``np.bincount``, and the union is |q| + |t| - overlap, so each score is
+    the same correctly rounded quotient a set-based ``len(q & t) / len(q | t)``
+    gives. ``np.argmax`` takes the first maximum in the fallback table's
+    order, so ties go to the lowest instance id, then the earliest training
+    position; with no shared token every score is 0 and position 0 wins.
     """
     tokens = tuple(nlq)
     folded = {t.casefold() for t in tokens}
     matches = []
-    for tid in sorted(model.templates):
-        if not model.template_words[tid] <= folded:
-            continue
-        template = model.templates[tid]
-        bindings = match_nlq(template.nlq_pattern, tokens)
-        if bindings is None:
-            continue
-        slot_total = sum(end - start for start, end in bindings.values())
-        matches.append((slot_total, tid, template, bindings))
+    for template in model.templates.values():
+        if template.nlq_pattern.words <= folded:
+            bindings = match_nlq(template.nlq_pattern, tokens)
+            if bindings is not None:
+                matches.append((sum(end - start for start, end in bindings.values()), template, bindings))
     if matches:
-        _, _, template, bindings = min(matches, key=lambda m: (m[0], m[1]))
+        _, template, bindings = min(matches, key=lambda m: m[0])  # the first, so the lowest id, on a tie
         row = {}
         for label, span in bindings.items():
             text = " ".join(span_tokens(tokens, span))
@@ -200,14 +193,9 @@ def memorizer_predict(model: MemorizerModel, nlq) -> list[str]:
         return []
     question = set(tokens)
     hits = [model.postings[t] for t in question if t in model.postings]
-    if hits:
-        overlap = np.bincount(np.concatenate(hits), minlength=len(model.fallback))
-        scores = overlap / (len(question) + model.sizes - overlap)
-        best = np.flatnonzero(scores == scores.max())
-    else:  # every score is 0: the lowest id over all of train
-        best = np.arange(len(model.fallback))
-    chosen = model.fallback[best[np.argmin(model.id_rank[best])]]
-    return chosen.pair.query_text.split()
+    overlap = np.bincount(np.concatenate([_NO_POSTINGS, *hits]), minlength=len(model.fallback))
+    scores = overlap / (len(question) + model.sizes - overlap)
+    return model.fallback[int(np.argmax(scores))].pair.query_text.split()
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .corpus import (
     read_parallel,
     read_seeds,
     read_text,
+    unique_ids,
     write_lines,
     write_parallel,
     write_text,
@@ -167,7 +168,8 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
         if not templates_path or not seeds_path:
             _fail(2, "sanitized partitioning needs --templates and --seeds")
         templates = read_templates(templates_path)
-        seeds, _ = dedup(read_seeds(seeds_path))
+        read = read_seeds(seeds_path)
+        seeds = unique_ids(seeds_path, read, dedup(read)[0])
         index = build_index(instances, templates)
         seed_test_ids = experiments.held_out_seed_ids(seeds, seed_test_fraction, rng_seed)
         tsplit = split_templates(templates, seeds, seed_test_ids)
@@ -188,9 +190,7 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
 def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, out_path):
     """Train the template memorizer and predict queries for an NLQ file."""
     train = read_parallel(train_nlq, train_ql, train_manifest)
-    templates = read_templates(templates_path)
-    index = build_index(train, templates)
-    model = train_memorizer(train, templates, index)
+    model = train_memorizer(train, build_index(train, read_templates(templates_path)))
     lines = read_text(input_path).splitlines()
     preds = [" ".join(memorizer_predict(model, qlang.tokenize_nlq(line))) for line in lines]
     write_lines(out_path, preds)

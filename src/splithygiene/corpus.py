@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,19 +99,37 @@ def canonical_key(pair: QAPair) -> str:
     return nlq + "\n" + query
 
 
-def dedup(records):
-    """Drop canonical-key duplicates, keeping first occurrences in order."""
-    seen: set[str] = set()
+def dedup(records, key=lambda rec: canonical_key(rec.pair)):
+    """Drop records whose key (default: the pair's canonical key) repeats, keeping firsts in order."""
+    seen = set()
     kept = []
     removed = 0
     for rec in records:
-        key = canonical_key(rec.pair)
-        if key in seen:
+        k = key(rec)
+        if k in seen:
             removed += 1
             continue
-        seen.add(key)
+        seen.add(k)
         kept.append(rec)
     return kept, removed
+
+
+def unique_ids(path, records, kept=None) -> list:
+    """Return ``kept`` (default: all ``records``) after checking that no two share an id.
+
+    ``records`` are read from the JSONL file at ``path``, one a non-blank line;
+    ``kept`` are those of them that content de-duplication left. A repeated id
+    raises InputFileError naming path, line and id.
+    """
+    kept = records if kept is None else kept
+    seen = set()
+    for rec in kept:
+        if rec.id in seen:
+            position = next(i for i, other in enumerate(records) if other is rec)
+            line = [i for i, text in enumerate(_read_lines(path), start=1) if text.strip()][position]
+            raise InputFileError(f"{path}:{line}: duplicate id {rec.id!r}")
+        seen.add(rec.id)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +209,8 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     Without a manifest, instance ids are ``line-<i>``. A manifest supplies
     ids (and origin template ids when recorded): either a partition manifest,
     whose per-split assignment order matches the file written for that split,
-    or a plain ``{"ids": [...], "origins": {...}}`` object.
+    or a plain ``{"ids": [...], "origins": {...}}`` object of distinct ids.
+    A bad line raises InputFileError naming path and line, any parser offset kept.
     """
     nlq_lines = _read_lines(nlq_path)
     query_lines = _read_lines(query_path)
@@ -208,6 +228,9 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
             ids = [k for k, v in doc["assignments"].items() if v == split]
         elif "ids" in doc:
             ids = list(doc["ids"])
+            repeated = [i for i, n in Counter(ids).items() if n > 1]
+            if repeated:
+                raise InputFileError(f"{manifest_path}: duplicate id {repeated[0]!r}")
         else:
             raise InputFileError(f"{manifest_path}:1: missing key 'ids' (or 'assignments')")
         origins = doc.get("origins", {})
@@ -219,11 +242,11 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     for i, (nlq_line, query_line) in enumerate(zip(nlq_lines, query_lines)):
         nlq = qlang.tokenize_nlq(nlq_line)
         if not nlq:
-            raise ParseError(i, f"{nlq_path}: empty NLQ line")
+            raise InputFileError(f"{nlq_path}:{i + 1}: empty NLQ line")
         try:
             ast = qlang.parse_query(query_line)
         except ParseError as exc:
-            raise ParseError(i, f"{query_path}: {exc.message}") from exc
+            raise InputFileError(f"{query_path}:{i + 1}: {exc}") from None
         out.append(Instance(
             id=ids[i],
             pair=QAPair(nlq, query_line, ast),

@@ -6,11 +6,7 @@ class SplitHygieneError(Exception):
 
 
 class ParseError(SplitHygieneError):
-    """A query or corpus line is outside the supported format.
-
-    ``position`` is a character offset when raised by the query parser and a
-    zero-based line number when raised by corpus readers.
-    """
+    """A query is outside the supported subset; ``position`` is the character offset."""
 
     def __init__(self, position: int, message: str):
         super().__init__(f"position {position}: {message}")
@@ -55,7 +51,7 @@ class ConfigError(SplitHygieneError):
 
 
 class InputFileError(SplitHygieneError):
-    """An input file is not UTF-8, or a JSON record in it has the wrong shape.
+    """An input file is not UTF-8, or a record in it is malformed or repeats an id.
 
     The message starts with the path, and with ``:<line>`` where a line applies.
     """

@@ -24,7 +24,7 @@ import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import rng, toydata
+from . import qlang, rng, toydata
 from .attribution import AttributionIndex, build_index, write_attribution
 from .baselines import NGramIndex, lm_perplexity, memorizer_predict, ngram_index, train_memorizer, train_ngram_lm
 from .corpus import (
@@ -35,6 +35,7 @@ from .corpus import (
     make_manifest,
     read_seeds,
     read_text,
+    unique_ids,
     write_split,
     write_text,
 )
@@ -49,7 +50,7 @@ from .partitioner import (
     split_templates,
     subsample_train,
 )
-from .synthesis import dedup_templates, extract_template, generate_instances, write_templates
+from .synthesis import extract_template, generate_instances, write_templates
 
 PRESETS = ("exp1", "exp2", "exp3")
 
@@ -185,12 +186,16 @@ def extract_stage(seeds_path) -> tuple[list, list, dict[str, int]]:
 
     Returns (seeds, templates, removed), where removed counts the duplicates
     dropped from the seeds and from the templates. Each record is extracted as
-    it is read, so an extraction error names the file and line.
+    it is read, so an extraction error names the file and line; so do two kept seeds with one id.
     """
     extracted = read_seeds(seeds_path, extract_template)
-    seeds, seeds_removed = dedup(seed for seed, _ in extracted)
+    read = [seed for seed, _ in extracted]
+    seeds, seeds_removed = dedup(read)
+    unique_ids(seeds_path, read, seeds)
     kept = {id(seed) for seed in seeds}
-    templates, templates_removed = dedup_templates(t for seed, t in extracted if id(seed) in kept)
+    templates, templates_removed = dedup(
+        (t for seed, t in extracted if id(seed) in kept),
+        key=lambda t: (t.nlq_pattern.marker_text(), qlang.serialize(t.query_pattern)))
     return seeds, templates, {"seeds": seeds_removed, "templates": templates_removed}
 
 
@@ -261,7 +266,7 @@ def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig,
     The LM counts the train rows of `lm_index`, which covers the whole corpus;
     `lm_rows` maps each instance id to its row.
     """
-    memorizer = train_memorizer(split.train, data.templates, data.index)
+    memorizer = train_memorizer(split.train, data.index)
     lm = train_ngram_lm(lm_index, [lm_rows[inst.id] for inst in split.train], config.lm_k)
     leakage = leakage_report(split, data.index)
     out: dict[str, dict[str, float]] = {

@@ -56,13 +56,15 @@ def corpus_bleu(candidates, references) -> BleuReport:
     for cand, ref in zip(cands, refs):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, MAX_ORDER + 1):
-            cand_counts = _ngrams(cand, n)
-            if not cand_counts:
-                continue
-            ref_counts = _ngrams(ref, n)
-            total[n - 1] += sum(cand_counts.values())
-            correct[n - 1] += sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        same = cand == ref  # then every candidate n-gram is correct
+        for n in range(1, min(len(cand), MAX_ORDER) + 1):
+            count = len(cand) - n + 1
+            total[n - 1] += count
+            if same:
+                correct[n - 1] += count
+            else:
+                ref_counts = _ngrams(ref, n)
+                correct[n - 1] += sum(min(c, ref_counts[g]) for g, c in _ngrams(cand, n).items())
     precisions = tuple(c / t if t else 0.0 for c, t in zip(correct, total))
     if cand_len == 0:
         bp = 0.0
@@ -101,7 +103,7 @@ def perplexity(log_probs) -> float:
 
 def leakage_report(split: Split3, index: AttributionIndex) -> LeakageStats:
     """How much of valid/test is template-seen with respect to train."""
-    seen = {tid for inst in split.train for tid in index.attributed(inst.id)}
+    seen = index.templates_of(split.train)
 
     def seen_fraction(instances) -> float:
         if not instances:

@@ -140,9 +140,7 @@ def sanitized_partition(
 
     in_test = {inst.id: is_candidate(inst) for inst in items}
     while True:
-        pool_templates = {
-            tid for inst in items if not in_test[inst.id] for tid in index.attributed(inst.id)
-        }
+        pool_templates = index.templates_of(inst for inst in items if not in_test[inst.id])
         demote = [
             inst.id for inst in items
             if in_test[inst.id] and set(index.attributed(inst.id)) & pool_templates

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AdjacentSlots, ParseError, PatternError, PlaceholderPredicate
 
@@ -312,7 +313,7 @@ class NlqPattern:
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.elements if isinstance(e, Slot))
 
-    @property
+    @cached_property
     def words(self) -> frozenset[str]:
         """Case-folded literal words: each must be a case-folded question token for a match."""
         return frozenset(e.token.casefold() for e in self.elements if isinstance(e, Word))

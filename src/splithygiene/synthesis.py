@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import qlang, rng
-from .corpus import STRING, Instance, QAPair, Seed, read_records, write_lines
+from .corpus import STRING, Instance, QAPair, Seed, read_records, unique_ids, write_lines
 from .errors import UnlocatableEntity
 from .kgstore import Graph, evaluate
 from .qlang import Iri, NlqPattern, Placeholder, QueryAst, Slot, Var, Word
@@ -35,6 +36,11 @@ class Template:
         query_labels = set(self.query_pattern.placeholder_labels())
         if not (nlq_labels == query_labels == set(self.placeholder_labels)):
             raise ValueError(f"template {self.id}: NLQ, query, and label list disagree on labels")
+
+    @cached_property
+    def predicates(self) -> tuple[str, ...]:
+        """Concrete predicate IRIs in triple order, placeholder-predicate patterns skipped."""
+        return tuple(qlang.extract_predicates(self.query_pattern, skip_placeholders=True))
 
 
 def entity_label(iri: str) -> str:
@@ -182,21 +188,6 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
     return instances
 
 
-def dedup_templates(templates):
-    """Drop templates whose (NLQ pattern, query pattern) repeat, keeping firsts."""
-    seen: set[tuple[str, str]] = set()
-    kept: list[Template] = []
-    removed = 0
-    for t in templates:
-        key = (t.nlq_pattern.marker_text(), qlang.serialize(t.query_pattern))
-        if key in seen:
-            removed += 1
-            continue
-        seen.add(key)
-        kept.append(t)
-    return kept, removed
-
-
 # ---------------------------------------------------------------------------
 # templates.jsonl
 # ---------------------------------------------------------------------------
@@ -229,4 +220,5 @@ _TEMPLATE_KEYS = {"id": STRING, "nlq_pattern": STRING, "query_pattern": STRING, 
 
 
 def read_templates(path) -> list[Template]:
-    return read_records(path, template_from_dict, _TEMPLATE_KEYS)
+    """The templates of a templates.jsonl file; two with one id raise InputFileError."""
+    return unique_ids(path, read_records(path, template_from_dict, _TEMPLATE_KEYS))

@@ -3,7 +3,7 @@
 These deliberately share no code with the package: n-gram clipping is done by
 multiset intersection, BGP evaluation by exhaustive nested loops over the
 triple list, slot matching by enumerating every segmentation, and subsequence
-checking by trying every index mapping. The two exceptions are the package's
+checking by trying every index mapping. The exceptions are the package's
 earlier loops kept as references for their fast replacements. The memorizer
 reference is the linear-scan prediction: it calls the package's matcher and
 binder, and differs from the indexed prediction only in how it finds the
@@ -11,6 +11,8 @@ template candidates and the nearest training question. The attribution
 reference tries the matcher on every template, with no pre-filter. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
+The placeholder-alignment reference is the plain subsequence walk, with the
+package's one-pattern unifier and no memo of failed states.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from splithygiene import metrics
-from splithygiene.attribution import template_predicates
-from splithygiene.baselines import BOS, EOS, UNK, label_to_iri_form
+from splithygiene.baselines import BOS, EOS, UNK, _unify_pattern, label_to_iri_form
 from splithygiene.errors import EmptyCorpus
 from splithygiene.qlang import (
     Iri,
@@ -210,6 +211,30 @@ def ref_memorizer_predict(model, nlq) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Placeholder alignment
+# ---------------------------------------------------------------------------
+
+def ref_align_placeholders(template, instance_ast):
+    """Depth-first walk over the ordered subsequences, exponential in the worst case."""
+    t_pats = template.query_pattern.patterns
+    i_pats = instance_ast.patterns
+
+    def walk(ti: int, ii: int, mapping: dict[str, str]):
+        if ti == len(t_pats):
+            return mapping
+        if len(i_pats) - ii < len(t_pats) - ti:
+            return None
+        unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
+        if unified is not None:
+            result = walk(ti + 1, ii + 1, unified)
+            if result is not None:
+                return result
+        return walk(ti, ii + 1, mapping)
+
+    return walk(0, 0, {})
+
+
+# ---------------------------------------------------------------------------
 # Attribution
 # ---------------------------------------------------------------------------
 
@@ -220,7 +245,7 @@ def ref_attribute_instance(instance, templates) -> list[str]:
     for t in sorted(templates, key=lambda t: t.id):
         if match_nlq(t.nlq_pattern, instance.pair.nlq) is None:
             continue
-        if predicates_subsequence(template_predicates(t), instance_preds):
+        if predicates_subsequence(extract_predicates(t.query_pattern, skip_placeholders=True), instance_preds):
             out.append(t.id)
     return out
 

@@ -252,7 +252,7 @@ def _adversaries(rnd, template, inst, tid):
         out.append(("wrong_order", _with_elements(template, f"{tid}-swap", swapped), inst))
     # the query's triple patterns reversed: same predicates, other order
     patterns = template.query_pattern.patterns
-    preds = attribution.template_predicates(template)
+    preds = template.predicates
     if preds != preds[::-1]:
         out.append(("preds_out_of_order", _with_patterns(template, f"{tid}-rev", patterns[::-1]), inst))
     # the only predicate a placeholder: no concrete predicate to test

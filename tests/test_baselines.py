@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import (
     COMICS_INSTANCE_NLQ,
@@ -17,7 +18,8 @@ from conftest import (
 )
 import references
 from references import ref_memorizer_predict
-from splithygiene import attribution, baselines, corpus, experiments, metrics, partitioner, qlang
+from splithygiene import attribution, baselines, corpus, experiments, metrics, partitioner, qlang, synthesis
+from splithygiene.cli import main
 from splithygiene.errors import EmptyCorpus
 
 DBR = "http://dbpedia.org/resource/"
@@ -36,7 +38,7 @@ def _pizza_world(industry_template):
 
 def test_memorizer_stores_seen_templates_and_label_index(industry_template):
     inst, index = _pizza_world(industry_template)
-    model = baselines.train_memorizer([inst], [industry_template], index)
+    model = baselines.train_memorizer([inst], index)
     assert set(model.templates) == {industry_template.id}
     assert model.label_index == {
         "robot comics": f"{DBR}Robot_Comics",
@@ -47,7 +49,7 @@ def test_memorizer_stores_seen_templates_and_label_index(industry_template):
 
 def test_memorizer_empty_train(industry_template):
     index = attribution.build_index([], [industry_template])
-    model = baselines.train_memorizer([], [industry_template], index)
+    model = baselines.train_memorizer([], index)
     assert model.templates == {} and model.label_index == {} and model.fallback == []
 
 
@@ -61,8 +63,95 @@ def test_memorizer_only_attributed_templates_are_seen(industry_template):
         placeholder_labels=("A",))
     inst, _ = _pizza_world(industry_template)
     index = attribution.build_index([inst], [industry_template, other])
-    model = baselines.train_memorizer([inst], [industry_template, other], index)
+    model = baselines.train_memorizer([inst], index)
     assert set(model.templates) == {industry_template.id}
+
+
+def test_memorizer_reads_its_templates_from_the_index_in_id_order(industry_template):
+    later = dataclasses.replace(industry_template, id="t-z")
+    inst, _ = _pizza_world(industry_template)
+    index = attribution.build_index([inst], [later, industry_template])
+    assert list(index.templates) == ["t-pizza-seed", "t-z"]
+    assert index.templates_of([inst]) == {"t-pizza-seed", "t-z"}
+    model = baselines.train_memorizer([inst], index)
+    assert list(model.templates) == ["t-pizza-seed", "t-z"]
+    assert model.templates["t-z"] is later
+
+
+# ---------------------------------------------------------------------------
+# align_placeholders
+# ---------------------------------------------------------------------------
+
+_ALIGN_IRIS = [qlang.Iri(v) for v in ("e:a", "e:b", "e:c")]
+_ALIGN_VARS = [qlang.Var(v) for v in ("x", "y")]
+_ALIGN_PREDS = [qlang.Iri("p:p"), qlang.Iri("p:q")]
+
+
+def _align_case(rnd):
+    """A random template and an instance query holding a noisy copy of its patterns."""
+    labels = rnd.sample(["A", "B"], rnd.randrange(0, 3))
+    holders = [qlang.Placeholder(label) for label in labels]
+    t_pats = []
+    for _ in range(rnd.randrange(1, 5)):
+        ends = holders + _ALIGN_VARS + _ALIGN_IRIS[:2]
+        pred = rnd.choice(holders) if holders and rnd.random() < 0.1 else rnd.choice(_ALIGN_PREDS)
+        t_pats.append((rnd.choice(ends), pred, rnd.choice(ends)))
+    for holder in holders:  # every label occurs
+        if not any(holder in p for p in t_pats):
+            t_pats.insert(rnd.randrange(len(t_pats) + 1), (holder, rnd.choice(_ALIGN_PREDS), rnd.choice(_ALIGN_IRIS)))
+    nlq = " ".join(["w"] + [f"<{label}> w" for label in labels])
+    template = synthesis.Template("t", qlang.NlqPattern.from_text(nlq),
+                                  qlang.QueryAst(qlang.ASK, (), tuple(t_pats)), "s", tuple(sorted(labels)))
+    binding = {label: rnd.choice(_ALIGN_IRIS) for label in labels}
+
+    def concrete(term):
+        if isinstance(term, qlang.Placeholder):
+            return binding[term.label] if rnd.random() < 0.9 else rnd.choice(_ALIGN_IRIS)
+        return term if rnd.random() < 0.9 else rnd.choice(_ALIGN_IRIS + _ALIGN_VARS)
+
+    i_pats = [tuple(concrete(t) for t in p) for p in t_pats if rnd.random() < 0.9]
+    for _ in range(rnd.randrange(0, 5)):
+        i_pats.insert(rnd.randrange(len(i_pats) + 1), tuple(concrete(t) for t in rnd.choice(t_pats)))
+    if not i_pats:
+        i_pats = [(rnd.choice(_ALIGN_IRIS), rnd.choice(_ALIGN_PREDS), rnd.choice(_ALIGN_IRIS))]
+    i_pats = [(s, p if isinstance(p, qlang.Iri) else rnd.choice(_ALIGN_PREDS), o) for s, p, o in i_pats]
+    return template, qlang.QueryAst(qlang.ASK, (), tuple(i_pats))
+
+
+def test_align_placeholders_equals_the_plain_walk_on_random_cases():
+    outcomes = Counter()
+    for case in range(800):
+        template, instance_ast = _align_case(random.Random(case))
+        expected = references.ref_align_placeholders(template, instance_ast)
+        assert baselines.align_placeholders(template, instance_ast) == expected, case
+        outcomes["none" if expected is None else "bound" if expected else "empty"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def _chain_query(n, tail):
+    return "ASK WHERE { " + " . ".join(["?x <p:p> ?y"] * n + [tail]) + " }"
+
+
+def test_align_placeholders_rejects_a_long_unalignable_query_without_trying_every_subsequence():
+    # C(30, 15) ~ 1.6e8 ways to place the template's first 15 patterns; the last never unifies
+    template = synthesis.Template("t", qlang.NlqPattern.from_text("is <A> ok ?"),
+                                  qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s", ("A",))
+    instance_ast = qlang.parse_query(_chain_query(30, "?x <p:q> <e:z>"))
+    assert baselines.align_placeholders(template, instance_ast) is None
+
+
+def test_memorize_trains_on_an_attributed_but_unalignable_instance(tmp_path):
+    (tmp_path / "train.nlq").write_text("is zed ok ?\n")
+    (tmp_path / "train.ql").write_text(_chain_query(30, "?x <p:q> <e:z>") + "\n")
+    synthesis.write_templates(tmp_path / "t.jsonl", [synthesis.Template(
+        "t", qlang.NlqPattern.from_text("is <A> ok ?"),
+        qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s", ("A",))])
+    result = CliRunner().invoke(main, [
+        "memorize", "--train-nlq", str(tmp_path / "train.nlq"), "--train-ql", str(tmp_path / "train.ql"),
+        "--templates", str(tmp_path / "t.jsonl"), "--input", str(tmp_path / "train.nlq"),
+        "--out", str(tmp_path / "pred.ql")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "pred.ql").read_text() == _chain_query(15, "?w <p:q> <http://example.org/resource/Zed>") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +160,14 @@ def test_memorizer_only_attributed_templates_are_seen(industry_template):
 
 def test_predict_unseen_labels_via_iri_convention(industry_template):
     inst, index = _pizza_world(industry_template)
-    model = baselines.train_memorizer([inst], [industry_template], index)
+    model = baselines.train_memorizer([inst], index)
     predicted = baselines.memorizer_predict(model, qlang.tokenize_nlq(AIRCRAFT_INSTANCE_NLQ))
     assert predicted == qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
 
 
 def test_predict_training_question_verbatim(industry_template):
     inst, index = _pizza_world(industry_template)
-    model = baselines.train_memorizer([inst], [industry_template], index)
+    model = baselines.train_memorizer([inst], index)
     predicted = baselines.memorizer_predict(model, inst.pair.nlq)
     assert predicted == qlang.serialize(inst.pair.query_ast).split()
 
@@ -89,7 +178,7 @@ def test_predict_fallback_is_jaccard_nearest(industry_template):
         make_instance("t-b", "does gravity hold here ?", "ASK WHERE { <e:c> <p:p> <e:d> }"),
     ]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, [industry_template], index)
+    model = baselines.train_memorizer(train, index)
     question = qlang.tokenize_nlq("does gravity hold there ?")
 
     def jaccard(a, b):
@@ -107,7 +196,7 @@ def test_predict_fallback_tie_breaks_on_lowest_id(industry_template):
         make_instance("a-early", "alpha beta gamma ?", "ASK WHERE { <e:a> <p:p> <e:a2> }"),
     ]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, [industry_template], index)
+    model = baselines.train_memorizer(train, index)
     predicted = baselines.memorizer_predict(model, qlang.tokenize_nlq("alpha beta gamma ?"))
     assert predicted == train[1].pair.query_text.split()
 
@@ -117,7 +206,7 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
     # when its template is seen and all labels were harvested
     split_instances = toy_data.instances[:300]
     index = toy_data.index
-    model = baselines.train_memorizer(split_instances, toy_data.templates, index)
+    model = baselines.train_memorizer(split_instances, index)
     for inst in split_instances[::23]:
         predicted = baselines.memorizer_predict(model, inst.pair.nlq)
         assert predicted == qlang.serialize(inst.pair.query_ast).split()
@@ -139,7 +228,7 @@ def test_predict_fallback_ties_across_fractions_go_to_lowest_id(industry_templat
     train = [_instance("z-half", ["alpha"], 0), _instance("m-half", ["alpha", "beta", "x", "y"], 1),
              _instance("a-third", ["alpha", "q", "r"], 2)]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, [industry_template], index)
+    model = baselines.train_memorizer(train, index)
     question = ("alpha", "beta", "alpha")
     assert _jaccard(question, train[0].pair.nlq) == _jaccard(question, train[1].pair.nlq) == 0.5
     assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
@@ -149,7 +238,7 @@ def test_predict_fallback_ties_across_fractions_go_to_lowest_id(industry_templat
 def test_predict_fallback_without_overlap_takes_lowest_id(industry_template):
     train = [_instance("b", ["alpha"], 0), _instance("a", ["beta", "gamma"], 1), _instance("c", ["x"], 2)]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, [industry_template], index)
+    model = baselines.train_memorizer(train, index)
     for question in (("never", "seen", "?"), ("ALPHA",), ()):
         assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
         assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
@@ -162,7 +251,7 @@ def test_predict_prefilter_casefolds_template_words(industry_template):
     inst = make_instance("i1", "Is robot comics in the publishing straße?", COMICS_INSTANCE_QUERY,
                          origin=template.id)
     index = attribution.build_index([inst], [template])
-    model = baselines.train_memorizer([inst], [template], index)
+    model = baselines.train_memorizer([inst], index)
     expected = qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
     for word in ("STRASSE", "Straße"):
         question = ("IS", "Tiger", "aircraft", "In", "THE", "aerospace", word, "?")
@@ -189,7 +278,7 @@ def _memorizer_case(rnd):
         train.append(_instance(f"n{rnd.randrange(30):02d}", tokens, n))  # ids may repeat
     rnd.shuffle(train)
     index = attribution.build_index(train, templates)
-    model = baselines.train_memorizer(train, templates, index)
+    model = baselines.train_memorizer(train, index)
     questions = [inst.pair.nlq for inst in instances]
     questions += [_case_variant(rnd, q) for q in questions]
     questions += [tuple(rnd.choice(_NOISE_WORDS + ["unseen", "zzz"]) for _ in range(rnd.randrange(1, 8)))
@@ -227,7 +316,7 @@ def test_predict_equals_linear_scan_on_default_sanitized_split(toy_data, toy_con
     tsplit = partitioner.split_templates(toy_data.templates, toy_data.seeds, seed_test)
     split = partitioner.sanitized_partition(toy_data.instances, tsplit, toy_data.index,
                                             toy_config.rng_seeds[0])
-    model = baselines.train_memorizer(split.train, toy_data.templates, toy_data.index)
+    model = baselines.train_memorizer(split.train, toy_data.index)
     assert len(split.test) > 500
     for inst in split.test:
         assert baselines.memorizer_predict(model, inst.pair.nlq) == ref_memorizer_predict(model, inst.pair.nlq)

@@ -311,6 +311,68 @@ def test_semantic_record_errors_name_the_file_and_line(tmp_path, option, record,
     assert result.stderr == f"error: {bad}:2: {message}\n"
 
 
+def test_read_parallel_errors_name_the_file_and_line(tmp_path):
+    nlq, ql = tmp_path / "c.nlq", tmp_path / "c.ql"
+    nlq.write_text("is this here ?\nis it ?\n")
+    ql.write_text(_ONE_QUERY + "\nASK WHERE { <e:a> <p:p> 42 }\n")
+    templates = tmp_path / "t.jsonl"
+    templates.write_text(_TEMPLATE_LINE + "\n")
+    args = ["attribute", "--nlq", str(nlq), "--ql", str(ql), "--templates", str(templates),
+            "--out", str(tmp_path / "a.tsv")]
+    result = subprocess.run([sys.executable, "-m", "splithygiene.cli", *args], capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {ql}:2: position 24: expected an IRI, variable, or placeholder term\n"
+
+
+_OTHER_S0 = json.dumps({"id": "s0", "nlq": "is that here ?", "query": _ONE_QUERY.replace("This", "That"),
+                        "surface_forms": {"A": {"span": [1, 2]}}})
+
+
+@pytest.mark.parametrize("command", ["extract", "partition", "run"])
+def test_a_seed_id_left_twice_after_dedup_exits_2(tmp_path, command):
+    seeds = tmp_path / "seeds.jsonl"
+    # line 2 repeats line 1 exactly and is dropped; line 3 is another seed with the same id
+    seeds.write_text(_SEED_LINE + "\n" + _SEED_LINE + "\n\n" + _OTHER_S0 + "\n")
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text(_ONE_QUERY + "\n")
+    (tmp_path / "t.jsonl").write_text(_TEMPLATE_LINE + "\n")
+    args = {
+        "extract": ["extract", "--seeds", str(seeds), "--out", str(tmp_path / "out.jsonl")],
+        "partition": ["partition", "--scheme", "sanitized", "--nlq", str(tmp_path / "c.nlq"),
+                      "--ql", str(tmp_path / "c.ql"), "--templates", str(tmp_path / "t.jsonl"),
+                      "--seeds", str(seeds), "--out-dir", str(tmp_path / "split")],
+        "run": ["run", "exp3", "--seeds", str(seeds), "--workdir", str(tmp_path / "w")],
+    }[command]
+    result = subprocess.run([sys.executable, "-m", "splithygiene.cli", *args], capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {seeds}:4: duplicate id 's0'\n"
+
+
+def test_exact_duplicate_seeds_are_dropped_and_counted(tmp_path):
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text(_SEED_LINE + "\n" + _SEED_LINE + "\n")
+    kept, templates, removed = experiments.extract_stage(seeds)
+    assert [s.id for s in kept] == ["s0"] and [t.id for t in templates] == ["t-s0"]
+    assert removed == {"seeds": 1, "templates": 0}
+
+
+def test_repeated_ids_in_templates_or_manifest_exit_2(tmp_path):
+    (tmp_path / "c.nlq").write_text("is this here ?\nis this here ?\n")
+    (tmp_path / "c.ql").write_text(_ONE_QUERY + "\n" + _ONE_QUERY + "\n")
+    templates, manifest = tmp_path / "t.jsonl", tmp_path / "m.json"
+    templates.write_text(_TEMPLATE_LINE + "\n" + _TEMPLATE_LINE + "\n")
+    manifest.write_text('{"ids": ["x", "x"]}')
+    attribute = ["attribute", "--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql"),
+                 "--templates", str(templates), "--out", str(tmp_path / "a.tsv")]
+    partition = ["partition", "--scheme", "leaky", "--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql"),
+                 "--manifest", str(manifest), "--out-dir", str(tmp_path / "split")]
+    for args, message in ((attribute, f"{templates}:2: duplicate id 't0'"), (partition, f"{manifest}: duplicate id 'x'")):
+        result = subprocess.run([sys.executable, "-m", "splithygiene.cli", *args], capture_output=True, text=True)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "split").exists()
+
+
 def test_eval_logp_names_the_file_and_line_of_a_bad_value(tmp_path, runner):
     (tmp_path / "pred.ql").write_text("a b\na c\n")
     logp = tmp_path / "pred.logp"

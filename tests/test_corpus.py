@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, make_instance
 from splithygiene import corpus, qlang
-from splithygiene.errors import LineCountMismatch, ParseError
+from splithygiene.errors import InputFileError, LineCountMismatch
 from splithygiene.partitioner import Split3
 from references import ref_dedup_keys
 
@@ -107,10 +107,26 @@ def test_read_parallel_line_count_mismatch(tmp_path):
 
 def test_read_parallel_parse_error_reports_line(tmp_path):
     (tmp_path / "c.nlq").write_text("a ?\nb ?\n")
-    (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\nNOT A QUERY\n")
-    with pytest.raises(ParseError) as err:
+    (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\nASK WHERE { <e:a> <p:p> 42 }\n")
+    with pytest.raises(InputFileError) as err:
         corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
-    assert err.value.position == 1
+    assert str(err.value) == (f"{tmp_path / 'c.ql'}:2: position 24: "
+                              "expected an IRI, variable, or placeholder term")
+
+
+def test_read_parallel_empty_question_reports_line(tmp_path):
+    (tmp_path / "c.nlq").write_text("a ?\n  \n")
+    (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")
+    with pytest.raises(InputFileError, match=r"c\.nlq:2: empty NLQ line\Z"):
+        corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
+
+
+def test_read_parallel_rejects_repeated_manifest_ids(tmp_path):
+    (tmp_path / "c.nlq").write_text("a ?\nb ?\n")
+    (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")
+    (tmp_path / "m.json").write_text('{"ids": ["x", "x"]}')
+    with pytest.raises(InputFileError, match=r"m\.json: duplicate id 'x'\Z"):
+        corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql", tmp_path / "m.json")
 
 
 def test_read_parallel_instance_from_table_lines(tmp_path):

@@ -83,6 +83,25 @@ def test_bleu_matches_reference_on_random_corpora():
         assert report.brevity_penalty == pytest.approx(expected["bp"], abs=1e-12)
 
 
+def test_bleu_equals_reference_exactly_when_most_pairs_are_identical():
+    # identical pairs take the counting shortcut; short ones have no n-grams at the higher orders
+    rnd = random.Random(9)
+    short_identical = 0
+    for _ in range(300):
+        cands, refs = _random_corpus_pair(rnd, max_len=6)
+        for i in rnd.sample(range(len(refs)), (len(refs) + 1) // 2 + rnd.randrange(len(refs) // 2 + 1)):
+            cands[i] = list(refs[i])
+            short_identical += len(refs[i]) < 4
+        assert sum(c == r for c, r in zip(cands, refs)) * 2 >= len(refs)
+        expected = ref_corpus_bleu(cands, refs)
+        report = metrics.corpus_bleu(cands, refs)
+        assert report.bleu == expected["bleu"]
+        assert list(report.precisions) == expected["precisions"]
+        assert report.brevity_penalty == expected["bp"]
+        assert (report.candidate_len, report.reference_len) == (expected["candidate_len"], expected["reference_len"])
+    assert short_identical >= 100
+
+
 def test_bleu_invariant_under_pair_permutation():
     rnd = random.Random(8)
     cands, refs = _random_corpus_pair(rnd, max_pairs=12)

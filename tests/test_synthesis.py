@@ -8,7 +8,7 @@ from conftest import (
     INDUSTRY_TEMPLATE_NLQ,
     INDUSTRY_TEMPLATE_QUERY,
 )
-from splithygiene import corpus, kgstore, qlang, synthesis
+from splithygiene import corpus, experiments, kgstore, qlang, synthesis
 from splithygiene.errors import AdjacentSlots, UnlocatableEntity
 from splithygiene.qlang import Iri, NlqPattern, Placeholder, match_nlq, parse_query, serialize
 from references import ref_eval
@@ -180,15 +180,27 @@ def test_generated_instances_invert_and_hold(toy_data, toy_config):
 
 
 # ---------------------------------------------------------------------------
-# dedup_templates / templates.jsonl
+# template de-duplication / templates.jsonl
 # ---------------------------------------------------------------------------
 
-def test_dedup_templates(industry_template):
-    import dataclasses
-    clone = dataclasses.replace(industry_template, id="other-id")
-    kept, removed = synthesis.dedup_templates([industry_template, clone])
-    assert kept == [industry_template]
-    assert removed == 1
+def test_dedup_templates(tmp_path, pizza_seed, industry_template):
+    # another seed whose question and query patterns are the pizza seed's
+    comics = corpus.Seed(id="comics-seed", pair=corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY),
+                         surface_forms={"B": corpus.SurfaceForm(1, 3), "A": corpus.SurfaceForm(5, 6)})
+    corpus.write_seeds(tmp_path / "seeds.jsonl", [pizza_seed, comics])
+    seeds, templates, removed = experiments.extract_stage(tmp_path / "seeds.jsonl")
+    assert [s.id for s in seeds] == ["pizza-seed", "comics-seed"]
+    assert templates == [industry_template]
+    assert removed == {"seeds": 0, "templates": 1}
+
+
+def test_template_predicates_skip_placeholder_predicates(industry_template):
+    query = parse_query("ASK WHERE { <Placeholder:A> <p:q> <e:o> . <e:o> <Placeholder:B> <e:x> . "
+                        "<e:x> <p:r> <Placeholder:B> . <e:y> <p:q> <e:z> }")
+    template = synthesis.Template("t", NlqPattern.from_text("is <A> or <B> ?"), query, "s", ("A", "B"))
+    assert template.predicates == ("p:q", "p:r", "p:q")
+    assert list(template.predicates) == qlang.extract_predicates(query, skip_placeholders=True)
+    assert industry_template.predicates == (DBO_INDUSTRY,)
 
 
 def test_templates_jsonl_round_trip(tmp_path, industry_template, toy_data):
