@@ -35,18 +35,18 @@ from .corpus import (
     dedup,
     file_digest,
     read_logp,
+    read_lines,
     read_parallel,
     read_seeds,
-    read_text,
     unique_ids,
     write_lines,
     write_parallel,
     write_text,
 )
-from .errors import LineCountMismatch, SplitHygieneError
+from .errors import LineCountMismatch, RatioError, SplitHygieneError
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, perplexity
-from .partitioner import leaky_partition, sanitized_partition, split_templates
+from .partitioner import _check_ratios, leaky_partition, sanitized_partition, split_templates
 from .synthesis import read_templates, write_templates
 
 _WORKDIR_ENV = "SPLITHYGIENE_WORKDIR"
@@ -143,6 +143,16 @@ def attribute(nlq_path, ql_path, manifest_path, templates_path, out_path):
                f"{len(index.unattributed_ids)} unattributed)")
 
 
+def _parse_ratios(text: str) -> tuple[float, ...]:
+    """The --ratios value as numbers; a value that is not three finite numbers summing to 1 raises RatioError."""
+    try:
+        ratios = tuple(float(r) for r in text.split(","))
+        _check_ratios(ratios)
+    except (ValueError, RatioError) as exc:
+        raise RatioError(f"--ratios {text!r}: {exc}") from None
+    return ratios
+
+
 @main.command()
 @click.option("--scheme", type=click.Choice([LEAKY, SANITIZED]), required=True)
 @click.option("--nlq", "nlq_path", type=click.Path(exists=True), required=True)
@@ -159,7 +169,7 @@ def attribute(nlq_path, ql_path, manifest_path, templates_path, out_path):
 def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
               seeds_path, seed_test_fraction, out_dir, rng_seed):
     """Split a parallel corpus into train/valid/test."""
-    ratio_tuple = tuple(float(r) for r in ratios.split(","))
+    ratio_tuple = _parse_ratios(ratios)
     instances = read_parallel(nlq_path, ql_path, manifest_path)
     index = tsplit = None
     if scheme == LEAKY:
@@ -191,7 +201,7 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
     """Train the template memorizer and predict queries for an NLQ file."""
     train = read_parallel(train_nlq, train_ql, train_manifest)
     model = train_memorizer(train, build_index(train, read_templates(templates_path)))
-    lines = read_text(input_path).splitlines()
+    lines = read_lines(input_path)
     preds = [" ".join(memorizer_predict(model, qlang.tokenize_nlq(line))) for line in lines]
     write_lines(out_path, preds)
     click.echo(f"wrote {len(preds)} predictions")
@@ -205,8 +215,8 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
 @click.option("--out-logp", type=click.Path(), default=None, help="Optional pred.logp output.")
 def lm(train_ql, eval_ql, order, k, out_logp):
     """Train the n-gram query LM and report perplexity on an evaluation file."""
-    train = [line.split() for line in read_text(train_ql).splitlines()]
-    eval_sents = [line.split() for line in read_text(eval_ql).splitlines()]
+    train = [line.split() for line in read_lines(train_ql)]
+    eval_sents = [line.split() for line in read_lines(eval_ql)]
     model = train_ngram_lm(ngram_index(train, order), range(len(train)), k)
     if out_logp:
         scored = score_sentences(model, eval_sents)
@@ -223,8 +233,8 @@ def lm(train_ql, eval_ql, order, k, out_logp):
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report JSON here.")
 def eval_cmd(pred_path, test_path, logp_path, out_path):
     """Score predictions against references: BLEU, and perplexity from --logp."""
-    preds = [line.split() for line in read_text(pred_path).splitlines()]
-    refs = [line.split() for line in read_text(test_path).splitlines()]
+    preds = [line.split() for line in read_lines(pred_path)]
+    refs = [line.split() for line in read_lines(test_path)]
     if len(preds) != len(refs):
         raise LineCountMismatch(f"{pred_path} has {len(preds)} lines but {test_path} has {len(refs)}")
     report = corpus_bleu(preds, refs)

@@ -126,7 +126,7 @@ def unique_ids(path, records, kept=None) -> list:
     for rec in kept:
         if rec.id in seen:
             position = next(i for i, other in enumerate(records) if other is rec)
-            line = [i for i, text in enumerate(_read_lines(path), start=1) if text.strip()][position]
+            line = [i for i, text in enumerate(read_lines(path), start=1) if text.strip()][position]
             raise InputFileError(f"{path}:{line}: duplicate id {rec.id!r}")
         seen.add(rec.id)
     return kept
@@ -146,8 +146,16 @@ def read_text(path) -> str:
         raise InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_lines(path) -> list[str]:
-    return read_text(path).splitlines()
+def read_lines(path) -> list[str]:
+    """A file's LF-delimited lines, without their ends; a CR before an LF is part of the end.
+
+    Only LF ends a line: a U+2028, a form feed or a lone CR is text, so a
+    JSON string that holds one stays on its line.
+    """
+    lines = read_text(path).replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 # (check, description) pairs for the keys of JSON records read from outside
@@ -193,7 +201,7 @@ def read_records(path, build, required: dict, optional: dict | None = None) -> l
     ValueError or SplitHygieneError raises InputFileError naming path and line.
     """
     out = []
-    for i, line in enumerate(_read_lines(path), start=1):
+    for i, line in enumerate(read_lines(path), start=1):
         if line.strip():
             doc = json_record(line, path, i, required, optional)
             try:
@@ -212,8 +220,8 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     or a plain ``{"ids": [...], "origins": {...}}`` object of distinct ids.
     A bad line raises InputFileError naming path and line, any parser offset kept.
     """
-    nlq_lines = _read_lines(nlq_path)
-    query_lines = _read_lines(query_path)
+    nlq_lines = read_lines(nlq_path)
+    query_lines = read_lines(query_path)
     if len(nlq_lines) != len(query_lines):
         raise LineCountMismatch(
             f"{nlq_path} has {len(nlq_lines)} lines but {query_path} has {len(query_lines)}"
@@ -239,12 +247,13 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
                 f"manifest lists {len(ids)} ids for {nlq_path} but the file has {len(nlq_lines)} lines"
             )
     out: list[Instance] = []
+    terms: dict[str, qlang.Term] = {}
     for i, (nlq_line, query_line) in enumerate(zip(nlq_lines, query_lines)):
         nlq = qlang.tokenize_nlq(nlq_line)
         if not nlq:
             raise InputFileError(f"{nlq_path}:{i + 1}: empty NLQ line")
         try:
-            ast = qlang.parse_query(query_line)
+            ast = qlang.parse_query(query_line, terms)
         except ParseError as exc:
             raise InputFileError(f"{query_path}:{i + 1}: {exc}") from None
         out.append(Instance(
@@ -258,16 +267,19 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
 def read_logp(path) -> list[list[float]]:
     """Space-separated per-token log probabilities, one line per sentence.
 
-    A token that is not a number raises InputFileError naming path and line.
+    A token that is not a number, or a line with no token, raises
+    InputFileError naming path and line.
     """
     out = []
-    for i, line in enumerate(_read_lines(path), start=1):
+    for i, line in enumerate(read_lines(path), start=1):
         values = []
         for token in line.split():
             try:
                 values.append(float(token))
             except ValueError:
                 raise InputFileError(f"{path}:{i}: not a number: {token!r}") from None
+        if not values:
+            raise InputFileError(f"{path}:{i}: no log probabilities")
         out.append(values)
     return out
 

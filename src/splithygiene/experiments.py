@@ -33,8 +33,8 @@ from .corpus import (
     dedup,
     file_digest,
     make_manifest,
+    read_lines,
     read_seeds,
-    read_text,
     unique_ids,
     write_split,
     write_text,
@@ -44,6 +44,7 @@ from .kgstore import load_ntriples
 from .metrics import corpus_bleu, leakage_report
 from .partitioner import (
     Split3,
+    _check_ratios,
     diagnostics,
     leaky_partition,
     sanitized_partition,
@@ -148,7 +149,7 @@ def load_config(path) -> RunConfig:
     known = {f.name: f for f in fields(RunConfig)}
     values: dict = {}
     key_lines: dict[str, int] = {}
-    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -329,7 +330,12 @@ def _write_report(out_dir: Path, rows) -> None:
 
 def write_partition(out_dir, split: Split3, scheme: str, rng_seed: int, ratios, digest: str,
                     index: AttributionIndex | None = None, tsplit=None) -> None:
-    """Write the split files and manifest.json, plus diagnostics.json when an index is given."""
+    """Write the split files and manifest.json, plus diagnostics.json when an index is given.
+
+    Ratios that a leaky split would reject raise RatioError before anything is
+    written, so every manifest records three finite ratios that sum to 1.
+    """
+    _check_ratios(ratios)
     write_split(out_dir, split, make_manifest(split, scheme, rng_seed, ratios, digest))
     if index is not None:
         write_text(Path(out_dir) / "diagnostics.json",

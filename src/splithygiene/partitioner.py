@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isfinite
 
 from . import rng
 from .attribution import AttributionIndex, template_matches_seed
@@ -51,6 +51,8 @@ def _exact(value: float) -> Fraction:
 def _check_ratios(ratios) -> tuple[Fraction, Fraction, Fraction]:
     if len(ratios) != 3:
         raise RatioError(f"need three ratios, got {len(ratios)}")
+    if not all(map(isfinite, ratios)):
+        raise RatioError(f"ratios must be finite: {ratios}")
     fracs = tuple(_exact(r) for r in ratios)
     if any(f < 0 for f in fracs):
         raise RatioError(f"ratios must be non-negative: {ratios}")

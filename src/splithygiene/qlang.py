@@ -7,7 +7,9 @@ The formal-query subset covers exactly two forms over a basic graph pattern:
 
 Terms are IRIs in angle brackets, ``?var`` variables, or ``<Placeholder:A>``
 markers standing for a not-yet-bound entity. Anything else (OPTIONAL, FILTER,
-UNION, literals) is rejected with a ParseError carrying the offset.
+UNION, literals) is rejected with a ParseError carrying the offset. One
+compiled regex accepts a well-formed query in a single match; a character
+scanner runs only on the text it declines, and names the offset of the error.
 
 Question (NLQ) patterns interleave lowercased word tokens with labeled slots
 written ``<A>``; a slot matches one or more contiguous question tokens.
@@ -172,8 +174,63 @@ class _Scanner:
         raise self.fail("an IRI, variable, or placeholder term")
 
 
-def parse_query(text: str) -> QueryAst:
-    """Parse a query in the supported subset; raise ParseError otherwise."""
+# The supported subset is a regular language, so one compiled regex accepts it.
+# \s is str.isspace() and \w is str.isalnum() or "_" on every code point, so
+# _QUERY skips the scanner's whitespace and keeps its keyword boundaries: ASK
+# and SELECT must not run into a word character ("ASKWHERE" is no query), while
+# DISTINCT and WHERE are followed by "?" or "{". A variable name is greedy
+# ("?yWHERE" is one name), text after "<Placeholder:" is a label, never an IRI,
+# and a pattern ends at a "." or right before the closing "}".
+_VAR = r"\?[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+_ANGLE = r"<(?:Placeholder:[A-Z][A-Z0-9]*|(?!Placeholder:)[^<>{}\s]+)>"
+_TRIPLE = rf"(?:{_ANGLE}|{_VAR})\s*{_ANGLE}\s*(?:{_ANGLE}|{_VAR})"
+_QUERY = re.compile(
+    rf"\s*(?:ASK(?!\w)|SELECT(?!\w)\s*DISTINCT(?P<head>\s*{_VAR}(?:\s*,\s*{_VAR})*))"
+    rf"\s*WHERE\s*\{{(?P<body>(?:\s*{_TRIPLE}\s*(?:\.|(?=\}})))+)\s*\}}\s*"
+)
+# in a head or body that _QUERY accepted, only terms contain "<" or "?"
+_TERM = re.compile(r"<[^>]*>|\?[A-Za-z0-9_]+")
+
+
+def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
+    """Parse a query in the supported subset; raise ParseError otherwise.
+
+    ``terms`` maps a term's text to its term object. Callers that pass one
+    dict to many calls get one shared object for each distinct term.
+    """
+    ast = _accept(text, {} if terms is None else terms)
+    return _scan(text) if ast is None else ast
+
+
+def _accept(text: str, terms: dict[str, Term]) -> QueryAst | None:
+    """The AST of a well-formed query, or None; the scanner names the error of the rest."""
+    m = _QUERY.fullmatch(text)
+    if m is None:
+        return None
+    get = terms.get
+    flat = [get(t) or _new_term(terms, t) for t in _TERM.findall(m["body"])]
+    patterns = tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
+    if m["head"] is None:
+        return QueryAst(ASK, (), patterns)
+    names = tuple(v[1:] for v in _TERM.findall(m["head"]))
+    if len(set(names)) != len(names) or not {t.name for t in flat if type(t) is Var}.issuperset(names):
+        return None
+    return QueryAst(SELECT_DISTINCT, names, patterns)
+
+
+def _new_term(terms: dict[str, Term], text: str) -> Term:
+    if text[0] == "?":
+        term = Var(text[1:])
+    elif text.startswith("<Placeholder:"):
+        term = Placeholder(text[len("<Placeholder:"):-1])
+    else:
+        term = Iri(text[1:-1])
+    terms[text] = term
+    return term
+
+
+def _scan(text: str) -> QueryAst:
+    """Parse character by character, raising a ParseError at the offset where the text leaves the subset."""
     sc = _Scanner(text)
     select_vars: tuple[str, ...] = ()
     if sc.peek() == "A":
@@ -252,6 +309,9 @@ def tokenize_nlq(text: str) -> tuple[str, ...]:
     """
     out: list[str] = []
     for raw in text.split():
+        if raw[-1] not in _SENTENCE_PUNCT:  # nothing to split off
+            out.append(raw if raw[0] == "<" and _SLOT_MARKER.match(raw) else raw.lower())
+            continue
         trailing: list[str] = []
         while len(raw) > 1 and raw[-1] in _SENTENCE_PUNCT and not _SLOT_MARKER.match(raw):
             trailing.append(raw[-1])

@@ -12,22 +12,33 @@ reference tries the matcher on every template, with no pre-filter. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
 The placeholder-alignment reference is the plain subsequence walk, with the
-package's one-pattern unifier and no memo of failed states.
+package's one-pattern unifier and no memo of failed states. The query parser
+reference is the character scanner alone, with no compiled-regex acceptor in
+front of it, and the tokenizer reference runs the trailing-punctuation loop on
+every token.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 from splithygiene import metrics
 from splithygiene.baselines import BOS, EOS, UNK, _unify_pattern, label_to_iri_form
-from splithygiene.errors import EmptyCorpus
+from splithygiene.errors import EmptyCorpus, ParseError
 from splithygiene.qlang import (
+    ASK,
+    SELECT_DISTINCT,
     Iri,
+    Placeholder,
+    QueryAst,
     Slot,
+    Term,
+    TriplePattern,
+    Var,
     Word,
     extract_predicates,
     match_nlq,
@@ -110,6 +121,155 @@ def ref_eval(triples, ast):
         return bool(bindings)
     rows = {tuple(b[v] for v in ast.select_vars) for b in bindings}
     return [dict(zip(ast.select_vars, row)) for row in sorted(rows)]
+
+
+# ---------------------------------------------------------------------------
+# Query parsing and NLQ tokenization
+# ---------------------------------------------------------------------------
+
+_REF_SLOT_MARKER = re.compile(r"<([A-Z][A-Z0-9]*)>\Z")
+_REF_VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_LABEL = re.compile(r"[A-Z][A-Z0-9]*\Z")
+_REF_SENTENCE_PUNCT = ("?", "!", ".")
+
+
+class _RefScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def fail(self, expected: str) -> ParseError:
+        return ParseError(self.pos, f"expected {expected}")
+
+    def keyword(self, word: str) -> None:
+        self.skip_ws()
+        if not self.text.startswith(word, self.pos):
+            raise self.fail(word)
+        end = self.pos + len(word)
+        if end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
+            raise self.fail(word)
+        self.pos = end
+
+    def char(self, ch: str) -> None:
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            raise self.fail(f"'{ch}'")
+        self.pos += 1
+
+    def angle_term(self) -> Iri | Placeholder:
+        self.skip_ws()
+        start = self.pos
+        if self.peek() != "<":
+            raise self.fail("'<'")
+        end = self.text.find(">", start + 1)
+        if end < 0:
+            raise self.fail("closing '>'")
+        content = self.text[start + 1:end]
+        if not content or any(c in content for c in "<{}") or any(c.isspace() for c in content):
+            raise ParseError(start, "malformed IRI")
+        self.pos = end + 1
+        if content.startswith("Placeholder:"):
+            label = content[len("Placeholder:"):]
+            if not _REF_LABEL.match(label):
+                raise ParseError(start, f"malformed placeholder label {label!r}")
+            return Placeholder(label)
+        return Iri(content)
+
+    def variable(self) -> Var:
+        self.skip_ws()
+        start = self.pos
+        if self.peek() != "?":
+            raise self.fail("'?'")
+        m = _REF_VAR_NAME.match(self.text, start + 1)
+        if not m:
+            raise ParseError(start, "malformed variable name")
+        self.pos = m.end()
+        return Var(m.group(0))
+
+    def term(self) -> Term:
+        ch = self.peek()
+        if ch == "<":
+            return self.angle_term()
+        if ch == "?":
+            return self.variable()
+        raise self.fail("an IRI, variable, or placeholder term")
+
+
+def ref_parse_query(text: str) -> QueryAst:
+    """The character scanner that parsed every query before the compiled-regex acceptor."""
+    sc = _RefScanner(text)
+    select_vars: tuple[str, ...] = ()
+    if sc.peek() == "A":
+        sc.keyword("ASK")
+        form = ASK
+    else:
+        sc.keyword("SELECT")
+        sc.keyword("DISTINCT")
+        names: list[str] = []
+        names.append(sc.variable().name)
+        while sc.peek() == ",":
+            sc.char(",")
+            names.append(sc.variable().name)
+        if len(set(names)) != len(names):
+            raise ParseError(sc.pos, "duplicate variable in SELECT list")
+        form = SELECT_DISTINCT
+        select_vars = tuple(names)
+    sc.keyword("WHERE")
+    sc.char("{")
+    patterns: list[TriplePattern] = []
+    if sc.peek() == "}":
+        raise sc.fail("at least one triple pattern")
+    while True:
+        subj = sc.term()
+        sc.skip_ws()
+        pred_pos = sc.pos
+        pred = sc.term()
+        if isinstance(pred, Var):
+            raise ParseError(pred_pos, "predicate must be an IRI or a placeholder")
+        obj = sc.term()
+        patterns.append((subj, pred, obj))
+        if sc.peek() == ".":
+            sc.char(".")
+            if sc.peek() == "}":
+                break
+            continue
+        if sc.peek() == "}":
+            break
+        raise sc.fail("'.' or '}'")
+    sc.char("}")
+    if not sc.at_end():
+        raise sc.fail("end of query")
+    ast = QueryAst(form=form, select_vars=select_vars, patterns=tuple(patterns))
+    pattern_vars = ast.variables()
+    for v in select_vars:
+        if v not in pattern_vars:
+            raise ParseError(0, f"SELECT variable ?{v} does not occur in the pattern")
+    return ast
+
+
+def ref_tokenize_nlq(text: str) -> tuple[str, ...]:
+    """The tokenizer loop that ran on every token before the fast path for tokens with no trailing ?!."""
+    out: list[str] = []
+    for raw in text.split():
+        trailing: list[str] = []
+        while len(raw) > 1 and raw[-1] in _REF_SENTENCE_PUNCT and not _REF_SLOT_MARKER.match(raw):
+            trailing.append(raw[-1])
+            raw = raw[:-1]
+        out.append(raw if _REF_SLOT_MARKER.match(raw) else raw.lower())
+        out.extend(reversed(trailing))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

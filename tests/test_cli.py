@@ -348,6 +348,48 @@ def test_a_seed_id_left_twice_after_dedup_exits_2(tmp_path, command):
     assert result.stderr == f"error: {seeds}:4: duplicate id 's0'\n"
 
 
+def test_a_seed_with_a_raw_line_separator_in_a_json_string_is_one_record(tmp_path, runner):
+    seeds = tmp_path / "seeds.jsonl"
+    record = json.loads(_SEED_LINE)
+    record["nlq"] = "is this\u2028here ?"
+    seeds.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert "\u2028" in seeds.read_text(encoding="utf-8")
+    result = _ok(runner.invoke(main, ["extract", "--seeds", str(seeds), "--out", str(tmp_path / "t.jsonl")]))
+    assert result.output == "extracted 1 templates (0 duplicates dropped)\n"
+
+
+@pytest.mark.parametrize("preset, ratios, message", [
+    ("exp2", "nan, 0, 1", "ratios must be finite: (nan, 0, 1)"),
+    ("exp3", "5, 5, 5", "ratios must sum to 1: (5, 5, 5)"),
+])
+def test_a_preset_writes_no_manifest_with_bad_ratios(tmp_path, runner, preset, ratios, message):
+    config = tmp_path / "run.conf"
+    config.write_text(f"ratios = {ratios}\ninstance_limit = 3\n")
+    result = runner.invoke(main, ["run", preset, "--config", str(config), "--workdir", str(tmp_path / "w")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {message}\n"
+    assert not list((tmp_path / "w").rglob("manifest.json"))
+
+
+@pytest.mark.parametrize("scheme, ratios, message", [
+    ("leaky", "nan,0,1", "ratios must be finite: (nan, 0.0, 1.0)"),
+    ("leaky", "a,b,c", "could not convert string to float: 'a'"),
+    ("sanitized", "5,5,5", "ratios must sum to 1: (5.0, 5.0, 5.0)"),
+])
+def test_partition_names_a_bad_ratios_option(tmp_path, runner, scheme, ratios, message):
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text(_ONE_QUERY + "\n")
+    (tmp_path / "s.jsonl").write_text(_SEED_LINE + "\n")
+    (tmp_path / "t.jsonl").write_text(_TEMPLATE_LINE + "\n")
+    result = runner.invoke(main, ["partition", "--scheme", scheme, "--nlq", str(tmp_path / "c.nlq"),
+                                  "--ql", str(tmp_path / "c.ql"), "--templates", str(tmp_path / "t.jsonl"),
+                                  "--seeds", str(tmp_path / "s.jsonl"), "--ratios", ratios,
+                                  "--out-dir", str(tmp_path / "split")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: --ratios '{ratios}': {message}\n"
+    assert not (tmp_path / "split").exists()
+
+
 def test_exact_duplicate_seeds_are_dropped_and_counted(tmp_path):
     seeds = tmp_path / "seeds.jsonl"
     seeds.write_text(_SEED_LINE + "\n" + _SEED_LINE + "\n")
@@ -381,6 +423,16 @@ def test_eval_logp_names_the_file_and_line_of_a_bad_value(tmp_path, runner):
                                   "--logp", str(logp)])
     assert result.exit_code == 2
     assert result.output == f"error: {logp}:2: not a number: 'x'\n"
+
+
+def test_eval_logp_names_the_file_and_line_of_an_empty_line(tmp_path, runner):
+    (tmp_path / "pred.ql").write_text("a b\na c\n")
+    logp = tmp_path / "pred.logp"
+    logp.write_text("-0.5 -1.0\n \n")
+    result = runner.invoke(main, ["eval", "--pred", str(tmp_path / "pred.ql"), "--test", str(tmp_path / "pred.ql"),
+                                  "--logp", str(logp)])
+    assert result.exit_code == 2
+    assert result.output == f"error: {logp}:2: no log probabilities\n"
 
 
 def test_eval_names_both_files_on_a_line_count_mismatch(tmp_path, runner):

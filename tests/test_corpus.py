@@ -121,6 +121,35 @@ def test_read_parallel_empty_question_reports_line(tmp_path):
         corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
 
 
+@pytest.mark.parametrize("text, lines", [
+    ("", []),
+    ("a", ["a"]),
+    ("a\n\n", ["a", ""]),
+    ("a\r\nb\r\r\n", ["a", "b\r"]),
+    ("a\u2028b\x85c\x0cd\x1ce\rf\n", ["a\u2028b\x85c\x0cd\x1ce\rf"]),
+])
+def test_read_lines_ends_a_line_at_lf_only_and_drops_one_cr_before_it(tmp_path, text, lines):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert corpus.read_lines(path) == lines
+
+
+def test_read_parallel_reads_a_unicode_line_break_inside_a_line_as_whitespace(tmp_path):
+    (tmp_path / "c.nlq").write_bytes("is one\u2028here ?\r\n".encode("utf-8"))
+    (tmp_path / "c.ql").write_bytes("ASK WHERE { <e:s1>\x85<p:p> <e:o> }\r\n".encode("utf-8"))
+    (inst,) = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
+    assert inst.pair.nlq == ("is", "one", "here", "?")
+    assert inst.pair.query_ast == qlang.parse_query(ASK_Q % 1)
+
+
+def test_read_parallel_shares_one_object_per_distinct_term(tmp_path):
+    (tmp_path / "c.nlq").write_text("is one here ?\nis two here ?\n")
+    (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")
+    first, second = (i.pair.query_ast.patterns[0] for i in corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql"))
+    assert first[1] is second[1] and first[2] is second[2]
+    assert first[0] == qlang.Iri("e:s1") and second[0] == qlang.Iri("e:s2")
+
+
 def test_read_parallel_rejects_repeated_manifest_ids(tmp_path):
     (tmp_path / "c.nlq").write_text("a ?\nb ?\n")
     (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")

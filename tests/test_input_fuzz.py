@@ -7,6 +7,7 @@ with one `error:` line, never with a traceback.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -15,24 +16,32 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import references
 from splithygiene import corpus, kgstore, qlang
 from splithygiene.cli import main
-from splithygiene.errors import InputFileError, SplitHygieneError
+from splithygiene.errors import InputFileError, ParseError, SplitHygieneError
 
 _FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _near(pieces, max_size=14):
-    """Text built from a grammar's pieces and arbitrary fragments, so the fuzz gets past the first token."""
-    return st.lists(st.one_of(st.sampled_from(pieces), st.text(max_size=4)), max_size=max_size).map(" ".join)
+def _near(pieces, max_size=14, separators=(" ",)):
+    """Text built from a grammar's pieces and arbitrary fragments, so the fuzz gets past the first token.
+
+    Each piece is followed by one of ``separators``.
+    """
+    piece = st.tuples(st.one_of(st.sampled_from(pieces), st.text(max_size=4)), st.sampled_from(separators))
+    return st.lists(piece, max_size=max_size).map(lambda pairs: "".join(p + sep for p, sep in pairs))
 
 
 def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-_QUERY_PIECES = ["ASK", "SELECT", "DISTINCT", "WHERE", "{", "}", ".", ",", "?x", "?y", "?", "<e:s>",
-                 "<p:p>", "<Placeholder:A>", "<Placeholder:a>", "<>", "<a b>", "<", ">", "\"lit\""]
+_QUERY_PIECES = ["ASK", "SELECT", "DISTINCT", "WHERE", "{", "}", ".", ",", "?x", "?y", "?", "?_1", "<e:s>",
+                 "<p:p>", "<Placeholder:A>", "<Placeholder:a>", "<Placeholder:A1>", "<>", "<a b>", "<", ">",
+                 "\"lit\"", "ASKWHERE", "?yWHERE", "ASK_", "DISTINCT?x", "<Placeholder:>", "<a{b>"]
+# no separator, and whitespace that str.split() and the parser see but a space-joined fuzz never shows
+_QUERY_SEPARATORS = ["", "\t", "\xa0", " ", "\x1c"]
 _VALID_QUERIES = ["ASK WHERE { <e:s> <p:p> <e:o> }", "SELECT DISTINCT ?x WHERE { ?x <p:p> <e:o> . }",
-                  "ASK WHERE { <e:s> <Placeholder:A> <e:o> }"]
+                  "ASK WHERE { <e:s> <Placeholder:A> <e:o> }",
+                  "SELECT DISTINCT ?x, ?y_2 WHERE{?x <p:p> ?y_2 . ?y_2 <Placeholder:B> <Placeholder:A>}"]
 _NT_PIECES = ["<e:s>", "<p:p>", "<e:o>", ".", "\"lit\"", "#", "\n", "\r", "\r\n", "<", ">", "\x85"]
 _NLQ_PIECES = ["is", "<A>", "?", "!", ".", "\n", "\r", " ", "\x0c", "Straße"]
 _JSON = st.recursive(
@@ -73,14 +82,64 @@ def _parallel_files(draw):
     return nlq, ql, manifest
 
 
-@_FUZZ
-@given(text=st.one_of(st.text(max_size=60), _near(_QUERY_PIECES), st.sampled_from(_VALID_QUERIES)))
-def test_parse_query_returns_an_ast_or_raises_a_parse_error(text):
+@st.composite
+def _rejoined(draw, texts):
+    """One of ``texts`` with each space replaced by a drawn query separator."""
+    words = draw(st.sampled_from(texts)).split(" ")
+    seps = draw(st.lists(st.sampled_from(_QUERY_SEPARATORS), min_size=len(words) - 1, max_size=len(words) - 1))
+    return words[0] + "".join(sep + word for sep, word in zip(seps, words[1:]))
+
+
+def _parse_outcome(parse, text):
     try:
-        ast = qlang.parse_query(text)
-    except SplitHygieneError:
-        return
-    assert qlang.parse_query(qlang.serialize(ast)) == ast
+        return parse(text)
+    except ParseError as exc:
+        return exc.position, exc.message
+
+
+@_FUZZ
+@given(text=st.one_of(st.text(max_size=60), _near(_QUERY_PIECES, separators=_QUERY_SEPARATORS),
+                      st.sampled_from(_VALID_QUERIES), _rejoined(_VALID_QUERIES)))
+def test_parse_query_returns_an_ast_or_raises_a_parse_error(text):
+    ast = _parse_outcome(qlang.parse_query, text)
+    assert ast == _parse_outcome(references.ref_parse_query, text)
+    if isinstance(ast, qlang.QueryAst):
+        assert qlang.parse_query(qlang.serialize(ast)) == ast
+
+
+# The regex acceptor and the tokenizer's fast path must agree with their references on every text:
+# the same AST, or a ParseError with the same position and message, and the same tokens.
+_NAMED_QUERIES = ["ASKWHERE { <e:s> <p:p> <e:o> }", "SELECT DISTINCT ?x, ?yWHERE { ?x <p:p> ?y }"]
+_EDIT_CHARS = " \t\xa0\x1c\n<>{}?.,_:AaW1é"
+
+
+def _seeded_texts(rng: random.Random, n: int):
+    """The named queries, then n texts: query and question pieces joined by query separators, and
+    valid queries with 1-3 characters inserted, deleted or replaced."""
+    yield from _NAMED_QUERIES
+    for _ in range(n // 2):
+        pieces = rng.choices(_QUERY_PIECES + _NLQ_PIECES, k=rng.randint(1, 14))
+        yield "".join(p + rng.choice(_QUERY_SEPARATORS) for p in pieces)
+    for _ in range(n // 2):
+        text = list(rng.choice(_VALID_QUERIES))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.choice(("insert", "delete", "replace"))
+            if edit == "insert":
+                text.insert(i, rng.choice(_EDIT_CHARS))
+            elif i < len(text):
+                text[i:i + 1] = [] if edit == "delete" else [rng.choice(_EDIT_CHARS)]
+        yield "".join(text)
+
+
+def test_parse_query_and_tokenize_nlq_equal_their_references_on_20000_seeded_texts():
+    accepted = 0
+    for text in _seeded_texts(random.Random(9), 20000):
+        ast = _parse_outcome(qlang.parse_query, text)
+        assert ast == _parse_outcome(references.ref_parse_query, text), repr(text)
+        accepted += isinstance(ast, qlang.QueryAst)
+        assert qlang.tokenize_nlq(text) == references.ref_tokenize_nlq(text), repr(text)
+    assert accepted > 1000  # the edits leave a share of the queries valid
 
 
 @_FUZZ
@@ -113,6 +172,11 @@ def test_read_parallel_returns_instances_or_raises_a_named_error(tmp_path, files
 _LOGP_PIECES = ["-0.5", "0", "-1e-3", "nan", "-inf", "1_0", "x", "\n", "\r\n", "\x85", " ", "\t"]
 
 
+def _line_count(text: str) -> int:
+    """Lines as every reader counts them: only LF ends one, and a last line needs none."""
+    return text.count("\n") + (text[-1:] not in ("", "\n"))
+
+
 @_FUZZ
 @given(text=st.one_of(st.text(max_size=40), _near(_LOGP_PIECES)))
 def test_read_logp_returns_floats_or_names_the_path_and_line(tmp_path, text):
@@ -122,9 +186,9 @@ def test_read_logp_returns_floats_or_names_the_path_and_line(tmp_path, text):
         sents = corpus.read_logp(path)
     except InputFileError as exc:
         line = str(exc)[len(f"{path}:"):].split(":")[0]
-        assert str(exc).startswith(f"{path}:") and 1 <= int(line) <= max(1, len(text.splitlines()))
+        assert str(exc).startswith(f"{path}:") and 1 <= int(line) <= max(1, _line_count(text))
         return
-    assert len(sents) == len(text.splitlines())
+    assert len(sents) == _line_count(text)
     assert all(type(lp) is float for sent in sents for lp in sent)
 
 
@@ -152,8 +216,8 @@ _TOKEN_PIECES = ["ASK", "WHERE", "{", "}", "<e:s>", "<p:p>", "?x", "<s>", "</s>"
 
 
 def _lines(text: str) -> list[list[str]]:
-    """Sentences as the CLI reads them: one per line, split on whitespace."""
-    return [line.split() for line in text.splitlines()]
+    """Sentences as the CLI reads them: one per LF-ended line, split on whitespace."""
+    return [line.split() for line in text.split("\n")[:_line_count(text)]]
 
 
 @_FUZZ

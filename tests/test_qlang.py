@@ -149,6 +149,25 @@ def test_parser_round_trip(ast):
     assert parse_query(serialize(ast)) == ast
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("ASKWHERE { <e:s> <p:p> <e:o> }", 0, "expected ASK"),
+    ("SELECT DISTINCT ?x, ?yWHERE { ?x <p:p> ?y }", 28, "expected WHERE"),
+])
+def test_a_keyword_needs_a_boundary_and_a_variable_name_is_greedy(text, position, message):
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert (err.value.position, err.value.message) == (position, message)
+
+
+def test_parses_that_share_a_terms_dict_share_equal_terms():
+    terms = {}
+    first = parse_query("SELECT DISTINCT ?x WHERE { ?x <p:p> <Placeholder:A> }", terms)
+    second = parse_query("ASK WHERE { <e:s> <p:p> ?x . ?x <p:p> <Placeholder:A> }", terms)
+    assert second.patterns[0][1] is second.patterns[1][1] is first.patterns[0][1]
+    assert second.patterns[1][0] is first.patterns[0][0]
+    assert second.patterns[1][2] is first.patterns[0][2]
+
+
 # ---------------------------------------------------------------------------
 # extract_predicates
 # ---------------------------------------------------------------------------
