@@ -4,8 +4,10 @@ The memorizer stores the templates seen in training and answers by template
 lookup plus a label-to-IRI index, so it is near-perfect on questions from
 seen templates and falls back to nearest-neighbour copying otherwise. The
 n-gram language model scores query token sequences with add-k smoothing and
-backoff, providing the perplexity axis. Its n-grams are numbered once per
-corpus, and each partition's model counts its train rows over those numbers.
+backoff, providing the perplexity axis. Both are split the same way: the
+per-instance work (the memorizer's label harvest and question tokens, the
+LM's n-gram numbering) is done once per corpus, and each partition's model
+is a selection of that corpus's train rows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ UNK = "<unk>"
 
 _DEFAULT_NAMESPACE = "http://example.org/resource/"
 _NO_POSTINGS = np.empty(0, dtype=np.int64)
+
+
+def _spans(starts: np.ndarray, rows) -> np.ndarray:
+    """The positions ``starts[r]:starts[r + 1]`` of each row r in turn, a row listed twice counting twice."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    first = starts[rows]
+    sizes = starts[rows + 1] - first
+    return np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -112,41 +122,95 @@ def _namespace(iri: str) -> str:
     return _DEFAULT_NAMESPACE
 
 
-def train_memorizer(train_instances, index: AttributionIndex) -> MemorizerModel:
-    """Store the templates `index` attributes to train, and harvest a label-to-IRI index.
+@dataclass
+class MemorizerIndex:
+    """The per-instance work of memorizer training, done once per corpus.
 
-    Labels are harvested in training order, the first IRI bound to a text kept.
+    ``labels[r]`` lists the (slot text, IRI) pairs instance r harvests, in
+    harvest order. Instance r's distinct question tokens are the interned ids
+    ``token_ids[starts[r]:starts[r + 1]]``, and ``tokens[i]`` is the token of
+    id i. ``rank[r]`` is the dense rank of instance r's id: equal ids rank
+    equal, so a stable sort by rank keeps their training order.
     """
-    train = list(train_instances)
+
+    instances: list
+    index: AttributionIndex
+    labels: list[list[tuple[str, str]]] = field(repr=False)
+    tokens: list[str] = field(repr=False)
+    token_ids: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    rank: np.ndarray = field(repr=False)
+
+
+def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
+    """The (slot text, IRI) pairs an instance binds, in binding order.
+
+    They are read under its origin template if that is attributed, else under
+    each attributed template in order.
+    """
+    attributed = index.attributed(inst.id)
+    origin = inst.origin_template_id
+    labels = []
+    for tid in [origin] if origin in attributed else attributed:
+        template = index.templates[tid]
+        bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
+        iris = align_placeholders(template, inst.pair.query_ast)
+        if iris is None:
+            continue
+        for label, span in bindings.items():
+            labels.append((" ".join(span_tokens(inst.pair.nlq, span)), iris[label]))
+    return labels
+
+
+def memorizer_index(instances, index: AttributionIndex) -> MemorizerIndex:
+    """Harvest every instance's labels and intern its distinct question tokens."""
+    instances = list(instances)
+    token_ids: dict[str, int] = {}
+    flat: list[int] = []
+    starts = [0]
+    for inst in instances:
+        flat.extend(token_ids.setdefault(t, len(token_ids)) for t in dict.fromkeys(inst.pair.nlq))
+        starts.append(len(flat))
+    ranks = {iid: r for r, iid in enumerate(sorted({inst.id for inst in instances}))}
+    return MemorizerIndex(
+        instances=instances,
+        index=index,
+        labels=[_harvest(inst, index) for inst in instances],
+        tokens=list(token_ids),
+        token_ids=np.array(flat, dtype=np.int64),
+        starts=np.array(starts, dtype=np.int64),
+        rank=np.array([ranks[inst.id] for inst in instances], dtype=np.int64),
+    )
+
+
+def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
+    """Select the train `rows` of a memorizer index, given in training order.
+
+    Labels are taken in training order, the first IRI bound to a text kept.
+    The seen templates are the ones the index attributes to the train rows.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    train = rows.tolist()
     label_index: dict[str, str] = {}
-    for inst in train:
-        attributed = index.attributed(inst.id)
-        origin = inst.origin_template_id
-        for tid in [origin] if origin in attributed else attributed:
-            template = index.templates[tid]
-            bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
-            iris = align_placeholders(template, inst.pair.query_ast)
-            if iris is None:
-                continue
-            for label, span in bindings.items():
-                text = " ".join(span_tokens(inst.pair.nlq, span))
-                label_index.setdefault(text, iris[label])
+    for r in train:
+        for text, iri in mindex.labels[r]:
+            label_index.setdefault(text, iri)
     namespaces = Counter(_namespace(iri) for iri in label_index.values())
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
-    seen = index.templates_of(train)
-    fallback = sorted(train, key=lambda inst: inst.id)  # stable: ties keep training order
-    distinct = [set(inst.pair.nlq) for inst in fallback]
-    postings: dict[str, list[int]] = {}
-    for pos, tokens in enumerate(distinct):
-        for token in tokens:
-            postings.setdefault(token, []).append(pos)
+    seen = mindex.index.templates_of(mindex.instances[r] for r in train)
+    fallback = rows[np.argsort(mindex.rank[rows], kind="stable")]  # ties keep training order
+    sizes = np.diff(mindex.starts)[fallback]
+    tokens = mindex.token_ids[_spans(mindex.starts, fallback)]
+    order = np.argsort(tokens, kind="stable")  # positions stay ascending within a token
+    ids, firsts = np.unique(tokens[order], return_index=True)
+    positions = np.repeat(np.arange(fallback.size), sizes)[order]
     return MemorizerModel(
-        templates={tid: t for tid, t in index.templates.items() if tid in seen},
+        templates={tid: t for tid, t in mindex.index.templates.items() if tid in seen},
         label_index=label_index,
-        fallback=fallback,
+        fallback=[mindex.instances[r] for r in fallback.tolist()],
         entity_namespace=namespace,
-        postings={token: np.array(positions, dtype=np.int64) for token, positions in postings.items()},
-        sizes=np.array([len(tokens) for tokens in distinct], dtype=np.int64),
+        postings=dict(zip([mindex.tokens[t] for t in ids.tolist()], np.split(positions, firsts[1:]))),
+        sizes=sizes,
     )
 
 
@@ -314,19 +378,11 @@ class NGramLM:
         return {1: {(): self.events}}
 
 
-def _events(index: NGramIndex, rows) -> np.ndarray:
-    """The event positions of the given sentence rows, a row listed twice counting twice."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    first = index.starts[rows]
-    sizes = index.starts[rows + 1] - first
-    return np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-
-
 def train_ngram_lm(index: NGramIndex, rows, k: float = 0.1) -> NGramLM:
     """Count the n-grams of the index's sentence `rows`: one np.bincount per order."""
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"smoothing constant must be finite and > 0, got {k}")
-    events = _events(index, rows)
+    events = _spans(index.starts, rows)
     if events.size == 0:
         raise EmptyCorpus("no training sentences")
     sizes = {1: index.width, **{m: keys.size for m, keys in index.keys.items()}}

@@ -23,6 +23,7 @@ from . import experiments, qlang
 from .attribution import build_index, write_attribution
 from .baselines import (
     lm_perplexity,
+    memorizer_index,
     memorizer_predict,
     ngram_index,
     score_sentences,
@@ -158,7 +159,9 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
 @click.option("--nlq", "nlq_path", type=click.Path(exists=True), required=True)
 @click.option("--ql", "ql_path", type=click.Path(exists=True), required=True)
 @click.option("--manifest", "manifest_path", type=click.Path(exists=True), default=None)
-@click.option("--ratios", default="0.8,0.1,0.1", show_default=True)
+@click.option("--ratios", default="0.8,0.1,0.1", show_default=True,
+              help="Train/valid/test ratios of the leaky scheme; checked for both schemes, but the "
+                   "sanitized scheme routes test by template and cuts its pool 90/10.")
 @click.option("--templates", "templates_path", type=click.Path(exists=True), default=None,
               help="Required for the sanitized scheme.")
 @click.option("--seeds", "seeds_path", type=click.Path(exists=True), default=None,
@@ -200,7 +203,8 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
 def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, out_path):
     """Train the template memorizer and predict queries for an NLQ file."""
     train = read_parallel(train_nlq, train_ql, train_manifest)
-    model = train_memorizer(train, build_index(train, read_templates(templates_path)))
+    index = build_index(train, read_templates(templates_path))
+    model = train_memorizer(memorizer_index(train, index), range(len(train)))
     lines = read_lines(input_path)
     preds = [" ".join(memorizer_predict(model, qlang.tokenize_nlq(line))) for line in lines]
     write_lines(out_path, preds)

@@ -2,8 +2,9 @@
 
 A corpus on disk is a pair of UTF-8 text files, ``<name>.nlq`` and
 ``<name>.ql``, one record per line with LF endings, line-aligned. A partition
-manifest is JSON holding the scheme, rng seed, ratios, per-instance split
-assignments, counts, and a content digest of the inputs.
+manifest is JSON holding the scheme, rng seed, the ratios (leaky) or valid
+fraction (sanitized) that cut it, per-instance split assignments, counts, and
+a content digest of the inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import InputFileError, LineCountMismatch, ParseError, SplitHygieneE
 
 LEAKY = "leaky"
 SANITIZED = "sanitized"
+VALID_FRACTION = 0.1  # the share of a sanitized split's train pool cut to valid
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,8 @@ def write_text(path, text: str) -> None:
 
     The text goes to a new temporary file beside the target, which then
     replaces the target in one rename: an interrupted write leaves either the
-    old file or the new one, never a truncated one.
+    old file or the new one, never a truncated one. A failed write raises the
+    same OSError type naming `path`, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
@@ -297,8 +300,10 @@ def write_text(path, text: str) -> None:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -329,8 +334,10 @@ def write_split(out_dir, split3, manifest: dict) -> None:
 def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str) -> dict:
     """The JSON document recording how a corpus was split; no timestamps.
 
-    ``origins`` maps instance ids to origin template ids and is present only
-    when some instance has one.
+    A leaky manifest records the ``ratios`` that cut it. A sanitized split
+    routes test by template and cuts only its pool, so its manifest records
+    ``valid_fraction`` (VALID_FRACTION) in their place. ``origins`` maps instance ids to origin
+    template ids and is present only when some instance has one.
     """
     assignments: dict[str, str] = {}
     origins: dict[str, str] = {}
@@ -342,7 +349,7 @@ def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str
     doc = {
         "scheme": scheme,
         "rng_seed": rng_seed,
-        "ratios": list(ratios),
+        **({"ratios": list(ratios)} if scheme == LEAKY else {"valid_fraction": VALID_FRACTION}),
         "counts": [len(split3.train), len(split3.valid), len(split3.test)],
         "config_digest": config_digest,
         "assignments": assignments,

@@ -26,7 +26,16 @@ from pathlib import Path
 
 from . import qlang, rng, toydata
 from .attribution import AttributionIndex, build_index, write_attribution
-from .baselines import NGramIndex, lm_perplexity, memorizer_predict, ngram_index, train_memorizer, train_ngram_lm
+from .baselines import (
+    MemorizerIndex,
+    NGramIndex,
+    lm_perplexity,
+    memorizer_index,
+    memorizer_predict,
+    ngram_index,
+    train_memorizer,
+    train_ngram_lm,
+)
 from .corpus import (
     LEAKY,
     SANITIZED,
@@ -254,21 +263,24 @@ def halve_seed_test_ids(seed_test_ids, rng_seed: int) -> list[str]:
     return sorted(ids[i] for i in order[:keep])
 
 
-def lm_corpus(data: PipelineData, config: RunConfig) -> tuple[NGramIndex, dict[str, int]]:
-    """The n-gram index over every instance's query tokens, and each instance id's row in it."""
-    index = ngram_index([inst.pair.query_text.split() for inst in data.instances], config.lm_order)
-    return index, {inst.id: row for row, inst in enumerate(data.instances)}
+def baseline_corpus(data: PipelineData, config: RunConfig) -> tuple[NGramIndex, MemorizerIndex, dict[str, int]]:
+    """The n-gram index over every instance's query tokens, the memorizer index
+    over every instance, and each instance id's row in both."""
+    lm_index = ngram_index([inst.pair.query_text.split() for inst in data.instances], config.lm_order)
+    rows = {inst.id: row for row, inst in enumerate(data.instances)}
+    return lm_index, memorizer_index(data.instances, data.index), rows
 
 
-def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig,
-                        lm_index: NGramIndex, lm_rows: dict[str, int]) -> dict[str, dict[str, float]]:
+def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig, lm_index: NGramIndex,
+                        mem_index: MemorizerIndex, rows: dict[str, int]) -> dict[str, dict[str, float]]:
     """Baseline metrics for one partition: memorizer BLEU, LM ppl, leakage.
 
-    The LM counts the train rows of `lm_index`, which covers the whole corpus;
-    `lm_rows` maps each instance id to its row.
+    Both models select the train rows of indexes that cover the whole corpus;
+    `rows` maps each instance id to its row.
     """
-    memorizer = train_memorizer(split.train, data.index)
-    lm = train_ngram_lm(lm_index, [lm_rows[inst.id] for inst in split.train], config.lm_k)
+    train_rows = [rows[inst.id] for inst in split.train]
+    memorizer = train_memorizer(mem_index, train_rows)
+    lm = train_ngram_lm(lm_index, train_rows, config.lm_k)
     leakage = leakage_report(split, data.index)
     out: dict[str, dict[str, float]] = {
         "memorizer_bleu": {},
@@ -365,7 +377,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
         out_dir.mkdir(parents=True, exist_ok=True)
         write_templates(out_dir / "templates.jsonl", data.templates)
         write_attribution(out_dir / "attribution.tsv", data.instances, data.index)
-        lm_index, lm_rows = lm_corpus(data, config)
+        baseline = baseline_corpus(data, config)
 
         seed_test = seed_split_ids(data, config)
         if preset == "exp1":
@@ -373,7 +385,7 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
                 stage = f"leaky-{seed}"
                 split = leaky_partition(data.instances, config.ratios, seed)
                 write_partition(out_dir / stage, split, LEAKY, seed, config.ratios, digest, data.index)
-                rows += _rows_for(_evaluate_partition(split, data, config, lm_index, lm_rows),
+                rows += _rows_for(_evaluate_partition(split, data, config, *baseline),
                                   "exp1", LEAKY, seed, 1.0, digest)
             rows += _aggregate_rows(rows, "exp1", LEAKY, digest)
 
@@ -387,10 +399,10 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
             for fraction in config.fractions:
                 stage = f"fraction-{fraction}"
                 sub = subsample_train(split, fraction, config.rng_seeds[0])
-                rows += _rows_for(_evaluate_partition(sub, data, config, lm_index, lm_rows),
+                rows += _rows_for(_evaluate_partition(sub, data, config, *baseline),
                                   "exp2", SANITIZED, config.rng_seeds[0], fraction, digest)
         else:
-            rows += _rows_for(_evaluate_partition(split, data, config, lm_index, lm_rows),
+            rows += _rows_for(_evaluate_partition(split, data, config, *baseline),
                               preset, SANITIZED, config.rng_seeds[0], 1.0, digest)
     except Exception:
         rows.append(_row(preset, "", "", "", "incomplete", stage, "value", "", ""))

@@ -16,6 +16,7 @@ from math import ceil, floor, isfinite
 
 from . import rng
 from .attribution import AttributionIndex, template_matches_seed
+from .corpus import VALID_FRACTION
 from .errors import RatioError
 
 
@@ -121,7 +122,7 @@ def sanitized_partition(
     tsplit: TemplateSplit,
     index: AttributionIndex,
     rng_seed: int = 0,
-    valid_fraction: float = 0.1,
+    valid_fraction: float = VALID_FRACTION,
 ) -> Split3:
     """Template-coordinated split whose test set is strictly unseen.
 

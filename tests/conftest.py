@@ -41,9 +41,9 @@ def toy_data(toy_config):
 
 
 @pytest.fixture(scope="session")
-def toy_lm_corpus(toy_data, toy_config):
-    """The n-gram index over the toy corpus and each instance id's row in it."""
-    return experiments.lm_corpus(toy_data, toy_config)
+def toy_baseline_corpus(toy_data, toy_config):
+    """The n-gram and memorizer indexes over the toy corpus, and each instance id's row in both."""
+    return experiments.baseline_corpus(toy_data, toy_config)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,12 @@ multiset intersection, BGP evaluation by exhaustive nested loops over the
 triple list, slot matching by enumerating every segmentation, and subsequence
 checking by trying every index mapping. The exceptions are the package's
 earlier loops kept as references for their fast replacements. The memorizer
-reference is the linear-scan prediction: it calls the package's matcher and
-binder, and differs from the indexed prediction only in how it finds the
-template candidates and the nearest training question. The attribution
+training reference is the per-partition trainer, which harvests every train
+instance's labels and builds the postings itself; a model that selects rows
+of a once-per-corpus index must equal it field for field. The memorizer
+prediction reference is the linear-scan prediction: it calls the package's
+matcher and binder, and differs from the indexed prediction only in how it
+finds the template candidates and the nearest training question. The attribution
 reference tries the matcher on every template, with no pre-filter. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
@@ -26,8 +29,21 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from splithygiene import metrics
-from splithygiene.baselines import BOS, EOS, UNK, _unify_pattern, label_to_iri_form
+from splithygiene.attribution import AttributionIndex
+from splithygiene.baselines import (
+    _DEFAULT_NAMESPACE,
+    BOS,
+    EOS,
+    UNK,
+    MemorizerModel,
+    _namespace,
+    _unify_pattern,
+    align_placeholders,
+    label_to_iri_form,
+)
 from splithygiene.errors import EmptyCorpus, ParseError
 from splithygiene.qlang import (
     ASK,
@@ -330,6 +346,48 @@ def ref_dedup_keys(keys):
         if not any(key == existing for existing in kept):
             kept.append(key)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Memorizer training
+# ---------------------------------------------------------------------------
+
+def ref_train_memorizer(train_instances, index: AttributionIndex) -> MemorizerModel:
+    """Store the templates `index` attributes to train, and harvest a label-to-IRI index.
+
+    Labels are harvested in training order, the first IRI bound to a text kept.
+    """
+    train = list(train_instances)
+    label_index: dict[str, str] = {}
+    for inst in train:
+        attributed = index.attributed(inst.id)
+        origin = inst.origin_template_id
+        for tid in [origin] if origin in attributed else attributed:
+            template = index.templates[tid]
+            bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
+            iris = align_placeholders(template, inst.pair.query_ast)
+            if iris is None:
+                continue
+            for label, span in bindings.items():
+                text = " ".join(span_tokens(inst.pair.nlq, span))
+                label_index.setdefault(text, iris[label])
+    namespaces = Counter(_namespace(iri) for iri in label_index.values())
+    namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
+    seen = index.templates_of(train)
+    fallback = sorted(train, key=lambda inst: inst.id)  # stable: ties keep training order
+    distinct = [set(inst.pair.nlq) for inst in fallback]
+    postings: dict[str, list[int]] = {}
+    for pos, tokens in enumerate(distinct):
+        for token in tokens:
+            postings.setdefault(token, []).append(pos)
+    return MemorizerModel(
+        templates={tid: t for tid, t in index.templates.items() if tid in seen},
+        label_index=label_index,
+        fallback=fallback,
+        entity_namespace=namespace,
+        postings={token: np.array(positions, dtype=np.int64) for token, positions in postings.items()},
+        sizes=np.array([len(tokens) for tokens in distinct], dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,14 @@ def test_criterion_2_sanitization_invariant(capsys, toy_data, toy_config, saniti
               + ("; " + "; ".join(failures) if failures else ""))
 
 
-def test_criterion_3_bleu_gap_direction(capsys, toy_data, toy_config, sanitized_world, toy_lm_corpus):
+def test_criterion_3_bleu_gap_direction(capsys, toy_data, toy_config, sanitized_world, toy_baseline_corpus):
     _, _, sanitized = sanitized_world
     leaky = partitioner.leaky_partition(toy_data.instances, toy_config.ratios,
                                         toy_config.rng_seeds[0])
     leaky_bleu = experiments._evaluate_partition(
-        leaky, toy_data, toy_config, *toy_lm_corpus)["memorizer_bleu"]["test"]
+        leaky, toy_data, toy_config, *toy_baseline_corpus)["memorizer_bleu"]["test"]
     sanitized_bleu = experiments._evaluate_partition(
-        sanitized, toy_data, toy_config, *toy_lm_corpus)["memorizer_bleu"]["test"]
+        sanitized, toy_data, toy_config, *toy_baseline_corpus)["memorizer_bleu"]["test"]
     gap = leaky_bleu - sanitized_bleu
     ok = leaky_bleu >= 90.0 and sanitized_bleu <= 65.0 and gap >= 25.0
     _announce(capsys, 3, ok,
@@ -99,7 +99,7 @@ def test_criterion_3_bleu_gap_direction(capsys, toy_data, toy_config, sanitized_
 def test_criterion_4_perplexity_gap_direction(capsys, toy_data, toy_config, sanitized_world):
     started = time.perf_counter()
     _, _, sanitized = sanitized_world
-    lm_index, rows = experiments.lm_corpus(toy_data, toy_config)
+    lm_index, _, rows = experiments.baseline_corpus(toy_data, toy_config)
     lm = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in sanitized.train], toy_config.lm_k)
     valid_ppl = baselines.lm_perplexity(lm, [i.pair.query_text.split() for i in sanitized.valid])
     test_ppl = baselines.lm_perplexity(lm, [i.pair.query_text.split() for i in sanitized.test])
@@ -110,9 +110,9 @@ def test_criterion_4_perplexity_gap_direction(capsys, toy_data, toy_config, sani
               f"(ratio {test_ppl / valid_ppl:.2f} >= 1.5), {elapsed:.1f}s (< 60 s)")
 
 
-def test_criterion_5_fraction_sweep_trend(capsys, toy_data, toy_config, sanitized_world, toy_lm_corpus):
+def test_criterion_5_fraction_sweep_trend(capsys, toy_data, toy_config, sanitized_world, toy_baseline_corpus):
     _, _, sanitized = sanitized_world
-    lm_index, rows = toy_lm_corpus
+    lm_index, _, rows = toy_baseline_corpus
     test_refs = [i.pair.query_text.split() for i in sanitized.test]
     ppls = []
     for fraction in toy_config.fractions:
@@ -127,9 +127,9 @@ def test_criterion_5_fraction_sweep_trend(capsys, toy_data, toy_config, sanitize
               + f" ({len(inversions)} inversion(s), tolerance one <= 5%)")
 
 
-def test_criterion_6_halved_holdout(capsys, toy_data, toy_config, sanitized_world, toy_lm_corpus):
+def test_criterion_6_halved_holdout(capsys, toy_data, toy_config, sanitized_world, toy_baseline_corpus):
     seed_test, _, sanitized = sanitized_world
-    lm_index, rows = toy_lm_corpus
+    lm_index, _, rows = toy_baseline_corpus
     lm1 = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in sanitized.train], toy_config.lm_k)
     exp1_ppl = baselines.lm_perplexity(lm1, [i.pair.query_text.split() for i in sanitized.test])
     halved = experiments.halve_seed_test_ids(seed_test, toy_config.rng_seeds[0])

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -25,6 +26,11 @@ from splithygiene.errors import EmptyCorpus
 DBR = "http://dbpedia.org/resource/"
 
 
+def _memorizer(train, index):
+    """The memorizer trained on every row of an index over `train`, the way `memorize` trains it."""
+    return baselines.train_memorizer(baselines.memorizer_index(train, index), range(len(train)))
+
+
 def _pizza_world(industry_template):
     inst = make_instance("i1", COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY,
                          origin=industry_template.id)
@@ -38,7 +44,7 @@ def _pizza_world(industry_template):
 
 def test_memorizer_stores_seen_templates_and_label_index(industry_template):
     inst, index = _pizza_world(industry_template)
-    model = baselines.train_memorizer([inst], index)
+    model = _memorizer([inst], index)
     assert set(model.templates) == {industry_template.id}
     assert model.label_index == {
         "robot comics": f"{DBR}Robot_Comics",
@@ -49,7 +55,7 @@ def test_memorizer_stores_seen_templates_and_label_index(industry_template):
 
 def test_memorizer_empty_train(industry_template):
     index = attribution.build_index([], [industry_template])
-    model = baselines.train_memorizer([], index)
+    model = _memorizer([], index)
     assert model.templates == {} and model.label_index == {} and model.fallback == []
 
 
@@ -63,7 +69,7 @@ def test_memorizer_only_attributed_templates_are_seen(industry_template):
         placeholder_labels=("A",))
     inst, _ = _pizza_world(industry_template)
     index = attribution.build_index([inst], [industry_template, other])
-    model = baselines.train_memorizer([inst], index)
+    model = _memorizer([inst], index)
     assert set(model.templates) == {industry_template.id}
 
 
@@ -73,7 +79,7 @@ def test_memorizer_reads_its_templates_from_the_index_in_id_order(industry_templ
     index = attribution.build_index([inst], [later, industry_template])
     assert list(index.templates) == ["t-pizza-seed", "t-z"]
     assert index.templates_of([inst]) == {"t-pizza-seed", "t-z"}
-    model = baselines.train_memorizer([inst], index)
+    model = _memorizer([inst], index)
     assert list(model.templates) == ["t-pizza-seed", "t-z"]
     assert model.templates["t-z"] is later
 
@@ -160,14 +166,14 @@ def test_memorize_trains_on_an_attributed_but_unalignable_instance(tmp_path):
 
 def test_predict_unseen_labels_via_iri_convention(industry_template):
     inst, index = _pizza_world(industry_template)
-    model = baselines.train_memorizer([inst], index)
+    model = _memorizer([inst], index)
     predicted = baselines.memorizer_predict(model, qlang.tokenize_nlq(AIRCRAFT_INSTANCE_NLQ))
     assert predicted == qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
 
 
 def test_predict_training_question_verbatim(industry_template):
     inst, index = _pizza_world(industry_template)
-    model = baselines.train_memorizer([inst], index)
+    model = _memorizer([inst], index)
     predicted = baselines.memorizer_predict(model, inst.pair.nlq)
     assert predicted == qlang.serialize(inst.pair.query_ast).split()
 
@@ -178,7 +184,7 @@ def test_predict_fallback_is_jaccard_nearest(industry_template):
         make_instance("t-b", "does gravity hold here ?", "ASK WHERE { <e:c> <p:p> <e:d> }"),
     ]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, index)
+    model = _memorizer(train, index)
     question = qlang.tokenize_nlq("does gravity hold there ?")
 
     def jaccard(a, b):
@@ -196,7 +202,7 @@ def test_predict_fallback_tie_breaks_on_lowest_id(industry_template):
         make_instance("a-early", "alpha beta gamma ?", "ASK WHERE { <e:a> <p:p> <e:a2> }"),
     ]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, index)
+    model = _memorizer(train, index)
     predicted = baselines.memorizer_predict(model, qlang.tokenize_nlq("alpha beta gamma ?"))
     assert predicted == train[1].pair.query_text.split()
 
@@ -206,7 +212,7 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
     # when its template is seen and all labels were harvested
     split_instances = toy_data.instances[:300]
     index = toy_data.index
-    model = baselines.train_memorizer(split_instances, index)
+    model = _memorizer(split_instances, index)
     for inst in split_instances[::23]:
         predicted = baselines.memorizer_predict(model, inst.pair.nlq)
         assert predicted == qlang.serialize(inst.pair.query_ast).split()
@@ -228,7 +234,7 @@ def test_predict_fallback_ties_across_fractions_go_to_lowest_id(industry_templat
     train = [_instance("z-half", ["alpha"], 0), _instance("m-half", ["alpha", "beta", "x", "y"], 1),
              _instance("a-third", ["alpha", "q", "r"], 2)]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, index)
+    model = _memorizer(train, index)
     question = ("alpha", "beta", "alpha")
     assert _jaccard(question, train[0].pair.nlq) == _jaccard(question, train[1].pair.nlq) == 0.5
     assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
@@ -238,7 +244,7 @@ def test_predict_fallback_ties_across_fractions_go_to_lowest_id(industry_templat
 def test_predict_fallback_without_overlap_takes_lowest_id(industry_template):
     train = [_instance("b", ["alpha"], 0), _instance("a", ["beta", "gamma"], 1), _instance("c", ["x"], 2)]
     index = attribution.build_index(train, [industry_template])
-    model = baselines.train_memorizer(train, index)
+    model = _memorizer(train, index)
     for question in (("never", "seen", "?"), ("ALPHA",), ()):
         assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
         assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
@@ -251,7 +257,7 @@ def test_predict_prefilter_casefolds_template_words(industry_template):
     inst = make_instance("i1", "Is robot comics in the publishing straße?", COMICS_INSTANCE_QUERY,
                          origin=template.id)
     index = attribution.build_index([inst], [template])
-    model = baselines.train_memorizer([inst], index)
+    model = _memorizer([inst], index)
     expected = qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
     for word in ("STRASSE", "Straße"):
         question = ("IS", "Tiger", "aircraft", "In", "THE", "aerospace", word, "?")
@@ -267,7 +273,7 @@ def _case_variant(rnd, tokens):
 
 
 def _memorizer_case(rnd):
-    """A random memorizer with held-out templates, noisy train and mixed questions."""
+    """A random train set with held-out templates and noise (ids may repeat), its index, and mixed questions."""
     _, templates, instances, _ = random_corpus(rnd)
     held_out = {t.id for t in templates if rnd.random() < 0.4}
     train = [inst for inst in instances if inst.origin_template_id not in held_out and rnd.random() < 0.8]
@@ -278,20 +284,20 @@ def _memorizer_case(rnd):
         train.append(_instance(f"n{rnd.randrange(30):02d}", tokens, n))  # ids may repeat
     rnd.shuffle(train)
     index = attribution.build_index(train, templates)
-    model = baselines.train_memorizer(train, index)
     questions = [inst.pair.nlq for inst in instances]
     questions += [_case_variant(rnd, q) for q in questions]
     questions += [tuple(rnd.choice(_NOISE_WORDS + ["unseen", "zzz"]) for _ in range(rnd.randrange(1, 8)))
                   for _ in range(10)]
     questions += [("unseen", "zzz", "unseen"), ()]
-    return model, questions
+    return train, index, questions
 
 
 def test_predict_equals_linear_scan_on_random_corpora():
     seen = {"template": 0, "fraction_tie": 0, "no_overlap": 0, "repeated": 0, "case_variant": 0}
     for case in range(500):
         rnd = random.Random(case)
-        model, questions = _memorizer_case(rnd)
+        train, index, questions = _memorizer_case(rnd)
+        model = _memorizer(train, index)
         train_tokens = {t for inst in model.fallback for t in inst.pair.nlq}
         for question in questions:
             expected = ref_memorizer_predict(model, question)
@@ -316,10 +322,90 @@ def test_predict_equals_linear_scan_on_default_sanitized_split(toy_data, toy_con
     tsplit = partitioner.split_templates(toy_data.templates, toy_data.seeds, seed_test)
     split = partitioner.sanitized_partition(toy_data.instances, tsplit, toy_data.index,
                                             toy_config.rng_seeds[0])
-    model = baselines.train_memorizer(split.train, toy_data.index)
+    model = _memorizer(split.train, toy_data.index)
     assert len(split.test) > 500
     for inst in split.test:
         assert baselines.memorizer_predict(model, inst.pair.nlq) == ref_memorizer_predict(model, inst.pair.nlq)
+
+
+def _assert_same_memorizer(model, ref):
+    """Field for field: the same template and instance objects in the same order, equal tables."""
+    assert [(tid, id(t)) for tid, t in model.templates.items()] == [(tid, id(t)) for tid, t in ref.templates.items()]
+    assert list(model.label_index.items()) == list(ref.label_index.items())
+    assert [id(inst) for inst in model.fallback] == [id(inst) for inst in ref.fallback]
+    assert model.postings.keys() == ref.postings.keys()
+    for token, positions in ref.postings.items():
+        assert model.postings[token].dtype == positions.dtype
+        assert np.array_equal(model.postings[token], positions), token
+    assert model.sizes.dtype == ref.sizes.dtype and np.array_equal(model.sizes, ref.sizes)
+    assert model.entity_namespace == ref.entity_namespace
+
+
+def test_memorizer_rows_equal_the_per_partition_trainer_on_random_corpora():
+    # The corpus holds the train set in another order, plus rows outside it; equal ids
+    # must keep their training order in the fallback, whatever their corpus order.
+    seen = Counter()
+    for case in range(300):
+        rnd = random.Random(case)
+        train, index, _ = _memorizer_case(rnd)
+        others = [_instance(f"n{rnd.randrange(30):02d}", [rnd.choice(_NOISE_WORDS)], 100 + n)
+                  for n in range(rnd.randrange(0, 6))]
+        corpus = train + others
+        rnd.shuffle(corpus)
+        row_of = {id(inst): row for row, inst in enumerate(corpus)}
+        rows = [row_of[id(inst)] for inst in train]
+        model = baselines.train_memorizer(baselines.memorizer_index(corpus, index), rows)
+        _assert_same_memorizer(model, references.ref_train_memorizer(train, index))
+        by_id: dict[str, list[int]] = {}
+        for row in rows:
+            by_id.setdefault(corpus[row].id, []).append(row)
+        seen["repeated id out of corpus order"] += any(r != sorted(r) for r in by_id.values())
+        seen["labels"] += bool(model.label_index)
+        seen["empty train"] += not train
+    assert seen["repeated id out of corpus order"] >= 50 and seen["labels"] >= 50 and seen["empty train"], seen
+
+
+def test_memorizer_rows_equal_the_per_partition_trainer_on_toy_partitions(toy_data, toy_config,
+                                                                          toy_baseline_corpus):
+    _, mem_index, rows = toy_baseline_corpus
+    parts = _toy_partitions(toy_data, toy_config)
+    leaky, fractions = parts[:5], parts[6:]
+    assert len(leaky) == 5 and len(fractions) == 4
+    for split in leaky + fractions:
+        model = baselines.train_memorizer(mem_index, [rows[i.id] for i in split.train])
+        _assert_same_memorizer(model, references.ref_train_memorizer(split.train, toy_data.index))
+
+
+def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch, toy_data, toy_config):
+    # exp1 trains six memorizers on overlapping train sets; the harvest runs once per
+    # (corpus instance, harvested template), and prediction's own matching is not counted
+    calls = Counter()
+    predicting = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if not predicting:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def predict(*args, **kwargs):
+        predicting.append(True)
+        try:
+            return baselines.memorizer_predict(*args, **kwargs)
+        finally:
+            predicting.pop()
+
+    monkeypatch.setattr(baselines, "match_nlq", counted("match_nlq", baselines.match_nlq))
+    monkeypatch.setattr(baselines, "align_placeholders", counted("align_placeholders", baselines.align_placeholders))
+    monkeypatch.setattr(experiments, "memorizer_predict", predict)
+    config = dataclasses.replace(toy_config, workdir=str(tmp_path))
+    experiments.run_experiment("exp1", config, toy_data)
+    index = toy_data.index
+    harvested = sum(1 if inst.origin_template_id in index.attributed(inst.id) else len(index.attributed(inst.id))
+                    for inst in toy_data.instances)
+    assert 0 < calls["match_nlq"] <= harvested, (calls, harvested)
+    assert 0 < calls["align_placeholders"] <= harvested, (calls, harvested)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +581,8 @@ def _toy_partitions(toy_data, toy_config):
     return parts
 
 
-def test_lm_equals_reference_on_toy_partitions(toy_data, toy_config, toy_lm_corpus):
-    lm_index, rows = toy_lm_corpus
+def test_lm_equals_reference_on_toy_partitions(toy_data, toy_config, toy_baseline_corpus):
+    lm_index, _, rows = toy_baseline_corpus
     parts = _toy_partitions(toy_data, toy_config)
     assert len(parts) == 10
     for split in parts:

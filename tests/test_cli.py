@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import references
-from splithygiene import experiments, toydata
+from splithygiene import baselines, experiments, partitioner, synthesis, toydata
 from splithygiene.cli import main
 from splithygiene.errors import SplitHygieneError
 
@@ -119,6 +119,26 @@ def test_missing_file_is_a_usage_error(tmp_path, runner):
     result = runner.invoke(main, [
         "extract", "--seeds", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "t.jsonl")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["extract", "attribute", "eval"])
+def test_an_output_in_a_missing_directory_is_named(tmp_path, runner, command):
+    templates = tmp_path / "templates.jsonl"
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text("ASK WHERE { <e:s> <p:p> <e:o> }\n")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "missing" / "out.txt"
+    args = {
+        "extract": ["extract", "--seeds", SEEDS],
+        "attribute": ["attribute", "--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql"),
+                      "--templates", str(templates)],
+        "eval": ["eval", "--pred", str(tmp_path / "c.ql"), "--test", str(tmp_path / "c.ql")],
+    }[command]
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"error: [Errno 2] No such file or directory: '{out}'"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_corrupt_input_is_a_validation_error(tmp_path, runner):
@@ -458,6 +478,25 @@ def test_lm_out_logp_bytes_equal_the_reference_on_the_sanitized_split(tmp_path, 
     expected = "".join(" ".join(repr(lp) for lp in references.ref_score_sentence(ref, s)) + "\n" for s in sents)
     assert logp.read_bytes() == expected.encode("utf-8")
     assert json.loads(result.output)["value"] == references.ref_lm_perplexity(ref, sents)
+
+
+def test_memorize_writes_the_predictions_the_preset_makes_on_a_leaky_split(tmp_path, runner, toy_data, toy_config,
+                                                                          toy_baseline_corpus):
+    seed = toy_config.rng_seeds[0]
+    split = partitioner.leaky_partition(toy_data.instances, toy_config.ratios, seed)
+    experiments.write_partition(tmp_path, split, "leaky", seed, toy_config.ratios, toy_data.config_digest)
+    synthesis.write_templates(tmp_path / "templates.jsonl", toy_data.templates)
+    pred = tmp_path / "pred.ql"
+    _ok(runner.invoke(main, ["memorize", "--train-nlq", str(tmp_path / "train.nlq"),
+                             "--train-ql", str(tmp_path / "train.ql"),
+                             "--train-manifest", str(tmp_path / "manifest.json"),
+                             "--templates", str(tmp_path / "templates.jsonl"),
+                             "--input", str(tmp_path / "test.nlq"), "--out", str(pred)]))
+    _, mem_index, rows = toy_baseline_corpus
+    model = baselines.train_memorizer(mem_index, [rows[inst.id] for inst in split.train])
+    expected = "".join(" ".join(baselines.memorizer_predict(model, inst.pair.nlq)) + "\n" for inst in split.test)
+    assert len(split.test) > 300
+    assert pred.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("k", ["nan", "inf"])

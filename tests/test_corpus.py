@@ -204,18 +204,16 @@ def test_manifest_round_trip_and_deterministic_bytes(tmp_path):
     assert text == (tmp_path / "b" / "manifest.json").read_bytes()
     doc = json.loads(text)
     assert doc == m1
-    assert set(doc) >= {"scheme", "rng_seed", "ratios", "counts", "assignments", "config_digest"}
+    assert set(doc) >= {"scheme", "rng_seed", "valid_fraction", "counts", "assignments", "config_digest"}
+    assert "ratios" not in doc and doc["valid_fraction"] == 0.1
 
 
-# the manifest.json bytes of a two-instance split, one instance with an origin template
+# the manifest.json bytes of a two-instance sanitized split, one instance with an origin
+# template; a sanitized split records the valid fraction that cut its pool, not ratios
 _GOLDEN_MANIFEST = """{
   "scheme": "sanitized",
   "rng_seed": 11,
-  "ratios": [
-    0.8,
-    0.1,
-    0.1
-  ],
+  "valid_fraction": 0.1,
   "counts": [
     1,
     0,
@@ -240,6 +238,32 @@ def test_manifest_golden_bytes(tmp_path, origin, tail):
     manifest = corpus.make_manifest(split, corpus.SANITIZED, 11, (0.8, 0.1, 0.1), "cccc")
     corpus.write_split(tmp_path, split, manifest)
     assert (tmp_path / "manifest.json").read_bytes() == (_GOLDEN_MANIFEST % tail).encode("utf-8")
+
+
+def test_leaky_manifest_golden_bytes(tmp_path):
+    split = _split_of([make_instance("a0", "is zero here ?", ASK_Q % 0)], [],
+                      [make_instance("b1", "is one here ?", ASK_Q % 1)])
+    corpus.write_split(tmp_path, split, corpus.make_manifest(split, corpus.LEAKY, 11, (0.5, 0.0, 0.5), "cccc"))
+    assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == """{
+  "scheme": "leaky",
+  "rng_seed": 11,
+  "ratios": [
+    0.5,
+    0.0,
+    0.5
+  ],
+  "counts": [
+    1,
+    0,
+    1
+  ],
+  "config_digest": "cccc",
+  "assignments": {
+    "a0": "train",
+    "b1": "test"
+  }
+}
+"""
 
 
 def test_manifest_supplies_origins(tmp_path):
