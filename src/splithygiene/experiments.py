@@ -154,7 +154,7 @@ def _parse_value(raw: str):
 
 
 def load_config(path) -> RunConfig:
-    """Flat key = value file; unknown keys and values of the wrong type or range are rejected."""
+    """Flat key = value file; unknown or repeated keys and values of the wrong type or range are rejected."""
     known = {f.name: f for f in fields(RunConfig)}
     values: dict = {}
     key_lines: dict[str, int] = {}
@@ -168,6 +168,8 @@ def load_config(path) -> RunConfig:
         key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(key, f"{path}:{line_no}: {key}: given twice, first on line {key_lines[key]}")
         value = _parse_value(raw)
         if key in ("rng_seeds", "ratios", "fractions") and not isinstance(value, tuple):
             value = (value,)
@@ -245,9 +247,8 @@ def held_out_seed_ids(seeds, fraction: float, rng_seed: int) -> list[str]:
     if not 0 <= fraction <= 1:
         raise RatioError(f"seed test fraction must be in [0, 1]: {fraction}")
     ids = [s.id for s in seeds]
-    n_test = round(len(ids) * fraction)
-    order = rng.permutation(len(ids), rng_seed, "seed-split")
-    return sorted(ids[i] for i in order[:n_test])
+    (held_out,) = rng.seeded_cut(ids, (round(len(ids) * fraction),), rng_seed, "seed-split")
+    return sorted(held_out)
 
 
 def seed_split_ids(data: PipelineData, config: RunConfig) -> list[str]:
@@ -258,9 +259,8 @@ def seed_split_ids(data: PipelineData, config: RunConfig) -> list[str]:
 def halve_seed_test_ids(seed_test_ids, rng_seed: int) -> list[str]:
     """Keep half of the held-out seed ids; the other half rejoins training."""
     ids = sorted(seed_test_ids)
-    order = rng.permutation(len(ids), rng_seed, "seed-test-halving")
-    keep = (len(ids) + 1) // 2
-    return sorted(ids[i] for i in order[:keep])
+    (kept,) = rng.seeded_cut(ids, ((len(ids) + 1) // 2,), rng_seed, "seed-test-halving")
+    return list(kept)
 
 
 def baseline_corpus(data: PipelineData, config: RunConfig) -> tuple[NGramIndex, MemorizerIndex, dict[str, int]]:

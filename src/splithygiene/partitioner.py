@@ -62,30 +62,21 @@ def _check_ratios(ratios) -> tuple[Fraction, Fraction, Fraction]:
     return fracs
 
 
-def _ordered_subset(items, indices) -> tuple:
-    chosen = set(indices)
-    return tuple(item for i, item in enumerate(items) if i in chosen)
-
-
 def leaky_partition(instances, ratios=(0.8, 0.1, 0.1), rng_seed: int = 0) -> Split3:
     """Random template-naive split.
 
     With N instances and ratios (r_train, r_valid, r_test):
-    n_valid = floor(r_valid*N), n_test = ceil(r_test*N), n_train = the rest;
-    a seeded shuffle assigns the train block, then valid, then test.
+    n_valid = floor(r_valid*N), n_test = ceil(r_test*N) capped at N - n_valid,
+    n_train = the rest; the seeded cut gives the train block, then valid, then
+    test. The cap only acts when the ratios sum to a hair over 1.
     """
     _, r_valid, r_test = _check_ratios(ratios)
     items = list(instances)
     n = len(items)
     n_valid = floor(r_valid * n)
-    n_test = ceil(r_test * n)
-    n_train = n - n_valid - n_test
-    order = rng.permutation(n, rng_seed, "leaky-partition")
-    return Split3(
-        train=_ordered_subset(items, order[:n_train]),
-        valid=_ordered_subset(items, order[n_train:n_train + n_valid]),
-        test=_ordered_subset(items, order[n_train + n_valid:]),
-    )
+    n_test = min(ceil(r_test * n), n - n_valid)
+    train, valid, test = rng.seeded_cut(items, (n - n_valid - n_test, n_valid, n_test), rng_seed, "leaky-partition")
+    return Split3(train=train, valid=valid, test=test)
 
 
 def split_templates(templates, seeds, seed_test_ids) -> TemplateSplit:
@@ -122,7 +113,6 @@ def sanitized_partition(
     tsplit: TemplateSplit,
     index: AttributionIndex,
     rng_seed: int = 0,
-    valid_fraction: float = VALID_FRACTION,
 ) -> Split3:
     """Template-coordinated split whose test set is strictly unseen.
 
@@ -131,7 +121,8 @@ def sanitized_partition(
     and unattributed instances always join the train pool. Candidates that
     still share an attributed template with any pool instance are demoted to
     the pool until none remain, which makes the no-shared-template guarantee
-    unconditional. The pool is then shuffled and cut 90/10 into train/valid.
+    unconditional. The seeded cut then takes floor(VALID_FRACTION*|pool|)
+    pool instances for valid; the rest of the pool is train.
     """
     items = list(instances)
     test_tids = tsplit.test_template_ids
@@ -155,34 +146,22 @@ def sanitized_partition(
 
     test = tuple(inst for inst in items if in_test[inst.id])
     pool = [inst for inst in items if not in_test[inst.id]]
-    n_valid = floor(_exact(valid_fraction) * len(pool))
-    order = rng.permutation(len(pool), rng_seed, "sanitized-valid")
-    valid_idx = set(order[:n_valid])
-    return Split3(
-        train=tuple(inst for i, inst in enumerate(pool) if i not in valid_idx),
-        valid=tuple(inst for i, inst in enumerate(pool) if i in valid_idx),
-        test=test,
-    )
+    n_valid = floor(_exact(VALID_FRACTION) * len(pool))
+    valid, train = rng.seeded_cut(pool, (n_valid, len(pool) - n_valid), rng_seed, "sanitized-valid")
+    return Split3(train=train, valid=valid, test=test)
 
 
 def subsample_train(split: Split3, fraction: float, rng_seed: int = 0) -> Split3:
-    """Replace train with a seeded sample of floor(fraction*|train|) instances.
+    """Replace train with the seeded cut's first floor(fraction*|train|) instances.
 
     The same rng_seed yields nested samples across growing fractions; valid
     and test are untouched.
     """
-    frac = _exact(fraction)
-    if not (0 < frac <= 1):
+    if not (isfinite(fraction) and 0 < _exact(fraction) <= 1):
         raise RatioError(f"fraction must be in (0, 1]: {fraction}")
-    if frac == 1:
-        return split
-    k = floor(frac * len(split.train))
-    order = rng.permutation(len(split.train), rng_seed, "subsample-train")
-    return Split3(
-        train=_ordered_subset(split.train, order[:k]),
-        valid=split.valid,
-        test=split.test,
-    )
+    k = floor(_exact(fraction) * len(split.train))
+    (train,) = rng.seeded_cut(split.train, (k,), rng_seed, "subsample-train")
+    return Split3(train=train, valid=split.valid, test=split.test)
 
 
 def diagnostics(split: Split3, index: AttributionIndex, tsplit: TemplateSplit | None = None) -> dict:

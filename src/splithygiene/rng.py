@@ -8,6 +8,7 @@ seed, so results never depend on call order.
 from __future__ import annotations
 
 import hashlib
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,3 +28,17 @@ def generator(seed: int, *stream: object) -> np.random.Generator:
 def permutation(n: int, seed: int, *stream: object) -> list[int]:
     """Deterministic permutation of range(n) for (seed, stream)."""
     return [int(i) for i in generator(seed, *stream).permutation(n)]
+
+
+def seeded_cut(items, sizes, seed: int, *stream: object) -> list[tuple]:
+    """Consecutive blocks of the (seed, stream) permutation of `items`, each kept in input order.
+
+    Block j holds permutation positions sum(sizes[:j]) up to sum(sizes[:j+1]). Sizes must be
+    non-negative and sum to at most len(items); items past the last block are in none.
+    """
+    items = list(items)
+    if min(sizes, default=0) < 0 or sum(sizes) > len(items):
+        raise ValueError(f"block sizes {list(sizes)} do not fit {len(items)} items")
+    order = permutation(len(items), seed, *stream)
+    ends = accumulate(sizes)
+    return [tuple(items[i] for i in sorted(order[end - size:end])) for size, end in zip(sizes, ends)]

@@ -59,6 +59,16 @@ def _locate_iri(ast: QueryAst, span_text: str) -> str | None:
     return None
 
 
+def _rewrite_terms(ast: QueryAst, kind: type, new, form: str | None = None,
+                   select_vars: tuple[str, ...] | None = None) -> QueryAst:
+    """`ast` with each term of type `kind` replaced by `new(term)`; form and select_vars kept unless given."""
+    return QueryAst(
+        form=ast.form if form is None else form,
+        select_vars=ast.select_vars if select_vars is None else select_vars,
+        patterns=tuple(tuple(new(t) if isinstance(t, kind) else t for t in p) for p in ast.patterns),
+    )
+
+
 def extract_template(seed: Seed) -> Template:
     """Turn a seed's labeled surface forms into slots and placeholders.
 
@@ -90,23 +100,11 @@ def extract_template(seed: Seed) -> Template:
             elements.append(Word(token))
     nlq_pattern = NlqPattern(tuple(elements))  # raises AdjacentSlots when spans touch
 
-    iri_labels = {iri: label for label, iri in label_iris.items()}
-
-    def swap(term):
-        if isinstance(term, Iri) and term.value in iri_labels:
-            return Placeholder(iri_labels[term.value])
-        return term
-
-    patterns = tuple(tuple(swap(t) for t in p) for p in seed.pair.query_ast.patterns)
-    query_pattern = QueryAst(
-        form=seed.pair.query_ast.form,
-        select_vars=seed.pair.query_ast.select_vars,
-        patterns=patterns,
-    )
+    placeholders = {iri: Placeholder(label) for label, iri in label_iris.items()}
     return Template(
         id=f"t-{seed.id}",
         nlq_pattern=nlq_pattern,
-        query_pattern=query_pattern,
+        query_pattern=_rewrite_terms(seed.pair.query_ast, Iri, lambda t: placeholders.get(t.value, t)),
         origin_seed_id=seed.id,
         placeholder_labels=tuple(sorted(label_iris)),
     )
@@ -125,30 +123,13 @@ def derive_binding_query(template: Template) -> QueryAst:
     clash = sorted(set(names.values()) & existing)
     if clash:
         raise ValueError(f"template {template.id}: binding variables {clash} collide with query variables")
-
-    def swap(term):
-        if isinstance(term, Placeholder):
-            return Var(names[term.label])
-        return term
-
-    patterns = tuple(tuple(swap(t) for t in p) for p in template.query_pattern.patterns)
-    select_vars = tuple(names[label] for label in template.placeholder_labels)
-    return QueryAst(form=qlang.SELECT_DISTINCT, select_vars=select_vars, patterns=patterns)
+    return _rewrite_terms(template.query_pattern, Placeholder, lambda t: Var(names[t.label]),
+                          qlang.SELECT_DISTINCT, tuple(names.values()))
 
 
 def bind_placeholders(template: Template, row: dict[str, str]) -> QueryAst:
     """Concrete query from a binding row keyed by lowercased labels."""
-    def swap(term):
-        if isinstance(term, Placeholder):
-            return Iri(row[term.label.lower()])
-        return term
-
-    patterns = tuple(tuple(swap(t) for t in p) for p in template.query_pattern.patterns)
-    return QueryAst(
-        form=template.query_pattern.form,
-        select_vars=template.query_pattern.select_vars,
-        patterns=patterns,
-    )
+    return _rewrite_terms(template.query_pattern, Placeholder, lambda t: Iri(row[t.label.lower()]))
 
 
 def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: int) -> list[Instance]:
@@ -162,18 +143,10 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
         raise ValueError("limit must be >= 0")
     if limit == 0:
         return []
-    if not template.placeholder_labels:
-        result = evaluate(graph, template.query_pattern)
-        holds = result if isinstance(result, bool) else bool(result)
-        if not holds:
-            return []
-        pair = QAPair.from_ast(
-            tuple(e.token for e in template.nlq_pattern.elements if isinstance(e, Word)),
-            template.query_pattern,
-        )
-        return [Instance(id=f"{template.id}-0", pair=pair, origin_template_id=template.id)]
-
-    rows = evaluate(graph, derive_binding_query(template))
+    if template.placeholder_labels:
+        rows = evaluate(graph, derive_binding_query(template))
+    else:  # one empty binding row iff the query holds
+        rows = [{}] if evaluate(graph, template.query_pattern) else []
     order = rng.permutation(len(rows), rng_seed, "generate", template.id)
     instances: list[Instance] = []
     for k, row_idx in enumerate(order[:limit]):

@@ -253,6 +253,19 @@ def test_config_of_wrong_type_or_range_exits_2_without_traceback(tmp_path, line,
     assert not (tmp_path / "w").exists()
 
 
+def test_repeated_config_key_exits_2_naming_the_line(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("lm_order = 3\n# the same key again\nlm_order = 5\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "splithygiene.cli", "run", "exp3", "--config", str(config),
+         "--workdir", str(tmp_path / "w")],
+        capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {config}:3: lm_order: given twice, first on line 1")
+    assert "Traceback" not in result.stdout + result.stderr
+    assert not (tmp_path / "w").exists()
+
+
 _ONE_QUERY = "ASK WHERE { <http://x.org/This> <p:p> <e:o> }"
 _SEED_LINE = json.dumps({"id": "s0", "nlq": "is this here ?", "query": _ONE_QUERY,
                          "surface_forms": {"A": {"span": [1, 2]}}})

@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance, random_corpus, random_template_split
-from splithygiene import attribution, corpus, partitioner, synthesis
+from splithygiene import attribution, corpus, partitioner, rng, synthesis
 from splithygiene.errors import RatioError
 from splithygiene.qlang import NlqPattern, parse_query
 
@@ -52,6 +53,35 @@ def _toy_corpus(n_templates=5, per_template=20):
 
 
 # ---------------------------------------------------------------------------
+# rng.seeded_cut
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 50), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_seeded_cut_blocks_are_ordered_disjoint_nested_prefixes_of_the_permutation(n, seed, data):
+    items = [f"i{k}" for k in range(n, 0, -1)]
+    position = {item: k for k, item in enumerate(items)}
+    bounds = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    sizes = [b - a for a, b in zip([0] + bounds, bounds)]
+    blocks = rng.seeded_cut(items, sizes, seed, "cut")
+    assert [len(block) for block in blocks] == sizes
+    for block in blocks:
+        assert [position[item] for item in block] == sorted(position[item] for item in block)
+    union = [item for block in blocks for item in block]
+    assert len(set(union)) == len(union)
+    order = rng.permutation(n, seed, "cut")
+    assert set(union) == {items[i] for i in order[:sum(sizes)]}
+    small, large = sorted(data.draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    assert set(rng.seeded_cut(items, [small], seed, "cut")[0]) <= set(rng.seeded_cut(items, [large], seed, "cut")[0])
+
+
+@pytest.mark.parametrize("sizes", [(-1, 3), (2, 2)])
+def test_seeded_cut_rejects_sizes_that_do_not_fit(sizes):
+    with pytest.raises(ValueError):
+        rng.seeded_cut(["a", "b", "c"], sizes, 0, "cut")
+
+
+# ---------------------------------------------------------------------------
 # leaky_partition
 # ---------------------------------------------------------------------------
 
@@ -77,6 +107,18 @@ def test_leaky_deterministic_and_complete():
     assert len(set(a.valid) & set(a.test)) == 0
     c = partitioner.leaky_partition(items, (0.8, 0.1, 0.1), 6)
     assert (a.train, a.valid, a.test) != (c.train, c.valid, c.test)
+
+
+@pytest.mark.parametrize("ratios, counts", [
+    ((0.0, 0.5, 0.5000000001), (0, 1638, 1638)),
+    ((0.0, 0.0, 1.0000000001), (0, 0, 3276)),
+    ((0.8, 0.1, 0.1000000005), (2621, 327, 328)),
+])
+def test_leaky_ratios_inside_the_sum_tolerance_still_partition_the_input(ratios, counts):
+    items = list(range(3276))
+    split = partitioner.leaky_partition(items, ratios, 101)
+    assert split.counts == counts
+    assert sorted(split.train + split.valid + split.test) == items
 
 
 @pytest.mark.parametrize("ratios", [(0.8, 0.1), (0.8, 0.2, 0.1), (-0.1, 0.6, 0.5), (0.5, 0.25, 0.2)])
@@ -258,7 +300,7 @@ def test_subsample_nested_across_fractions():
     assert samples[1.0] == set(split.train)
 
 
-@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.2])
+@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.2, float("nan"), float("inf")])
 def test_subsample_fraction_validation(fraction):
     split = partitioner.leaky_partition(["a", "b", "c"], (0.8, 0.1, 0.1), 0)
     with pytest.raises(RatioError):

@@ -153,12 +153,20 @@ def test_generate_deterministic(industry_template):
 
 
 def test_generate_zero_slot_template_checks_graph():
-    pair = corpus.QAPair.from_text("fixed thing ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
-    t = synthesis.extract_template(corpus.Seed(id="s", pair=pair, surface_forms={}))
-    hit = kgstore.Graph([("e:s", "p:p", "e:o")])
+    hit = kgstore.Graph([("e:s", "p:p", "e:o"), ("e:s", "p:p", "e:m"), ("e:m", "p:q", "e:o"), ("e:o", "p:q", "e:o")])
     miss = kgstore.Graph([("e:s", "p:p", "e:other")])
-    assert len(synthesis.generate_instances(t, hit, 5, 1)) == 1
-    assert synthesis.generate_instances(t, miss, 5, 1) == []
+    for nlq, query in (
+        ("fixed thing ?", "ASK WHERE { <e:s> <p:p> <e:o> }"),
+        ("what does it touch ?", "SELECT DISTINCT ?x WHERE { <e:s> <p:p> ?x . ?x <p:q> <e:o> }"),
+    ):
+        pair = corpus.QAPair.from_text(nlq, query)
+        t = synthesis.extract_template(corpus.Seed(id="s", pair=pair, surface_forms={}))
+        [inst] = synthesis.generate_instances(t, hit, 5, 1)
+        assert inst.id == "t-s-0"
+        assert inst.pair.nlq == tuple(nlq.split())
+        assert inst.pair.query_text == serialize(t.query_pattern) == query
+        assert inst.origin_template_id == "t-s"
+        assert synthesis.generate_instances(t, miss, 5, 1) == []
 
 
 def test_generated_instances_invert_and_hold(toy_data, toy_config):
