@@ -280,8 +280,8 @@ class NGramIndex:
     of ``prefix * width + token`` in ``keys[m]``, the sorted distinct keys of
     the corpus, so ids never collide. Sentence r owns the events
     ``starts[r]:starts[r + 1]``, one per token and one for the end marker; for
-    each event ``grams[m]`` holds the id of the order-m gram ending at it and
-    ``contexts[m]`` (m >= 2) the id of the m-1 tokens before it.
+    each event ``grams[m]`` holds the id of the order-m gram ending at it. The
+    context of an order-m gram is the order-(m-1) gram ``keys[m] // width``.
     """
 
     order: int
@@ -289,7 +289,6 @@ class NGramIndex:
     keys: dict[int, np.ndarray] = field(repr=False)
     starts: np.ndarray = field(repr=False)
     grams: dict[int, np.ndarray] = field(repr=False)
-    contexts: dict[int, np.ndarray] = field(repr=False)
 
     @property
     def width(self) -> int:
@@ -326,11 +325,9 @@ def ngram_index(sentences, order: int) -> NGramIndex:
     width = len(token_ids)
     events = np.flatnonzero(offset >= order - 1)
     grams = {1: tokens[events].astype(np.int32)}
-    contexts: dict[int, np.ndarray] = {}
     keys: dict[int, np.ndarray] = {}
     ids = tokens.astype(np.int32)
     for m in range(2, order + 1):  # ids: the order-(m-1) gram ending at each position, -1 before one fits
-        contexts[m] = ids[events - 1]
         at = np.flatnonzero(offset >= m - 1)
         keys[m], inverse = np.unique(ids[at - 1].astype(np.int64) * width + tokens[at], return_inverse=True)
         ids = np.full(tokens.size, -1, dtype=np.int32)
@@ -339,8 +336,7 @@ def ngram_index(sentences, order: int) -> NGramIndex:
         grams[m] = ids[events]
     starts = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
-    return NGramIndex(order=order, token_ids=token_ids, keys=keys, starts=starts,
-                      grams=grams, contexts=contexts)
+    return NGramIndex(order=order, token_ids=token_ids, keys=keys, starts=starts, grams=grams)
 
 
 @dataclass
@@ -387,7 +383,9 @@ def train_ngram_lm(index: NGramIndex, rows, k: float = 0.1) -> NGramLM:
         raise EmptyCorpus("no training sentences")
     sizes = {1: index.width, **{m: keys.size for m, keys in index.keys.items()}}
     counts = {m: np.bincount(grams[events], minlength=sizes[m]) for m, grams in index.grams.items()}
-    totals = {m: np.bincount(ctx[events], minlength=sizes[m - 1]) for m, ctx in index.contexts.items()}
+    # a context's total is the sum of its grams' counts; float64 weights are exact below 2**53
+    totals = {m: np.bincount(keys // index.width, weights=counts[m], minlength=sizes[m - 1]).astype(np.int64)
+              for m, keys in index.keys.items()}
     seen = np.flatnonzero(counts[1]).tolist()
     tokens = {i: token for token, i in index.token_ids.items()}
     vocab = frozenset(tokens[i] for i in seen) | {EOS, UNK}

@@ -51,6 +51,7 @@ from .partitioner import _check_ratios, leaky_partition, sanitized_partition, sp
 from .synthesis import read_templates, write_templates
 
 _WORKDIR_ENV = "SPLITHYGIENE_WORKDIR"
+_DEFAULTS = experiments.RunConfig()
 
 
 def _fail(code: int, message: str):
@@ -106,7 +107,8 @@ def extract(seeds_path, out_path):
 @main.command()
 @click.option("--templates", "templates_path", type=click.Path(exists=True), required=True)
 @click.option("--kg", "kg_path", type=click.Path(exists=True), required=True)
-@click.option("--limit", type=int, default=100, show_default=True, help="Instances per template.")
+@click.option("--limit", type=int, default=_DEFAULTS.instance_limit, show_default=True,
+              help="Instances per template.")
 @click.option("--out-dir", type=click.Path(), required=True)
 @_rng_seed_option
 def generate(templates_path, kg_path, limit, out_dir, rng_seed):
@@ -159,14 +161,14 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
 @click.option("--nlq", "nlq_path", type=click.Path(exists=True), required=True)
 @click.option("--ql", "ql_path", type=click.Path(exists=True), required=True)
 @click.option("--manifest", "manifest_path", type=click.Path(exists=True), default=None)
-@click.option("--ratios", default="0.8,0.1,0.1", show_default=True,
+@click.option("--ratios", default=",".join(map(str, _DEFAULTS.ratios)), show_default=True,
               help="Train/valid/test ratios of the leaky scheme; checked for both schemes, but the "
                    "sanitized scheme routes test by template and cuts its pool 90/10.")
 @click.option("--templates", "templates_path", type=click.Path(exists=True), default=None,
               help="Required for the sanitized scheme.")
 @click.option("--seeds", "seeds_path", type=click.Path(exists=True), default=None,
               help="Required for the sanitized scheme.")
-@click.option("--seed-test-fraction", type=float, default=0.2, show_default=True)
+@click.option("--seed-test-fraction", type=float, default=_DEFAULTS.seed_test_fraction, show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 @_rng_seed_option
 def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
@@ -214,8 +216,8 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
 @main.command()
 @click.option("--train-ql", type=click.Path(exists=True), required=True)
 @click.option("--eval-ql", type=click.Path(exists=True), required=True)
-@click.option("--order", type=int, default=5, show_default=True)
-@click.option("--k", type=float, default=0.1, show_default=True)
+@click.option("--order", type=int, default=_DEFAULTS.lm_order, show_default=True)
+@click.option("--k", type=float, default=_DEFAULTS.lm_k, show_default=True)
 @click.option("--out-logp", type=click.Path(), default=None, help="Optional pred.logp output.")
 def lm(train_ql, eval_ql, order, k, out_logp):
     """Train the n-gram query LM and report perplexity on an evaluation file."""
@@ -250,7 +252,10 @@ def eval_cmd(pred_path, test_path, logp_path, out_path):
         "reference_len": report.reference_len,
     }
     if logp_path:
-        doc["perplexity"] = perplexity(read_logp(logp_path))
+        logp = read_logp(logp_path)
+        if len(logp) != len(refs):
+            raise LineCountMismatch(f"{logp_path} has {len(logp)} lines but {test_path} has {len(refs)}")
+        doc["perplexity"] = perplexity(logp)
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
         write_text(out_path, text)

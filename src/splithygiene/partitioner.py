@@ -117,11 +117,12 @@ def sanitized_partition(
     """Template-coordinated split whose test set is strictly unseen.
 
     An instance is a test candidate iff its attributed set is non-empty,
-    intersects the test templates, and avoids the train templates. Ambiguous
-    and unattributed instances always join the train pool. Candidates that
-    still share an attributed template with any pool instance are demoted to
-    the pool until none remain, which makes the no-shared-template guarantee
-    unconditional. The seeded cut then takes floor(VALID_FRACTION*|pool|)
+    intersects the test templates, and avoids the train templates: an
+    ambiguous instance is one when all its attributed templates are held out,
+    however many there are, and unattributed instances always join the train
+    pool. Candidates that still share an attributed template with any pool
+    instance are demoted to the pool until none remain, which makes the
+    no-shared-template guarantee unconditional. The seeded cut then takes floor(VALID_FRACTION*|pool|)
     pool instances for valid; the rest of the pool is train.
     """
     items = list(instances)

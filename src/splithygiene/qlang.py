@@ -8,8 +8,8 @@ The formal-query subset covers exactly two forms over a basic graph pattern:
 Terms are IRIs in angle brackets, ``?var`` variables, or ``<Placeholder:A>``
 markers standing for a not-yet-bound entity. Anything else (OPTIONAL, FILTER,
 UNION, literals) is rejected with a ParseError carrying the offset. One
-compiled regex accepts a well-formed query in a single match; a character
-scanner runs only on the text it declines, and names the offset of the error.
+compiled regex splits a query into lexemes, and one walk over them builds the
+AST or raises the error at the offset of the first lexeme out of place.
 
 Question (NLQ) patterns interleave lowercased word tokens with labeled slots
 written ``<A>``; a slot matches one or more contiguous question tokens.
@@ -17,6 +17,7 @@ written ``<A>``; a slot matches one or more contiguous question tokens.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,6 @@ ASK = "ask"
 SELECT_DISTINCT = "select_distinct"
 
 _SLOT_MARKER = re.compile(r"<([A-Z][A-Z0-9]*)>\Z")
-_VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LABEL = re.compile(r"[A-Z][A-Z0-9]*\Z")
 _SENTENCE_PUNCT = ("?", "!", ".")
 
@@ -100,96 +100,16 @@ def serialize(ast: QueryAst) -> str:
 # Query parser
 # ---------------------------------------------------------------------------
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fail(self, expected: str) -> ParseError:
-        return ParseError(self.pos, f"expected {expected}")
-
-    def keyword(self, word: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(word, self.pos):
-            raise self.fail(word)
-        end = self.pos + len(word)
-        if end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-            raise self.fail(word)
-        self.pos = end
-
-    def char(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.fail(f"'{ch}'")
-        self.pos += 1
-
-    def angle_term(self) -> Iri | Placeholder:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() != "<":
-            raise self.fail("'<'")
-        end = self.text.find(">", start + 1)
-        if end < 0:
-            raise self.fail("closing '>'")
-        content = self.text[start + 1:end]
-        if not content or any(c in content for c in "<{}") or any(c.isspace() for c in content):
-            raise ParseError(start, "malformed IRI")
-        self.pos = end + 1
-        if content.startswith("Placeholder:"):
-            label = content[len("Placeholder:"):]
-            if not _LABEL.match(label):
-                raise ParseError(start, f"malformed placeholder label {label!r}")
-            return Placeholder(label)
-        return Iri(content)
-
-    def variable(self) -> Var:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() != "?":
-            raise self.fail("'?'")
-        m = _VAR_NAME.match(self.text, start + 1)
-        if not m:
-            raise ParseError(start, "malformed variable name")
-        self.pos = m.end()
-        return Var(m.group(0))
-
-    def term(self) -> Term:
-        ch = self.peek()
-        if ch == "<":
-            return self.angle_term()
-        if ch == "?":
-            return self.variable()
-        raise self.fail("an IRI, variable, or placeholder term")
-
-
-# The supported subset is a regular language, so one compiled regex accepts it.
-# \s is str.isspace() and \w is str.isalnum() or "_" on every code point, so
-# _QUERY skips the scanner's whitespace and keeps its keyword boundaries: ASK
-# and SELECT must not run into a word character ("ASKWHERE" is no query), while
-# DISTINCT and WHERE are followed by "?" or "{". A variable name is greedy
-# ("?yWHERE" is one name), text after "<Placeholder:" is a label, never an IRI,
-# and a pattern ends at a "." or right before the closing "}".
-_VAR = r"\?[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
-_ANGLE = r"<(?:Placeholder:[A-Z][A-Z0-9]*|(?!Placeholder:)[^<>{}\s]+)>"
-_TRIPLE = rf"(?:{_ANGLE}|{_VAR})\s*{_ANGLE}\s*(?:{_ANGLE}|{_VAR})"
-_QUERY = re.compile(
-    rf"\s*(?:ASK(?!\w)|SELECT(?!\w)\s*DISTINCT(?P<head>\s*{_VAR}(?:\s*,\s*{_VAR})*))"
-    rf"\s*WHERE\s*\{{(?P<body>(?:\s*{_TRIPLE}\s*(?:\.|(?=\}})))+)\s*\}}\s*"
-)
-# in a head or body that _QUERY accepted, only terms contain "<" or "?"
-_TERM = re.compile(r"<[^>]*>|\?[A-Za-z0-9_]+")
+# The lexemes of a query: an angle term with no "<" before its ">", a variable,
+# a word, or any other single non-space character. Each step of the walk below
+# takes exactly one lexeme, so the lexeme's start is the offset a ParseError
+# names. \s is str.isspace() and \w is str.isalnum() or "_" on every code
+# point, so a word is a keyword only when no word character runs into it
+# ("ASKWHERE" is no query), and a variable name is greedy ("?yWHERE" is one
+# name). An angle term may not contain "<": "<[^>]*>" would rescan to the end
+# of the line from every "<", making a run of them quadratic.
+_LEXEME = re.compile(r"<[^<>]*>|\?[A-Za-z_][A-Za-z0-9_]*|\w+|\S")
+_IRI = re.compile(r"[^{}\s]+")
 
 
 def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
@@ -198,87 +118,99 @@ def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
     ``terms`` maps a term's text to its term object. Callers that pass one
     dict to many calls get one shared object for each distinct term.
     """
-    ast = _accept(text, {} if terms is None else terms)
-    return _scan(text) if ast is None else ast
-
-
-def _accept(text: str, terms: dict[str, Term]) -> QueryAst | None:
-    """The AST of a well-formed query, or None; the scanner names the error of the rest."""
-    m = _QUERY.fullmatch(text)
-    if m is None:
-        return None
-    get = terms.get
-    flat = [get(t) or _new_term(terms, t) for t in _TERM.findall(m["body"])]
-    patterns = tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
-    if m["head"] is None:
-        return QueryAst(ASK, (), patterns)
-    names = tuple(v[1:] for v in _TERM.findall(m["head"]))
-    if len(set(names)) != len(names) or not {t.name for t in flat if type(t) is Var}.issuperset(names):
-        return None
-    return QueryAst(SELECT_DISTINCT, names, patterns)
-
-
-def _new_term(terms: dict[str, Term], text: str) -> Term:
-    if text[0] == "?":
-        term = Var(text[1:])
-    elif text.startswith("<Placeholder:"):
-        term = Placeholder(text[len("<Placeholder:"):-1])
+    lexemes = _LEXEME.findall(text)
+    lexemes.append("")  # the end of the text; no step takes it
+    if terms is None:
+        terms = {}
+    if lexemes[0][:1] == "A":
+        form, keywords = ASK, ("ASK",)
     else:
-        term = Iri(text[1:-1])
-    terms[text] = term
-    return term
-
-
-def _scan(text: str) -> QueryAst:
-    """Parse character by character, raising a ParseError at the offset where the text leaves the subset."""
-    sc = _Scanner(text)
-    select_vars: tuple[str, ...] = ()
-    if sc.peek() == "A":
-        sc.keyword("ASK")
-        form = ASK
-    else:
-        sc.keyword("SELECT")
-        sc.keyword("DISTINCT")
-        names: list[str] = []
-        names.append(sc.variable().name)
-        while sc.peek() == ",":
-            sc.char(",")
-            names.append(sc.variable().name)
-        if len(set(names)) != len(names):
-            raise ParseError(sc.pos, "duplicate variable in SELECT list")
-        form = SELECT_DISTINCT
-        select_vars = tuple(names)
-    sc.keyword("WHERE")
-    sc.char("{")
-    patterns: list[TriplePattern] = []
-    if sc.peek() == "}":
-        raise sc.fail("at least one triple pattern")
-    while True:
-        subj = sc.term()
-        sc.skip_ws()
-        pred_pos = sc.pos
-        pred = sc.term()
-        if isinstance(pred, Var):
-            raise ParseError(pred_pos, "predicate must be an IRI or a placeholder")
-        obj = sc.term()
-        patterns.append((subj, pred, obj))
-        if sc.peek() == ".":
-            sc.char(".")
-            if sc.peek() == "}":
-                break
-            continue
-        if sc.peek() == "}":
+        form, keywords = SELECT_DISTINCT, ("SELECT", "DISTINCT")
+    for i, word in enumerate(keywords):
+        if lexemes[i] != word:
+            raise ParseError(_offset(text, i), f"expected {word}")
+    i = len(keywords)
+    names: list[str] = []
+    while form == SELECT_DISTINCT:
+        lex = lexemes[i]
+        if lex[:1] != "?":
+            raise ParseError(_offset(text, i), "expected '?'")
+        if lex == "?":
+            raise ParseError(_offset(text, i), "malformed variable name")
+        names.append(lex[1:])
+        i += 1
+        if lexemes[i] != ",":
             break
-        raise sc.fail("'.' or '}'")
-    sc.char("}")
-    if not sc.at_end():
-        raise sc.fail("end of query")
-    ast = QueryAst(form=form, select_vars=select_vars, patterns=tuple(patterns))
+        i += 1
+    if len(set(names)) != len(names):
+        raise ParseError(_offset(text, i), "duplicate variable in SELECT list")
+    if lexemes[i] != "WHERE":
+        raise ParseError(_offset(text, i), "expected WHERE")
+    i += 1
+    if lexemes[i] != "{":
+        raise ParseError(_offset(text, i), "expected '{'")
+    i += 1
+    if lexemes[i] == "}":
+        raise ParseError(_offset(text, i), "expected at least one triple pattern")
+    get = terms.get
+    patterns: list[TriplePattern] = []
+    while True:
+        subj = get(lexemes[i]) or _term(text, lexemes, i, terms)
+        pred = get(lexemes[i + 1]) or _term(text, lexemes, i + 1, terms)
+        if type(pred) is Var:
+            raise ParseError(_offset(text, i + 1), "predicate must be an IRI or a placeholder")
+        obj = get(lexemes[i + 2]) or _term(text, lexemes, i + 2, terms)
+        patterns.append((subj, pred, obj))
+        i += 3
+        if lexemes[i] == ".":
+            i += 1
+            if lexemes[i] == "}":
+                break
+        elif lexemes[i] == "}":
+            break
+        else:
+            raise ParseError(_offset(text, i), "expected '.' or '}'")
+    if lexemes[i + 1]:
+        raise ParseError(_offset(text, i + 1), "expected end of query")
+    ast = QueryAst(form, tuple(names), tuple(patterns))
     pattern_vars = ast.variables()
-    for v in select_vars:
+    for v in names:
         if v not in pattern_vars:
             raise ParseError(0, f"SELECT variable ?{v} does not occur in the pattern")
     return ast
+
+
+def _term(text: str, lexemes: list[str], i: int, terms: dict[str, Term]) -> Term:
+    """The term lexeme ``i`` spells, recorded in ``terms``; a ParseError when it spells none."""
+    lex = lexemes[i]
+    if lex[:1] == "?":
+        if lex == "?":
+            raise ParseError(_offset(text, i), "malformed variable name")
+        term = Var(lex[1:])
+    elif lex == "<":  # no ">" closes this "<" before the next "<" or the end of the text
+        start = _offset(text, i)
+        raise ParseError(start, "malformed IRI" if text.find(">", start) >= 0 else "expected closing '>'")
+    elif lex[:1] == "<":
+        content = lex[1:-1]
+        if not _IRI.fullmatch(content):
+            raise ParseError(_offset(text, i), "malformed IRI")
+        if content.startswith("Placeholder:"):
+            label = content[len("Placeholder:"):]
+            if not _LABEL.match(label):
+                raise ParseError(_offset(text, i), f"malformed placeholder label {label!r}")
+            term = Placeholder(label)
+        else:
+            term = Iri(content)
+    else:
+        raise ParseError(_offset(text, i), "expected an IRI, variable, or placeholder term")
+    terms[lex] = term
+    return term
+
+
+def _offset(text: str, i: int) -> int:
+    """Where lexeme ``i`` of ``text`` starts; the end of the text when it has fewer lexemes."""
+    m = next(itertools.islice(_LEXEME.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
 
 
 def extract_predicates(ast: QueryAst, skip_placeholders: bool = False) -> list[str]:

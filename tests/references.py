@@ -16,9 +16,9 @@ n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
 The placeholder-alignment reference is the plain subsequence walk, with the
 package's one-pattern unifier and no memo of failed states. The query parser
-reference is the character scanner alone, with no compiled-regex acceptor in
-front of it, and the tokenizer reference runs the trailing-punctuation loop on
-every token.
+reference is the character scanner, which reads one character at a time where
+the package walks lexemes, and the tokenizer reference runs the
+trailing-punctuation loop on every token.
 """
 
 from __future__ import annotations

@@ -477,6 +477,15 @@ def test_eval_names_both_files_on_a_line_count_mismatch(tmp_path, runner):
     assert result.output == f"error: {pred} has 2 lines but {test} has 1\n"
 
 
+def test_eval_names_both_files_when_logp_and_test_line_counts_differ(tmp_path, runner):
+    test, logp = tmp_path / "test.ql", tmp_path / "pred.logp"
+    test.write_text("a b\na c\n")
+    logp.write_text("-0.5 -1.0 -0.1\n")
+    result = runner.invoke(main, ["eval", "--pred", str(test), "--test", str(test), "--logp", str(logp)])
+    assert result.exit_code == 2
+    assert result.output == f"error: {logp} has 1 lines but {test} has 2\n"
+
+
 def test_lm_out_logp_bytes_equal_the_reference_on_the_sanitized_split(tmp_path, runner, toy_data, toy_config):
     _, split = experiments._sanitized_split(toy_data, toy_config, experiments.seed_split_ids(toy_data, toy_config))
     experiments.write_partition(tmp_path, split, "sanitized", toy_config.rng_seeds[0], toy_config.ratios,

@@ -107,7 +107,7 @@ def test_parse_query_returns_an_ast_or_raises_a_parse_error(text):
         assert qlang.parse_query(qlang.serialize(ast)) == ast
 
 
-# The regex acceptor and the tokenizer's fast path must agree with their references on every text:
+# The lexeme walk and the tokenizer's fast path must agree with their references on every text:
 # the same AST, or a ParseError with the same position and message, and the same tokens.
 _NAMED_QUERIES = ["ASKWHERE { <e:s> <p:p> <e:o> }", "SELECT DISTINCT ?x, ?yWHERE { ?x <p:p> ?y }"]
 _EDIT_CHARS = " \t\xa0\x1c\n<>{}?.,_:AaW1é"

@@ -219,6 +219,10 @@ def test_sanitized_ambiguous_instances_stay_in_train_pool():
     # the pooled ambiguous instance carries tA, so the tA-only candidates are
     # demoted too and the test split drains rather than leak
     assert split.counts[2] == 0
+    # held out with every template it is attributed to, the ambiguous instance reaches test
+    tsplit = partitioner.TemplateSplit(train_template_ids=frozenset(), test_template_ids=frozenset({"tA", "tB"}))
+    split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=3)
+    assert set(_ids(split.test)) == set(_ids(instances))
 
 
 def test_sanitized_unattributed_instances_never_reach_test():

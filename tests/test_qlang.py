@@ -168,6 +168,38 @@ def test_parses_that_share_a_terms_dict_share_equal_terms():
     assert second.patterns[1][2] is first.patterns[0][2]
 
 
+def _raise_timeout(signum, frame):
+    raise TimeoutError("took longer than 2 s")
+
+
+_LONG = 80_000
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("<" * _LONG, 0, "expected SELECT"),
+    ("ASK WHERE { " + "<" * _LONG, 12, "expected closing '>'"),
+    ("ASK WHERE { " + "<" * _LONG + ">", 12, "malformed IRI"),
+    ("SELECT DISTINCT " + "?" * _LONG, 16, "malformed variable name"),
+    ("ASK WHERE { <" + " " * _LONG, 12, "expected closing '>'"),
+    ("ASK WHERE { <e:s> <p:p> <e:o> }" + " " * _LONG, None, None),
+], ids=["lt-run", "lt-run-as-term", "lt-run-then-gt", "qmark-run", "lt-then-spaces", "valid-then-spaces"])
+def test_parse_cost_is_linear_in_the_line_length(text, position, message):
+    # an angle-term lexeme that may contain "<" rescans to the end of the line
+    # from every "<": about 17 s on the run of "<" above
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        if position is None:
+            assert parse_query(text).patterns == ((Iri("e:s"), Iri("p:p"), Iri("e:o")),)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_query(text)
+            assert (err.value.position, err.value.message) == (position, message)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ---------------------------------------------------------------------------
 # extract_predicates
 # ---------------------------------------------------------------------------
@@ -328,10 +360,6 @@ def test_match_equals_enumeration_random_to_12_tokens():
         n = rnd.randrange(4, 13)
         nlq = tuple(rnd.choice(("x", "x", "x", "y", "z")) for _ in range(n))
         assert match_nlq(pattern, nlq) == ref_match_nlq(pattern, nlq)
-
-
-def _raise_timeout(signum, frame):
-    raise TimeoutError("match_nlq took longer than 2 s")
 
 
 def test_match_cost_is_polynomial_in_the_slot_count():
