@@ -29,7 +29,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 _DEFAULT_NAMESPACE = "http://example.org/resource/"
-_NO_POSTINGS = np.empty(0, dtype=np.int64)
+_BLOCK = 1 << 14  # candidate entries scored at once by the fallback
 
 
 def _spans(starts: np.ndarray, rows) -> np.ndarray:
@@ -46,18 +46,34 @@ def _spans(starts: np.ndarray, rows) -> np.ndarray:
 
 @dataclass
 class MemorizerModel:
-    """Seen templates in id order, harvested labels, and the fallback table.
+    """Seen templates in id order, harvested labels, and the fallback tables.
 
-    ``fallback`` holds the train instances in (id, training position) order;
-    ``postings`` maps each distinct question token to the sorted ``fallback``
-    positions holding it, and ``sizes`` is each question's distinct-token count.
+    ``fallback`` holds the train instances in (id, training position) order,
+    and ``sizes[p]`` is the distinct-token count of the question at position
+    p. Tokens are the ids of ``vocab``; a token is frequent when its case-fold
+    is a literal word of some template (``frequent``), else rare. The
+    questions are grouped by the set of frequent tokens they hold:
+    ``group[p]`` is position p's group, ``best[g]`` the position in group g
+    with the fewest distinct tokens (the first on a tie) and ``first[g]`` its
+    first position. The groups holding frequent token i are
+    ``group_ids[group_starts[i]:group_starts[i + 1]]``, and the positions
+    holding rare token i are ``rare_positions[rare_starts[i]:rare_starts[i + 1]]``,
+    ascending.
     """
 
     templates: dict[str, Template]
     label_index: dict[str, str]
     fallback: list
-    postings: dict[str, np.ndarray] = field(repr=False)
+    vocab: dict[str, int] = field(repr=False)
+    frequent: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
+    group: np.ndarray = field(repr=False)
+    best: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    group_starts: np.ndarray = field(repr=False)
+    group_ids: np.ndarray = field(repr=False)
+    rare_starts: np.ndarray = field(repr=False)
+    rare_positions: np.ndarray = field(repr=False)
     entity_namespace: str = _DEFAULT_NAMESPACE
 
 
@@ -126,19 +142,25 @@ def _namespace(iri: str) -> str:
 class MemorizerIndex:
     """The per-instance work of memorizer training, done once per corpus.
 
-    ``labels[r]`` lists the (slot text, IRI) pairs instance r harvests, in
-    harvest order. Instance r's distinct question tokens are the interned ids
-    ``token_ids[starts[r]:starts[r + 1]]``, and ``tokens[i]`` is the token of
-    id i. ``rank[r]`` is the dense rank of instance r's id: equal ids rank
-    equal, so a stable sort by rank keeps their training order.
+    Instance r's distinct question tokens are the ids
+    ``token_ids[starts[r]:starts[r + 1]]`` of ``vocab``, and ``frequent[i]``
+    says whether token i's case-fold is a literal word of some template of
+    the attribution index. ``group[r]`` numbers instance r's set of frequent
+    tokens: equal sets, equal numbers. ``rank[r]`` is the dense rank of
+    instance r's id: equal ids rank equal, so a stable sort by rank keeps
+    their training order. ``labels[r]`` lists the (slot text, IRI) pairs
+    instance r harvests, in harvest order; it is None until a training
+    selects row r.
     """
 
     instances: list
     index: AttributionIndex
-    labels: list[list[tuple[str, str]]] = field(repr=False)
-    tokens: list[str] = field(repr=False)
+    labels: list[list[tuple[str, str]] | None] = field(repr=False)
+    vocab: dict[str, int] = field(repr=False)
+    frequent: np.ndarray = field(repr=False)
     token_ids: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
+    group: np.ndarray = field(repr=False)
     rank: np.ndarray = field(repr=False)
 
 
@@ -163,54 +185,94 @@ def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
 
 
 def memorizer_index(instances, index: AttributionIndex) -> MemorizerIndex:
-    """Harvest every instance's labels and intern its distinct question tokens."""
+    """Intern every instance's distinct question tokens and group them by their frequent ones."""
     instances = list(instances)
-    token_ids: dict[str, int] = {}
+    vocab: dict[str, int] = {}
     flat: list[int] = []
     starts = [0]
     for inst in instances:
-        flat.extend(token_ids.setdefault(t, len(token_ids)) for t in dict.fromkeys(inst.pair.nlq))
+        flat.extend(vocab.setdefault(t, len(vocab)) for t in dict.fromkeys(inst.pair.nlq))
         starts.append(len(flat))
+    words = frozenset().union(*(t.nlq_pattern.words for t in index.templates.values()))
+    frequent = np.array([t.casefold() in words for t in vocab], dtype=bool)
+    token_ids = np.array(flat, dtype=np.int64)
+    starts = np.array(starts, dtype=np.int64)
+    # each row's frequent token ids, sorted, as bytes: equal sets give equal keys
+    width = max(len(vocab), 1)
+    held = frequent[token_ids]
+    keys = np.sort(np.repeat(np.arange(len(instances)), np.diff(starts))[held] * width + token_ids[held])
+    cuts = (8 * np.searchsorted(keys, np.arange(len(instances) + 1) * width)).tolist()
+    raw = (keys % width).tobytes()
+    groups: dict[bytes, int] = {}
     ranks = {iid: r for r, iid in enumerate(sorted({inst.id for inst in instances}))}
     return MemorizerIndex(
         instances=instances,
         index=index,
-        labels=[_harvest(inst, index) for inst in instances],
-        tokens=list(token_ids),
-        token_ids=np.array(flat, dtype=np.int64),
-        starts=np.array(starts, dtype=np.int64),
+        labels=[None] * len(instances),
+        vocab=vocab,
+        frequent=frequent,
+        token_ids=token_ids,
+        starts=starts,
+        group=np.array([groups.setdefault(raw[a:b], len(groups)) for a, b in zip(cuts, cuts[1:])], dtype=np.int64),
         rank=np.array([ranks[inst.id] for inst in instances], dtype=np.int64),
     )
+
+
+def _postings(keys: np.ndarray, values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of each key in [0, width), in input order: key i's are ``out[starts[i]:starts[i + 1]]``."""
+    starts = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=width), out=starts[1:])
+    return starts, values[np.argsort(keys, kind="stable")]
 
 
 def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
     """Select the train `rows` of a memorizer index, given in training order.
 
-    Labels are taken in training order, the first IRI bound to a text kept.
-    The seen templates are the ones the index attributes to the train rows.
+    Labels are taken in training order, the first IRI bound to a text kept; a
+    row is harvested the first time a training selects it. The seen templates
+    are the ones the index attributes to the train rows.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     train = rows.tolist()
     label_index: dict[str, str] = {}
     for r in train:
-        for text, iri in mindex.labels[r]:
+        labels = mindex.labels[r]
+        if labels is None:
+            labels = mindex.labels[r] = _harvest(mindex.instances[r], mindex.index)
+        for text, iri in labels:
             label_index.setdefault(text, iri)
     namespaces = Counter(_namespace(iri) for iri in label_index.values())
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
     seen = mindex.index.templates_of(mindex.instances[r] for r in train)
     fallback = rows[np.argsort(mindex.rank[rows], kind="stable")]  # ties keep training order
     sizes = np.diff(mindex.starts)[fallback]
+    _, first, group = np.unique(mindex.group[fallback], return_index=True, return_inverse=True)
+    by_size = np.lexsort((sizes, group))  # by group, then size, then position
+    best = by_size[np.flatnonzero(np.diff(group[by_size], prepend=-1))]
+    width = len(mindex.vocab)
     tokens = mindex.token_ids[_spans(mindex.starts, fallback)]
-    order = np.argsort(tokens, kind="stable")  # positions stay ascending within a token
-    ids, firsts = np.unique(tokens[order], return_index=True)
-    positions = np.repeat(np.arange(fallback.size), sizes)[order]
+    positions = np.repeat(np.arange(fallback.size), sizes)
+    rare = ~mindex.frequent[tokens]
+    rare_starts, rare_positions = _postings(tokens[rare], positions[rare], width)
+    members = mindex.token_ids[_spans(mindex.starts, fallback[first])]  # one member shows a group's set
+    of_group = np.repeat(np.arange(first.size), sizes[first])
+    held = mindex.frequent[members]
+    group_starts, group_ids = _postings(members[held], of_group[held], width)
     return MemorizerModel(
         templates={tid: t for tid, t in mindex.index.templates.items() if tid in seen},
         label_index=label_index,
         fallback=[mindex.instances[r] for r in fallback.tolist()],
-        entity_namespace=namespace,
-        postings=dict(zip([mindex.tokens[t] for t in ids.tolist()], np.split(positions, firsts[1:]))),
+        vocab=mindex.vocab,
+        frequent=mindex.frequent,
         sizes=sizes,
+        group=group,
+        best=best,
+        first=first,
+        group_starts=group_starts,
+        group_ids=group_ids,
+        rare_starts=rare_starts,
+        rare_positions=rare_positions,
+        entity_namespace=namespace,
     )
 
 
@@ -219,23 +281,8 @@ def label_to_iri_form(text: str, namespace: str) -> str:
     return namespace + "_".join(w.capitalize() for w in text.split())
 
 
-def memorizer_predict(model: MemorizerModel, nlq) -> list[str]:
-    """Predict the formal-query token sequence for a question.
-
-    Seen templates matching the question compete; the one binding the fewest
-    slot tokens wins (then lowest template id). A template whose case-folded
-    literal words are not all among the question's case-folded tokens cannot
-    match and is skipped. Slot texts are resolved via the label index, falling
-    back to the IRI naming convention. When no template matches, the training
-    question with the highest Jaccard similarity of distinct tokens supplies
-    its query verbatim. Overlaps are counted from the token postings in one
-    ``np.bincount``, and the union is |q| + |t| - overlap, so each score is
-    the same correctly rounded quotient a set-based ``len(q & t) / len(q | t)``
-    gives. ``np.argmax`` takes the first maximum in the fallback table's
-    order, so ties go to the lowest instance id, then the earliest training
-    position; with no shared token every score is 0 and position 0 wins.
-    """
-    tokens = tuple(nlq)
+def _template_prediction(model: MemorizerModel, tokens: tuple) -> list[str] | None:
+    """The query of the best seen template matching the question, or None when none matches."""
     folded = {t.casefold() for t in tokens}
     matches = []
     for template in model.templates.values():
@@ -243,23 +290,97 @@ def memorizer_predict(model: MemorizerModel, nlq) -> list[str]:
             bindings = match_nlq(template.nlq_pattern, tokens)
             if bindings is not None:
                 matches.append((sum(end - start for start, end in bindings.values()), template, bindings))
-    if matches:
-        _, template, bindings = min(matches, key=lambda m: m[0])  # the first, so the lowest id, on a tie
-        row = {}
-        for label, span in bindings.items():
-            text = " ".join(span_tokens(tokens, span))
-            iri = model.label_index.get(text)
-            if iri is None:
-                iri = label_to_iri_form(text, model.entity_namespace)
-            row[label.lower()] = iri
-        return serialize(bind_placeholders(template, row)).split()
+    if not matches:
+        return None
+    _, template, bindings = min(matches, key=lambda m: m[0])  # the first, so the lowest id, on a tie
+    row = {}
+    for label, span in bindings.items():
+        text = " ".join(span_tokens(tokens, span))
+        iri = model.label_index.get(text)
+        if iri is None:
+            iri = label_to_iri_form(text, model.entity_namespace)
+        row[label.lower()] = iri
+    return serialize(bind_placeholders(template, row)).split()
+
+
+def _listed(starts: np.ndarray, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries ``starts[k]:starts[k + 1]`` of each key in turn, with the owner of the key listing each."""
+    return _spans(starts, keys), np.repeat(owners, starts[keys + 1] - starts[keys])
+
+
+def _nearest_block(model: MemorizerModel, qsize: np.ndarray, tokens: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The fallback position with the best Jaccard score for each question of a block.
+
+    Question j has ``qsize[j]`` distinct tokens; ``tokens`` are the known ones,
+    ``owner`` naming the question of each.
+    """
+    n_groups, n = model.best.size, len(model.fallback)
+    frequent = model.frequent[tokens]
+    entries, of = _listed(model.group_starts, tokens[frequent], owner[frequent])
+    fo = np.bincount(of * n_groups + model.group_ids[entries], minlength=qsize.size * n_groups)
+    fo = fo.reshape(qsize.size, n_groups)  # frequent tokens shared by each (question, group)
+    # a group's candidate: its best member, scored as if it shared no rare token
+    score = np.divide(fo, qsize[:, None] + model.sizes[model.best] - fo, out=np.zeros(fo.shape), where=fo > 0)
+    at = np.where(fo > 0, model.best, model.first)
+    top = score.max(axis=1)
+    # the positions holding a rare question token, scored exactly
+    entries, of = _listed(model.rare_starts, tokens[~frequent], owner[~frequent])
+    keys = np.sort(of * n + model.rare_positions[entries])
+    cuts = np.flatnonzero(np.diff(keys, prepend=-1))
+    q, p = np.divmod(keys[cuts], n)
+    overlap = fo[q, model.group[p]] + np.diff(cuts, append=keys.size)
+    exact = overlap / (qsize[q] + model.sizes[p] - overlap)
+    np.maximum.at(top, q, exact)
+    pick = np.where(score == top[:, None], at, n).min(axis=1)
+    won = exact == top[q]
+    np.minimum.at(pick, q[won], p[won])
+    return pick
+
+
+def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
+    """Predict the formal-query token sequence for each question.
+
+    Seen templates matching a question compete; the one binding the fewest
+    slot tokens wins (then lowest template id). A template whose case-folded
+    literal words are not all among the question's case-folded tokens cannot
+    match and is skipped. Slot texts are resolved via the label index, falling
+    back to the IRI naming convention.
+
+    When no template matches, the training question with the highest Jaccard
+    similarity of distinct tokens supplies its query verbatim; ties go to the
+    lowest instance id, then the earliest training position, and with no
+    shared token every score is 0 and position 0 wins. A score is the float64
+    quotient overlap / (|q| + |t| - overlap), the correctly rounded
+    ``len(q & t) / len(q | t)``. These questions are answered a block at a
+    time: the training questions sharing a rare token with one are scored
+    exactly, and each group offers its best member as if it shared none. A
+    member that does share one scores higher than that stand-in, so the
+    maximum is the full scan's.
+    """
+    questions = [tuple(question) for question in questions]
+    out = [_template_prediction(model, question) for question in questions]
+    unmatched = [i for i, prediction in enumerate(out) if prediction is None]
     if not model.fallback:
-        return []
-    question = set(tokens)
-    hits = [model.postings[t] for t in question if t in model.postings]
-    overlap = np.bincount(np.concatenate([_NO_POSTINGS, *hits]), minlength=len(model.fallback))
-    scores = overlap / (len(question) + model.sizes - overlap)
-    return model.fallback[int(np.argmax(scores))].pair.query_text.split()
+        return [[] if prediction is None else prediction for prediction in out]
+    vocab = model.vocab
+    distinct = [set(questions[i]) for i in unmatched]
+    known = [[vocab[t] for t in question if t in vocab] for question in distinct]
+    qsize = np.array([len(question) for question in distinct], dtype=np.int64)
+    counts = np.array([len(ids) for ids in known], dtype=np.int64)
+    tokens = np.array([t for ids in known for t in ids], dtype=np.int64)
+    owner = np.repeat(np.arange(len(unmatched)), counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # a question's candidate entries: one per group, plus one per posting of each of its tokens
+    listed = np.where(model.frequent[tokens], np.diff(model.group_starts)[tokens], np.diff(model.rare_starts)[tokens])
+    cost = model.best.size + np.bincount(owner, weights=listed, minlength=len(unmatched)).astype(np.int64)
+    window = (np.cumsum(cost) - cost) // _BLOCK  # the questions starting in one window form a block
+    bounds = [*np.flatnonzero(np.diff(window, prepend=-1)).tolist(), len(unmatched)]
+    for a, b in zip(bounds, bounds[1:]):
+        ta, tb = offsets[a], offsets[b]
+        picks = _nearest_block(model, qsize[a:b], tokens[ta:tb], owner[ta:tb] - a)
+        for i, p in zip(unmatched[a:b], picks.tolist()):
+            out[i] = model.fallback[p].pair.query_text.split()
+    return out
 
 
 # ---------------------------------------------------------------------------

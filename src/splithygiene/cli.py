@@ -44,7 +44,7 @@ from .corpus import (
     write_parallel,
     write_text,
 )
-from .errors import LineCountMismatch, RatioError, SplitHygieneError
+from .errors import InputFileError, LineCountMismatch, RatioError, SplitHygieneError
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, perplexity
 from .partitioner import _check_ratios, leaky_partition, sanitized_partition, split_templates
@@ -208,7 +208,7 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
     index = build_index(train, read_templates(templates_path))
     model = train_memorizer(memorizer_index(train, index), range(len(train)))
     lines = read_lines(input_path)
-    preds = [" ".join(memorizer_predict(model, qlang.tokenize_nlq(line))) for line in lines]
+    preds = [" ".join(pred) for pred in memorizer_predict(model, [qlang.tokenize_nlq(line) for line in lines])]
     write_lines(out_path, preds)
     click.echo(f"wrote {len(preds)} predictions")
 
@@ -255,6 +255,10 @@ def eval_cmd(pred_path, test_path, logp_path, out_path):
         logp = read_logp(logp_path)
         if len(logp) != len(refs):
             raise LineCountMismatch(f"{logp_path} has {len(logp)} lines but {test_path} has {len(refs)}")
+        for line, (values, ref) in enumerate(zip(logp, refs), start=1):
+            if len(values) != len(ref) + 1:  # one per token and one for the end marker, as `lm --out-logp` writes
+                raise InputFileError(f"{logp_path}:{line}: {len(values)} log probabilities, expected {len(ref) + 1} "
+                                     f"for the {len(ref)} tokens of {test_path}:{line} and the end marker")
         doc["perplexity"] = perplexity(logp)
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:

@@ -8,14 +8,16 @@ penalty, on the 0-100 scale.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .attribution import AttributionIndex
 from .errors import EmptyCorpus, InvalidLogProb
 from .partitioner import Split3
 
 MAX_ORDER = 4
+_PAIRS_PER_BLOCK = 256  # differing pairs counted at once; a pair's counts need no other pair
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,50 @@ class LeakageStats:
     valid_seen_fraction: float
 
 
-def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_matches(pairs) -> list[int]:
+    """For each order n, the clipped n-gram matches of the (candidate, reference) pairs, summed.
+
+    The tokens of both sides are interned together. The order-1 id of the
+    token at a position of pair i is the rank of ``i * width + token``, and
+    the order-n id of the n-gram ending at a position is the rank of
+    ``(order-(n-1) id ending just before it) * width + token``. So an id names
+    one (pair, n-gram), equal on both sides, and ids are exact integers,
+    never hashed. A pair's clipped count of an n-gram is the minimum of its
+    counts on the two sides.
+    """
+    vocab: dict[str, int] = {}
+    flat: list[int] = []
+    sizes: list[int] = []  # the candidate of each pair, then its reference
+    for pair in pairs:
+        for side in pair:
+            flat.extend(vocab.setdefault(t, len(vocab)) for t in side)
+            sizes.append(len(side))
+    tokens = np.array(flat, dtype=np.int64)
+    lengths = np.array(sizes, dtype=np.int64)
+    sentence = np.repeat(np.arange(lengths.size), lengths)
+    offset = np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    width = len(vocab)
+    matches = []
+    ids = sentence // 2  # before order 1, the prefix of every position is its pair
+    for n in range(1, MAX_ORDER + 1):
+        at = np.flatnonzero(offset >= n - 1)  # where an order-n gram ends
+        prefix = ids[at] if n == 1 else ids[at - 1]
+        distinct, inverse = np.unique(prefix * width + tokens[at], return_inverse=True)
+        ids = np.full(tokens.size, -1, dtype=np.int64)
+        ids[at] = inverse
+        candidate = sentence[at] % 2 == 0
+        counts = [np.bincount(inverse[side], minlength=distinct.size) for side in (candidate, ~candidate)]
+        matches.append(int(np.minimum(*counts).sum()))
+    return matches
 
 
 def corpus_bleu(candidates, references) -> BleuReport:
     """Corpus BLEU with one reference per candidate.
 
     Counts are pooled before the precision quotients, so a single zero-count
-    sentence cannot zero the score, but a pooled zero at any order does.
+    sentence cannot zero the score, but a pooled zero at any order does. A
+    candidate equal to its reference matches every one of its n-grams; the
+    other pairs are counted together, a block at a time (``_clipped_matches``).
     """
     cands = [list(c) for c in candidates]
     refs = [list(r) for r in references]
@@ -53,18 +90,20 @@ def corpus_bleu(candidates, references) -> BleuReport:
     total = [0] * MAX_ORDER
     cand_len = 0
     ref_len = 0
+    differing = []
     for cand, ref in zip(cands, refs):
         cand_len += len(cand)
         ref_len += len(ref)
         same = cand == ref  # then every candidate n-gram is correct
+        if not same:
+            differing.append((cand, ref))
         for n in range(1, min(len(cand), MAX_ORDER) + 1):
             count = len(cand) - n + 1
             total[n - 1] += count
             if same:
                 correct[n - 1] += count
-            else:
-                ref_counts = _ngrams(ref, n)
-                correct[n - 1] += sum(min(c, ref_counts[g]) for g, c in _ngrams(cand, n).items())
+    for start in range(0, len(differing), _PAIRS_PER_BLOCK):
+        correct = [c + m for c, m in zip(correct, _clipped_matches(differing[start:start + _PAIRS_PER_BLOCK]))]
     precisions = tuple(c / t if t else 0.0 for c, t in zip(correct, total))
     if cand_len == 0:
         bp = 0.0

@@ -6,8 +6,10 @@ triple list, slot matching by enumerating every segmentation, and subsequence
 checking by trying every index mapping. The exceptions are the package's
 earlier loops kept as references for their fast replacements. The memorizer
 training reference is the per-partition trainer, which harvests every train
-instance's labels and builds the postings itself; a model that selects rows
-of a once-per-corpus index must equal it field for field. The memorizer
+instance's labels and lists, for each question token, the fallback positions
+holding it; a model that selects rows of a once-per-corpus index must agree
+with it field for field, and its fallback tables must be these postings cut
+into frequent and rare tokens. The memorizer
 prediction reference is the linear-scan prediction: it calls the package's
 matcher and binder, and differs from the indexed prediction only in how it
 finds the template candidates and the nearest training question. The attribution
@@ -38,7 +40,6 @@ from splithygiene.baselines import (
     BOS,
     EOS,
     UNK,
-    MemorizerModel,
     _namespace,
     _unify_pattern,
     align_placeholders,
@@ -352,7 +353,17 @@ def ref_dedup_keys(keys):
 # Memorizer training
 # ---------------------------------------------------------------------------
 
-def ref_train_memorizer(train_instances, index: AttributionIndex) -> MemorizerModel:
+@dataclass
+class RefMemorizer:
+    templates: dict
+    label_index: dict[str, str]
+    fallback: list
+    entity_namespace: str
+    postings: dict[str, np.ndarray]  # every question token: the fallback positions holding it
+    sizes: np.ndarray
+
+
+def ref_train_memorizer(train_instances, index: AttributionIndex) -> RefMemorizer:
     """Store the templates `index` attributes to train, and harvest a label-to-IRI index.
 
     Labels are harvested in training order, the first IRI bound to a text kept.
@@ -380,7 +391,7 @@ def ref_train_memorizer(train_instances, index: AttributionIndex) -> MemorizerMo
     for pos, tokens in enumerate(distinct):
         for token in tokens:
             postings.setdefault(token, []).append(pos)
-    return MemorizerModel(
+    return RefMemorizer(
         templates={tid: t for tid, t in index.templates.items() if tid in seen},
         label_index=label_index,
         fallback=fallback,

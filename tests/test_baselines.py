@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +25,23 @@ from splithygiene import attribution, baselines, corpus, experiments, metrics, p
 from splithygiene.cli import main
 from splithygiene.errors import EmptyCorpus
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import world  # noqa: E402
+
 DBR = "http://dbpedia.org/resource/"
 
 
 def _memorizer(train, index):
     """The memorizer trained on every row of an index over `train`, the way `memorize` trains it."""
     return baselines.train_memorizer(baselines.memorizer_index(train, index), range(len(train)))
+
+
+def _predict(model, question):
+    """The prediction for one question, asked alone."""
+    (prediction,) = baselines.memorizer_predict(model, [question])
+    return prediction
 
 
 def _pizza_world(industry_template):
@@ -167,14 +180,14 @@ def test_memorize_trains_on_an_attributed_but_unalignable_instance(tmp_path):
 def test_predict_unseen_labels_via_iri_convention(industry_template):
     inst, index = _pizza_world(industry_template)
     model = _memorizer([inst], index)
-    predicted = baselines.memorizer_predict(model, qlang.tokenize_nlq(AIRCRAFT_INSTANCE_NLQ))
+    predicted = _predict(model, qlang.tokenize_nlq(AIRCRAFT_INSTANCE_NLQ))
     assert predicted == qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
 
 
 def test_predict_training_question_verbatim(industry_template):
     inst, index = _pizza_world(industry_template)
     model = _memorizer([inst], index)
-    predicted = baselines.memorizer_predict(model, inst.pair.nlq)
+    predicted = _predict(model, inst.pair.nlq)
     assert predicted == qlang.serialize(inst.pair.query_ast).split()
 
 
@@ -192,7 +205,7 @@ def test_predict_fallback_is_jaccard_nearest(industry_template):
         return len(a & b) / len(a | b)
 
     best = max(train, key=lambda i: jaccard(question, i.pair.nlq))
-    assert baselines.memorizer_predict(model, question) == best.pair.query_text.split()
+    assert _predict(model, question) == best.pair.query_text.split()
     assert best.id == "t-b"
 
 
@@ -203,7 +216,7 @@ def test_predict_fallback_tie_breaks_on_lowest_id(industry_template):
     ]
     index = attribution.build_index(train, [industry_template])
     model = _memorizer(train, index)
-    predicted = baselines.memorizer_predict(model, qlang.tokenize_nlq("alpha beta gamma ?"))
+    predicted = _predict(model, qlang.tokenize_nlq("alpha beta gamma ?"))
     assert predicted == train[1].pair.query_text.split()
 
 
@@ -214,7 +227,7 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
     index = toy_data.index
     model = _memorizer(split_instances, index)
     for inst in split_instances[::23]:
-        predicted = baselines.memorizer_predict(model, inst.pair.nlq)
+        predicted = _predict(model, inst.pair.nlq)
         assert predicted == qlang.serialize(inst.pair.query_ast).split()
 
 
@@ -237,7 +250,7 @@ def test_predict_fallback_ties_across_fractions_go_to_lowest_id(industry_templat
     model = _memorizer(train, index)
     question = ("alpha", "beta", "alpha")
     assert _jaccard(question, train[0].pair.nlq) == _jaccard(question, train[1].pair.nlq) == 0.5
-    assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
+    assert _predict(model, question) == train[1].pair.query_text.split()
     assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
 
 
@@ -246,7 +259,7 @@ def test_predict_fallback_without_overlap_takes_lowest_id(industry_template):
     index = attribution.build_index(train, [industry_template])
     model = _memorizer(train, index)
     for question in (("never", "seen", "?"), ("ALPHA",), ()):
-        assert baselines.memorizer_predict(model, question) == train[1].pair.query_text.split()
+        assert _predict(model, question) == train[1].pair.query_text.split()
         assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
 
 
@@ -261,7 +274,7 @@ def test_predict_prefilter_casefolds_template_words(industry_template):
     expected = qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
     for word in ("STRASSE", "Straße"):
         question = ("IS", "Tiger", "aircraft", "In", "THE", "aerospace", word, "?")
-        assert baselines.memorizer_predict(model, question) == expected
+        assert _predict(model, question) == expected
         assert ref_memorizer_predict(model, question) == expected
 
 
@@ -299,9 +312,9 @@ def test_predict_equals_linear_scan_on_random_corpora():
         train, index, questions = _memorizer_case(rnd)
         model = _memorizer(train, index)
         train_tokens = {t for inst in model.fallback for t in inst.pair.nlq}
-        for question in questions:
+        for question, predicted in zip(questions, baselines.memorizer_predict(model, questions), strict=True):
             expected = ref_memorizer_predict(model, question)
-            assert baselines.memorizer_predict(model, question) == expected, (case, question)
+            assert predicted == expected, (case, question)
             matched = [tid for tid, t in model.templates.items()
                        if qlang.match_nlq(t.nlq_pattern, question) is not None]
             seen["template"] += bool(matched)
@@ -324,21 +337,84 @@ def test_predict_equals_linear_scan_on_default_sanitized_split(toy_data, toy_con
                                             toy_config.rng_seeds[0])
     model = _memorizer(split.train, toy_data.index)
     assert len(split.test) > 500
-    for inst in split.test:
-        assert baselines.memorizer_predict(model, inst.pair.nlq) == ref_memorizer_predict(model, inst.pair.nlq)
+    predicted = baselines.memorizer_predict(model, [inst.pair.nlq for inst in split.test])
+    for inst, prediction in zip(split.test, predicted, strict=True):
+        assert prediction == ref_memorizer_predict(model, inst.pair.nlq)
 
 
-def _assert_same_memorizer(model, ref):
-    """Field for field: the same template and instance objects in the same order, equal tables."""
+def test_predict_does_not_depend_on_the_batch_or_its_blocks(monkeypatch, toy_data, toy_config):
+    # template hits and fallbacks mixed; every block size gives the same answer to each question
+    seed_test = experiments.seed_split_ids(toy_data, toy_config)
+    _, split = experiments._sanitized_split(toy_data, toy_config, seed_test)
+    model = _memorizer(split.train, toy_data.index)
+    questions = [inst.pair.nlq for inst in split.test + split.valid + split.train[::10]]
+    whole = baselines.memorizer_predict(model, questions)
+    order = list(range(len(questions)))
+    random.Random(5).shuffle(order)
+    assert baselines.memorizer_predict(model, [questions[i] for i in order]) == [whole[i] for i in order]
+    assert [_predict(model, q) for q in questions[::17]] == whole[::17]
+    blocks = Counter()
+    nearest = baselines._nearest_block
+
+    def counted(model, qsize, *args):
+        blocks[baselines._BLOCK] += 1
+        return nearest(model, qsize, *args)
+
+    monkeypatch.setattr(baselines, "_nearest_block", counted)
+    for size in (1, 1000, 7919, baselines._BLOCK):
+        monkeypatch.setattr(baselines, "_BLOCK", size)
+        assert baselines.memorizer_predict(model, questions) == whole, size
+    fallbacks = len(split.test)  # the held-out templates; valid and train questions hit seen ones
+    assert blocks[1] == fallbacks and 1 < blocks[7919] < blocks[1000] < fallbacks, blocks
+
+
+def test_batched_fallback_equals_the_linear_scan_on_a_scaled_sanitized_split(tmp_path):
+    world.write_world(tmp_path, seed=1, scale=4)
+    config = experiments.RunConfig(seeds_path=str(tmp_path / "seeds.jsonl"), kg_path=str(tmp_path / "world.nt"),
+                                   instance_limit=100_000)
+    data = experiments.build_pipeline_data(config)
+    _, split = experiments._sanitized_split(data, config, experiments.seed_split_ids(data, config))
+    rows = {inst.id: row for row, inst in enumerate(data.instances)}
+    model = baselines.train_memorizer(baselines.memorizer_index(data.instances, data.index),
+                                      [rows[inst.id] for inst in split.train])
+    assert len(split.train) > 12_000 and len(split.test) > 2_500
+    sample = random.Random(4).sample(split.test, 40)
+    predicted = baselines.memorizer_predict(model, [inst.pair.nlq for inst in sample])
+    for inst, prediction in zip(sample, predicted, strict=True):
+        assert prediction == ref_memorizer_predict(model, inst.pair.nlq), inst.id
+
+
+def _assert_same_memorizer(model, ref, index):
+    """Field for field: the same template and instance objects in the same order, equal tables.
+
+    The fallback tables must be the reference postings cut in two: a rare
+    token keeps its positions, and a frequent one (its case-fold a literal
+    word of an index template) lists the groups of the positions holding it,
+    where a group is the positions holding one set of frequent tokens.
+    """
     assert [(tid, id(t)) for tid, t in model.templates.items()] == [(tid, id(t)) for tid, t in ref.templates.items()]
     assert list(model.label_index.items()) == list(ref.label_index.items())
     assert [id(inst) for inst in model.fallback] == [id(inst) for inst in ref.fallback]
-    assert model.postings.keys() == ref.postings.keys()
-    for token, positions in ref.postings.items():
-        assert model.postings[token].dtype == positions.dtype
-        assert np.array_equal(model.postings[token], positions), token
     assert model.sizes.dtype == ref.sizes.dtype and np.array_equal(model.sizes, ref.sizes)
     assert model.entity_namespace == ref.entity_namespace
+    words = {w for t in index.templates.values() for w in t.nlq_pattern.words}
+    assert model.frequent.tolist() == [token.casefold() in words for token in model.vocab]
+    sets = [frozenset(t for t in inst.pair.nlq if t.casefold() in words) for inst in ref.fallback]
+    assert len(set(zip(sets, model.group.tolist()))) == len(set(sets)) == model.best.size
+    members: dict[int, list[int]] = {}
+    for p, g in enumerate(model.group.tolist()):
+        members.setdefault(g, []).append(p)
+    assert sorted(members) == list(range(model.best.size))
+    assert model.first.tolist() == [members[g][0] for g in sorted(members)]
+    assert model.best.tolist() == [min(members[g], key=lambda p: ref.sizes[p]) for g in sorted(members)]
+    for token, i in model.vocab.items():
+        positions = ref.postings.get(token, np.empty(0, dtype=np.int64))
+        rare = model.rare_positions[model.rare_starts[i]:model.rare_starts[i + 1]]
+        groups = model.group_ids[model.group_starts[i]:model.group_starts[i + 1]]
+        if model.frequent[i]:
+            assert rare.size == 0 and groups.tolist() == sorted(set(model.group[positions].tolist())), token
+        else:
+            assert groups.size == 0 and rare.tolist() == positions.tolist(), token
 
 
 def test_memorizer_rows_equal_the_per_partition_trainer_on_random_corpora():
@@ -355,7 +431,7 @@ def test_memorizer_rows_equal_the_per_partition_trainer_on_random_corpora():
         row_of = {id(inst): row for row, inst in enumerate(corpus)}
         rows = [row_of[id(inst)] for inst in train]
         model = baselines.train_memorizer(baselines.memorizer_index(corpus, index), rows)
-        _assert_same_memorizer(model, references.ref_train_memorizer(train, index))
+        _assert_same_memorizer(model, references.ref_train_memorizer(train, index), index)
         by_id: dict[str, list[int]] = {}
         for row in rows:
             by_id.setdefault(corpus[row].id, []).append(row)
@@ -373,7 +449,8 @@ def test_memorizer_rows_equal_the_per_partition_trainer_on_toy_partitions(toy_da
     assert len(leaky) == 5 and len(fractions) == 4
     for split in leaky + fractions:
         model = baselines.train_memorizer(mem_index, [rows[i.id] for i in split.train])
-        _assert_same_memorizer(model, references.ref_train_memorizer(split.train, toy_data.index))
+        _assert_same_memorizer(model, references.ref_train_memorizer(split.train, toy_data.index),
+                               toy_data.index)
 
 
 def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch, toy_data, toy_config):
@@ -406,6 +483,26 @@ def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch
                     for inst in toy_data.instances)
     assert 0 < calls["match_nlq"] <= harvested, (calls, harvested)
     assert 0 < calls["align_placeholders"] <= harvested, (calls, harvested)
+
+
+def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypatch, toy_data, toy_config):
+    # exp2 trains on nested fractions of the sanitized train set; its valid and test rows are never harvested
+    harvested, selected = Counter(), set()
+    harvest, train = baselines._harvest, baselines.train_memorizer
+
+    def counted_harvest(inst, index):
+        harvested[id(inst)] += 1
+        return harvest(inst, index)
+
+    def recorded_train(mindex, rows):
+        selected.update(int(r) for r in rows)
+        return train(mindex, rows)
+
+    monkeypatch.setattr(baselines, "_harvest", counted_harvest)
+    monkeypatch.setattr(experiments, "train_memorizer", recorded_train)
+    experiments.run_experiment("exp2", dataclasses.replace(toy_config, workdir=str(tmp_path)), toy_data)
+    assert max(harvested.values()) == 1
+    assert 0 < sum(harvested.values()) <= len(selected) < len(toy_data.instances)
 
 
 # ---------------------------------------------------------------------------

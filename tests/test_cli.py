@@ -486,6 +486,17 @@ def test_eval_names_both_files_when_logp_and_test_line_counts_differ(tmp_path, r
     assert result.output == f"error: {logp} has 1 lines but {test} has 2\n"
 
 
+def test_eval_logp_names_the_file_and_line_of_a_wrong_value_count(tmp_path, runner):
+    # each test line scores its tokens and the end marker: 3 values for "a b"
+    test, logp = tmp_path / "t.ql", tmp_path / "p.logp"
+    test.write_text("a b\na c\n")
+    logp.write_text("-0.5 -0.5 -0.5\n-0.5\n")
+    result = runner.invoke(main, ["eval", "--pred", str(test), "--test", str(test), "--logp", str(logp)])
+    assert result.exit_code == 2
+    assert result.output == (f"error: {logp}:2: 1 log probabilities, expected 3 for the 2 tokens of {test}:2 "
+                             "and the end marker\n")
+
+
 def test_lm_out_logp_bytes_equal_the_reference_on_the_sanitized_split(tmp_path, runner, toy_data, toy_config):
     _, split = experiments._sanitized_split(toy_data, toy_config, experiments.seed_split_ids(toy_data, toy_config))
     experiments.write_partition(tmp_path, split, "sanitized", toy_config.rng_seeds[0], toy_config.ratios,
@@ -516,7 +527,8 @@ def test_memorize_writes_the_predictions_the_preset_makes_on_a_leaky_split(tmp_p
                              "--input", str(tmp_path / "test.nlq"), "--out", str(pred)]))
     _, mem_index, rows = toy_baseline_corpus
     model = baselines.train_memorizer(mem_index, [rows[inst.id] for inst in split.train])
-    expected = "".join(" ".join(baselines.memorizer_predict(model, inst.pair.nlq)) + "\n" for inst in split.test)
+    predicted = baselines.memorizer_predict(model, [inst.pair.nlq for inst in split.test])
+    expected = "".join(" ".join(tokens) + "\n" for tokens in predicted)
     assert len(split.test) > 300
     assert pred.read_bytes() == expected.encode("utf-8")
 

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_instance
 from splithygiene import attribution, metrics, partitioner
@@ -100,6 +101,61 @@ def test_bleu_equals_reference_exactly_when_most_pairs_are_identical():
         assert report.brevity_penalty == expected["bp"]
         assert (report.candidate_len, report.reference_len) == (expected["candidate_len"], expected["reference_len"])
     assert short_identical >= 100
+
+
+_TOKEN = st.one_of(st.sampled_from(["a", "b", "c", "?", "{", "}"]), st.integers(0, 2**17).map(lambda i: f"w{i}"))
+_SENTENCE = st.lists(_TOKEN, max_size=60)
+
+
+@st.composite
+def _bleu_pair(draw):
+    """A candidate and a reference: equal, one side empty, an edit of the candidate, or unrelated."""
+    cand = draw(_SENTENCE)
+    kind = draw(st.sampled_from(["same", "empty reference", "empty candidate", "edited", "unrelated"]))
+    if kind == "same":
+        return cand, list(cand)
+    if kind == "empty reference":
+        return cand, []
+    if kind == "empty candidate":
+        return [], cand
+    if kind == "edited":
+        ref = list(cand)
+        for _ in range(draw(st.integers(0, 4))):
+            if ref:
+                del ref[draw(st.integers(0, len(ref) - 1))]
+            ref.insert(draw(st.integers(0, len(ref))), draw(_TOKEN))
+        return cand, ref
+    return cand, draw(_SENTENCE)
+
+
+def _wide_corpus(pairs=200, length=340):
+    """More than 2**16 distinct tokens, first seen in the order v0, v1, ...
+
+    Each reference is a shuffle of its candidate. The last pair holds the
+    tokens first seen 2**16 apart, which a 16-bit token id would conflate.
+    """
+    rnd = random.Random(13)
+    out = []
+    for p in range(pairs):
+        cand = [f"v{p * length + i}" for i in range(length)]
+        out.append((cand, rnd.sample(cand, length)))
+    assert pairs * length > 2**16 + 1
+    out.append((["v0", "v1"], [f"v{2**16}", f"v{2**16 + 1}"]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(_bleu_pair(), min_size=1, max_size=25))
+@example(pairs=_wide_corpus())
+def test_bleu_equals_the_reference_on_generated_corpora(pairs):
+    # one vocabulary over more than 2**16 tokens, and mixes of equal, empty and edited pairs
+    cands, refs = [c for c, _ in pairs], [r for _, r in pairs]
+    expected = ref_corpus_bleu(cands, refs)
+    report = metrics.corpus_bleu(cands, refs)
+    assert report.bleu == expected["bleu"]
+    assert list(report.precisions) == expected["precisions"]
+    assert report.brevity_penalty == expected["bp"]
+    assert (report.candidate_len, report.reference_len) == (expected["candidate_len"], expected["reference_len"])
 
 
 def test_bleu_invariant_under_pair_permutation():
