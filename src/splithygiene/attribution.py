@@ -23,20 +23,25 @@ def template_matches_seed(template: Template, seed: Seed) -> bool:
     return list(template.predicates) == extract_predicates(seed.pair.query_ast)
 
 
-def _attribute(instance: Instance, templates) -> list[str]:
-    """Ids of the templates that could have generated the instance.
+def nlq_matches(templates, nlq):
+    """Yield (template, bindings) for each of `templates` whose question pattern matches, in order.
 
-    Two cheap tests come first, each a necessary condition of a match: the
-    template's case-folded literal words must all be among the question's
-    case-folded tokens, and its predicates must be a subsequence of the
-    query's. Only the templates passing both go to the matcher.
+    The matcher runs only on the templates whose case-folded literal words are
+    all among the question's case-folded tokens, a necessary condition of a match.
     """
-    instance_preds = extract_predicates(instance.pair.query_ast)
-    nlq = instance.pair.nlq
     folded = {tok.casefold() for tok in nlq}
-    return [t.id for t in templates
-            if t.nlq_pattern.words <= folded and predicates_subsequence(t.predicates, instance_preds)
-            and match_nlq(t.nlq_pattern, nlq) is not None]
+    for template in templates:
+        if template.nlq_pattern.words <= folded:
+            bindings = match_nlq(template.nlq_pattern, nlq)
+            if bindings is not None:
+                yield template, bindings
+
+
+def _attribute(instance: Instance, templates) -> list[str]:
+    """Ids of the matching templates whose predicates are a subsequence of the query's."""
+    instance_preds = extract_predicates(instance.pair.query_ast)
+    return [t.id for t, _ in nlq_matches(templates, instance.pair.nlq)
+            if predicates_subsequence(t.predicates, instance_preds)]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .attribution import AttributionIndex
+from .attribution import AttributionIndex, nlq_matches
 from .errors import EmptyCorpus
 from .qlang import Iri, Placeholder, QueryAst, Var, match_nlq, serialize, span_tokens
 from .synthesis import Template, bind_placeholders
@@ -53,12 +53,11 @@ class MemorizerModel:
     p. Tokens are the ids of ``vocab``; a token is frequent when its case-fold
     is a literal word of some template (``frequent``), else rare. The
     questions are grouped by the set of frequent tokens they hold:
-    ``group[p]`` is position p's group, ``best[g]`` the position in group g
-    with the fewest distinct tokens (the first on a tie) and ``first[g]`` its
-    first position. The groups holding frequent token i are
-    ``group_ids[group_starts[i]:group_starts[i + 1]]``, and the positions
-    holding rare token i are ``rare_positions[rare_starts[i]:rare_starts[i + 1]]``,
-    ascending.
+    ``group[p]`` is position p's group and ``best[g]`` the position in group g
+    with the fewest distinct tokens (the first on a tie). The groups holding
+    frequent token i are ``group_ids[group_starts[i]:group_starts[i + 1]]``,
+    and the positions holding rare token i are
+    ``rare_positions[rare_starts[i]:rare_starts[i + 1]]``, ascending.
     """
 
     templates: dict[str, Template]
@@ -69,7 +68,6 @@ class MemorizerModel:
     sizes: np.ndarray = field(repr=False)
     group: np.ndarray = field(repr=False)
     best: np.ndarray = field(repr=False)
-    first: np.ndarray = field(repr=False)
     group_starts: np.ndarray = field(repr=False)
     group_ids: np.ndarray = field(repr=False)
     rare_starts: np.ndarray = field(repr=False)
@@ -267,7 +265,6 @@ def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
         sizes=sizes,
         group=group,
         best=best,
-        first=first,
         group_starts=group_starts,
         group_ids=group_ids,
         rare_starts=rare_starts,
@@ -281,26 +278,18 @@ def label_to_iri_form(text: str, namespace: str) -> str:
     return namespace + "_".join(w.capitalize() for w in text.split())
 
 
-def _template_prediction(model: MemorizerModel, tokens: tuple) -> list[str] | None:
-    """The query of the best seen template matching the question, or None when none matches."""
-    folded = {t.casefold() for t in tokens}
-    matches = []
-    for template in model.templates.values():
-        if template.nlq_pattern.words <= folded:
-            bindings = match_nlq(template.nlq_pattern, tokens)
-            if bindings is not None:
-                matches.append((sum(end - start for start, end in bindings.values()), template, bindings))
-    if not matches:
-        return None
-    _, template, bindings = min(matches, key=lambda m: m[0])  # the first, so the lowest id, on a tie
-    row = {}
-    for label, span in bindings.items():
-        text = " ".join(span_tokens(tokens, span))
-        iri = model.label_index.get(text)
-        if iri is None:
-            iri = label_to_iri_form(text, model.entity_namespace)
-        row[label.lower()] = iri
-    return serialize(bind_placeholders(template, row)).split()
+def _template_prediction(model: MemorizerModel, templates, tokens: tuple) -> list[str] | None:
+    """The query of the first of `templates` matching the question, or None when none matches."""
+    for template, bindings in nlq_matches(templates, tokens):
+        row = {}
+        for label, span in bindings.items():
+            text = " ".join(span_tokens(tokens, span))
+            iri = model.label_index.get(text)
+            if iri is None:
+                iri = label_to_iri_form(text, model.entity_namespace)
+            row[label.lower()] = iri
+        return serialize(bind_placeholders(template, row)).split()
+    return None
 
 
 def _listed(starts: np.ndarray, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +310,6 @@ def _nearest_block(model: MemorizerModel, qsize: np.ndarray, tokens: np.ndarray,
     fo = fo.reshape(qsize.size, n_groups)  # frequent tokens shared by each (question, group)
     # a group's candidate: its best member, scored as if it shared no rare token
     score = np.divide(fo, qsize[:, None] + model.sizes[model.best] - fo, out=np.zeros(fo.shape), where=fo > 0)
-    at = np.where(fo > 0, model.best, model.first)
     top = score.max(axis=1)
     # the positions holding a rare question token, scored exactly
     entries, of = _listed(model.rare_starts, tokens[~frequent], owner[~frequent])
@@ -331,9 +319,10 @@ def _nearest_block(model: MemorizerModel, qsize: np.ndarray, tokens: np.ndarray,
     overlap = fo[q, model.group[p]] + np.diff(cuts, append=keys.size)
     exact = overlap / (qsize[q] + model.sizes[p] - overlap)
     np.maximum.at(top, q, exact)
-    pick = np.where(score == top[:, None], at, n).min(axis=1)
+    pick = np.where(score == top[:, None], model.best, n).min(axis=1)
     won = exact == top[q]
     np.minimum.at(pick, q[won], p[won])
+    pick[top == 0] = 0  # no shared token: every score is 0, so position 0 wins
     return pick
 
 
@@ -341,10 +330,11 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
     """Predict the formal-query token sequence for each question.
 
     Seen templates matching a question compete; the one binding the fewest
-    slot tokens wins (then lowest template id). A template whose case-folded
-    literal words are not all among the question's case-folded tokens cannot
-    match and is skipped. Slot texts are resolved via the label index, falling
-    back to the IRI naming convention.
+    slot tokens wins (then lowest template id). A match binds the question's
+    length minus the template's literal-word elements in slot tokens, so the
+    templates are tried most literal words first, then by id, and the first
+    match wins. Slot texts are resolved via the label index, falling back to
+    the IRI naming convention.
 
     When no template matches, the training question with the highest Jaccard
     similarity of distinct tokens supplies its query verbatim; ties go to the
@@ -358,7 +348,9 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
     maximum is the full scan's.
     """
     questions = [tuple(question) for question in questions]
-    out = [_template_prediction(model, question) for question in questions]
+    templates = sorted(model.templates.values(),  # most literal-word elements first, then id
+                       key=lambda t: (len(t.nlq_pattern.labels) - len(t.nlq_pattern.elements), t.id))
+    out = [_template_prediction(model, templates, question) for question in questions]
     unmatched = [i for i, prediction in enumerate(out) if prediction is None]
     if not model.fallback:
         return [[] if prediction is None else prediction for prediction in out]

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputFileError, UnboundVariable
-from .qlang import ASK, Iri, QueryAst
+from .qlang import ASK, IRI_TEXT, Iri, QueryAst
 
-_TRIPLE_LINE = re.compile(r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+(.+?)\s*\.\s*$")
-_IRI_OBJECT = re.compile(r"^<([^<>\s]+)>$")
+_TRIPLE_LINE = re.compile(rf"^<({IRI_TEXT})>\s+<({IRI_TEXT})>\s+(.+?)\s*\.\s*$")
+_IRI_OBJECT = re.compile(rf"^<({IRI_TEXT})>$")
 
 
 @dataclass(frozen=True)

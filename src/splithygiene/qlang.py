@@ -28,8 +28,9 @@ ASK = "ask"
 SELECT_DISTINCT = "select_distinct"
 
 _SLOT_MARKER = re.compile(r"<([A-Z][A-Z0-9]*)>\Z")
+# The text of an IRI, between its angle brackets, here and in the graph loader.
+IRI_TEXT = r"[^<>{}\s]+"
 _LABEL = re.compile(r"[A-Z][A-Z0-9]*\Z")
-_SENTENCE_PUNCT = ("?", "!", ".")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ def serialize(ast: QueryAst) -> str:
 # name). An angle term may not contain "<": "<[^>]*>" would rescan to the end
 # of the line from every "<", making a run of them quadratic.
 _LEXEME = re.compile(r"<[^<>]*>|\?[A-Za-z_][A-Za-z0-9_]*|\w+|\S")
-_IRI = re.compile(r"[^{}\s]+")
+_IRI = re.compile(IRI_TEXT)
 
 
 def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
@@ -237,19 +238,14 @@ def extract_predicates(ast: QueryAst, skip_placeholders: bool = False) -> list[s
 def tokenize_nlq(text: str) -> tuple[str, ...]:
     """Lowercase, whitespace-split, with trailing ?!. split off as tokens.
 
-    ``<A>``-style slot markers pass through verbatim as single tokens.
+    ``<A>``-style slot markers pass through verbatim as single tokens. Generation
+    tokenizes entity labels with it too, so a written corpus reads back unchanged.
     """
     out: list[str] = []
     for raw in text.split():
-        if raw[-1] not in _SENTENCE_PUNCT:  # nothing to split off
-            out.append(raw if raw[0] == "<" and _SLOT_MARKER.match(raw) else raw.lower())
-            continue
-        trailing: list[str] = []
-        while len(raw) > 1 and raw[-1] in _SENTENCE_PUNCT and not _SLOT_MARKER.match(raw):
-            trailing.append(raw[-1])
-            raw = raw[:-1]
-        out.append(raw if _SLOT_MARKER.match(raw) else raw.lower())
-        out.extend(reversed(trailing))
+        word = raw.rstrip("?!.") or raw[0]
+        out.append(word if word[0] == "<" and _SLOT_MARKER.match(word) else word.lower())
+        out.extend(raw[len(word):])
     return tuple(out)
 
 

@@ -49,12 +49,11 @@ def entity_label(iri: str) -> str:
     return local.replace("_", " ").lower()
 
 
-def _locate_iri(ast: QueryAst, span_text: str) -> str | None:
-    """Find the query IRI whose local name matches the span text."""
-    wanted = span_text.casefold()
+def _locate_iri(ast: QueryAst, span: tuple[str, ...]) -> str | None:
+    """Find the query IRI whose tokenized label equals the span's tokens."""
     for pattern in ast.patterns:
         for term in pattern:
-            if isinstance(term, Iri) and entity_label(term.value) == wanted:
+            if isinstance(term, Iri) and qlang.tokenize_nlq(entity_label(term.value)) == span:
                 return term.value
     return None
 
@@ -83,7 +82,7 @@ def extract_template(seed: Seed) -> Template:
         sf = seed.surface_forms[label]
         iri = sf.iri
         if iri is None:
-            iri = _locate_iri(seed.pair.query_ast, " ".join(nlq[sf.start:sf.end]))
+            iri = _locate_iri(seed.pair.query_ast, nlq[sf.start:sf.end])
         if iri is None:
             raise UnlocatableEntity(label)
         if iri in label_iris.values():
@@ -151,10 +150,8 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
     instances: list[Instance] = []
     for k, row_idx in enumerate(order[:limit]):
         row = rows[row_idx]
-        slot_tokens = {
-            label: tuple(entity_label(row[label.lower()]).split())
-            for label in template.placeholder_labels
-        }
+        slot_tokens = {label: qlang.tokenize_nlq(entity_label(row[label.lower()]))
+                       for label in template.placeholder_labels}
         nlq = qlang.substitute_slots(template.nlq_pattern, slot_tokens)
         pair = QAPair.from_ast(nlq, bind_placeholders(template, row))
         instances.append(Instance(id=f"{template.id}-{k}", pair=pair, origin_template_id=template.id))

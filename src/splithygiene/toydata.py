@@ -19,7 +19,7 @@ from pathlib import Path
 from . import rng
 from .corpus import Seed, SurfaceForm, write_lines, write_seeds
 from .kgstore import Graph
-from .qlang import NlqPattern, Word, match_nlq, parse_query
+from .qlang import NlqPattern, Word, match_nlq, parse_query, tokenize_nlq
 from .synthesis import Template, generate_instances
 
 ONTOLOGY = "http://toy.example.org/ontology/"
@@ -265,7 +265,7 @@ def _check_vocabulary(companies, persons) -> None:
     labels = [name.lower() for name in entity_names]
     if len(set(labels)) != len(labels):
         raise AssertionError("entity labels must be unique")
-    entity_words = {word for label in labels for word in label.split()}
+    entity_words = {word for label in labels for word in tokenize_nlq(label)}
     pattern_words = {
         e.token
         for t in family_templates()

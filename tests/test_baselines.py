@@ -31,6 +31,7 @@ if str(PERFBENCH) not in sys.path:
 import world  # noqa: E402
 
 DBR = "http://dbpedia.org/resource/"
+DBO_INDUSTRY = "http://dbpedia.org/ontology/industry"
 
 
 def _memorizer(train, index):
@@ -229,6 +230,17 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
     for inst in split_instances[::23]:
         predicted = _predict(model, inst.pair.nlq)
         assert predicted == qlang.serialize(inst.pair.query_ast).split()
+    # both seen templates match; the lower id has fewer literal words, binds more slot tokens and loses
+    short = dataclasses.replace(industry_template, id="a-short", nlq_pattern=qlang.NlqPattern.from_text("is <B> ?"),
+                                query_pattern=qlang.parse_query(f"ASK WHERE {{ <Placeholder:B> <{DBO_INDUSTRY}> ?x }}"),
+                                placeholder_labels=("B",))
+    inst = make_instance("i1", COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, origin=industry_template.id)
+    index = attribution.build_index([inst], [industry_template, short])
+    model = _memorizer([inst], index)
+    assert list(model.templates) == ["a-short", industry_template.id]
+    question = qlang.tokenize_nlq(AIRCRAFT_INSTANCE_NLQ)
+    expected = qlang.serialize(qlang.parse_query(AIRCRAFT_INSTANCE_QUERY)).split()
+    assert _predict(model, question) == ref_memorizer_predict(model, question) == expected
 
 
 def _instance(instance_id, tokens, n):
@@ -405,7 +417,6 @@ def _assert_same_memorizer(model, ref, index):
     for p, g in enumerate(model.group.tolist()):
         members.setdefault(g, []).append(p)
     assert sorted(members) == list(range(model.best.size))
-    assert model.first.tolist() == [members[g][0] for g in sorted(members)]
     assert model.best.tolist() == [min(members[g], key=lambda p: ref.sizes[p]) for g in sorted(members)]
     for token, i in model.vocab.items():
         positions = ref.postings.get(token, np.empty(0, dtype=np.int64))
@@ -453,16 +464,14 @@ def test_memorizer_rows_equal_the_per_partition_trainer_on_toy_partitions(toy_da
                                toy_data.index)
 
 
-def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch, toy_data, toy_config):
-    # exp1 trains six memorizers on overlapping train sets; the harvest runs once per
-    # (corpus instance, harvested template), and prediction's own matching is not counted
+def _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config, bindings) -> Counter:
+    """Calls to each (module, name) binding during exp1, keyed (name, whether inside memorizer_predict)."""
     calls = Counter()
     predicting = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if not predicting:
-                calls[name] += 1
+            calls[name, bool(predicting)] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -473,16 +482,30 @@ def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch
         finally:
             predicting.pop()
 
-    monkeypatch.setattr(baselines, "match_nlq", counted("match_nlq", baselines.match_nlq))
-    monkeypatch.setattr(baselines, "align_placeholders", counted("align_placeholders", baselines.align_placeholders))
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(experiments, "memorizer_predict", predict)
-    config = dataclasses.replace(toy_config, workdir=str(tmp_path))
-    experiments.run_experiment("exp1", config, toy_data)
+    experiments.run_experiment("exp1", dataclasses.replace(toy_config, workdir=str(tmp_path)), toy_data)
+    return calls
+
+
+def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch, toy_data, toy_config):
+    # exp1 trains six memorizers on overlapping train sets; the harvest runs once per
+    # (corpus instance, harvested template), and prediction's own matching is not counted
+    calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config,
+                        [(baselines, "match_nlq"), (baselines, "align_placeholders")])
     index = toy_data.index
     harvested = sum(1 if inst.origin_template_id in index.attributed(inst.id) else len(index.attributed(inst.id))
                     for inst in toy_data.instances)
-    assert 0 < calls["match_nlq"] <= harvested, (calls, harvested)
-    assert 0 < calls["align_placeholders"] <= harvested, (calls, harvested)
+    assert 0 < calls["match_nlq", False] <= harvested, (calls, harvested)
+    assert 0 < calls["align_placeholders", False] <= harvested, (calls, harvested)
+
+
+def test_memorizer_predict_tries_templates_most_literal_words_first(tmp_path, monkeypatch, toy_data, toy_config):
+    # the first match in (most literal words, id) order wins, so the search stops there
+    calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config,
+                        [(attribution, "match_nlq"), (baselines, "match_nlq")])
+    assert 0 < calls["match_nlq", True] <= 3645, calls
 
 
 def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypatch, toy_data, toy_config):

@@ -152,6 +152,20 @@ def test_corrupt_input_is_a_validation_error(tmp_path, runner):
     assert result.exit_code == 2
 
 
+def test_a_kg_iri_no_query_can_write_is_skipped_before_attribution(tmp_path, runner):
+    # "{" and "}" parse in no query, so the triples naming Os{lo} are malformed KG lines
+    kg = tmp_path / "toy.nt"
+    kg.write_text(toydata.toy_kg_path().read_text(encoding="utf-8").replace("/Oslo>", "/Os{lo}>"), encoding="utf-8")
+    templates, gen = tmp_path / "templates.jsonl", tmp_path / "gen"
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
+    result = _ok(runner.invoke(main, ["generate", "--templates", str(templates), "--kg", str(kg),
+                                      "--out-dir", str(gen)]))
+    assert "warning: 4 malformed KG lines skipped" in result.stderr
+    assert "os{lo}" not in (gen / "instances.nlq").read_text(encoding="utf-8")
+    _ok(runner.invoke(main, ["attribute", "--nlq", str(gen / "instances.nlq"), "--ql", str(gen / "instances.ql"),
+                             "--templates", str(templates), "--out", str(tmp_path / "attribution.tsv")]))
+
+
 def test_run_preset_and_report(tmp_path, runner):
     workdir = tmp_path / "w"
     _ok(runner.invoke(main, ["run", "exp3", "--workdir", str(workdir)]))

@@ -54,10 +54,12 @@ def test_load_collects_malformed_lines(tmp_path):
         "not a triple at all\n"
         "<e:s> <p:p> <e:o> .\n"
         "<e:s> <p:p> missing_brackets .\n"
+        "<e:s> <p:p> <e:{o}> .\n"  # braces: an IRI no query can write
+        "<e:{s}> <p:p> <e:o2> .\n"
     )
     graph = kgstore.load_ntriples(path)
     assert len(graph) == 1
-    assert graph.load_report.malformed_lines == (3, 5)
+    assert graph.load_report.malformed_lines == (3, 5, 6, 7)
 
 
 # ---------------------------------------------------------------------------

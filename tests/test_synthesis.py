@@ -40,6 +40,17 @@ def test_extract_template_locates_iri_by_label_convention():
     assert t.query_pattern.patterns[0][0] == Placeholder("B")
 
 
+def test_extract_template_locates_an_iri_whose_label_tokenizes_its_punctuation():
+    # "Oslo_Jr." is labelled "oslo jr.", which the question tokenizer reads as "oslo jr ."
+    iri = "http://toy.example.org/resource/Oslo_Jr."
+    pair = corpus.QAPair.from_text("is delta forge based in oslo jr. ?", f"ASK WHERE {{ <e:df> <p:hq> <{iri}> }}")
+    assert pair.nlq[5:8] == ("oslo", "jr", ".")
+    seed = corpus.Seed(id="s", pair=pair, surface_forms={"A": corpus.SurfaceForm(5, 8)})
+    t = synthesis.extract_template(seed)
+    assert t.query_pattern.patterns[0][2] == Placeholder("A")
+    assert [str(e) for e in t.nlq_pattern.elements] == ["is", "delta", "forge", "based", "in", "<A>", "?"]
+
+
 def test_extract_template_zero_slots_keeps_pair():
     pair = corpus.QAPair.from_text("is this fixed ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
     seed = corpus.Seed(id="s", pair=pair, surface_forms={})
@@ -167,6 +178,20 @@ def test_generate_zero_slot_template_checks_graph():
         assert inst.pair.query_text == serialize(t.query_pattern) == query
         assert inst.origin_template_id == "t-s"
         assert synthesis.generate_instances(t, miss, 5, 1) == []
+
+
+def test_generated_questions_read_back_unchanged(tmp_path, toy_config):
+    # a label with trailing punctuation: generation tokenizes it as the corpus reader will
+    kg = tmp_path / "toy.nt"
+    kg.write_text(toy_config.resolved_kg_path().read_text(encoding="utf-8").replace("/Oslo>", "/Oslo_Jr.>"),
+                  encoding="utf-8")
+    _, templates, _ = experiments.extract_stage(toy_config.resolved_seeds_path())
+    instances, _ = experiments.generate_stage(templates, kgstore.load_ntriples(kg), toy_config.instance_limit,
+                                              toy_config.rng_seeds[0])
+    assert sum("jr" in inst.pair.nlq for inst in instances) >= 10
+    corpus.write_parallel(tmp_path, "c", instances)
+    read = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
+    assert [(i.pair.nlq, i.pair.query_ast) for i in read] == [(i.pair.nlq, i.pair.query_ast) for i in instances]
 
 
 def test_generated_instances_invert_and_hold(toy_data, toy_config):
