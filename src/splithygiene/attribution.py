@@ -4,23 +4,18 @@ Two rules, both required: the template's question pattern must match the
 instance NLQ (slots absorbing contiguous tokens), and the template's concrete
 predicates must occur in the instance query in the same order. Attribution
 keeps every matching template; downstream split logic resolves ambiguity.
+The question rule runs once per question skeleton (see `nlq_matcher`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
-from .corpus import Instance, Seed, write_lines
+from .corpus import write_lines
 from .qlang import extract_predicates, match_nlq, predicates_subsequence
 from .synthesis import Template
-
-
-def template_matches_seed(template: Template, seed: Seed) -> bool:
-    """True when the NLQs align slot-wise and the predicate lists are equal."""
-    if match_nlq(template.nlq_pattern, seed.pair.nlq) is None:
-        return False
-    return list(template.predicates) == extract_predicates(seed.pair.query_ast)
 
 
 def nlq_matches(templates, nlq):
@@ -37,21 +32,40 @@ def nlq_matches(templates, nlq):
                 yield template, bindings
 
 
-def _attribute(instance: Instance, templates) -> list[str]:
-    """Ids of the matching templates whose predicates are a subsequence of the query's."""
-    instance_preds = extract_predicates(instance.pair.query_ast)
-    return [t.id for t, _ in nlq_matches(templates, instance.pair.nlq)
-            if predicates_subsequence(t.predicates, instance_preds)]
+def nlq_matcher(templates) -> Callable[[tuple], tuple]:
+    """A memoised ``nlq -> tuple(nlq_matches(templates, nlq))``.
+
+    The memo is keyed by the question's skeleton: per token, the id of its
+    case-fold if that is a literal word of some template, else None. The
+    matcher compares a token only with a pattern word, by case-fold, and the
+    pre-filter tests only pattern words, so two questions with one skeleton
+    match the same templates with the same bindings (token positions). The
+    bindings are shared between those questions: read them, do not change them.
+    """
+    templates = list(templates)
+    word_ids = {word: i for i, word in enumerate(sorted(set().union(*(t.nlq_pattern.words for t in templates))))}
+    table: dict[tuple, tuple] = {}
+
+    def matches(nlq) -> tuple:
+        skeleton = tuple(map(word_ids.get, map(str.casefold, nlq)))
+        found = table.get(skeleton)
+        if found is None:
+            found = table[skeleton] = tuple(nlq_matches(templates, nlq))
+        return found
+
+    return matches
 
 
 @dataclass(frozen=True)
 class AttributionIndex:
-    """Per-instance template lists, per-template tallies, and the templates by id."""
+    """Per-instance template lists, per-template tallies, the templates by id, and their match table."""
 
     by_instance: dict[str, tuple[str, ...]]
     counts: dict[str, int]
     ambiguous_ids: frozenset[str]
     templates: dict[str, Template]  # in id order; of two with one id, the later
+    # nlq_matcher over the templates in id order; questions with new skeletons fill it
+    matches: Callable[[tuple], tuple] = field(compare=False, repr=False)
 
     def attributed(self, instance_id: str) -> tuple[str, ...]:
         return self.by_instance.get(instance_id, ())
@@ -68,12 +82,17 @@ class AttributionIndex:
 def build_index(instances, templates) -> AttributionIndex:
     """Attribute every instance to the templates, tried in id order."""
     ordered = sorted(templates, key=lambda t: t.id)
-    by_instance = {inst.id: tuple(_attribute(inst, ordered)) for inst in instances}
+    matches = nlq_matcher(ordered)
+    by_instance = {}
+    for inst in instances:
+        preds = extract_predicates(inst.pair.query_ast)
+        by_instance[inst.id] = tuple(t.id for t, _ in matches(inst.pair.nlq)
+                                     if predicates_subsequence(t.predicates, preds))
     tally = Counter(tid for ts in by_instance.values() for tid in ts)
     by_id = {t.id: t for t in ordered}
     ambiguous = frozenset(i for i, ts in by_instance.items() if len(ts) >= 2)
     return AttributionIndex(by_instance=by_instance, counts={tid: tally[tid] for tid in by_id},
-                            ambiguous_ids=ambiguous, templates=by_id)
+                            ambiguous_ids=ambiguous, templates=by_id, matches=matches)
 
 
 def write_attribution(path, instances, index: AttributionIndex) -> None:

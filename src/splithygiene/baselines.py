@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .attribution import AttributionIndex, nlq_matches
+from .attribution import AttributionIndex
 from .errors import EmptyCorpus
-from .qlang import Iri, Placeholder, QueryAst, Var, match_nlq, serialize, span_tokens
+from .qlang import Iri, Placeholder, QueryAst, Var, serialize, span_tokens
 from .synthesis import Template, bind_placeholders
 
 BOS = "<s>"
@@ -46,8 +47,9 @@ def _spans(starts: np.ndarray, rows) -> np.ndarray:
 
 @dataclass
 class MemorizerModel:
-    """Seen templates in id order, harvested labels, and the fallback tables.
+    """Seen templates in id order, harvested labels, the match table, and the fallback tables.
 
+    ``matches`` is the attribution index's match table (`nlq_matcher`).
     ``fallback`` holds the train instances in (id, training position) order,
     and ``sizes[p]`` is the distinct-token count of the question at position
     p. Tokens are the ids of ``vocab``; a token is frequent when its case-fold
@@ -63,6 +65,7 @@ class MemorizerModel:
     templates: dict[str, Template]
     label_index: dict[str, str]
     fallback: list
+    matches: Callable[[tuple], tuple] = field(repr=False)
     vocab: dict[str, int] = field(repr=False)
     frequent: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
@@ -166,14 +169,16 @@ def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     """The (slot text, IRI) pairs an instance binds, in binding order.
 
     They are read under its origin template if that is attributed, else under
-    each attributed template in order.
+    each attributed template in order; the bindings come from the index's
+    match table.
     """
     attributed = index.attributed(inst.id)
     origin = inst.origin_template_id
+    bindings_of = {t.id: bindings for t, bindings in index.matches(inst.pair.nlq)}
     labels = []
     for tid in [origin] if origin in attributed else attributed:
         template = index.templates[tid]
-        bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
+        bindings = bindings_of[tid]
         iris = align_placeholders(template, inst.pair.query_ast)
         if iris is None:
             continue
@@ -260,6 +265,7 @@ def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
         templates={tid: t for tid, t in mindex.index.templates.items() if tid in seen},
         label_index=label_index,
         fallback=[mindex.instances[r] for r in fallback.tolist()],
+        matches=mindex.index.matches,
         vocab=mindex.vocab,
         frequent=mindex.frequent,
         sizes=sizes,
@@ -278,18 +284,24 @@ def label_to_iri_form(text: str, namespace: str) -> str:
     return namespace + "_".join(w.capitalize() for w in text.split())
 
 
-def _template_prediction(model: MemorizerModel, templates, tokens: tuple) -> list[str] | None:
-    """The query of the first of `templates` matching the question, or None when none matches."""
-    for template, bindings in nlq_matches(templates, tokens):
-        row = {}
-        for label, span in bindings.items():
-            text = " ".join(span_tokens(tokens, span))
-            iri = model.label_index.get(text)
-            if iri is None:
-                iri = label_to_iri_form(text, model.entity_namespace)
-            row[label.lower()] = iri
-        return serialize(bind_placeholders(template, row)).split()
-    return None
+def _template_prediction(model: MemorizerModel, tokens: tuple) -> list[str] | None:
+    """The query of the seen template matching the question with the most literal-word elements.
+
+    Ties go to the lowest id, the first in the match table (``max`` keeps the
+    first); None when no seen template matches.
+    """
+    seen = [(t, bindings) for t, bindings in model.matches(tokens) if model.templates.get(t.id) is t]
+    if not seen:
+        return None
+    template, bindings = max(seen, key=lambda m: len(m[0].nlq_pattern.elements) - len(m[0].nlq_pattern.labels))
+    row = {}
+    for label, span in bindings.items():
+        text = " ".join(span_tokens(tokens, span))
+        iri = model.label_index.get(text)
+        if iri is None:
+            iri = label_to_iri_form(text, model.entity_namespace)
+        row[label.lower()] = iri
+    return serialize(bind_placeholders(template, row)).split()
 
 
 def _listed(starts: np.ndarray, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +344,9 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
     Seen templates matching a question compete; the one binding the fewest
     slot tokens wins (then lowest template id). A match binds the question's
     length minus the template's literal-word elements in slot tokens, so the
-    templates are tried most literal words first, then by id, and the first
-    match wins. Slot texts are resolved via the label index, falling back to
-    the IRI naming convention.
+    match with the most literal-word elements wins, read from the match
+    table with no matcher call for a known skeleton. Slot texts are resolved
+    via the label index, falling back to the IRI naming convention.
 
     When no template matches, the training question with the highest Jaccard
     similarity of distinct tokens supplies its query verbatim; ties go to the
@@ -348,9 +360,7 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
     maximum is the full scan's.
     """
     questions = [tuple(question) for question in questions]
-    templates = sorted(model.templates.values(),  # most literal-word elements first, then id
-                       key=lambda t: (len(t.nlq_pattern.labels) - len(t.nlq_pattern.elements), t.id))
-    out = [_template_prediction(model, templates, question) for question in questions]
+    out = [_template_prediction(model, question) for question in questions]
     unmatched = [i for i, prediction in enumerate(out) if prediction is None]
     if not model.fallback:
         return [[] if prediction is None else prediction for prediction in out]

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputFileError, UnboundVariable
-from .qlang import ASK, IRI_TEXT, Iri, QueryAst
+from .qlang import ASK, IRI_TEXT, PLACEHOLDER_PREFIX, Iri, QueryAst
 
-_TRIPLE_LINE = re.compile(rf"^<({IRI_TEXT})>\s+<({IRI_TEXT})>\s+(.+?)\s*\.\s*$")
-_IRI_OBJECT = re.compile(rf"^<({IRI_TEXT})>$")
+# An IRI a query can write: one spelled like a placeholder term would read back as a placeholder.
+_IRI = rf"<(?!{re.escape(PLACEHOLDER_PREFIX)})({IRI_TEXT})>"
+_TRIPLE_LINE = re.compile(rf"^{_IRI}\s+{_IRI}\s+(.+?)\s*\.\s*$")
+_IRI_OBJECT = re.compile(rf"^{_IRI}$")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ def load_ntriples(path) -> Graph:
 
     Literal-object lines are skipped and counted; lines that are neither
     comments, blank, nor well-formed triples are recorded as malformed
-    (1-based line numbers) in the graph's load report, not raised. A file
+    (1-based line numbers) in the graph's load report, not raised; so is a
+    line naming an IRI that starts like a placeholder term. A file
     that is not UTF-8 raises InputFileError.
     """
     triples: set[tuple[str, str, str]] = set()

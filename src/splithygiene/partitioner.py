@@ -15,9 +15,10 @@ from fractions import Fraction
 from math import ceil, floor, isfinite
 
 from . import rng
-from .attribution import AttributionIndex, template_matches_seed
+from .attribution import AttributionIndex, nlq_matcher
 from .corpus import VALID_FRACTION
 from .errors import RatioError
+from .qlang import extract_predicates
 
 
 @dataclass(frozen=True)
@@ -82,29 +83,27 @@ def leaky_partition(instances, ratios=(0.8, 0.1, 0.1), rng_seed: int = 0) -> Spl
 def split_templates(templates, seeds, seed_test_ids) -> TemplateSplit:
     """Coordinate a template split with a seed split.
 
-    A template goes to test iff it matches at least one seed whose id is in
-    `seed_test_ids`; templates matching both sides are routed to test and
-    reported via `both_matched_ids`.
+    A template matches a seed when its question pattern matches the seed's
+    question and its predicates equal the seed query's. A template goes to
+    test iff it matches at least one seed whose id is in `seed_test_ids`;
+    templates matching both sides are routed to test and reported via
+    `both_matched_ids`. The matcher runs once per seed question skeleton.
     """
-    test_ids: set[str] = set()
-    train_ids: set[str] = set()
-    both: set[str] = set()
-    seed_list = list(seeds)
+    templates = list(templates)
+    matches = nlq_matcher(templates)
     test_seed_ids = set(seed_test_ids)
-    for t in templates:
-        matched = [s.id for s in seed_list if template_matches_seed(t, s)]
-        in_test = any(sid in test_seed_ids for sid in matched)
-        in_train = any(sid not in test_seed_ids for sid in matched)
-        if in_test:
-            test_ids.add(t.id)
-            if in_train:
-                both.add(t.id)
-        else:
-            train_ids.add(t.id)
+    sides: dict[str, set[bool]] = {t.id: set() for t in templates}  # in test, per matched seed
+    for seed in seeds:
+        matched = matches(seed.pair.nlq)
+        if matched:
+            preds = tuple(extract_predicates(seed.pair.query_ast))
+            for t, _ in matched:
+                if t.predicates == preds:
+                    sides[t.id].add(seed.id in test_seed_ids)
     return TemplateSplit(
-        train_template_ids=frozenset(train_ids),
-        test_template_ids=frozenset(test_ids),
-        both_matched_ids=frozenset(both),
+        train_template_ids=frozenset(tid for tid, side in sides.items() if True not in side),
+        test_template_ids=frozenset(tid for tid, side in sides.items() if True in side),
+        both_matched_ids=frozenset(tid for tid, side in sides.items() if len(side) == 2),
     )
 
 

@@ -30,6 +30,8 @@ SELECT_DISTINCT = "select_distinct"
 _SLOT_MARKER = re.compile(r"<([A-Z][A-Z0-9]*)>\Z")
 # The text of an IRI, between its angle brackets, here and in the graph loader.
 IRI_TEXT = r"[^<>{}\s]+"
+# The start of a placeholder term's text; an IRI spelled so would read back as a placeholder.
+PLACEHOLDER_PREFIX = "Placeholder:"
 _LABEL = re.compile(r"[A-Z][A-Z0-9]*\Z")
 
 
@@ -58,7 +60,7 @@ class Placeholder:
     label: str
 
     def __str__(self) -> str:
-        return f"<Placeholder:{self.label}>"
+        return f"<{PLACEHOLDER_PREFIX}{self.label}>"
 
 
 Term = Iri | Var | Placeholder
@@ -195,8 +197,8 @@ def _term(text: str, lexemes: list[str], i: int, terms: dict[str, Term]) -> Term
         content = lex[1:-1]
         if not _IRI.fullmatch(content):
             raise ParseError(_offset(text, i), "malformed IRI")
-        if content.startswith("Placeholder:"):
-            label = content[len("Placeholder:"):]
+        if content.startswith(PLACEHOLDER_PREFIX):
+            label = content[len(PLACEHOLDER_PREFIX):]
             if not _LABEL.match(label):
                 raise ParseError(_offset(text, i), f"malformed placeholder label {label!r}")
             term = Placeholder(label)

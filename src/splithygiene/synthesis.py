@@ -137,6 +137,8 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
     Binding rows are shuffled with a stream keyed by (rng_seed, template id)
     and the first `limit` are substituted into both the question and the
     query; generation over many templates is therefore order-independent.
+    Rows binding an entity whose label has no token are dropped before the
+    shuffle.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -146,6 +148,12 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
         rows = evaluate(graph, derive_binding_query(template))
     else:  # one empty binding row iff the query holds
         rows = [{}] if evaluate(graph, template.query_pattern) else []
+    # a slot takes one or more tokens, so no template generates a question from an entity labelled by
+    # none; the local name of such an IRI is empty or all underscores, so the IRI ends in "/", "#" or "_"
+    labelless = {iri for row in rows for iri in row.values()
+                 if iri.endswith(("/", "#", "_")) and not qlang.tokenize_nlq(entity_label(iri))}
+    if labelless:
+        rows = [row for row in rows if labelless.isdisjoint(row.values())]
     order = rng.permutation(len(rows), rng_seed, "generate", template.id)
     instances: list[Instance] = []
     for k, row_idx in enumerate(order[:limit]):

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from splithygiene import attribution, corpus, experiments, kgstore, partitioner, qlang, synthesis
 from splithygiene.qlang import NlqPattern, parse_query
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import world  # noqa: E402
 
 PIZZA_SEED_NLQ = "Is Peter Piper Pizza in the pizza industry?"
 PIZZA_SEED_QUERY = (
@@ -38,6 +45,16 @@ def toy_config():
 @pytest.fixture(scope="session")
 def toy_data(toy_config):
     return experiments.build_pipeline_data(toy_config)
+
+
+@pytest.fixture(scope="session")
+def scaled_world(tmp_path_factory):
+    """The config and pipeline data of the benchmark world 4x the toy (16,407 instances)."""
+    path = tmp_path_factory.mktemp("world4")
+    world.write_world(path, seed=1, scale=4)
+    config = experiments.RunConfig(seeds_path=str(path / "seeds.jsonl"), kg_path=str(path / "world.nt"),
+                                   instance_limit=100_000)
+    return config, experiments.build_pipeline_data(config)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,8 @@ into frequent and rare tokens. The memorizer
 prediction reference is the linear-scan prediction: it calls the package's
 matcher and binder, and differs from the indexed prediction only in how it
 finds the template candidates and the nearest training question. The attribution
-reference tries the matcher on every template, with no pre-filter. The
+reference tries the matcher on every template, with no pre-filter, and the
+template-split reference tries it on every (template, seed) pair. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
 The placeholder-alignment reference is the plain subsequence walk, with the
@@ -466,6 +467,24 @@ def ref_align_placeholders(template, instance_ast):
 # ---------------------------------------------------------------------------
 # Attribution
 # ---------------------------------------------------------------------------
+
+def ref_template_matches_seed(template, seed) -> bool:
+    """True when the NLQs align slot-wise and the predicate lists are equal."""
+    if match_nlq(template.nlq_pattern, seed.pair.nlq) is None:
+        return False
+    return extract_predicates(template.query_pattern, skip_placeholders=True) == extract_predicates(seed.pair.query_ast)
+
+
+def ref_split_templates(templates, seeds, seed_test_ids) -> tuple[set[str], set[str], set[str]]:
+    """(train, test, both-matched) template ids, every (template, seed) pair tried."""
+    train, test, both = set(), set(), set()
+    for t in templates:
+        sides = {s.id in seed_test_ids for s in seeds if ref_template_matches_seed(t, s)}
+        (test if True in sides else train).add(t.id)
+        if len(sides) == 2:
+            both.add(t.id)
+    return train, test, both
+
 
 def ref_attribute_instance(instance, templates) -> list[str]:
     """Try every template's matcher, then its predicate rule."""

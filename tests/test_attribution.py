@@ -2,26 +2,22 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from conftest import (
     AIRCRAFT_INSTANCE_NLQ,
     AIRCRAFT_INSTANCE_QUERY,
+    COMICS_INSTANCE_NLQ,
     make_instance,
     random_corpus,
 )
-from references import ref_attribute_instance
-from splithygiene import attribution, corpus, experiments, synthesis
-from splithygiene.errors import PlaceholderPredicate
-from splithygiene.kgstore import load_ntriples
-from splithygiene.qlang import Iri, NlqPattern, Placeholder, QueryAst, Word, match_nlq, parse_query
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.insert(0, str(PERFBENCH))
-import world  # noqa: E402
+from references import ref_attribute_instance, ref_template_matches_seed
+from splithygiene import attribution, corpus, qlang, synthesis
+from splithygiene.errors import PatternError, PlaceholderPredicate
+from splithygiene.qlang import Iri, NlqPattern, Placeholder, QueryAst, Slot, Word, match_nlq, parse_query
 
 DBR = "http://dbpedia.org/resource/"
 
@@ -38,25 +34,25 @@ def _template(tid, nlq, query):
 
 
 # ---------------------------------------------------------------------------
-# template_matches_seed
+# the seed rule (the template-split oracle)
 # ---------------------------------------------------------------------------
 
 def test_template_matches_its_seed(pizza_seed, industry_template):
-    assert attribution.template_matches_seed(industry_template, pizza_seed)
+    assert ref_template_matches_seed(industry_template, pizza_seed)
 
 
 def test_template_mismatched_predicate(pizza_seed):
     t = _template(
         "t-founder", "is <B> in the <A> industry ?",
         "ASK WHERE { <Placeholder:B> <http://dbpedia.org/ontology/founder> <Placeholder:A> }")
-    assert not attribution.template_matches_seed(t, pizza_seed)
+    assert not ref_template_matches_seed(t, pizza_seed)
 
 
 def test_template_mismatched_wording(pizza_seed):
     t = _template(
         "t-words", "is <B> within the <A> industry ?",
         "ASK WHERE { <Placeholder:B> <http://dbpedia.org/ontology/industry> <Placeholder:A> }")
-    assert not attribution.template_matches_seed(t, pizza_seed)
+    assert not ref_template_matches_seed(t, pizza_seed)
 
 
 def test_placeholder_predicates_are_skipped_in_seed_matching(pizza_seed):
@@ -65,7 +61,7 @@ def test_placeholder_predicates_are_skipped_in_seed_matching(pizza_seed):
         "ASK WHERE { <Placeholder:B> <Placeholder:A> <e:Anything> }")
     # with the placeholder-predicate pattern skipped, both predicate lists
     # would have to be empty; the seed has one predicate, so no match
-    assert not attribution.template_matches_seed(t, pizza_seed)
+    assert not ref_template_matches_seed(t, pizza_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +288,77 @@ def test_index_equals_unfiltered_reference_on_default_toy_data(toy_data):
     _assert_index_equals_reference(toy_data.instances, toy_data.templates)
 
 
-def test_index_equals_unfiltered_reference_on_scaled_world(tmp_path):
-    world.write_world(tmp_path, seed=1, scale=4)
-    _, templates, _ = experiments.extract_stage(tmp_path / "seeds.jsonl")
-    instances, _ = experiments.generate_stage(templates, load_ntriples(tmp_path / "world.nt"), 1000, 0)
-    assert len(instances) > 15_000
-    _assert_index_equals_reference(instances, templates)
-
-
-def test_prefilter_keeps_matcher_calls_few_on_default_toy_data(toy_data, monkeypatch):
-    calls = 0
+def _counted_matcher(monkeypatch) -> list[int]:
+    """Count the matcher calls made through attribution from now on, in the returned one-item list."""
+    calls = [0]
 
     def counted(pattern, nlq):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return match_nlq(pattern, nlq)
 
     monkeypatch.setattr(attribution, "match_nlq", counted)
+    return calls
+
+
+def test_index_equals_unfiltered_reference_on_scaled_world(scaled_world, monkeypatch):
+    _, data = scaled_world
+    assert len(data.instances) > 15_000
+    calls = _counted_matcher(monkeypatch)
+    _assert_index_equals_reference(data.instances, data.templates)
+    # 16,407 questions have 68 skeletons; the matcher runs on each one's pre-filtered templates
+    assert 0 < calls[0] <= 100
+
+
+def test_prefilter_keeps_matcher_calls_few_on_default_toy_data(toy_data, monkeypatch):
+    calls = _counted_matcher(monkeypatch)
     index = attribution.build_index(toy_data.instances, toy_data.templates)
     assert index.by_instance == toy_data.index.by_instance
-    # every toy instance times every template is 157,248 pairs; the pre-filters leave ~4,200
-    assert 0 < calls <= 5_000
+    # every toy instance times every template is 157,248 pairs; the pre-filter left ~4,200,
+    # and matching once per question skeleton (84 of them) leaves ~110
+    assert 0 < calls[0] <= 150
+
+
+# pattern words whose case-fold differs from their lowercase ("ß" folds to "ss"), a digraph with a
+# title case, and a slot marker's spelling; the question tokens add their case variants and entity words
+_TABLE_WORDS = ["is", "the", "ss", "ß", "strasse", "ǆ", "of", "<a>"]
+_TABLE_TOKENS = _TABLE_WORDS + ["STRASSE", "Straße", "SS", "ǅ", "Ǆ", "IS", "<A>", "<B>", "rook", "otter"]
+
+
+def _table_pattern(elements):
+    try:
+        return NlqPattern(tuple(elements))
+    except PatternError:
+        return None
+
+
+_TABLE_PATTERNS = st.lists(st.one_of(st.sampled_from(_TABLE_WORDS).map(Word), st.sampled_from("AB").map(Slot)),
+                           min_size=1, max_size=5).map(_table_pattern).filter(lambda p: p is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.lists(_TABLE_PATTERNS, min_size=1, max_size=6),
+       questions=st.lists(st.lists(st.sampled_from(_TABLE_TOKENS), max_size=5).map(tuple), min_size=1, max_size=20))
+def test_the_match_table_equals_the_matcher(patterns, questions):
+    templates = [SimpleNamespace(id=f"t{i}", nlq_pattern=p) for i, p in enumerate(patterns)]
+    # short questions over few tokens repeat skeletons, often with template words inside the slot
+    # spans; case variants repeat them with other tokens, and either order may fill the table first
+    questions += [tuple(t.upper() for t in q) for q in questions] + [tuple(t.casefold() for t in q) for q in questions]
+    for order in (questions, questions[::-1]):
+        matches = attribution.nlq_matcher(templates)
+        for question in order + order:
+            assert matches(question) == tuple(attribution.nlq_matches(templates, question)), question
+
+
+def test_the_match_table_matches_once_per_skeleton(industry_template, monkeypatch):
+    calls = _counted_matcher(monkeypatch)
+    matches = attribution.nlq_matcher([industry_template])
+    comics, aircraft = qlang.tokenize_nlq(COMICS_INSTANCE_NLQ), qlang.tokenize_nlq(AIRCRAFT_INSTANCE_NLQ)
+    # one skeleton: the entity words are no template's words; "IS" case-folds to the word "is"
+    for question in (comics, aircraft, ("IS",) + comics[1:]):
+        assert matches(question) == tuple(attribution.nlq_matches([industry_template], question))
+    assert calls[0] == 4  # one for the table, three for the direct calls
+    assert matches(comics)[0][1] == {"B": (1, 3), "A": (5, 6)}
+    assert matches(("is", "in", "the", "industry", "?")) == ()
 
 
 def test_placeholder_predicate_instance_raises_even_when_no_template_words_match(industry_template):

@@ -3,9 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +22,6 @@ from references import ref_memorizer_predict
 from splithygiene import attribution, baselines, corpus, experiments, metrics, partitioner, qlang, synthesis
 from splithygiene.cli import main
 from splithygiene.errors import EmptyCorpus
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.insert(0, str(PERFBENCH))
-import world  # noqa: E402
 
 DBR = "http://dbpedia.org/resource/"
 DBO_INDUSTRY = "http://dbpedia.org/ontology/industry"
@@ -380,20 +373,31 @@ def test_predict_does_not_depend_on_the_batch_or_its_blocks(monkeypatch, toy_dat
     assert blocks[1] == fallbacks and 1 < blocks[7919] < blocks[1000] < fallbacks, blocks
 
 
-def test_batched_fallback_equals_the_linear_scan_on_a_scaled_sanitized_split(tmp_path):
-    world.write_world(tmp_path, seed=1, scale=4)
-    config = experiments.RunConfig(seeds_path=str(tmp_path / "seeds.jsonl"), kg_path=str(tmp_path / "world.nt"),
-                                   instance_limit=100_000)
-    data = experiments.build_pipeline_data(config)
-    _, split = experiments._sanitized_split(data, config, experiments.seed_split_ids(data, config))
+def _assert_sample_equals_the_linear_scan(data, train, test, seed):
+    """A seeded sample of 40 test questions: the memorizer trained on `train` predicts as the reference does."""
     rows = {inst.id: row for row, inst in enumerate(data.instances)}
     model = baselines.train_memorizer(baselines.memorizer_index(data.instances, data.index),
-                                      [rows[inst.id] for inst in split.train])
-    assert len(split.train) > 12_000 and len(split.test) > 2_500
-    sample = random.Random(4).sample(split.test, 40)
+                                      [rows[inst.id] for inst in train])
+    sample = random.Random(seed).sample(test, 40)
     predicted = baselines.memorizer_predict(model, [inst.pair.nlq for inst in sample])
     for inst, prediction in zip(sample, predicted, strict=True):
         assert prediction == ref_memorizer_predict(model, inst.pair.nlq), inst.id
+
+
+def test_batched_fallback_equals_the_linear_scan_on_a_scaled_sanitized_split(scaled_world):
+    config, data = scaled_world
+    _, split = experiments._sanitized_split(data, config, experiments.seed_split_ids(data, config))
+    assert len(split.train) > 12_000 and len(split.test) > 2_500
+    _assert_sample_equals_the_linear_scan(data, split.train, split.test, 4)
+
+
+def test_table_predictions_equal_the_linear_scan_on_a_scaled_leaky_split(scaled_world):
+    # leaky test questions hit seen templates: the predictions read the match table
+    config, data = scaled_world
+    for rng_seed in config.rng_seeds[:2]:
+        split = partitioner.leaky_partition(data.instances, config.ratios, rng_seed)
+        assert len(split.test) > 1_500
+        _assert_sample_equals_the_linear_scan(data, split.train, split.test, rng_seed)
 
 
 def _assert_same_memorizer(model, ref, index):
@@ -465,47 +469,57 @@ def test_memorizer_rows_equal_the_per_partition_trainer_on_toy_partitions(toy_da
 
 
 def _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config, bindings) -> Counter:
-    """Calls to each (module, name) binding during exp1, keyed (name, whether inside memorizer_predict)."""
+    """Calls to each (module, name) binding during exp1 and one build_index over the toy corpus.
+
+    Keyed (name, where): where is "harvest" inside `_harvest`, "predict" inside
+    `memorizer_predict`, "build_index" inside that call, else None.
+    """
     calls = Counter()
-    predicting = []
+    where = [None]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name, bool(predicting)] += 1
+            calls[name, where[-1]] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    def predict(*args, **kwargs):
-        predicting.append(True)
-        try:
-            return baselines.memorizer_predict(*args, **kwargs)
-        finally:
-            predicting.pop()
+    def inside(label, fn):
+        def wrapper(*args, **kwargs):
+            where.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+        return wrapper
 
     for module, name in bindings:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    monkeypatch.setattr(experiments, "memorizer_predict", predict)
+    monkeypatch.setattr(baselines, "_harvest", inside("harvest", baselines._harvest))
+    monkeypatch.setattr(experiments, "memorizer_predict", inside("predict", baselines.memorizer_predict))
     experiments.run_experiment("exp1", dataclasses.replace(toy_config, workdir=str(tmp_path)), toy_data)
+    index = inside("build_index", attribution.build_index)(toy_data.instances, toy_data.templates)
+    assert index == toy_data.index
     return calls
 
 
 def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch, toy_data, toy_config):
-    # exp1 trains six memorizers on overlapping train sets; the harvest runs once per
-    # (corpus instance, harvested template), and prediction's own matching is not counted
+    # exp1 trains six memorizers on overlapping train sets; the harvest aligns once per
+    # (corpus instance, harvested template) and reads its bindings from the match table
     calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config,
-                        [(baselines, "match_nlq"), (baselines, "align_placeholders")])
+                        [(attribution, "match_nlq"), (baselines, "align_placeholders")])
     index = toy_data.index
     harvested = sum(1 if inst.origin_template_id in index.attributed(inst.id) else len(index.attributed(inst.id))
                     for inst in toy_data.instances)
-    assert 0 < calls["match_nlq", False] <= harvested, (calls, harvested)
-    assert 0 < calls["align_placeholders", False] <= harvested, (calls, harvested)
+    assert 0 < calls["align_placeholders", "harvest"] <= harvested, (calls, harvested)
+    assert calls["match_nlq", "harvest"] == 0 < calls["match_nlq", "build_index"], calls
 
 
 def test_memorizer_predict_tries_templates_most_literal_words_first(tmp_path, monkeypatch, toy_data, toy_config):
-    # the first match in (most literal words, id) order wins, so the search stops there
-    calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config,
-                        [(attribution, "match_nlq"), (baselines, "match_nlq")])
-    assert 0 < calls["match_nlq", True] <= 3645, calls
+    # the table already holds every corpus question's skeleton, so prediction never calls the matcher
+    calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config, [(attribution, "match_nlq")])
+    assert calls["match_nlq", "predict"] == 0 < calls["match_nlq", "build_index"] <= 150, calls
+    # the rest come from split_templates, one matcher pass per seed skeleton
+    assert calls["match_nlq", None] <= 500, calls
 
 
 def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypatch, toy_data, toy_config):

@@ -166,6 +166,35 @@ def test_a_kg_iri_no_query_can_write_is_skipped_before_attribution(tmp_path, run
                              "--templates", str(templates), "--out", str(tmp_path / "attribution.tsv")]))
 
 
+def _generate_and_attribute(tmp_path, runner, old, new):
+    """Run extract, generate and attribute on the toy KG with `old` replaced by `new`; the two results."""
+    kg = tmp_path / "toy.nt"
+    kg.write_text(toydata.toy_kg_path().read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    templates, gen = tmp_path / "templates.jsonl", tmp_path / "gen"
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
+    generated = _ok(runner.invoke(main, ["generate", "--templates", str(templates), "--kg", str(kg),
+                                         "--limit", "1000", "--out-dir", str(gen)]))
+    attributed = _ok(runner.invoke(main, ["attribute", "--nlq", str(gen / "instances.nlq"),
+                                          "--ql", str(gen / "instances.ql"), "--templates", str(templates),
+                                          "--out", str(tmp_path / "attribution.tsv")]))
+    return generated, attributed
+
+
+def test_a_kg_iri_spelled_like_a_placeholder_is_a_malformed_line(tmp_path, runner):
+    # "<Placeholder:X>" would read back from instances.ql as a placeholder term, not an IRI
+    generated, _ = _generate_and_attribute(tmp_path, runner, "<http://toy.example.org/resource/Oslo>",
+                                           "<Placeholder:X>")
+    assert "warning: 4 malformed KG lines skipped" in generated.stderr
+    assert "Placeholder" not in (tmp_path / "gen" / "instances.ql").read_text(encoding="utf-8")
+
+
+def test_an_entity_whose_label_has_no_token_generates_no_question(tmp_path, runner):
+    # ".../resource/" is labelled "": a slot takes one or more tokens, so such a question has no template
+    generated, attributed = _generate_and_attribute(tmp_path, runner, "/Oslo>", "/>")
+    assert "generated 0 instances" not in generated.output
+    assert attributed.output.endswith(" 0 unattributed)\n"), attributed.output
+
+
 def test_run_preset_and_report(tmp_path, runner):
     workdir = tmp_path / "w"
     _ok(runner.invoke(main, ["run", "exp3", "--workdir", str(workdir)]))

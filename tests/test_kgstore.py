@@ -56,10 +56,15 @@ def test_load_collects_malformed_lines(tmp_path):
         "<e:s> <p:p> missing_brackets .\n"
         "<e:s> <p:p> <e:{o}> .\n"  # braces: an IRI no query can write
         "<e:{s}> <p:p> <e:o2> .\n"
+        "<Placeholder:A> <p:p> <e:o> .\n"  # a placeholder's spelling: a query reads it back as no IRI
+        "<e:s> <Placeholder:P> <e:o> .\n"
+        "<e:s> <p:p> <Placeholder:B> .\n"
+        "<e:s> <p:p> <e:Placeholder:C> .\n"
+        "<e:s> <p:p> <placeholder:D> .\n"
     )
     graph = kgstore.load_ntriples(path)
-    assert len(graph) == 1
-    assert graph.load_report.malformed_lines == (3, 5, 6, 7)
+    assert len(graph) == 3
+    assert graph.load_report.malformed_lines == (3, 5, 6, 7, 8, 9, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance, random_corpus, random_template_split
-from splithygiene import attribution, corpus, partitioner, rng, synthesis
+from references import ref_split_templates, ref_template_matches_seed
+from splithygiene import attribution, corpus, experiments, partitioner, rng, synthesis
 from splithygiene.errors import RatioError
 from splithygiene.qlang import NlqPattern, parse_query
 
@@ -150,11 +152,26 @@ def test_split_templates_two_matching_test_seeds():
     test_seed_ids = {"s2", "s5"}
     expected_test = {
         t.id for t in templates
-        if any(attribution.template_matches_seed(t, s) for s in seeds if s.id in test_seed_ids)
+        if any(ref_template_matches_seed(t, s) for s in seeds if s.id in test_seed_ids)
     }
     tsplit = partitioner.split_templates(templates, seeds, test_seed_ids)
     assert tsplit.test_template_ids == expected_test == {"t2", "t5"}
     assert len(tsplit.train_template_ids) == 6
+
+
+def test_split_templates_equals_the_all_pairs_rule_on_toy_and_scaled_seeds(toy_data, scaled_world):
+    # a renamed copy of every fifth seed can land on the other side of its twin
+    seen_both = 0
+    for data in (toy_data, scaled_world[1]):
+        seeds = data.seeds + [dataclasses.replace(s, id=f"{s.id}-twin") for s in data.seeds[::5]]
+        for fraction, rng_seed in ((0.2, 101), (0.5, 7), (0.9, 8)):
+            held_out = set(experiments.held_out_seed_ids(seeds, fraction, rng_seed))
+            tsplit = partitioner.split_templates(data.templates, seeds, held_out)
+            expected = ref_split_templates(data.templates, seeds, held_out)
+            assert (tsplit.train_template_ids, tsplit.test_template_ids, tsplit.both_matched_ids) == expected
+            assert tsplit.train_template_ids and tsplit.test_template_ids
+            seen_both += bool(tsplit.both_matched_ids)
+    assert seen_both, "no split had a template matching seeds on both sides"
 
 
 def test_split_templates_both_sides_goes_to_test(pizza_seed, industry_template):

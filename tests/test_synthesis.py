@@ -163,6 +163,17 @@ def test_generate_deterministic(industry_template):
     assert [i.pair for i in c] != [i.pair for i in a]
 
 
+def test_generate_drops_rows_binding_an_entity_labelled_by_no_token(industry_template):
+    # the first four local names label as "" or as underscores only; "_x_" labels as "x"
+    empty = [f"{DBR}", f"{DBR}__", "e:thing#", "e:thing#_"]
+    triples = [(subject, DBO_INDUSTRY, f"{DBR}Pizza") for subject in empty + [f"{DBR}_x_", f"{DBR}Ok"]]
+    instances = synthesis.generate_instances(industry_template, kgstore.Graph(triples), 50, rng_seed=3)
+    assert sorted(inst.pair.nlq for inst in instances) == [
+        ("is", "ok", "in", "the", "pizza", "industry", "?"),
+        ("is", "x", "in", "the", "pizza", "industry", "?"),
+    ]
+
+
 def test_generate_zero_slot_template_checks_graph():
     hit = kgstore.Graph([("e:s", "p:p", "e:o"), ("e:s", "p:p", "e:m"), ("e:m", "p:q", "e:o"), ("e:o", "p:q", "e:o")])
     miss = kgstore.Graph([("e:s", "p:p", "e:other")])
