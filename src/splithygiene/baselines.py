@@ -22,8 +22,8 @@ import numpy as np
 from . import metrics
 from .attribution import AttributionIndex
 from .errors import EmptyCorpus
-from .qlang import Iri, Placeholder, QueryAst, Var, serialize, span_tokens
-from .synthesis import Template, bind_placeholders
+from .qlang import Iri, Placeholder, QueryAst, Var, span_tokens
+from .synthesis import Template
 
 BOS = "<s>"
 EOS = "</s>"
@@ -104,31 +104,40 @@ def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, 
     patterns, earliest first; None when no consistent alignment exists. A
     failed (template pattern, instance pattern, bindings) state is never
     retried, so the walk makes O(|template| x |instance| x B) unifications for
-    B distinct partial bindings, not one per subsequence.
+    B distinct partial bindings, not one per subsequence. The states on the
+    current path are kept in a list, not on the call stack, so a query of any
+    length aligns.
     """
     t_pats = template.query_pattern.patterns
     i_pats = instance_ast.patterns
     failed: set[tuple[int, int, frozenset]] = set()
-
-    def walk(ti: int, ii: int, mapping: dict[str, str]):
+    path: list[tuple[tuple, tuple | None]] = []  # each open state, and its skip state while untried
+    state = (0, 0, {})
+    while True:
+        ti, ii, mapping = state
         if ti == len(t_pats):
             return mapping
-        if len(i_pats) - ii < len(t_pats) - ti:
+        key = (ti, ii, frozenset(mapping.items())) if len(i_pats) - ii >= len(t_pats) - ti else None
+        if key is not None and key not in failed:
+            # first align t_pats[ti] with i_pats[ii], then skip i_pats[ii]
+            unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
+            skip = (ti, ii + 1, mapping)
+            if unified is not None:
+                path.append((key, skip))
+                state = (ti + 1, ii + 1, unified)
+            else:
+                path.append((key, None))
+                state = skip
+            continue
+        while path:  # the state failed: resume the innermost open state with an untried skip
+            key, skip = path.pop()
+            if skip is not None:
+                path.append((key, None))
+                state = skip
+                break
+            failed.add(key)
+        else:
             return None
-        state = (ti, ii, frozenset(mapping.items()))
-        if state in failed:
-            return None
-        unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
-        if unified is not None:
-            result = walk(ti + 1, ii + 1, unified)
-            if result is not None:
-                return result
-        result = walk(ti, ii + 1, mapping)
-        if result is None:
-            failed.add(state)
-        return result
-
-    return walk(0, 0, {})
 
 
 def _namespace(iri: str) -> str:
@@ -293,7 +302,7 @@ def _template_prediction(model: MemorizerModel, tokens: tuple) -> list[str] | No
     seen = [(t, bindings) for t, bindings in model.matches(tokens) if model.templates.get(t.id) is t]
     if not seen:
         return None
-    template, bindings = max(seen, key=lambda m: len(m[0].nlq_pattern.elements) - len(m[0].nlq_pattern.labels))
+    template, bindings = max(seen, key=lambda m: m[0].nlq_pattern.word_count)
     row = {}
     for label, span in bindings.items():
         text = " ".join(span_tokens(tokens, span))
@@ -301,7 +310,7 @@ def _template_prediction(model: MemorizerModel, tokens: tuple) -> list[str] | No
         if iri is None:
             iri = label_to_iri_form(text, model.entity_namespace)
         row[label.lower()] = iri
-    return serialize(bind_placeholders(template, row)).split()
+    return template.query_form.fill(row).split()
 
 
 def _listed(starts: np.ndarray, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -207,8 +207,9 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
     train = read_parallel(train_nlq, train_ql, train_manifest)
     index = build_index(train, read_templates(templates_path))
     model = train_memorizer(memorizer_index(train, index), range(len(train)))
-    lines = read_lines(input_path)
-    preds = [" ".join(pred) for pred in memorizer_predict(model, [qlang.tokenize_nlq(line) for line in lines])]
+    words: dict[str, tuple[str, ...]] = {}
+    questions = [qlang.tokenize_nlq(line, words) for line in read_lines(input_path)]
+    preds = [" ".join(pred) for pred in memorizer_predict(model, questions)]
     write_lines(out_path, preds)
     click.echo(f"wrote {len(preds)} predictions")
 

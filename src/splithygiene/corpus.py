@@ -41,10 +41,6 @@ class QAPair:
     def from_text(cls, nlq_text: str, query_text: str) -> "QAPair":
         return cls(qlang.tokenize_nlq(nlq_text), query_text, qlang.parse_query(query_text))
 
-    @classmethod
-    def from_ast(cls, nlq_tokens, ast: qlang.QueryAst) -> "QAPair":
-        return cls(tuple(nlq_tokens), qlang.serialize(ast), ast)
-
     def nlq_text(self) -> str:
         return " ".join(self.nlq)
 
@@ -95,8 +91,10 @@ def canonical_key(pair: QAPair) -> str:
     """Lowercased single-spaced NLQ + whitespace-normalized query text.
 
     Query text keeps its case: IRIs are case-sensitive, questions are not.
+    Lowercasing the joined tokens equals joining the lowercased tokens: the
+    only mapping that reads its context, a final capital sigma, stops at a space.
     """
-    nlq = " ".join(t.lower() for t in pair.nlq)
+    nlq = " ".join(pair.nlq).lower()
     query = " ".join(pair.query_text.split())
     return nlq + "\n" + query
 
@@ -250,8 +248,9 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
             )
     out: list[Instance] = []
     terms: dict[str, qlang.Term] = {}
+    words: dict[str, tuple[str, ...]] = {}
     for i, (nlq_line, query_line) in enumerate(zip(nlq_lines, query_lines)):
-        nlq = qlang.tokenize_nlq(nlq_line)
+        nlq = qlang.tokenize_nlq(nlq_line, words)
         if not nlq:
             raise InputFileError(f"{nlq_path}:{i + 1}: empty NLQ line")
         try:

@@ -214,8 +214,9 @@ def extract_stage(seeds_path) -> tuple[list, list, dict[str, int]]:
 def generate_stage(templates, graph, limit: int, rng_seed: int) -> tuple[list, int]:
     """Instantiate every template and de-duplicate; returns (instances, removed)."""
     instances = []
+    entities: dict = {}
     for template in templates:
-        instances.extend(generate_instances(template, graph, limit, rng_seed))
+        instances.extend(generate_instances(template, graph, limit, rng_seed, entities))
     return dedup(instances)
 
 

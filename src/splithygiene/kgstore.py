@@ -1,18 +1,21 @@
 """In-memory triple store with basic-graph-pattern evaluation.
 
 Stands in for a live SPARQL endpoint: holds IRI-only triples loaded from an
-N-Triples file and answers the ASK / SELECT DISTINCT subset of qlang, every
-pattern shape from one lookup table (see `Graph`) and one unifier.
+N-Triples file and answers the ASK / SELECT DISTINCT subset of qlang by a
+breadth-first join, every pattern shape read from one lookup table (see
+`Graph`).
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import InputFileError, UnboundVariable
-from .qlang import ASK, IRI_TEXT, PLACEHOLDER_PREFIX, Iri, QueryAst
+from .qlang import ASK, IRI_TEXT, PLACEHOLDER_PREFIX, Iri, QueryAst, Var
 
 # An IRI a query can write: one spelled like a placeholder term would read back as a placeholder.
 _IRI = rf"<(?!{re.escape(PLACEHOLDER_PREFIX)})({IRI_TEXT})>"
@@ -87,18 +90,13 @@ def load_ntriples(path) -> Graph:
     return Graph(triples, LoadReport(skipped, tuple(malformed)))
 
 
-def _bound(term, binding: dict[str, str]) -> str | None:
-    """The IRI a term stands for under `binding`; None for an unbound variable."""
-    return term.value if isinstance(term, Iri) else binding.get(term.name)
+def _lookup(graph: Graph, s: str | None, p: str | None, o: str | None):
+    """The triples, in sorted order, that agree with the given positions; None is unbound.
 
-
-def _candidates(graph: Graph, pattern, binding: dict[str, str]):
-    """The triples, in sorted order, that agree with the pattern's IRI positions.
-
-    A fully bound pattern is a membership test on `graph.triples`; a variable
-    predicate gets every triple, which `_unify` then narrows.
+    A fully bound pattern is a membership test on `graph.triples`. With the
+    predicate unbound the index offers every triple, and the caller checks the
+    subject and object.
     """
-    s, p, o = (_bound(term, binding) for term in pattern)
     if p is None:
         return graph._index.get((None, None, None), ())
     if s is not None and o is not None:
@@ -106,33 +104,102 @@ def _candidates(graph: Graph, pattern, binding: dict[str, str]):
     return graph._index.get((s, p, None) if s is not None else (None, p, o), ())
 
 
-def _unify(pattern, triple, binding: dict[str, str]) -> dict[str, str] | None:
-    """`binding` extended so that `pattern` matches `triple`, or None if it cannot."""
-    for term, value in zip(pattern, triple):
-        bound = _bound(term, binding)
-        if bound is None:
-            binding = {**binding, term.name: value}
-        elif bound != value:
-            return None
-    return binding
+def _join_order(graph: Graph, patterns) -> list[int]:
+    """The patterns' indices in join order.
 
-
-def _solutions(graph: Graph, patterns, binding: dict[str, str], stop_at_first: bool):
-    if not patterns:
-        yield binding
-        return
-    # greedy: evaluate the pattern with the fewest candidates first
-    candidates = [_candidates(graph, pattern, binding) for pattern in patterns]
-    idx = min(range(len(patterns)), key=lambda i: len(candidates[i]))
-    rest = patterns[:idx] + patterns[idx + 1:]
-    for triple in candidates[idx]:
-        nb = _unify(patterns[idx], triple, binding)
-        if nb is None:
+    Next comes the pattern with the most bound positions (IRIs and variables
+    an earlier pattern binds), then the fewest index candidates for its IRIs,
+    then the first. A heap with lazily dropped entries keeps this
+    O(P log P) for P patterns.
+    """
+    bound = [sum(isinstance(t, Iri) for t in pattern) for pattern in patterns]
+    size = [len(_lookup(graph, *(t.value if isinstance(t, Iri) else None for t in pattern))) for pattern in patterns]
+    holders: dict[str, list[int]] = {}  # variable -> its patterns, once per position
+    for j, pattern in enumerate(patterns):
+        for t in pattern:
+            if isinstance(t, Var):
+                holders.setdefault(t.name, []).append(j)
+    heap = [(-bound[j], size[j], j) for j in range(len(patterns))]
+    heapq.heapify(heap)
+    done = [False] * len(patterns)
+    order: list[int] = []
+    while heap:
+        b, _, j = heapq.heappop(heap)
+        if done[j] or -b != bound[j]:
             continue
-        for sol in _solutions(graph, rest, nb, stop_at_first):
-            yield sol
-            if stop_at_first:
-                return
+        done[j] = True
+        order.append(j)
+        for name in {t.name for t in patterns[j] if isinstance(t, Var)}:
+            for k in holders.pop(name, ()):
+                if not done[k]:
+                    bound[k] += 1
+                    heapq.heappush(heap, (-bound[k], size[k], k))
+    return order
+
+
+def _tuple_getter(positions):
+    """A function returning the items of a sequence at `positions`, always as a tuple."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda seq: (seq[k],)
+    return itemgetter(*positions) if positions else (lambda seq: ())
+
+
+def _join(graph: Graph, patterns, select_vars, first_only: bool):
+    """The distinct `select_vars` rows of the patterns' solutions, or with `first_only` whether one exists.
+
+    The join is breadth-first: each step extends every partial row (the
+    values of the variables bound so far, in binding order) by one pattern,
+    in `_join_order`. The last step adds its rows to the result set as it
+    makes them, and with `first_only` stops at the first.
+    """
+    slot: dict[str, int] = {}  # variable -> its position in a partial row
+    rows: list[tuple] = [()]
+    order = _join_order(graph, patterns)
+    for step, j in enumerate(order):
+        # a position is an IRI, a bound variable, or unbound; `ext` is a row followed by `tail`
+        width, tail, at, new, same, first = len(slot), [None], [], [], [], {}
+        for k, term in enumerate(patterns[j]):
+            if isinstance(term, Iri):
+                at.append(width + len(tail))
+                tail.append(term.value)
+            elif term.name in first:  # a second place of a variable this pattern binds
+                at.append(width)  # reads the None that starts the tail
+                same.append((first[term.name], k))
+            elif term.name in slot:
+                at.append(slot[term.name])
+            else:
+                at.append(width)
+                first[term.name] = k
+                slot[term.name] = width + len(new)
+                new.append(k)
+        tail = tuple(tail)
+        s_at, p_at, o_at = at
+        # with the predicate unbound the lookup ignores the subject and object, so they are checked
+        checks = [(k, i) for k, i in ((0, s_at), (2, o_at)) if i != width] if p_at == width else []
+        key = itemgetter(*at)
+        extend = _tuple_getter(new)
+        last = step == len(order) - 1
+        out = set() if last else []
+        put = out.add if last else out.append
+        project = _tuple_getter([slot[v] for v in select_vars]) if last else None
+        for row in rows:
+            ext = row + tail
+            for t in _lookup(graph, *key(ext)):
+                if checks and any(t[k] != ext[i] for k, i in checks):
+                    continue
+                if same and any(t[a] != t[b] for a, b in same):
+                    continue
+                if not last:
+                    put(row + extend(t))
+                elif first_only:
+                    return True
+                else:
+                    put(project(row + extend(t)))
+        rows = out
+        if not rows:
+            break
+    return bool(rows) if first_only else rows
 
 
 def evaluate(graph: Graph, ast: QueryAst):
@@ -144,13 +211,9 @@ def evaluate(graph: Graph, ast: QueryAst):
     if ast.has_placeholders():
         raise ValueError("query still contains placeholder terms")
     if ast.form == ASK:
-        return next(_solutions(graph, list(ast.patterns), {}, True), None) is not None
+        return _join(graph, ast.patterns, (), True)
     pattern_vars = ast.variables()
     for v in ast.select_vars:
         if v not in pattern_vars:
             raise UnboundVariable(f"?{v} never appears in the query patterns")
-    rows = {
-        tuple(sol[v] for v in ast.select_vars)
-        for sol in _solutions(graph, list(ast.patterns), {}, False)
-    }
-    return [dict(zip(ast.select_vars, row)) for row in sorted(rows)]
+    return [dict(zip(ast.select_vars, row)) for row in sorted(_join(graph, ast.patterns, ast.select_vars, False))]

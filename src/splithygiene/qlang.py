@@ -237,17 +237,25 @@ def extract_predicates(ast: QueryAst, skip_placeholders: bool = False) -> list[s
 # NLQ tokenization
 # ---------------------------------------------------------------------------
 
-def tokenize_nlq(text: str) -> tuple[str, ...]:
+def tokenize_nlq(text: str, words: dict[str, tuple[str, ...]] | None = None) -> tuple[str, ...]:
     """Lowercase, whitespace-split, with trailing ?!. split off as tokens.
 
     ``<A>``-style slot markers pass through verbatim as single tokens. Generation
     tokenizes entity labels with it too, so a written corpus reads back unchanged.
+    Each whitespace-separated word is tokenized on its own, and ``words`` maps
+    a word to its tokens: callers that pass one dict to many calls tokenize
+    each distinct word once.
     """
+    if words is None:
+        words = {}
     out: list[str] = []
     for raw in text.split():
-        word = raw.rstrip("?!.") or raw[0]
-        out.append(word if word[0] == "<" and _SLOT_MARKER.match(word) else word.lower())
-        out.extend(raw[len(word):])
+        tokens = words.get(raw)
+        if tokens is None:
+            word = raw.rstrip("?!.") or raw[0]
+            head = word if word[0] == "<" and _SLOT_MARKER.match(word) else word.lower()
+            tokens = words[raw] = (head, *raw[len(word):])
+        out += tokens
     return tuple(out)
 
 
@@ -299,9 +307,25 @@ class NlqPattern:
     def from_text(cls, text: str) -> "NlqPattern":
         return cls.from_tokens(tokenize_nlq(text))
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.elements if isinstance(e, Slot))
+
+    @cached_property
+    def runs(self) -> tuple[tuple[str, ...], ...]:
+        """The word tokens before, between and after the slots: one run more than there are slots."""
+        runs: list[list[str]] = [[]]
+        for e in self.elements:
+            if isinstance(e, Word):
+                runs[-1].append(e.token)
+            else:
+                runs.append([])
+        return tuple(map(tuple, runs))
+
+    @cached_property
+    def word_count(self) -> int:
+        """The number of literal-word elements."""
+        return sum(isinstance(e, Word) for e in self.elements)
 
     @cached_property
     def words(self) -> frozenset[str]:
@@ -324,37 +348,42 @@ def match_nlq(pattern: NlqPattern, nlq) -> SlotBindings | None:
     still lets the rest match. Whether the rest matches depends only on the
     (element, position) pair, so a slot records the pairs that failed and never
     retries them: O(elements x tokens^2) in the worst case, not exponential in
-    the slot count.
+    the slot count. The walk keeps its open slots in a list, not on the call
+    stack, so a pattern of any length matches.
     """
     elems = pattern.elements
     tokens = list(nlq)
     n = len(tokens)
     m = len(elems)  # every element takes at least one token: prune when fewer tokens are left
-    bindings: SlotBindings = {}
     failed: set[tuple[int, int]] = set()
-
-    def walk(e: int, i: int) -> bool:
-        if e == m:
-            return i == n
-        if n - i < m - e:
-            return False
-        el = elems[e]
-        if isinstance(el, Word):
-            if tokens[i].casefold() != el.token.casefold():
-                return False
-            return walk(e + 1, i + 1)
-        if (e, i) in failed:
-            return False
-        for end in range(i + 1, n - (m - e - 1) + 1):  # leave a token for each later element
-            if walk(e + 1, end):
-                bindings[el.label] = (i, end)
-                return True
-        failed.add((e, i))
-        return False
-
-    if not walk(0, 0):
-        return None
-    return bindings
+    open_slots: list[list[int]] = []  # [element, start, end] of each slot on the current path
+    e = i = 0
+    while True:
+        while e < m and n - i >= m - e:
+            el = elems[e]
+            if isinstance(el, Word):
+                if tokens[i].casefold() != el.token.casefold():
+                    break
+            elif (e, i) in failed:
+                break
+            else:  # the slot takes one token first
+                open_slots.append([e, i, i + 1])
+            e += 1
+            i += 1
+        if e == m and i == n:
+            # the last slot first: the memorizer's harvest keeps this order
+            return {elems[se].label: (start, end) for se, start, end in reversed(open_slots)}
+        while open_slots:  # the innermost open slot that can take one more token does
+            slot = open_slots[-1]
+            se, start, end = slot
+            if end < n - (m - se - 1):  # leave a token for each later element
+                slot[2] = end + 1
+                e, i = se + 1, end + 1
+                break
+            failed.add((se, start))
+            open_slots.pop()
+        else:
+            return None
 
 
 def span_tokens(nlq, span: tuple[int, int]) -> tuple[str, ...]:
@@ -363,12 +392,11 @@ def span_tokens(nlq, span: tuple[int, int]) -> tuple[str, ...]:
 
 def substitute_slots(pattern: NlqPattern, slot_tokens: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
     """Question tokens obtained by replacing each slot with its tokens."""
-    out: list[str] = []
-    for e in pattern.elements:
-        if isinstance(e, Word):
-            out.append(e.token)
-        else:
-            out.extend(slot_tokens[e.label])
+    runs = pattern.runs
+    out = list(runs[0])
+    for label, run in zip(pattern.labels, runs[1:]):
+        out += slot_tokens[label]
+        out += run
     return tuple(out)
 
 

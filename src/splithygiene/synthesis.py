@@ -3,7 +3,9 @@
 A template pairs a question pattern (words + labeled slots) with a query
 pattern whose entity positions are ``<Placeholder:X>`` terms. Instantiation
 derives a SELECT DISTINCT binding query, runs it on a graph, and substitutes
-each binding row back into both sides.
+each binding row back into both sides: the question's slots take the
+entity labels' tokens, and the query is filled in from the template's
+compiled `QueryForm`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,48 @@ class Template:
     def predicates(self) -> tuple[str, ...]:
         """Concrete predicate IRIs in triple order, placeholder-predicate patterns skipped."""
         return tuple(qlang.extract_predicates(self.query_pattern, skip_placeholders=True))
+
+    @cached_property
+    def query_form(self) -> "QueryForm":
+        return QueryForm.compile(self.query_pattern)
+
+
+@dataclass(frozen=True)
+class QueryForm:
+    """A template's query, compiled once to be filled in from binding rows.
+
+    A row maps each placeholder label, lowercased, to an IRI. ``text`` is the
+    query's `qlang.serialize` text as a `str.format_map` template: the IRI
+    text of placeholder X is the field ``{x}``, and every other brace is
+    doubled. ``terms`` are the query's terms, three per triple pattern, and
+    ``holes`` the (position in ``terms``, row key) of each placeholder.
+    """
+
+    query: QueryAst
+    text: str
+    terms: tuple
+    holes: tuple[tuple[int, str], ...]
+
+    @classmethod
+    def compile(cls, query: QueryAst) -> "QueryForm":
+        text = qlang.serialize(query).replace("{", "{{").replace("}", "}}")
+        for label in query.placeholder_labels():  # no IRI holds "<", so only a placeholder term matches
+            text = text.replace(str(Placeholder(label)), str(Iri(f"{{{label.lower()}}}")))
+        terms = tuple(term for pattern in query.patterns for term in pattern)
+        holes = tuple((k, t.label.lower()) for k, t in enumerate(terms) if isinstance(t, Placeholder))
+        return cls(query, text, terms, holes)
+
+    def fill(self, row: dict[str, str]) -> str:
+        """The `qlang.serialize` text of the query that binds each placeholder to its row's IRI."""
+        return self.text.format_map(row)
+
+    def ast(self, row: dict[str, Iri]) -> QueryAst:
+        """The query binding each placeholder to the term its lowercased label maps to in ``row``."""
+        terms = list(self.terms)
+        for k, key in self.holes:
+            terms[k] = row[key]
+        triples = iter(terms)
+        return QueryAst(self.query.form, self.query.select_vars, tuple(zip(triples, triples, triples)))
 
 
 def entity_label(iri: str) -> str:
@@ -126,42 +170,47 @@ def derive_binding_query(template: Template) -> QueryAst:
                           qlang.SELECT_DISTINCT, tuple(names.values()))
 
 
-def bind_placeholders(template: Template, row: dict[str, str]) -> QueryAst:
-    """Concrete query from a binding row keyed by lowercased labels."""
-    return _rewrite_terms(template.query_pattern, Placeholder, lambda t: Iri(row[t.label.lower()]))
-
-
-def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: int) -> list[Instance]:
+def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: int,
+                       entities: dict[str, tuple[Iri, tuple[str, ...]]] | None = None) -> list[Instance]:
     """Instantiate a template against a graph.
 
     Binding rows are shuffled with a stream keyed by (rng_seed, template id)
     and the first `limit` are substituted into both the question and the
     query; generation over many templates is therefore order-independent.
     Rows binding an entity whose label has no token are dropped before the
-    shuffle.
+    shuffle. ``entities`` maps an IRI to its term and its label's tokens;
+    callers that pass one dict to many calls make each once per distinct IRI.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit == 0:
         return []
+    if entities is None:
+        entities = {}
     if template.placeholder_labels:
         rows = evaluate(graph, derive_binding_query(template))
     else:  # one empty binding row iff the query holds
         rows = [{}] if evaluate(graph, template.query_pattern) else []
-    # a slot takes one or more tokens, so no template generates a question from an entity labelled by
-    # none; the local name of such an IRI is empty or all underscores, so the IRI ends in "/", "#" or "_"
-    labelless = {iri for row in rows for iri in row.values()
-                 if iri.endswith(("/", "#", "_")) and not qlang.tokenize_nlq(entity_label(iri))}
+    # a slot takes one or more tokens, so no template generates a question from an entity labelled by none
+    labelless = set()
+    for row in rows:
+        for iri in row.values():
+            entity = entities.get(iri)
+            if entity is None:
+                entity = entities[iri] = (Iri(iri), qlang.tokenize_nlq(entity_label(iri)))
+            if not entity[1]:
+                labelless.add(iri)
     if labelless:
         rows = [row for row in rows if labelless.isdisjoint(row.values())]
     order = rng.permutation(len(rows), rng_seed, "generate", template.id)
+    form = template.query_form
+    keys = [(label, label.lower()) for label in template.placeholder_labels]
     instances: list[Instance] = []
     for k, row_idx in enumerate(order[:limit]):
         row = rows[row_idx]
-        slot_tokens = {label: qlang.tokenize_nlq(entity_label(row[label.lower()]))
-                       for label in template.placeholder_labels}
-        nlq = qlang.substitute_slots(template.nlq_pattern, slot_tokens)
-        pair = QAPair.from_ast(nlq, bind_placeholders(template, row))
+        nlq = qlang.substitute_slots(template.nlq_pattern, {label: entities[row[key]][1] for label, key in keys})
+        query = form.ast({key: entities[iri][0] for key, iri in row.items()})
+        pair = QAPair(nlq, form.fill(row), query)
         instances.append(Instance(id=f"{template.id}-{k}", pair=pair, origin_template_id=template.id))
     return instances
 

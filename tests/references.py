@@ -11,8 +11,10 @@ holding it; a model that selects rows of a once-per-corpus index must agree
 with it field for field, and its fallback tables must be these postings cut
 into frequent and rare tokens. The memorizer
 prediction reference is the linear-scan prediction: it calls the package's
-matcher and binder, and differs from the indexed prediction only in how it
-finds the template candidates and the nearest training question. The attribution
+matcher and the reference binder, and differs from the indexed prediction
+only in how it finds the template candidates and the nearest training
+question. The binder reference rebuilds a template's query term by term,
+where the package fills in a form compiled once per template. The attribution
 reference tries the matcher on every template, with no pre-filter, and the
 template-split reference tries it on every (template, seed) pair. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
@@ -64,7 +66,6 @@ from splithygiene.qlang import (
     serialize,
     span_tokens,
 )
-from splithygiene.synthesis import bind_placeholders
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +404,18 @@ def ref_train_memorizer(train_instances, index: AttributionIndex) -> RefMemorize
 
 
 # ---------------------------------------------------------------------------
+# Placeholder binding
+# ---------------------------------------------------------------------------
+
+def ref_bind_placeholders(template, row: dict[str, str]) -> QueryAst:
+    """The template's query with each placeholder X replaced by the IRI ``row[x]``, rebuilt term by term."""
+    patterns = tuple(
+        tuple(Iri(row[t.label.lower()]) if isinstance(t, Placeholder) else t for t in pattern)
+        for pattern in template.query_pattern.patterns)
+    return QueryAst(template.query_pattern.form, template.query_pattern.select_vars, patterns)
+
+
+# ---------------------------------------------------------------------------
 # Memorizer prediction
 # ---------------------------------------------------------------------------
 
@@ -426,7 +439,7 @@ def ref_memorizer_predict(model, nlq) -> list[str]:
             if iri is None:
                 iri = label_to_iri_form(text, model.entity_namespace)
             row[label.lower()] = iri
-        return serialize(bind_placeholders(template, row)).split()
+        return serialize(ref_bind_placeholders(template, row)).split()
     if not model.fallback:
         return []
     question = set(tokens)

@@ -153,6 +153,19 @@ def test_align_placeholders_rejects_a_long_unalignable_query_without_trying_ever
     assert baselines.align_placeholders(template, instance_ast) is None
 
 
+def test_align_placeholders_aligns_a_5000_pattern_query_without_recursing():
+    n = 5000
+    body = " . ".join(f"<Placeholder:A> <p:{i}> <Placeholder:B>" for i in range(n))
+    template = synthesis.Template("t", qlang.NlqPattern.from_text("is <A> with <B> ?"),
+                                  qlang.parse_query(f"ASK WHERE {{ {body} }}"), "s", ("A", "B"))
+    # each template pattern meets a noise pattern it cannot take first
+    noisy = " . ".join(f"<e:b> <p:{i}> <e:a> . <e:a> <p:{i}> <e:b>" for i in range(n))
+    assert baselines.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {noisy} }}")) == {
+        "A": "e:b", "B": "e:a"}
+    shifted = " . ".join(f"<e:a> <p:{(i + 1) % n}> <e:b>" for i in range(n))
+    assert baselines.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {shifted} }}")) is None
+
+
 def test_memorize_trains_on_an_attributed_but_unalignable_instance(tmp_path):
     (tmp_path / "train.nlq").write_text("is zed ok ?\n")
     (tmp_path / "train.ql").write_text(_chain_query(30, "?x <p:q> <e:z>") + "\n")

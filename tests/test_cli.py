@@ -195,6 +195,35 @@ def test_an_entity_whose_label_has_no_token_generates_no_question(tmp_path, runn
     assert attributed.output.endswith(" 0 unattributed)\n"), attributed.output
 
 
+def test_generate_attribute_and_memorize_take_5000_pattern_and_5000_word_templates(tmp_path, runner):
+    n = 5000
+    words = " ".join(f"w{i}" for i in range(n))
+    body = " . ".join(f"<Placeholder:A> <p:{i}> <e:o{i}>" for i in range(n))
+    templates = tmp_path / "t.jsonl"
+    templates.write_text(
+        json.dumps({"id": "t-words", "nlq_pattern": f"{words} <A> ?", "origin_seed_id": "s",
+                    "query_pattern": "ASK WHERE { <Placeholder:A> <p:0> <e:o0> }"}) + "\n"
+        + json.dumps({"id": "t-patterns", "nlq_pattern": "is <A> everywhere ?", "origin_seed_id": "s",
+                      "query_pattern": f"ASK WHERE {{ {body} }}"}) + "\n")
+    (tmp_path / "kg.nt").write_text("".join(f"<e:{s}> <p:{i}> <e:o{i}> .\n" for i in range(n) for s in ("Here", "There")))
+    _ok(runner.invoke(main, ["generate", "--templates", str(templates), "--kg", str(tmp_path / "kg.nt"),
+                             "--out-dir", str(tmp_path / "gen")]))
+    gen = tmp_path / "gen"
+    assert sorted((gen / "instances.nlq").read_text().splitlines()) == [
+        "is e:here everywhere ?", "is e:there everywhere ?", f"{words} e:here ?", f"{words} e:there ?"]
+    corpus = ["--nlq", str(gen / "instances.nlq"), "--ql", str(gen / "instances.ql"),
+              "--manifest", str(gen / "instances.manifest.json")]
+    _ok(runner.invoke(main, ["attribute", *corpus, "--templates", str(templates), "--out", str(tmp_path / "a.tsv")]))
+    assert sorted(line.split("\t")[1] for line in (tmp_path / "a.tsv").read_text().splitlines()) == [
+        "t-patterns", "t-patterns", "t-words", "t-words"]
+    (tmp_path / "input.nlq").write_text("is there everywhere ?\n")
+    _ok(runner.invoke(main, ["memorize", "--train-nlq", str(gen / "instances.nlq"), "--train-ql",
+                             str(gen / "instances.ql"), "--templates", str(templates),
+                             "--input", str(tmp_path / "input.nlq"), "--out", str(tmp_path / "pred.ql")]))
+    assert (tmp_path / "pred.ql").read_text() == f"ASK WHERE {{ {body} }}\n".replace(
+        "<Placeholder:A>", "<http://example.org/resource/There>")
+
+
 def test_run_preset_and_report(tmp_path, runner):
     workdir = tmp_path / "w"
     _ok(runner.invoke(main, ["run", "exp3", "--workdir", str(workdir)]))

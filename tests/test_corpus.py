@@ -9,7 +9,7 @@ from conftest import COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, make_instance
 from splithygiene import corpus, qlang
 from splithygiene.errors import InputFileError, LineCountMismatch
 from splithygiene.partitioner import Split3
-from references import ref_dedup_keys
+from references import ref_dedup_keys, ref_tokenize_nlq
 
 ASK_Q = "ASK WHERE { <e:s%d> <p:p> <e:o> }"
 
@@ -74,6 +74,15 @@ def test_dedup_three_duplicate_groups():
     kept, removed = corpus.dedup(records)
     assert [corpus.canonical_key(r.pair) for r in kept] == expected_kept
     assert (len(kept), removed) == (7, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.text(st.sampled_from("ΣσςΑa'.\u0301\u00adİ ß"), min_size=0, max_size=4),
+                       min_size=1, max_size=5))
+def test_canonical_key_lowercases_each_token_on_its_own(tokens):
+    # a capital sigma lowercases to a final sigma by what surrounds it: never across the joining space
+    pair = corpus.QAPair(tuple(tokens), ASK_Q % 1, qlang.parse_query(ASK_Q % 1))
+    assert corpus.canonical_key(pair) == " ".join(t.lower() for t in tokens) + "\n" + ASK_Q % 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,6 +157,22 @@ def test_read_parallel_shares_one_object_per_distinct_term(tmp_path):
     first, second = (i.pair.query_ast.patterns[0] for i in corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql"))
     assert first[1] is second[1] and first[2] is second[2]
     assert first[0] == qlang.Iri("e:s1") and second[0] == qlang.Iri("e:s2")
+
+
+# words that repeat across lines, with trailing ?!., slot-marker shapes, case and non-ASCII case mappings
+_LINE_WORDS = st.sampled_from(["is", "IS", "Is?", "oslo", "jr.", "?", "!?", "..", "<A>", "<A>?", "<a>", "<AB1>.",
+                               "ß", "STRASSE", "ǅ", "İ", "ΣΑΣ!", "x.y.", "<", "<>?"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.lists(_LINE_WORDS, min_size=1, max_size=8).map(" ".join), min_size=1, max_size=12))
+def test_read_parallel_tokenizes_each_line_as_the_reference_does(tmp_path_factory, lines):
+    # the lines share one word memo: each distinct word is tokenized once for the whole file
+    path = tmp_path_factory.mktemp("tok")
+    (path / "c.nlq").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    (path / "c.ql").write_text((ASK_Q % 1 + "\n") * len(lines))
+    read = corpus.read_parallel(path / "c.nlq", path / "c.ql")
+    assert [inst.pair.nlq for inst in read] == [ref_tokenize_nlq(line) for line in lines]
 
 
 def test_read_parallel_rejects_repeated_manifest_ids(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import PIZZA_SEED_QUERY, INDUSTRY_TEMPLATE_QUERY
 from splithygiene import kgstore
@@ -198,3 +199,51 @@ def test_ask_agrees_with_select_nonemptiness():
             assert kgstore.evaluate(graph, ask) == bool(kgstore.evaluate(graph, select))
         else:
             assert kgstore.evaluate(graph, ask) == ref_eval(triples, ask)
+
+
+_NODES = [f"n:{i}" for i in range(4)]  # predicates are nodes too, so a variable can sit in both places
+
+
+@st.composite
+def _bgp_case(draw):
+    """A small graph and a query over it: variable or IRI terms anywhere, ASK or SELECT DISTINCT."""
+    triples = draw(st.sets(st.tuples(*[st.sampled_from(_NODES)] * 3), max_size=12))
+    term = st.one_of(st.sampled_from(["x", "y", "z", "w"]).map(Var), st.sampled_from(_NODES).map(Iri))
+    patterns = draw(st.lists(st.tuples(term, term, term), min_size=1, max_size=4))
+    names = sorted({t.name for pattern in patterns for t in pattern if isinstance(t, Var)})
+    if names and draw(st.booleans()):
+        select = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        return sorted(triples), QueryAst("select_distinct", tuple(select), tuple(patterns))
+    return sorted(triples), QueryAst(ASK, (), tuple(patterns))
+
+
+def _query(form, select, *patterns):
+    terms = {name: Var(name) for name in "xyzw"}
+    return QueryAst(form, select, tuple(tuple(terms.get(t) or Iri(t) for t in p) for p in patterns))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_bgp_case())
+# a repeated variable, a variable in the predicate and the subject, a fully bound pattern, two disconnected
+# patterns, an empty graph
+@example(case=([("n:0", "n:0", "n:0"), ("n:0", "n:1", "n:2")], _query(ASK, (), ("x", "x", "x"))))
+@example(case=([("n:0", "n:0", "n:1"), ("n:1", "n:1", "n:1")],
+               _query("select_distinct", ("x", "y"), ("x", "x", "y"), ("n:0", "n:0", "n:1"))))
+@example(case=([("n:0", "n:1", "n:2"), ("n:3", "n:1", "n:0")],
+               _query("select_distinct", ("y", "x"), ("x", "n:1", "n:2"), ("y", "z", "n:0"))))
+@example(case=([], _query("select_distinct", ("x",), ("x", "n:1", "y"))))
+def test_evaluate_equals_the_nested_loop_reference_on_drawn_queries(case):
+    triples, ast = case
+    assert kgstore.evaluate(kgstore.Graph(triples), ast) == ref_eval(triples, ast)
+
+
+def test_evaluate_joins_a_5000_pattern_query_without_recursing():
+    n = 5000
+    triples = [(s, f"p:{i}", f"e:o{i}") for i in range(n) for s in ("e:a", "e:b")] + [("e:c", "p:0", "e:o0")]
+    body = " . ".join(f"?s <p:{i}> <e:o{i}>" for i in range(n))
+    graph = kgstore.Graph(triples)
+    assert kgstore.evaluate(graph, parse_query(f"SELECT DISTINCT ?s WHERE {{ {body} }}")) == [{"s": "e:a"}, {"s": "e:b"}]
+    assert kgstore.evaluate(graph, parse_query(f"ASK WHERE {{ {body} . ?s <p:0> <e:a> }}")) is False
+    chain = " . ".join(f"?v{i} <p:next> ?v{i + 1}" for i in range(n))  # one new variable per step
+    ring = kgstore.Graph([(f"e:{i}", "p:next", f"e:{(i + 1) % 3}") for i in range(3)])
+    assert kgstore.evaluate(ring, parse_query(f"ASK WHERE {{ {chain} }}")) is True

@@ -27,7 +27,7 @@ from splithygiene.qlang import (
     substitute_slots,
     tokenize_nlq,
 )
-from references import ref_match_nlq, ref_subsequence
+from references import ref_match_nlq, ref_subsequence, ref_tokenize_nlq
 
 DBO_INDUSTRY = "http://dbpedia.org/ontology/industry"
 DBR = "http://dbpedia.org/resource/"
@@ -362,6 +362,16 @@ def test_match_equals_enumeration_random_to_12_tokens():
         assert match_nlq(pattern, nlq) == ref_match_nlq(pattern, nlq)
 
 
+def test_match_walks_a_5000_word_pattern_without_recursing():
+    words = [f"w{i}" for i in range(5000)]
+    pattern = NlqPattern.from_tokens(["<A>", *words, "<B>", "?"])
+    nlq = ("the", "first", *words, "last", "one", "?")
+    assert match_nlq(pattern, nlq) == {"A": (0, 2), "B": (5002, 5004)}
+    assert match_nlq(pattern, nlq[:-1]) is None
+    slots = NlqPattern.from_tokens([t for k in range(2500) for t in (f"<S{k}>", "x")])  # 2,500 slots
+    assert match_nlq(slots, ("y", "x") * 2500) == {f"S{k}": (2 * k, 2 * k + 1) for k in range(2500)}
+
+
 def test_match_cost_is_polynomial_in_the_slot_count():
     # 9 slots and a final word that never matches: a matcher without memory of
     # failed (element, position) pairs tries every segmentation, about C(40, 9)
@@ -374,6 +384,16 @@ def test_match_cost_is_polynomial_in_the_slot_count():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.lists(st.sampled_from(["Is", "is", "IS?", "<A>", "<A>.", "<a>", "x.", "?!", ".", "ß",
+                                                "ǅ!", "İ", "<B1>?", "<>"]), max_size=6).map(" ".join),
+                      max_size=10))
+def test_tokenize_with_a_shared_word_memo_equals_the_reference(texts):
+    words: dict[str, tuple[str, ...]] = {}
+    assert [tokenize_nlq(text, words) for text in texts] == [ref_tokenize_nlq(text) for text in texts]
+    assert all(words[raw] == ref_tokenize_nlq(raw) for raw in words)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from conftest import (
 from splithygiene import corpus, experiments, kgstore, qlang, synthesis
 from splithygiene.errors import AdjacentSlots, UnlocatableEntity
 from splithygiene.qlang import Iri, NlqPattern, Placeholder, match_nlq, parse_query, serialize
-from references import ref_eval
+from references import ref_bind_placeholders, ref_eval
 
 DBR = "http://dbpedia.org/resource/"
 DBO_INDUSTRY = "http://dbpedia.org/ontology/industry"
@@ -221,6 +221,68 @@ def test_generated_instances_invert_and_hold(toy_data, toy_config):
         assert rebuilt == inst.pair.nlq
         result = kgstore.evaluate(graph, inst.pair.query_ast)
         assert result is True or (not isinstance(result, bool) and result)
+
+
+def _assert_forms_equal_the_reference_binder(templates, graph) -> int:
+    """Every binding row of every template: the compiled text and AST equal the term-by-term rebuild."""
+    checked = 0
+    for template in templates:
+        form = template.query_form
+        rows = (kgstore.evaluate(graph, synthesis.derive_binding_query(template)) if template.placeholder_labels
+                else [{}])
+        for row in rows:
+            expected = ref_bind_placeholders(template, row)
+            assert form.ast({key: Iri(iri) for key, iri in row.items()}) == expected
+            assert form.fill(row) == serialize(expected)
+            checked += 1
+    return checked
+
+
+def test_query_form_equals_the_reference_binder_on_the_toy_and_4x_worlds(toy_data, toy_config, scaled_world):
+    config, data = scaled_world
+    for templates, kg_path, rows in ((toy_data.templates, toy_config.resolved_kg_path(), 3_000),
+                                     (data.templates, config.resolved_kg_path(), 16_000)):
+        assert _assert_forms_equal_the_reference_binder(templates, kgstore.load_ntriples(kg_path)) > rows
+
+
+def test_query_form_fills_repeated_predicate_and_prefix_labelled_placeholders():
+    query = parse_query("SELECT DISTINCT ?x WHERE { <Placeholder:A> <Placeholder:A1> ?x . ?x <p:q> <Placeholder:A> . "
+                        "<Placeholder:A1> <p:r> <e:o> }")
+    template = synthesis.Template("t", NlqPattern.from_text("is <A> or <A1> ?"), query, "s", ("A", "A1"))
+    row = {"a": "e:one", "a1": "e:two"}
+    expected = ref_bind_placeholders(template, row)
+    assert template.query_form.fill(row) == serialize(expected) == (
+        "SELECT DISTINCT ?x WHERE { <e:one> <e:two> ?x . ?x <p:q> <e:one> . <e:two> <p:r> <e:o> }")
+    assert template.query_form.ast({key: Iri(iri) for key, iri in row.items()}) == expected
+
+
+def test_generate_shares_one_term_and_one_label_per_iri_across_templates(industry_template):
+    graph = kgstore.Graph([(f"{DBR}Robot_Comics", DBO_INDUSTRY, f"{DBR}Publishing"),
+                           (f"{DBR}Tiger_Aircraft", DBO_INDUSTRY, f"{DBR}Publishing")])
+    entities: dict = {}
+    other = synthesis.Template("t-other", NlqPattern.from_text("what does <B> make in <A> ?"),
+                               industry_template.query_pattern, "s", ("A", "B"))
+    instances = [inst for template in (industry_template, other)
+                 for inst in synthesis.generate_instances(template, graph, 5, 1, entities)]
+    assert len(instances) == 4 and sorted(entities) == [f"{DBR}{n}" for n in ("Publishing", "Robot_Comics",
+                                                                               "Tiger_Aircraft")]
+    terms = {id(p[2]) for inst in instances for p in inst.pair.query_ast.patterns}
+    assert terms == {id(entities[f"{DBR}Publishing"][0])}
+    assert entities[f"{DBR}Robot_Comics"][1] == ("robot", "comics")
+
+
+def test_generate_instantiates_a_5000_pattern_template():
+    n = 5000
+    body = " . ".join(f"<Placeholder:A> <p:{i}> <e:o{i}>" for i in range(n))
+    template = synthesis.Template("t", NlqPattern.from_text("is <A> everywhere ?"),
+                                  parse_query(f"ASK WHERE {{ {body} }}"), "s", ("A",))
+    graph = kgstore.Graph([(s, f"p:{i}", f"e:o{i}") for i in range(n) for s in ("e:Here", "e:There")])
+    instances = synthesis.generate_instances(template, graph, 10, 1)
+    assert sorted(inst.pair.nlq for inst in instances) == [("is", "e:here", "everywhere", "?"),
+                                                           ("is", "e:there", "everywhere", "?")]
+    for inst in instances:
+        assert inst.pair.query_ast == parse_query(inst.pair.query_text)
+        assert len(inst.pair.query_ast.patterns) == n
 
 
 # ---------------------------------------------------------------------------
