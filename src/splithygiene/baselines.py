@@ -103,13 +103,20 @@ def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, 
     Template patterns are aligned to an ordered subsequence of the instance
     patterns, earliest first; None when no consistent alignment exists. A
     failed (template pattern, instance pattern, bindings) state is never
-    retried, so the walk makes O(|template| x |instance| x B) unifications for
-    B distinct partial bindings, not one per subsequence. The states on the
-    current path are kept in a list, not on the call stack, so a query of any
-    length aligns.
+    retried. It keeps the bindings of only the labels that template pattern
+    and the later ones read, all its outcome depends on, so the walk makes
+    O(|template| x |instance| x B) unifications for B distinct such bindings,
+    not one per subsequence. The states on the current path are kept in a
+    list, not on the call stack, so a query of any length aligns.
     """
     t_pats = template.query_pattern.patterns
     i_pats = instance_ast.patterns
+    last_read = {t.label: ti for ti, p in enumerate(t_pats) for t in p if isinstance(t, Placeholder)}
+
+    def key(state) -> tuple[int, int, frozenset]:  # what a failed state is remembered by
+        ti, ii, mapping = state
+        return ti, ii, frozenset((label, iri) for label, iri in mapping.items() if last_read[label] >= ti)
+
     failed: set[tuple[int, int, frozenset]] = set()
     path: list[tuple[tuple, tuple | None]] = []  # each open state, and its skip state while untried
     state = (0, 0, {})
@@ -117,25 +124,24 @@ def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, 
         ti, ii, mapping = state
         if ti == len(t_pats):
             return mapping
-        key = (ti, ii, frozenset(mapping.items())) if len(i_pats) - ii >= len(t_pats) - ti else None
-        if key is not None and key not in failed:
+        if len(i_pats) - ii >= len(t_pats) - ti and not (failed and key(state) in failed):
             # first align t_pats[ti] with i_pats[ii], then skip i_pats[ii]
             unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
             skip = (ti, ii + 1, mapping)
             if unified is not None:
-                path.append((key, skip))
+                path.append((state, skip))
                 state = (ti + 1, ii + 1, unified)
             else:
-                path.append((key, None))
+                path.append((state, None))
                 state = skip
             continue
         while path:  # the state failed: resume the innermost open state with an untried skip
-            key, skip = path.pop()
+            opened, skip = path.pop()
             if skip is not None:
-                path.append((key, None))
+                path.append((opened, None))
                 state = skip
                 break
-            failed.add(key)
+            failed.add(key(opened))
         else:
             return None
 
@@ -255,7 +261,7 @@ def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
             label_index.setdefault(text, iri)
     namespaces = Counter(_namespace(iri) for iri in label_index.values())
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
-    seen = mindex.index.templates_of(mindex.instances[r] for r in train)
+    seen = mindex.index.tally(mindex.instances[r] for r in train)
     fallback = rows[np.argsort(mindex.rank[rows], kind="stable")]  # ties keep training order
     sizes = np.diff(mindex.starts)[fallback]
     _, first, group = np.unique(mindex.group[fallback], return_index=True, return_inverse=True)

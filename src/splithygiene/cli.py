@@ -22,7 +22,6 @@ import click
 from . import experiments, qlang
 from .attribution import build_index, write_attribution
 from .baselines import (
-    lm_perplexity,
     memorizer_index,
     memorizer_predict,
     ngram_index,
@@ -44,7 +43,7 @@ from .corpus import (
     write_parallel,
     write_text,
 )
-from .errors import InputFileError, LineCountMismatch, RatioError, SplitHygieneError
+from .errors import EmptyCorpus, InputFileError, LineCountMismatch, RatioError, SplitHygieneError
 from .kgstore import load_ntriples
 from .metrics import corpus_bleu, perplexity
 from .partitioner import _check_ratios, leaky_partition, sanitized_partition, split_templates
@@ -225,11 +224,12 @@ def lm(train_ql, eval_ql, order, k, out_logp):
     train = [line.split() for line in read_lines(train_ql)]
     eval_sents = [line.split() for line in read_lines(eval_ql)]
     model = train_ngram_lm(ngram_index(train, order), range(len(train)), k)
+    if not eval_sents:
+        raise EmptyCorpus("no evaluation sentences")
+    scored = score_sentences(model, eval_sents)
     if out_logp:
-        scored = score_sentences(model, eval_sents)
         write_lines(out_logp, [" ".join(repr(lp) for lp in sent) for sent in scored])
-    value = lm_perplexity(model, eval_sents)
-    click.echo(json.dumps({"metric": "lm_perplexity", "value": value}))
+    click.echo(json.dumps({"metric": "lm_perplexity", "value": perplexity(scored)}))
 
 
 @main.command("eval")

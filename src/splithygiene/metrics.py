@@ -142,12 +142,12 @@ def perplexity(log_probs) -> float:
 
 def leakage_report(split: Split3, index: AttributionIndex) -> LeakageStats:
     """How much of valid/test is template-seen with respect to train."""
-    seen = index.templates_of(split.train)
+    seen = index.tally(split.train).keys()
 
     def seen_fraction(instances) -> float:
         if not instances:
             return 0.0
-        hits = sum(1 for inst in instances if set(index.attributed(inst.id)) & seen)
+        hits = sum(1 for inst in instances if not seen.isdisjoint(index.attributed(inst.id)))
         return hits / len(instances)
 
     return LeakageStats(

@@ -10,6 +10,7 @@ attributed template with any train or validation instance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isfinite
@@ -129,15 +130,15 @@ def sanitized_partition(
     train_tids = tsplit.train_template_ids
 
     def is_candidate(inst) -> bool:
-        attributed = set(index.attributed(inst.id))
-        return bool(attributed) and bool(attributed & test_tids) and not (attributed & train_tids)
+        attributed = index.attributed(inst.id)
+        return not test_tids.isdisjoint(attributed) and train_tids.isdisjoint(attributed)
 
     in_test = {inst.id: is_candidate(inst) for inst in items}
     while True:
-        pool_templates = index.templates_of(inst for inst in items if not in_test[inst.id])
+        pool_templates = index.tally(inst for inst in items if not in_test[inst.id]).keys()
         demote = [
             inst.id for inst in items
-            if in_test[inst.id] and set(index.attributed(inst.id)) & pool_templates
+            if in_test[inst.id] and not pool_templates.isdisjoint(index.attributed(inst.id))
         ]
         if not demote:
             break
@@ -166,20 +167,12 @@ def subsample_train(split: Split3, fraction: float, rng_seed: int = 0) -> Split3
 
 def diagnostics(split: Split3, index: AttributionIndex, tsplit: TemplateSplit | None = None) -> dict:
     """Ambiguity/attribution counters and per-split template histograms."""
-    all_instances = list(split.train) + list(split.valid) + list(split.test)
-    ambiguous = sum(1 for inst in all_instances if inst.id in index.ambiguous_ids)
-    unattributed = sum(1 for inst in all_instances if not index.attributed(inst.id))
-    histograms = {}
-    for name, instances in (("train", split.train), ("valid", split.valid), ("test", split.test)):
-        hist: dict[str, int] = {}
-        for inst in instances:
-            for tid in index.attributed(inst.id):
-                hist[tid] = hist.get(tid, 0) + 1
-        histograms[name] = dict(sorted(hist.items()))
+    parts = {"train": split.train, "valid": split.valid, "test": split.test}
+    sizes = Counter([len(index.attributed(inst.id)) for part in parts.values() for inst in part])
     out = {
-        "ambiguous_count": ambiguous,
-        "unattributed_count": unattributed,
-        "template_histograms": histograms,
+        "ambiguous_count": sum(n for size, n in sizes.items() if size >= 2),
+        "unattributed_count": sizes[0],
+        "template_histograms": {name: dict(sorted(index.tally(part).items())) for name, part in parts.items()},
     }
     if tsplit is not None:
         out["templates_matching_both_seed_splits"] = sorted(tsplit.both_matched_ids)

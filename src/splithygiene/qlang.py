@@ -176,10 +176,11 @@ def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
     if lexemes[i + 1]:
         raise ParseError(_offset(text, i + 1), "expected end of query")
     ast = QueryAst(form, tuple(names), tuple(patterns))
-    pattern_vars = ast.variables()
-    for v in names:
-        if v not in pattern_vars:
-            raise ParseError(0, f"SELECT variable ?{v} does not occur in the pattern")
+    if names:  # an ASK query selects nothing
+        pattern_vars = ast.variables()
+        for v in names:
+            if v not in pattern_vars:
+                raise ParseError(0, f"SELECT variable ?{v} does not occur in the pattern")
     return ast
 
 

@@ -29,15 +29,16 @@ class Template:
     nlq_pattern: NlqPattern
     query_pattern: QueryAst
     origin_seed_id: str
-    placeholder_labels: tuple[str, ...]
 
     def __post_init__(self):
         if not self.query_pattern.patterns:
             raise ValueError(f"template {self.id}: query pattern has no triples")
-        nlq_labels = set(self.nlq_pattern.labels)
-        query_labels = set(self.query_pattern.placeholder_labels())
-        if not (nlq_labels == query_labels == set(self.placeholder_labels)):
-            raise ValueError(f"template {self.id}: NLQ, query, and label list disagree on labels")
+        if set(self.nlq_pattern.labels) != set(self.query_pattern.placeholder_labels()):
+            raise ValueError(f"template {self.id}: NLQ and query disagree on labels")
+
+    @cached_property
+    def placeholder_labels(self) -> tuple[str, ...]:  # sorted: the binding query selects them in this order
+        return tuple(sorted(self.nlq_pattern.labels))
 
     @cached_property
     def predicates(self) -> tuple[str, ...]:
@@ -149,7 +150,6 @@ def extract_template(seed: Seed) -> Template:
         nlq_pattern=nlq_pattern,
         query_pattern=_rewrite_terms(seed.pair.query_ast, Iri, lambda t: placeholders.get(t.value, t)),
         origin_seed_id=seed.id,
-        placeholder_labels=tuple(sorted(label_iris)),
     )
 
 
@@ -229,13 +229,11 @@ def template_to_dict(t: Template) -> dict:
 
 
 def template_from_dict(doc: dict) -> Template:
-    query_pattern = qlang.parse_query(doc["query_pattern"])
     return Template(
         id=doc["id"],
         nlq_pattern=NlqPattern.from_text(doc["nlq_pattern"]),
-        query_pattern=query_pattern,
+        query_pattern=qlang.parse_query(doc["query_pattern"]),
         origin_seed_id=doc["origin_seed_id"],
-        placeholder_labels=tuple(sorted(query_pattern.placeholder_labels())),
     )
 
 

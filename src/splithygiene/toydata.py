@@ -192,13 +192,11 @@ def family_templates() -> list[Template]:
     """The toy wordings as ready-made templates (ids fam00..famNN)."""
     out = []
     for num, (nlq_marker, query_marker) in enumerate(_FAMILIES):
-        query = parse_query(_family_query(query_marker))
         out.append(Template(
             id=f"fam{num:02d}",
             nlq_pattern=NlqPattern.from_text(nlq_marker),
-            query_pattern=query,
+            query_pattern=parse_query(_family_query(query_marker)),
             origin_seed_id=f"s{num:03d}",
-            placeholder_labels=tuple(sorted(query.placeholder_labels())),
         ))
     return out
 

@@ -130,15 +130,12 @@ def random_template(rnd: random.Random, tid: str):
                     else f"<{_NS}e{rnd.randrange(8)}>")
         body.append(f"{s} <{pred}> {o}")
     query = parse_query("ASK WHERE { " + " . ".join(body) + " }")
-    if set(query.placeholder_labels()) != set(nlq_pattern.labels):
-        return None
-    try:
+    try:  # None when the NLQ and query disagree on labels
         return synthesis.Template(
             id=tid,
             nlq_pattern=nlq_pattern,
             query_pattern=query,
             origin_seed_id=f"seed-{tid}",
-            placeholder_labels=tuple(sorted(nlq_pattern.labels)),
         )
     except ValueError:
         return None
@@ -166,7 +163,6 @@ def subsuming_template(rnd: random.Random, tid: str, base) -> synthesis.Template
         nlq_pattern=base.nlq_pattern,
         query_pattern=query,
         origin_seed_id=f"seed-{tid}",
-        placeholder_labels=base.placeholder_labels,
     )
 
 

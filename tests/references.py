@@ -386,7 +386,7 @@ def ref_train_memorizer(train_instances, index: AttributionIndex) -> RefMemorize
                 label_index.setdefault(text, iris[label])
     namespaces = Counter(_namespace(iri) for iri in label_index.values())
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
-    seen = index.templates_of(train)
+    seen = index.tally(train)
     fallback = sorted(train, key=lambda inst: inst.id)  # stable: ties keep training order
     distinct = [set(inst.pair.nlq) for inst in fallback]
     postings: dict[str, list[int]] = {}

@@ -23,13 +23,11 @@ DBR = "http://dbpedia.org/resource/"
 
 
 def _template(tid, nlq, query):
-    ast = parse_query(query)
     return synthesis.Template(
         id=tid,
         nlq_pattern=NlqPattern.from_text(nlq),
-        query_pattern=ast,
+        query_pattern=parse_query(query),
         origin_seed_id=f"seed-{tid}",
-        placeholder_labels=tuple(sorted(ast.placeholder_labels())),
     )
 
 

@@ -72,8 +72,7 @@ def test_memorizer_only_attributed_templates_are_seen(industry_template):
         industry_template, id="t-other",
         nlq_pattern=qlang.NlqPattern.from_text("who owns <A> ?"),
         query_pattern=qlang.parse_query(
-            "ASK WHERE { <Placeholder:A> <http://dbpedia.org/ontology/owner> <e:x> }"),
-        placeholder_labels=("A",))
+            "ASK WHERE { <Placeholder:A> <http://dbpedia.org/ontology/owner> <e:x> }"))
     inst, _ = _pizza_world(industry_template)
     index = attribution.build_index([inst], [industry_template, other])
     model = _memorizer([inst], index)
@@ -85,7 +84,7 @@ def test_memorizer_reads_its_templates_from_the_index_in_id_order(industry_templ
     inst, _ = _pizza_world(industry_template)
     index = attribution.build_index([inst], [later, industry_template])
     assert list(index.templates) == ["t-pizza-seed", "t-z"]
-    assert index.templates_of([inst]) == {"t-pizza-seed", "t-z"}
+    assert index.tally([inst]) == {"t-pizza-seed": 1, "t-z": 1}
     model = _memorizer([inst], index)
     assert list(model.templates) == ["t-pizza-seed", "t-z"]
     assert model.templates["t-z"] is later
@@ -114,7 +113,7 @@ def _align_case(rnd):
             t_pats.insert(rnd.randrange(len(t_pats) + 1), (holder, rnd.choice(_ALIGN_PREDS), rnd.choice(_ALIGN_IRIS)))
     nlq = " ".join(["w"] + [f"<{label}> w" for label in labels])
     template = synthesis.Template("t", qlang.NlqPattern.from_text(nlq),
-                                  qlang.QueryAst(qlang.ASK, (), tuple(t_pats)), "s", tuple(sorted(labels)))
+                                  qlang.QueryAst(qlang.ASK, (), tuple(t_pats)), "s")
     binding = {label: rnd.choice(_ALIGN_IRIS) for label in labels}
 
     def concrete(term):
@@ -148,7 +147,7 @@ def _chain_query(n, tail):
 def test_align_placeholders_rejects_a_long_unalignable_query_without_trying_every_subsequence():
     # C(30, 15) ~ 1.6e8 ways to place the template's first 15 patterns; the last never unifies
     template = synthesis.Template("t", qlang.NlqPattern.from_text("is <A> ok ?"),
-                                  qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s", ("A",))
+                                  qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s")
     instance_ast = qlang.parse_query(_chain_query(30, "?x <p:q> <e:z>"))
     assert baselines.align_placeholders(template, instance_ast) is None
 
@@ -157,7 +156,7 @@ def test_align_placeholders_aligns_a_5000_pattern_query_without_recursing():
     n = 5000
     body = " . ".join(f"<Placeholder:A> <p:{i}> <Placeholder:B>" for i in range(n))
     template = synthesis.Template("t", qlang.NlqPattern.from_text("is <A> with <B> ?"),
-                                  qlang.parse_query(f"ASK WHERE {{ {body} }}"), "s", ("A", "B"))
+                                  qlang.parse_query(f"ASK WHERE {{ {body} }}"), "s")
     # each template pattern meets a noise pattern it cannot take first
     noisy = " . ".join(f"<e:b> <p:{i}> <e:a> . <e:a> <p:{i}> <e:b>" for i in range(n))
     assert baselines.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {noisy} }}")) == {
@@ -166,12 +165,33 @@ def test_align_placeholders_aligns_a_5000_pattern_query_without_recursing():
     assert baselines.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {shifted} }}")) is None
 
 
+def test_align_placeholders_stays_polynomial_when_the_placeholders_differ(monkeypatch):
+    # k distinct placeholders on one predicate, then a pattern that never unifies, against 2k
+    # candidates: every partial binding differs, but none is read again after its pattern
+    k = 15
+    labels = [f"A{i}" for i in range(k)]
+    body = " . ".join(f"<Placeholder:{label}> <p:p> ?x" for label in labels)
+    template = synthesis.Template("t", qlang.NlqPattern.from_text(" ".join(f"w <{label}>" for label in labels)),
+                                  qlang.parse_query(f"ASK WHERE {{ {body} . ?w <p:q> <e:z> }}"), "s")
+    instance_ast = qlang.parse_query("ASK WHERE { " + " . ".join(f"<e:{j}> <p:p> ?x" for j in range(2 * k)) + " }")
+    calls = Counter()
+    unify = baselines._unify_pattern
+
+    def counted(*args):
+        calls["unify"] += 1
+        return unify(*args)
+
+    monkeypatch.setattr(baselines, "_unify_pattern", counted)
+    assert baselines.align_placeholders(template, instance_ast) is None
+    assert calls["unify"] <= (k + 2) * (2 * k + 1), calls  # one per (template pattern, instance pattern)
+
+
 def test_memorize_trains_on_an_attributed_but_unalignable_instance(tmp_path):
     (tmp_path / "train.nlq").write_text("is zed ok ?\n")
     (tmp_path / "train.ql").write_text(_chain_query(30, "?x <p:q> <e:z>") + "\n")
     synthesis.write_templates(tmp_path / "t.jsonl", [synthesis.Template(
         "t", qlang.NlqPattern.from_text("is <A> ok ?"),
-        qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s", ("A",))])
+        qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s")])
     result = CliRunner().invoke(main, [
         "memorize", "--train-nlq", str(tmp_path / "train.nlq"), "--train-ql", str(tmp_path / "train.ql"),
         "--templates", str(tmp_path / "t.jsonl"), "--input", str(tmp_path / "train.nlq"),
@@ -238,8 +258,7 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
         assert predicted == qlang.serialize(inst.pair.query_ast).split()
     # both seen templates match; the lower id has fewer literal words, binds more slot tokens and loses
     short = dataclasses.replace(industry_template, id="a-short", nlq_pattern=qlang.NlqPattern.from_text("is <B> ?"),
-                                query_pattern=qlang.parse_query(f"ASK WHERE {{ <Placeholder:B> <{DBO_INDUSTRY}> ?x }}"),
-                                placeholder_labels=("B",))
+                                query_pattern=qlang.parse_query(f"ASK WHERE {{ <Placeholder:B> <{DBO_INDUSTRY}> ?x }}"))
     inst = make_instance("i1", COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, origin=industry_template.id)
     index = attribution.build_index([inst], [industry_template, short])
     model = _memorizer([inst], index)

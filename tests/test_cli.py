@@ -6,13 +6,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import references
-from splithygiene import baselines, experiments, partitioner, synthesis, toydata
+from splithygiene import baselines, cli, experiments, partitioner, synthesis, toydata
 from splithygiene.cli import main
 from splithygiene.errors import SplitHygieneError
 
@@ -389,7 +390,7 @@ def test_malformed_json_input_exits_2_without_traceback(tmp_path, option, text, 
 
 @pytest.mark.parametrize("option, record, message", [
     ("--templates", {"nlq_pattern": "is <A> here ?", "query_pattern": "ASK WHERE { <e:s> <p:p> <e:o> }"},
-     "template t1: NLQ, query, and label list disagree on labels"),
+     "template t1: NLQ and query disagree on labels"),
     ("--seeds", {"surface_forms": {"A": {"span": [1, 9]}}}, "seed s1: span for 'A' out of bounds"),
     ("--templates", {"nlq_pattern": "is <A> <B> here ?"}, "slots <A> and <B> are adjacent"),
     ("--templates", {"query_pattern": "ASK WHERE { <e:sss> FILTER }"},
@@ -605,6 +606,29 @@ def test_memorize_writes_the_predictions_the_preset_makes_on_a_leaky_split(tmp_p
     assert pred.read_bytes() == expected.encode("utf-8")
 
 
+def test_lm_scores_the_eval_file_once(tmp_path, runner, monkeypatch):
+    (tmp_path / "q.ql").write_text("a b\nb a c\n")
+    calls = []
+    score = baselines.score_sentences
+    monkeypatch.setattr(cli, "score_sentences", lambda *args: calls.append(1) or score(*args))
+    result = _ok(runner.invoke(main, ["lm", "--train-ql", str(tmp_path / "q.ql"), "--eval-ql", str(tmp_path / "q.ql"),
+                                      "--out-logp", str(tmp_path / "q.logp")]))
+    assert len(calls) == 1
+    model = baselines.train_ngram_lm(baselines.ngram_index([["a", "b"], ["b", "a", "c"]], 5), range(2), 0.1)
+    assert json.loads(result.output)["value"] == baselines.lm_perplexity(model, [["a", "b"], ["b", "a", "c"]])
+
+
+@pytest.mark.parametrize("out_logp", [[], ["--out-logp", "q.logp"]])
+def test_lm_on_an_empty_eval_file_exits_2(tmp_path, runner, out_logp, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.ql").write_text("a b\n")
+    (tmp_path / "e.ql").write_text("")
+    result = runner.invoke(main, ["lm", "--train-ql", "q.ql", "--eval-ql", "e.ql", *out_logp])
+    assert result.exit_code == 2
+    assert result.output == "error: no evaluation sentences\n"
+    assert not (tmp_path / "q.logp").exists()
+
+
 @pytest.mark.parametrize("k", ["nan", "inf"])
 def test_lm_rejects_a_non_finite_k(tmp_path, runner, k):
     (tmp_path / "q.ql").write_text("a b\n")
@@ -669,6 +693,18 @@ def test_load_config_returns_a_valid_config_or_an_exit_2_error(tmp_path, lines):
     assert _is_int(cfg.instance_limit) and cfg.instance_limit >= 0
     assert _is_int(cfg.lm_order) and cfg.lm_order >= 1
     assert _is_real(cfg.lm_k) and math.isfinite(cfg.lm_k) and cfg.lm_k > 0
+
+
+def test_the_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1]
+    block = section.split("```\n", 2)[1]
+    (tmp_path / "example.conf").write_text(block, encoding="utf-8")
+    cfg = experiments.load_config(tmp_path / "example.conf")
+    assert (cfg.seeds_path, cfg.kg_path, cfg.workdir) == ("path/to/seeds.jsonl", "path/to/graph.nt", "out")
+    assert cfg.rng_seeds == (101, 102, 103, 104, 105)
+    assert (cfg.ratios, cfg.fractions) == ((0.8, 0.1, 0.1), (0.125, 0.25, 0.5, 1.0))
+    assert (cfg.seed_test_fraction, cfg.instance_limit, cfg.lm_order, cfg.lm_k) == (0.2, 100, 5, 0.1)
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "-1"])

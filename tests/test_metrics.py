@@ -224,7 +224,7 @@ def _toy_split_corpus(n_templates=5, per_template=20):
         ast = parse_query(f"ASK WHERE {{ <e:{word}> <p:{word}> <Placeholder:A> }}")
         templates.append(synthesis.Template(
             id=f"t{t}", nlq_pattern=NlqPattern.from_text(f"does {word} touch <A> ?"),
-            query_pattern=ast, origin_seed_id=f"s{t}", placeholder_labels=("A",)))
+            query_pattern=ast, origin_seed_id=f"s{t}"))
         for k in range(per_template):
             instances.append(make_instance(
                 f"t{t}-i{k}", f"does {word} touch thing {k} ?",

@@ -29,13 +29,11 @@ def _toy_corpus(n_templates=5, per_template=20):
         word = words[t]
         nlq = f"does {word} touch <A> ?"
         query = f"ASK WHERE {{ <e:{word}> <p:{word}> <Placeholder:A> }}"
-        ast = parse_query(query)
         template = synthesis.Template(
             id=f"t{t}",
             nlq_pattern=NlqPattern.from_text(nlq),
-            query_pattern=ast,
+            query_pattern=parse_query(query),
             origin_seed_id=f"s{t}",
-            placeholder_labels=("A",),
         )
         templates.append(template)
         seed_pair = corpus.QAPair.from_text(
@@ -199,13 +197,11 @@ def _same_wording_templates():
     """Two templates sharing an NLQ pattern but using different predicates."""
     out = []
     for tid, pred in (("tA", "p:red"), ("tB", "p:blue")):
-        ast = parse_query(f"ASK WHERE {{ <e:red> <{pred}> <Placeholder:A> }}")
         out.append(synthesis.Template(
             id=tid,
             nlq_pattern=NlqPattern.from_text("does red touch <A> ?"),
-            query_pattern=ast,
+            query_pattern=parse_query(f"ASK WHERE {{ <e:red> <{pred}> <Placeholder:A> }}"),
             origin_seed_id=f"seed-{tid}",
-            placeholder_labels=("A",),
         ))
     return out
 
@@ -343,3 +339,24 @@ def test_diagnostics_counters():
     assert diag["unattributed_count"] == 1
     assert diag["ambiguous_count"] == 0
     assert diag["template_histograms"]["test"] == {"t0": 5}
+
+
+def test_diagnostics_equal_a_per_instance_count_on_random_corpora():
+    rnd = random.Random(77)
+    ambiguous_somewhere = False
+    for _ in range(30):
+        _, templates, instances, index = random_corpus(rnd)
+        tsplit = random_template_split(rnd, templates)
+        split = partitioner.sanitized_partition(instances, tsplit, index, rnd.randrange(100))
+        diag = partitioner.diagnostics(split, index)
+        every = list(split.train) + list(split.valid) + list(split.test)
+        assert diag["ambiguous_count"] == sum(1 for i in every if i.id in index.ambiguous_ids)
+        assert diag["unattributed_count"] == sum(1 for i in every if not index.attributed(i.id))
+        for name, part in (("train", split.train), ("valid", split.valid), ("test", split.test)):
+            hist: dict[str, int] = {}
+            for inst in part:
+                for tid in index.attributed(inst.id):
+                    hist[tid] = hist.get(tid, 0) + 1
+            assert list(diag["template_histograms"][name].items()) == sorted(hist.items())
+        ambiguous_somewhere |= diag["ambiguous_count"] > 0
+    assert ambiguous_somewhere

@@ -159,6 +159,18 @@ def test_a_keyword_needs_a_boundary_and_a_variable_name_is_greedy(text, position
     assert (err.value.position, err.value.message) == (position, message)
 
 
+def test_parse_query_reads_the_pattern_variables_only_for_a_select_list(monkeypatch):
+    forms = []
+    variables = QueryAst.variables
+    monkeypatch.setattr(QueryAst, "variables", lambda ast: forms.append(ast.form) or variables(ast))
+    assert parse_query("ASK WHERE { ?x <p:p> ?y }").form == ASK
+    assert forms == []
+    assert parse_query("SELECT DISTINCT ?x WHERE { ?x <p:p> ?y }").select_vars == ("x",)
+    with pytest.raises(ParseError, match=r"SELECT variable \?z does not occur"):
+        parse_query("SELECT DISTINCT ?x, ?z WHERE { ?x <p:p> ?y }")
+    assert forms == [SELECT_DISTINCT, SELECT_DISTINCT]
+
+
 def test_parses_that_share_a_terms_dict_share_equal_terms():
     terms = {}
     first = parse_query("SELECT DISTINCT ?x WHERE { ?x <p:p> <Placeholder:A> }", terms)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import (
@@ -107,7 +109,6 @@ def test_binding_query_two_slots_two_triples():
         query_pattern=parse_query(
             "ASK WHERE { <Placeholder:A> <p:p> ?x . ?x <p:q> <Placeholder:B> }"),
         origin_seed_id="s",
-        placeholder_labels=("A", "B"),
     )
     binding = synthesis.derive_binding_query(t)
     assert binding.form == qlang.SELECT_DISTINCT
@@ -121,7 +122,6 @@ def test_binding_query_variable_collision_rejected():
         nlq_pattern=NlqPattern.from_text("who links <A> here ?"),
         query_pattern=parse_query("ASK WHERE { <Placeholder:A> <p:p> ?a }"),
         origin_seed_id="s",
-        placeholder_labels=("A",),
     )
     with pytest.raises(ValueError):
         synthesis.derive_binding_query(t)
@@ -248,7 +248,7 @@ def test_query_form_equals_the_reference_binder_on_the_toy_and_4x_worlds(toy_dat
 def test_query_form_fills_repeated_predicate_and_prefix_labelled_placeholders():
     query = parse_query("SELECT DISTINCT ?x WHERE { <Placeholder:A> <Placeholder:A1> ?x . ?x <p:q> <Placeholder:A> . "
                         "<Placeholder:A1> <p:r> <e:o> }")
-    template = synthesis.Template("t", NlqPattern.from_text("is <A> or <A1> ?"), query, "s", ("A", "A1"))
+    template = synthesis.Template("t", NlqPattern.from_text("is <A> or <A1> ?"), query, "s")
     row = {"a": "e:one", "a1": "e:two"}
     expected = ref_bind_placeholders(template, row)
     assert template.query_form.fill(row) == serialize(expected) == (
@@ -261,7 +261,7 @@ def test_generate_shares_one_term_and_one_label_per_iri_across_templates(industr
                            (f"{DBR}Tiger_Aircraft", DBO_INDUSTRY, f"{DBR}Publishing")])
     entities: dict = {}
     other = synthesis.Template("t-other", NlqPattern.from_text("what does <B> make in <A> ?"),
-                               industry_template.query_pattern, "s", ("A", "B"))
+                               industry_template.query_pattern, "s")
     instances = [inst for template in (industry_template, other)
                  for inst in synthesis.generate_instances(template, graph, 5, 1, entities)]
     assert len(instances) == 4 and sorted(entities) == [f"{DBR}{n}" for n in ("Publishing", "Robot_Comics",
@@ -275,7 +275,7 @@ def test_generate_instantiates_a_5000_pattern_template():
     n = 5000
     body = " . ".join(f"<Placeholder:A> <p:{i}> <e:o{i}>" for i in range(n))
     template = synthesis.Template("t", NlqPattern.from_text("is <A> everywhere ?"),
-                                  parse_query(f"ASK WHERE {{ {body} }}"), "s", ("A",))
+                                  parse_query(f"ASK WHERE {{ {body} }}"), "s")
     graph = kgstore.Graph([(s, f"p:{i}", f"e:o{i}") for i in range(n) for s in ("e:Here", "e:There")])
     instances = synthesis.generate_instances(template, graph, 10, 1)
     assert sorted(inst.pair.nlq for inst in instances) == [("is", "e:here", "everywhere", "?"),
@@ -303,10 +303,21 @@ def test_dedup_templates(tmp_path, pizza_seed, industry_template):
 def test_template_predicates_skip_placeholder_predicates(industry_template):
     query = parse_query("ASK WHERE { <Placeholder:A> <p:q> <e:o> . <e:o> <Placeholder:B> <e:x> . "
                         "<e:x> <p:r> <Placeholder:B> . <e:y> <p:q> <e:z> }")
-    template = synthesis.Template("t", NlqPattern.from_text("is <A> or <B> ?"), query, "s", ("A", "B"))
+    template = synthesis.Template("t", NlqPattern.from_text("is <A> or <B> ?"), query, "s")
     assert template.predicates == ("p:q", "p:r", "p:q")
     assert list(template.predicates) == qlang.extract_predicates(query, skip_placeholders=True)
     assert industry_template.predicates == (DBO_INDUSTRY,)
+
+
+def test_template_placeholder_labels_are_the_sorted_slot_labels():
+    query = parse_query("ASK WHERE { <Placeholder:B> <p:p> ?x . ?x <p:q> <Placeholder:A> }")
+    template = synthesis.Template("t", NlqPattern.from_text("who links <B> with <A> ?"), query, "s")
+    assert template.placeholder_labels == ("A", "B")
+    assert synthesis.derive_binding_query(template).select_vars == ("a", "b")
+    with pytest.raises(TypeError):
+        dataclasses.replace(template, placeholder_labels=("B", "A"))
+    with pytest.raises(ValueError, match="NLQ and query disagree on labels"):
+        synthesis.Template("t", NlqPattern.from_text("who links <B> here ?"), query, "s")
 
 
 def test_templates_jsonl_round_trip(tmp_path, industry_template, toy_data):
