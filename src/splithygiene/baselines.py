@@ -103,10 +103,10 @@ def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, 
     Template patterns are aligned to an ordered subsequence of the instance
     patterns, earliest first; None when no consistent alignment exists. A
     failed (template pattern, instance pattern, bindings) state is never
-    retried. It keeps the bindings of only the labels that template pattern
-    and the later ones read, all its outcome depends on, so the walk makes
-    O(|template| x |instance| x B) unifications for B distinct such bindings,
-    not one per subsequence. The states on the current path are kept in a
+    retried. It is remembered by the bindings of only the labels its template
+    pattern and the later ones read, since its outcome depends on no other, so
+    the walk makes O(|template| x |instance| x B) unifications for B distinct
+    such bindings, not one per subsequence. The states on the current path are kept in a
     list, not on the call stack, so a query of any length aligns.
     """
     t_pats = template.query_pattern.patterns
