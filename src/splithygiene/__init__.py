@@ -1,30 +1,4 @@
 """Template-based synthetic question-query corpora, partitioning hygiene, and
 leakage metrics."""
 
-from . import (
-    attribution,
-    baselines,
-    corpus,
-    errors,
-    kgstore,
-    metrics,
-    partitioner,
-    qlang,
-    synthesis,
-    toydata,
-)
-
-__all__ = [
-    "attribution",
-    "baselines",
-    "corpus",
-    "errors",
-    "kgstore",
-    "metrics",
-    "partitioner",
-    "qlang",
-    "synthesis",
-    "toydata",
-]
-
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import metrics
 from .attribution import AttributionIndex
 from .errors import EmptyCorpus
 from .qlang import Iri, Placeholder, QueryAst, Var, span_tokens
-from .synthesis import Template
+from .synthesis import Template, split_iri
 
 BOS = "<s>"
 EOS = "</s>"
@@ -47,27 +46,25 @@ def _spans(starts: np.ndarray, rows) -> np.ndarray:
 
 @dataclass
 class MemorizerModel:
-    """Seen templates in id order, harvested labels, the match table, and the fallback tables.
+    """Seen templates in id order, harvested labels, and fallback tables over some rows of an index.
 
-    ``matches`` is the attribution index's match table (`nlq_matcher`).
-    ``fallback`` holds the train instances in (id, training position) order,
-    and ``sizes[p]`` is the distinct-token count of the question at position
-    p. Tokens are the ids of ``vocab``; a token is frequent when its case-fold
-    is a literal word of some template (``frequent``), else rare. The
-    questions are grouped by the set of frequent tokens they hold:
-    ``group[p]`` is position p's group and ``best[g]`` the position in group g
-    with the fewest distinct tokens (the first on a tie). The groups holding
-    frequent token i are ``group_ids[group_starts[i]:group_starts[i + 1]]``,
-    and the positions holding rare token i are
-    ``rare_positions[rare_starts[i]:rare_starts[i + 1]]``, ascending.
+    Questions are matched in the index's match table (``index.index.matches``),
+    and their tokens are the ids of ``index.vocab``, frequent or rare as
+    ``index.frequent`` says. ``fallback`` holds the train instances in (id,
+    training position) order, and ``sizes[p]`` is the distinct-token count of
+    the question at position p. The questions are grouped by the set of
+    frequent tokens they hold: ``group[p]`` is position p's group and
+    ``best[g]`` the position in group g with the fewest distinct tokens (the
+    first on a tie). The groups holding frequent token i are
+    ``group_ids[group_starts[i]:group_starts[i + 1]]``, and the positions
+    holding rare token i are ``rare_positions[rare_starts[i]:rare_starts[i + 1]]``,
+    ascending.
     """
 
+    index: MemorizerIndex = field(repr=False)
     templates: dict[str, Template]
     label_index: dict[str, str]
     fallback: list
-    matches: Callable[[tuple], tuple] = field(repr=False)
-    vocab: dict[str, int] = field(repr=False)
-    frequent: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
     group: np.ndarray = field(repr=False)
     best: np.ndarray = field(repr=False)
@@ -147,11 +144,9 @@ def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, 
 
 
 def _namespace(iri: str) -> str:
-    for sep in ("#", "/"):
-        pos = iri.rfind(sep)
-        if pos > len("http://"):
-            return iri[:pos + 1]
-    return _DEFAULT_NAMESPACE
+    """The IRI before its local name (`split_iri`), or the default if no separator follows the scheme's `//`."""
+    namespace = split_iri(iri)[0]
+    return namespace if len(namespace) > len("http://") + 1 else _DEFAULT_NAMESPACE
 
 
 @dataclass
@@ -277,12 +272,10 @@ def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
     held = mindex.frequent[members]
     group_starts, group_ids = _postings(members[held], of_group[held], width)
     return MemorizerModel(
+        index=mindex,
         templates={tid: t for tid, t in mindex.index.templates.items() if tid in seen},
         label_index=label_index,
         fallback=[mindex.instances[r] for r in fallback.tolist()],
-        matches=mindex.index.matches,
-        vocab=mindex.vocab,
-        frequent=mindex.frequent,
         sizes=sizes,
         group=group,
         best=best,
@@ -305,7 +298,7 @@ def _template_prediction(model: MemorizerModel, tokens: tuple) -> list[str] | No
     Ties go to the lowest id, the first in the match table (``max`` keeps the
     first); None when no seen template matches.
     """
-    seen = [(t, bindings) for t, bindings in model.matches(tokens) if model.templates.get(t.id) is t]
+    seen = [(t, bindings) for t, bindings in model.index.index.matches(tokens) if model.templates.get(t.id) is t]
     if not seen:
         return None
     template, bindings = max(seen, key=lambda m: m[0].nlq_pattern.word_count)
@@ -331,7 +324,7 @@ def _nearest_block(model: MemorizerModel, qsize: np.ndarray, tokens: np.ndarray,
     ``owner`` naming the question of each.
     """
     n_groups, n = model.best.size, len(model.fallback)
-    frequent = model.frequent[tokens]
+    frequent = model.index.frequent[tokens]
     entries, of = _listed(model.group_starts, tokens[frequent], owner[frequent])
     fo = np.bincount(of * n_groups + model.group_ids[entries], minlength=qsize.size * n_groups)
     fo = fo.reshape(qsize.size, n_groups)  # frequent tokens shared by each (question, group)
@@ -379,7 +372,7 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
     unmatched = [i for i, prediction in enumerate(out) if prediction is None]
     if not model.fallback:
         return [[] if prediction is None else prediction for prediction in out]
-    vocab = model.vocab
+    vocab, frequent = model.index.vocab, model.index.frequent
     distinct = [set(questions[i]) for i in unmatched]
     known = [[vocab[t] for t in question if t in vocab] for question in distinct]
     qsize = np.array([len(question) for question in distinct], dtype=np.int64)
@@ -388,7 +381,7 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
     owner = np.repeat(np.arange(len(unmatched)), counts)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     # a question's candidate entries: one per group, plus one per posting of each of its tokens
-    listed = np.where(model.frequent[tokens], np.diff(model.group_starts)[tokens], np.diff(model.rare_starts)[tokens])
+    listed = np.where(frequent[tokens], np.diff(model.group_starts)[tokens], np.diff(model.rare_starts)[tokens])
     cost = model.best.size + np.bincount(owner, weights=listed, minlength=len(unmatched)).astype(np.int64)
     window = (np.cumsum(cost) - cost) // _BLOCK  # the questions starting in one window form a block
     bounds = [*np.flatnonzero(np.diff(window, prepend=-1)).tolist(), len(unmatched)]

@@ -44,7 +44,6 @@ from .corpus import (
     write_text,
 )
 from .errors import EmptyCorpus, InputFileError, LineCountMismatch, RatioError, SplitHygieneError
-from .kgstore import load_ntriples
 from .metrics import corpus_bleu, perplexity
 from .partitioner import _check_ratios, leaky_partition, sanitized_partition, split_templates
 from .synthesis import read_templates, write_templates
@@ -113,12 +112,7 @@ def extract(seeds_path, out_path):
 def generate(templates_path, kg_path, limit, out_dir, rng_seed):
     """Instantiate templates against an N-Triples graph."""
     templates = read_templates(templates_path)
-    graph = load_ntriples(kg_path)
-    if graph.load_report.malformed_lines:
-        click.echo(f"warning: {len(graph.load_report.malformed_lines)} malformed KG lines skipped", err=True)
-    if graph.load_report.skipped_literals:
-        click.echo(f"warning: {graph.load_report.skipped_literals} literal-object KG lines skipped", err=True)
-    instances, removed = experiments.generate_stage(templates, graph, limit, rng_seed)
+    instances, removed = experiments.generate_stage(templates, experiments.load_graph(kg_path), limit, rng_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_parallel(out, "instances", instances)
@@ -186,7 +180,7 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
         seeds = unique_ids(seeds_path, read, dedup(read)[0])
         index = build_index(instances, templates)
         seed_test_ids = experiments.held_out_seed_ids(seeds, seed_test_fraction, rng_seed)
-        tsplit = split_templates(templates, seeds, seed_test_ids)
+        tsplit = split_templates(index, seeds, seed_test_ids)
         split = sanitized_partition(instances, tsplit, index, rng_seed)
     experiments.write_partition(out_dir, split, scheme, rng_seed, ratio_tuple,
                                 file_digest([nlq_path, ql_path]), index, tsplit)

@@ -21,6 +21,7 @@ import json
 import math
 import re
 import statistics
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from .corpus import (
     write_text,
 )
 from .errors import ConfigError, RatioError
-from .kgstore import load_ntriples
+from .kgstore import Graph, load_ntriples
 from .metrics import corpus_bleu, leakage_report
 from .partitioner import (
     Split3,
@@ -211,6 +212,17 @@ def extract_stage(seeds_path) -> tuple[list, list, dict[str, int]]:
     return seeds, templates, {"seeds": seeds_removed, "templates": templates_removed}
 
 
+def load_graph(kg_path) -> Graph:
+    """Load an N-Triples graph, warning on stderr of each kind of line it skipped."""
+    graph = load_ntriples(kg_path)
+    report = graph.load_report
+    if report.malformed_lines:
+        print(f"warning: {len(report.malformed_lines)} malformed KG lines skipped", file=sys.stderr)
+    if report.skipped_literals:
+        print(f"warning: {report.skipped_literals} literal-object KG lines skipped", file=sys.stderr)
+    return graph
+
+
 def generate_stage(templates, graph, limit: int, rng_seed: int) -> tuple[list, int]:
     """Instantiate every template and de-duplicate; returns (instances, removed)."""
     instances = []
@@ -232,7 +244,7 @@ def build_pipeline_data(config: RunConfig) -> PipelineData:
     digest = file_digest([seeds_path, kg_path])
     seeds, templates, removed = extract_stage(seeds_path)
     instances, removed["instances"] = generate_stage(
-        templates, load_ntriples(kg_path), config.instance_limit, config.rng_seeds[0])
+        templates, load_graph(kg_path), config.instance_limit, config.rng_seeds[0])
     return PipelineData(
         seeds=seeds,
         templates=templates,
@@ -356,7 +368,7 @@ def write_partition(out_dir, split: Split3, scheme: str, rng_seed: int, ratios, 
 
 
 def _sanitized_split(data: PipelineData, config: RunConfig, seed_test_ids):
-    tsplit = split_templates(data.templates, data.seeds, seed_test_ids)
+    tsplit = split_templates(data.index, data.seeds, seed_test_ids)
     split = sanitized_partition(data.instances, tsplit, data.index, config.rng_seeds[0])
     return tsplit, split
 

@@ -33,7 +33,7 @@ class Graph:
     """Immutable set of (subject, predicate, object) IRI triples with one index.
 
     The index maps a pattern's bound positions, None where unbound, to the
-    matching triples in sorted order, for the shapes the evaluator looks up:
+    matching triples, for the shapes the evaluator looks up:
     (None, p, None), (s, p, None), (None, p, o) and (None, None, None).
     """
 
@@ -41,7 +41,7 @@ class Graph:
         self.triples: frozenset[tuple[str, str, str]] = frozenset(triples)
         self.load_report = load_report
         index: dict[tuple, list[tuple[str, str, str]]] = {}
-        for triple in sorted(self.triples):
+        for triple in self.triples:
             s, p, o = triple
             for key in ((None, None, None), (None, p, None), (s, p, None), (None, p, o)):
                 index.setdefault(key, []).append(triple)
@@ -91,7 +91,7 @@ def load_ntriples(path) -> Graph:
 
 
 def _lookup(graph: Graph, s: str | None, p: str | None, o: str | None):
-    """The triples, in sorted order, that agree with the given positions; None is unbound.
+    """The triples that agree with the given positions; None is unbound.
 
     A fully bound pattern is a membership test on `graph.triples`. With the
     predicate unbound the index offers every triple, and the caller checks the

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, floor, isfinite
 
 from . import rng
-from .attribution import AttributionIndex, nlq_matcher
+from .attribution import AttributionIndex
 from .corpus import VALID_FRACTION
 from .errors import RatioError
 from .qlang import extract_predicates
@@ -81,21 +81,20 @@ def leaky_partition(instances, ratios=(0.8, 0.1, 0.1), rng_seed: int = 0) -> Spl
     return Split3(train=train, valid=valid, test=test)
 
 
-def split_templates(templates, seeds, seed_test_ids) -> TemplateSplit:
-    """Coordinate a template split with a seed split.
+def split_templates(index: AttributionIndex, seeds, seed_test_ids) -> TemplateSplit:
+    """Coordinate a split of the index's templates with a seed split.
 
     A template matches a seed when its question pattern matches the seed's
     question and its predicates equal the seed query's. A template goes to
     test iff it matches at least one seed whose id is in `seed_test_ids`;
     templates matching both sides are routed to test and reported via
-    `both_matched_ids`. The matcher runs once per seed question skeleton.
+    `both_matched_ids`. Seed questions are looked up in the index's match
+    table, so a seed whose skeleton some instance has costs no matcher call.
     """
-    templates = list(templates)
-    matches = nlq_matcher(templates)
     test_seed_ids = set(seed_test_ids)
-    sides: dict[str, set[bool]] = {t.id: set() for t in templates}  # in test, per matched seed
+    sides: dict[str, set[bool]] = {tid: set() for tid in index.templates}  # in test, per matched seed
     for seed in seeds:
-        matched = matches(seed.pair.nlq)
+        matched = index.matches(seed.pair.nlq)
         if matched:
             preds = tuple(extract_predicates(seed.pair.query_ast))
             for t, _ in matched:

@@ -88,10 +88,15 @@ class QueryForm:
         return QueryAst(self.query.form, self.query.select_vars, tuple(zip(triples, triples, triples)))
 
 
+def split_iri(iri: str) -> tuple[str, str]:
+    """(namespace, local name): the local name is what follows the IRI's last `/` or `#`."""
+    cut = max(iri.rfind("/"), iri.rfind("#")) + 1
+    return iri[:cut], iri[cut:]
+
+
 def entity_label(iri: str) -> str:
     """Human label for an entity IRI: local name, underscores as spaces, lowercased."""
-    local = iri.rsplit("/", 1)[-1].rsplit("#", 1)[-1]
-    return local.replace("_", " ").lower()
+    return split_iri(iri)[1].replace("_", " ").lower()
 
 
 def _locate_iri(ast: QueryAst, span: tuple[str, ...]) -> str | None:

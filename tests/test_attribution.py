@@ -15,7 +15,7 @@ from conftest import (
     random_corpus,
 )
 from references import ref_attribute_instance, ref_template_matches_seed
-from splithygiene import attribution, corpus, qlang, synthesis
+from splithygiene import attribution, corpus, experiments, partitioner, qlang, synthesis
 from splithygiene.errors import PatternError, PlaceholderPredicate
 from splithygiene.qlang import Iri, NlqPattern, Placeholder, QueryAst, Slot, Word, match_nlq, parse_query
 
@@ -314,6 +314,24 @@ def test_prefilter_keeps_matcher_calls_few_on_default_toy_data(toy_data, monkeyp
     # every toy instance times every template is 157,248 pairs; the pre-filter left ~4,200,
     # and matching once per question skeleton (84 of them) leaves ~110
     assert 0 < calls[0] <= 150
+
+
+
+def test_split_templates_makes_no_matcher_call_on_default_toy_data(toy_data, toy_config, monkeypatch):
+    # every toy seed question's skeleton is already in the corpus's match table
+    index = attribution.build_index(toy_data.instances, toy_data.templates)
+    seed_test = experiments.seed_split_ids(toy_data, toy_config)
+    calls = _counted_matcher(monkeypatch)
+    tsplit = partitioner.split_templates(index, toy_data.seeds, seed_test)
+    assert calls[0] == 0
+    assert tsplit.train_template_ids and tsplit.test_template_ids
+
+
+def test_a_whole_exp1_calls_the_matcher_only_to_build_the_index(toy_config, tmp_path, monkeypatch):
+    calls = _counted_matcher(monkeypatch)
+    experiments.run_experiment("exp1", dataclasses.replace(toy_config, workdir=str(tmp_path)))
+    # one call per (skeleton, template passing the word test) of the corpus; splitting and prediction add none
+    assert calls[0] == 108
 
 
 # pattern words whose case-fold differs from their lowercase ("ß" folds to "ss"), a digraph with a

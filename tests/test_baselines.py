@@ -369,7 +369,7 @@ def test_predict_equals_linear_scan_on_random_corpora():
 
 def test_predict_equals_linear_scan_on_default_sanitized_split(toy_data, toy_config):
     seed_test = experiments.seed_split_ids(toy_data, toy_config)
-    tsplit = partitioner.split_templates(toy_data.templates, toy_data.seeds, seed_test)
+    tsplit = partitioner.split_templates(toy_data.index, toy_data.seeds, seed_test)
     split = partitioner.sanitized_partition(toy_data.instances, tsplit, toy_data.index,
                                             toy_config.rng_seeds[0])
     model = _memorizer(split.train, toy_data.index)
@@ -446,7 +446,7 @@ def _assert_same_memorizer(model, ref, index):
     assert model.sizes.dtype == ref.sizes.dtype and np.array_equal(model.sizes, ref.sizes)
     assert model.entity_namespace == ref.entity_namespace
     words = {w for t in index.templates.values() for w in t.nlq_pattern.words}
-    assert model.frequent.tolist() == [token.casefold() in words for token in model.vocab]
+    assert model.index.frequent.tolist() == [token.casefold() in words for token in model.index.vocab]
     sets = [frozenset(t for t in inst.pair.nlq if t.casefold() in words) for inst in ref.fallback]
     assert len(set(zip(sets, model.group.tolist()))) == len(set(sets)) == model.best.size
     members: dict[int, list[int]] = {}
@@ -454,11 +454,11 @@ def _assert_same_memorizer(model, ref, index):
         members.setdefault(g, []).append(p)
     assert sorted(members) == list(range(model.best.size))
     assert model.best.tolist() == [min(members[g], key=lambda p: ref.sizes[p]) for g in sorted(members)]
-    for token, i in model.vocab.items():
+    for token, i in model.index.vocab.items():
         positions = ref.postings.get(token, np.empty(0, dtype=np.int64))
         rare = model.rare_positions[model.rare_starts[i]:model.rare_starts[i + 1]]
         groups = model.group_ids[model.group_starts[i]:model.group_starts[i + 1]]
-        if model.frequent[i]:
+        if model.index.frequent[i]:
             assert rare.size == 0 and groups.tolist() == sorted(set(model.group[positions].tolist())), token
         else:
             assert groups.size == 0 and rare.tolist() == positions.tolist(), token
@@ -550,8 +550,8 @@ def test_memorizer_predict_tries_templates_most_literal_words_first(tmp_path, mo
     # the table already holds every corpus question's skeleton, so prediction never calls the matcher
     calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config, [(attribution, "match_nlq")])
     assert calls["match_nlq", "predict"] == 0 < calls["match_nlq", "build_index"] <= 150, calls
-    # the rest come from split_templates, one matcher pass per seed skeleton
-    assert calls["match_nlq", None] <= 500, calls
+    # split_templates reads every seed skeleton from the same table
+    assert calls["match_nlq", None] == 0, calls
 
 
 def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypatch, toy_data, toy_config):
@@ -572,6 +572,21 @@ def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypat
     experiments.run_experiment("exp2", dataclasses.replace(toy_config, workdir=str(tmp_path)), toy_data)
     assert max(harvested.values()) == 1
     assert 0 < sum(harvested.values()) <= len(selected) < len(toy_data.instances)
+
+
+
+@pytest.mark.parametrize("iri", [
+    "http://x.org/resource/Ada_Varga",  # "/"
+    "http://x.org/ns#Ada_Varga",  # "#"
+    "http://x.org/ns#people/Ada_Varga",  # "#", then "/"
+    "http://x.org/people/ns#Ada_Varga",  # "/", then "#"
+])
+def test_label_and_namespace_split_an_iri_at_one_place(iri):
+    assert baselines.label_to_iri_form(synthesis.entity_label(iri), baselines._namespace(iri)) == iri
+
+
+def test_namespace_defaults_when_no_separator_follows_the_scheme():
+    assert baselines._namespace("http://Ada_Varga") == baselines._namespace("https://x") == baselines._DEFAULT_NAMESPACE
 
 
 # ---------------------------------------------------------------------------

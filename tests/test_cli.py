@@ -167,6 +167,15 @@ def test_a_kg_iri_no_query_can_write_is_skipped_before_attribution(tmp_path, run
                              "--templates", str(templates), "--out", str(tmp_path / "attribution.tsv")]))
 
 
+def test_run_warns_of_the_kg_lines_it_skips(tmp_path, runner):
+    kg = tmp_path / "toy.nt"
+    kg.write_text(toydata.toy_kg_path().read_text(encoding="utf-8")
+                  + 'garbage line\n<http://x.org/a> <http://x.org/b> "a literal" .\n', encoding="utf-8")
+    result = _ok(runner.invoke(main, ["run", "exp3", "--kg", str(kg), "--workdir", str(tmp_path / "w")]))
+    assert "warning: 1 malformed KG lines skipped\n" in result.stderr
+    assert "warning: 1 literal-object KG lines skipped\n" in result.stderr
+
+
 def _generate_and_attribute(tmp_path, runner, old, new):
     """Run extract, generate and attribute on the toy KG with `old` replaced by `new`; the two results."""
     kg = tmp_path / "toy.nt"

@@ -132,27 +132,28 @@ def test_leaky_ratio_validation(ratios):
 # ---------------------------------------------------------------------------
 
 def test_split_templates_routes_by_seed_membership(pizza_seed, industry_template):
-    tsplit = partitioner.split_templates([industry_template], [pizza_seed], {pizza_seed.id})
+    index = attribution.build_index([], [industry_template])
+    tsplit = partitioner.split_templates(index, [pizza_seed], {pizza_seed.id})
     assert industry_template.id in tsplit.test_template_ids
     assert tsplit.train_template_ids == frozenset()
 
 
 def test_split_templates_empty_test_ids():
-    templates, seeds, _, _ = _toy_corpus()
-    tsplit = partitioner.split_templates(templates, seeds, set())
+    templates, seeds, _, index = _toy_corpus()
+    tsplit = partitioner.split_templates(index, seeds, set())
     assert tsplit.test_template_ids == frozenset()
     assert tsplit.train_template_ids == frozenset(t.id for t in templates)
 
 
 def test_split_templates_two_matching_test_seeds():
-    templates, seeds, _, _ = _toy_corpus(n_templates=8)
+    templates, seeds, _, index = _toy_corpus(n_templates=8)
     # brute-force expectation: template t goes to test iff it matches a test seed
     test_seed_ids = {"s2", "s5"}
     expected_test = {
         t.id for t in templates
         if any(ref_template_matches_seed(t, s) for s in seeds if s.id in test_seed_ids)
     }
-    tsplit = partitioner.split_templates(templates, seeds, test_seed_ids)
+    tsplit = partitioner.split_templates(index, seeds, test_seed_ids)
     assert tsplit.test_template_ids == expected_test == {"t2", "t5"}
     assert len(tsplit.train_template_ids) == 6
 
@@ -164,9 +165,11 @@ def test_split_templates_equals_the_all_pairs_rule_on_toy_and_scaled_seeds(toy_d
         seeds = data.seeds + [dataclasses.replace(s, id=f"{s.id}-twin") for s in data.seeds[::5]]
         for fraction, rng_seed in ((0.2, 101), (0.5, 7), (0.9, 8)):
             held_out = set(experiments.held_out_seed_ids(seeds, fraction, rng_seed))
-            tsplit = partitioner.split_templates(data.templates, seeds, held_out)
             expected = ref_split_templates(data.templates, seeds, held_out)
-            assert (tsplit.train_template_ids, tsplit.test_template_ids, tsplit.both_matched_ids) == expected
+            # the corpus table holds every seed skeleton; a table with no corpus matches each one afresh
+            for index in (data.index, attribution.build_index([], data.templates)):
+                tsplit = partitioner.split_templates(index, seeds, held_out)
+                assert (tsplit.train_template_ids, tsplit.test_template_ids, tsplit.both_matched_ids) == expected
             assert tsplit.train_template_ids and tsplit.test_template_ids
             seen_both += bool(tsplit.both_matched_ids)
     assert seen_both, "no split had a template matching seeds on both sides"
@@ -176,7 +179,7 @@ def test_split_templates_both_sides_goes_to_test(pizza_seed, industry_template):
     import dataclasses
     train_twin = dataclasses.replace(pizza_seed, id="train-twin")
     tsplit = partitioner.split_templates(
-        [industry_template], [pizza_seed, train_twin], {pizza_seed.id})
+        attribution.build_index([], [industry_template]), [pizza_seed, train_twin], {pizza_seed.id})
     assert industry_template.id in tsplit.test_template_ids
     assert industry_template.id in tsplit.both_matched_ids
 
@@ -187,7 +190,7 @@ def test_split_templates_both_sides_goes_to_test(pizza_seed, industry_template):
 
 def test_sanitized_counts_on_unambiguous_corpus():
     templates, seeds, instances, index = _toy_corpus(n_templates=5, per_template=20)
-    tsplit = partitioner.split_templates(templates, seeds, {"s0"})
+    tsplit = partitioner.split_templates(index, seeds, {"s0"})
     split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=3)
     assert split.counts == (72, 8, 20)
     assert all(i.origin_template_id == "t0" for i in split.test)
@@ -243,14 +246,14 @@ def test_sanitized_unattributed_instances_never_reach_test():
     stray = make_instance("stray", "nothing like the rest ?", ASK_Q % 0)
     all_instances = instances + [stray]
     index = attribution.build_index(all_instances, templates)
-    tsplit = partitioner.split_templates(templates, seeds, {"s0"})
+    tsplit = partitioner.split_templates(index, seeds, {"s0"})
     split = partitioner.sanitized_partition(all_instances, tsplit, index, rng_seed=3)
     assert "stray" in _ids(split.train) + _ids(split.valid)
 
 
 def test_sanitized_no_shared_template_cross_product():
     templates, seeds, instances, index = _toy_corpus(n_templates=6, per_template=15)
-    tsplit = partitioner.split_templates(templates, seeds, {"s1", "s4"})
+    tsplit = partitioner.split_templates(index, seeds, {"s1", "s4"})
     split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=8)
     assert split.counts[2] == 30
     train_pool = list(split.train) + list(split.valid)
@@ -285,7 +288,7 @@ def test_sanitized_invariant_on_random_corpora_with_demotion():
 
 def test_sanitized_deterministic():
     templates, seeds, instances, index = _toy_corpus()
-    tsplit = partitioner.split_templates(templates, seeds, {"s0", "s3"})
+    tsplit = partitioner.split_templates(index, seeds, {"s0", "s3"})
     a = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=11)
     b = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=11)
     assert (_ids(a.train), _ids(a.valid), _ids(a.test)) == (_ids(b.train), _ids(b.valid), _ids(b.test))
@@ -333,7 +336,7 @@ def test_diagnostics_counters():
     stray = make_instance("stray", "nothing like the rest ?", ASK_Q % 0)
     all_instances = instances + [stray]
     index = attribution.build_index(all_instances, templates)
-    tsplit = partitioner.split_templates(templates, seeds, {"s0"})
+    tsplit = partitioner.split_templates(index, seeds, {"s0"})
     split = partitioner.sanitized_partition(all_instances, tsplit, index, rng_seed=3)
     diag = partitioner.diagnostics(split, index, tsplit)
     assert diag["unattributed_count"] == 1
