@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .corpus import write_lines
-from .qlang import extract_predicates, match_nlq, predicates_subsequence
+from .qlang import match_nlq, predicates_subsequence
 from .synthesis import Template
 
 
@@ -82,14 +82,23 @@ class AttributionIndex:
 
 
 def build_index(instances, templates) -> AttributionIndex:
-    """Attribute every instance to the templates, tried in id order."""
+    """Attribute every instance to the templates, tried in id order.
+
+    An instance's templates depend only on its entry in the match table and
+    its predicates, so each distinct pair of them is worked out once.
+    """
     ordered = sorted(templates, key=lambda t: t.id)
     matches = nlq_matcher(ordered)
     by_instance = {}
+    found: dict[tuple[int, tuple[str, ...]], tuple[str, ...]] = {}  # (id of a table entry, predicates) -> ids
     for inst in instances:
-        preds = extract_predicates(inst.pair.query_ast)
-        by_instance[inst.id] = tuple(t.id for t, _ in matches(inst.pair.nlq)
-                                     if predicates_subsequence(t.predicates, preds))
+        preds = inst.pair.concrete_predicates()
+        matched = matches(inst.pair.nlq)  # the table keeps each entry, so its id names it
+        key = (id(matched), preds)
+        ids = found.get(key)
+        if ids is None:
+            ids = found[key] = tuple(t.id for t, _ in matched if predicates_subsequence(t.predicates, preds))
+        by_instance[inst.id] = ids
     tally = Counter(tid for ts in by_instance.values() for tid in ts)
     by_id = {t.id: t for t in ordered}
     ambiguous = frozenset(i for i, ts in by_instance.items() if len(ts) >= 2)

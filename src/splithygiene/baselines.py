@@ -175,12 +175,25 @@ class MemorizerIndex:
     rank: np.ndarray = field(repr=False)
 
 
+def _placeholder_iris(template: Template, pair) -> dict[str, str] | None:
+    """`align_placeholders` of the template on the pair's query.
+
+    A query text that the template's `QueryForm` matches in full is the
+    template's query with each placeholder bound to one IRI, so the alignment
+    is that binding, read with no parse. Any other text (a query holding more
+    patterns than the template, one spaced otherwise, or one binding a
+    placeholder to a ``Placeholder:...`` text) is aligned on its AST.
+    """
+    iris = template.query_form.match(pair.query_text)
+    return iris if iris is not None else align_placeholders(template, pair.query_ast)
+
+
 def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     """The (slot text, IRI) pairs an instance binds, in binding order.
 
     They are read under its origin template if that is attributed, else under
     each attributed template in order; the bindings come from the index's
-    match table.
+    match table, the IRIs from `_placeholder_iris`.
     """
     attributed = index.attributed(inst.id)
     origin = inst.origin_template_id
@@ -189,7 +202,7 @@ def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     for tid in [origin] if origin in attributed else attributed:
         template = index.templates[tid]
         bindings = bindings_of[tid]
-        iris = align_placeholders(template, inst.pair.query_ast)
+        iris = _placeholder_iris(template, inst.pair)
         if iris is None:
             continue
         for label, span in bindings.items():

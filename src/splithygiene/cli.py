@@ -7,6 +7,10 @@ them builds the corpus and splits a preset builds. `generate` and `partition`
 take --rng-seed; `run` and `report` take --config and --workdir, the workdir
 defaulting to $SPLITHYGIENE_WORKDIR or the current directory. Exit codes:
 0 success, 2 validation/usage error, 1 runtime error.
+
+The commands that run a baseline or a metric import `baselines` and `metrics`
+themselves, and `rng` imports numpy when it first draws, so `extract` and
+`attribute` never load numpy.
 """
 
 from __future__ import annotations
@@ -21,19 +25,12 @@ import click
 
 from . import experiments, qlang
 from .attribution import build_index, write_attribution
-from .baselines import (
-    memorizer_index,
-    memorizer_predict,
-    ngram_index,
-    score_sentences,
-    train_memorizer,
-    train_ngram_lm,
-)
 from .corpus import (
     LEAKY,
     SANITIZED,
     dedup,
     file_digest,
+    json_text,
     read_logp,
     read_lines,
     read_parallel,
@@ -44,7 +41,6 @@ from .corpus import (
     write_text,
 )
 from .errors import EmptyCorpus, InputFileError, LineCountMismatch, RatioError, SplitHygieneError
-from .metrics import corpus_bleu, perplexity
 from .partitioner import _check_ratios, leaky_partition, sanitized_partition, split_templates
 from .synthesis import read_templates, write_templates
 
@@ -120,7 +116,7 @@ def generate(templates_path, kg_path, limit, out_dir, rng_seed):
         "ids": [i.id for i in instances],
         "origins": {i.id: i.origin_template_id for i in instances if i.origin_template_id},
     }
-    write_text(out / "instances.manifest.json", json.dumps(doc, indent=2) + "\n")
+    write_text(out / "instances.manifest.json", json_text(doc))
     click.echo(f"generated {len(instances)} instances ({removed} duplicates dropped)")
 
 
@@ -168,13 +164,13 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
               seeds_path, seed_test_fraction, out_dir, rng_seed):
     """Split a parallel corpus into train/valid/test."""
     ratio_tuple = _parse_ratios(ratios)
+    if scheme == SANITIZED and not (templates_path and seeds_path):
+        _fail(2, "sanitized partitioning needs --templates and --seeds")
     instances = read_parallel(nlq_path, ql_path, manifest_path)
     index = tsplit = None
     if scheme == LEAKY:
         split = leaky_partition(instances, ratio_tuple, rng_seed)
     else:
-        if not templates_path or not seeds_path:
-            _fail(2, "sanitized partitioning needs --templates and --seeds")
         templates = read_templates(templates_path)
         read = read_seeds(seeds_path)
         seeds = unique_ids(seeds_path, read, dedup(read)[0])
@@ -197,6 +193,8 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
 @click.option("--out", "out_path", type=click.Path(), required=True, help="pred.ql output.")
 def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, out_path):
     """Train the template memorizer and predict queries for an NLQ file."""
+    from .baselines import memorizer_index, memorizer_predict, train_memorizer
+
     train = read_parallel(train_nlq, train_ql, train_manifest)
     index = build_index(train, read_templates(templates_path))
     model = train_memorizer(memorizer_index(train, index), range(len(train)))
@@ -215,6 +213,9 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
 @click.option("--out-logp", type=click.Path(), default=None, help="Optional pred.logp output.")
 def lm(train_ql, eval_ql, order, k, out_logp):
     """Train the n-gram query LM and report perplexity on an evaluation file."""
+    from .baselines import ngram_index, score_sentences, train_ngram_lm
+    from .metrics import perplexity
+
     train = [line.split() for line in read_lines(train_ql)]
     eval_sents = [line.split() for line in read_lines(eval_ql)]
     model = train_ngram_lm(ngram_index(train, order), range(len(train)), k)
@@ -234,6 +235,8 @@ def lm(train_ql, eval_ql, order, k, out_logp):
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report JSON here.")
 def eval_cmd(pred_path, test_path, logp_path, out_path):
     """Score predictions against references: BLEU, and perplexity from --logp."""
+    from .metrics import corpus_bleu, perplexity
+
     preds = [line.split() for line in read_lines(pred_path)]
     refs = [line.split() for line in read_lines(test_path)]
     if len(preds) != len(refs):

@@ -15,6 +15,7 @@ import os
 import uuid
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import qlang
@@ -27,11 +28,16 @@ VALID_FRACTION = 0.1  # the share of a sanitized split's train pool cut to valid
 
 @dataclass(frozen=True)
 class QAPair:
-    """A natural-language question paired with a formal query."""
+    """A natural-language question paired with a formal query.
+
+    ``predicates`` are the query's predicate IRIs in triple order, None when
+    one of them is a placeholder. The query's AST is parsed from its text
+    when first asked for, and kept.
+    """
 
     nlq: tuple[str, ...]
     query_text: str
-    query_ast: qlang.QueryAst
+    predicates: tuple[str, ...] | None
 
     def __post_init__(self):
         if not self.nlq:
@@ -39,7 +45,18 @@ class QAPair:
 
     @classmethod
     def from_text(cls, nlq_text: str, query_text: str) -> "QAPair":
-        return cls(qlang.tokenize_nlq(nlq_text), query_text, qlang.parse_query(query_text))
+        """The pair of a question and a query; a query outside the subset raises ParseError."""
+        return cls(qlang.tokenize_nlq(nlq_text), query_text, qlang.query_checker()(query_text))
+
+    @cached_property
+    def query_ast(self) -> qlang.QueryAst:
+        return qlang.parse_query(self.query_text)
+
+    def concrete_predicates(self) -> tuple[str, ...]:
+        """``predicates``; a placeholder predicate raises PlaceholderPredicate."""
+        if self.predicates is None:
+            qlang.extract_predicates(self.query_ast)
+        return self.predicates
 
     def nlq_text(self) -> str:
         return " ".join(self.nlq)
@@ -218,6 +235,8 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     ids (and origin template ids when recorded): either a partition manifest,
     whose per-split assignment order matches the file written for that split,
     or a plain ``{"ids": [...], "origins": {...}}`` object of distinct ids.
+    Each query goes through one `qlang.query_checker`, so the parser runs
+    once per query shape, and a row keeps its query's predicates, not its AST.
     A bad line raises InputFileError naming path and line, any parser offset kept.
     """
     nlq_lines = read_lines(nlq_path)
@@ -247,19 +266,19 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
                 f"manifest lists {len(ids)} ids for {nlq_path} but the file has {len(nlq_lines)} lines"
             )
     out: list[Instance] = []
-    terms: dict[str, qlang.Term] = {}
+    check = qlang.query_checker()
     words: dict[str, tuple[str, ...]] = {}
     for i, (nlq_line, query_line) in enumerate(zip(nlq_lines, query_lines)):
         nlq = qlang.tokenize_nlq(nlq_line, words)
         if not nlq:
             raise InputFileError(f"{nlq_path}:{i + 1}: empty NLQ line")
         try:
-            ast = qlang.parse_query(query_line, terms)
+            predicates = check(query_line)
         except ParseError as exc:
             raise InputFileError(f"{query_path}:{i + 1}: {exc}") from None
         out.append(Instance(
             id=ids[i],
-            pair=QAPair(nlq, query_line, ast),
+            pair=QAPair(nlq, query_line, predicates),
             origin_template_id=origins.get(ids[i]),
         ))
     return out
@@ -318,6 +337,32 @@ def write_parallel(out_dir, name: str, instances) -> None:
     write_lines(out / f"{name}.ql", [i.pair.query_text for i in instances])
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def json_text(doc: dict[str, object]) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` for a JSON object with string keys, with the same bytes.
+
+    ``json.dumps`` encodes in pure Python when it indents. Here each value of
+    the object that is a non-empty object or array of scalars (a manifest's
+    id maps) is one call of the C encoder, its item separator carrying the
+    line break and the indent; a JSON string never holds a raw line break.
+    """
+    if not doc:
+        return "{}\n"
+    items = []
+    for key, value in doc.items():
+        of_scalars = isinstance(value, (dict, list)) and value and set(
+            map(type, value.values() if isinstance(value, dict) else value)) <= _SCALARS
+        if of_scalars:
+            encoded = json.dumps(value, separators=(",\n    ", ": "))  # the brackets around the members
+            text = f"{encoded[0]}\n    {encoded[1:-1]}\n  {encoded[-1]}"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def write_split(out_dir, split3, manifest: dict) -> None:
     """Write train/valid/test as parallel .nlq/.ql files plus manifest.json."""
     out = Path(out_dir)
@@ -325,7 +370,7 @@ def write_split(out_dir, split3, manifest: dict) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
             write_parallel(out, name, instances)
-        write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        write_text(out / "manifest.json", json_text(manifest))
     except OSError as exc:
         raise OSError(f"writing split under {out}: {exc}") from exc
 

@@ -24,19 +24,10 @@ import statistics
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import qlang, rng, toydata
 from .attribution import AttributionIndex, build_index, write_attribution
-from .baselines import (
-    MemorizerIndex,
-    NGramIndex,
-    lm_perplexity,
-    memorizer_index,
-    memorizer_predict,
-    ngram_index,
-    train_memorizer,
-    train_ngram_lm,
-)
 from .corpus import (
     LEAKY,
     SANITIZED,
@@ -51,7 +42,6 @@ from .corpus import (
 )
 from .errors import ConfigError, RatioError
 from .kgstore import Graph, load_ntriples
-from .metrics import corpus_bleu, leakage_report
 from .partitioner import (
     Split3,
     _check_ratios,
@@ -62,6 +52,9 @@ from .partitioner import (
     subsample_train,
 )
 from .synthesis import extract_template, generate_instances, write_templates
+
+if TYPE_CHECKING:  # baselines and metrics load numpy: the functions that run them import them
+    from .baselines import MemorizerIndex, NGramIndex
 
 PRESETS = ("exp1", "exp2", "exp3")
 
@@ -279,6 +272,8 @@ def halve_seed_test_ids(seed_test_ids, rng_seed: int) -> list[str]:
 def baseline_corpus(data: PipelineData, config: RunConfig) -> tuple[NGramIndex, MemorizerIndex, dict[str, int]]:
     """The n-gram index over every instance's query tokens, the memorizer index
     over every instance, and each instance id's row in both."""
+    from .baselines import memorizer_index, ngram_index
+
     lm_index = ngram_index([inst.pair.query_text.split() for inst in data.instances], config.lm_order)
     rows = {inst.id: row for row, inst in enumerate(data.instances)}
     return lm_index, memorizer_index(data.instances, data.index), rows
@@ -291,6 +286,9 @@ def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig, lm
     Both models select the train rows of indexes that cover the whole corpus;
     `rows` maps each instance id to its row.
     """
+    from .baselines import lm_perplexity, memorizer_predict, train_memorizer, train_ngram_lm
+    from .metrics import corpus_bleu, leakage_report
+
     train_rows = [rows[inst.id] for inst in split.train]
     memorizer = train_memorizer(mem_index, train_rows)
     lm = train_ngram_lm(lm_index, train_rows, config.lm_k)

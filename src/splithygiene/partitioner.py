@@ -19,7 +19,6 @@ from . import rng
 from .attribution import AttributionIndex
 from .corpus import VALID_FRACTION
 from .errors import RatioError
-from .qlang import extract_predicates
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def split_templates(index: AttributionIndex, seeds, seed_test_ids) -> TemplateSp
     for seed in seeds:
         matched = index.matches(seed.pair.nlq)
         if matched:
-            preds = tuple(extract_predicates(seed.pair.query_ast))
+            preds = seed.pair.concrete_predicates()
             for t, _ in matched:
                 if t.predicates == preds:
                     sides[t.id].add(seed.id in test_seed_ids)

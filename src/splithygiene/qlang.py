@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,16 +116,10 @@ _LEXEME = re.compile(r"<[^<>]*>|\?[A-Za-z_][A-Za-z0-9_]*|\w+|\S")
 _IRI = re.compile(IRI_TEXT)
 
 
-def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
-    """Parse a query in the supported subset; raise ParseError otherwise.
-
-    ``terms`` maps a term's text to its term object. Callers that pass one
-    dict to many calls get one shared object for each distinct term.
-    """
+def parse_query(text: str) -> QueryAst:
+    """Parse a query in the supported subset; raise ParseError otherwise."""
     lexemes = _LEXEME.findall(text)
     lexemes.append("")  # the end of the text; no step takes it
-    if terms is None:
-        terms = {}
     if lexemes[0][:1] == "A":
         form, keywords = ASK, ("ASK",)
     else:
@@ -155,14 +150,13 @@ def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
     i += 1
     if lexemes[i] == "}":
         raise ParseError(_offset(text, i), "expected at least one triple pattern")
-    get = terms.get
     patterns: list[TriplePattern] = []
     while True:
-        subj = get(lexemes[i]) or _term(text, lexemes, i, terms)
-        pred = get(lexemes[i + 1]) or _term(text, lexemes, i + 1, terms)
+        subj = _term(text, lexemes, i)
+        pred = _term(text, lexemes, i + 1)
         if type(pred) is Var:
             raise ParseError(_offset(text, i + 1), "predicate must be an IRI or a placeholder")
-        obj = get(lexemes[i + 2]) or _term(text, lexemes, i + 2, terms)
+        obj = _term(text, lexemes, i + 2)
         patterns.append((subj, pred, obj))
         i += 3
         if lexemes[i] == ".":
@@ -184,37 +178,85 @@ def parse_query(text: str, terms: dict[str, Term] | None = None) -> QueryAst:
     return ast
 
 
-def _term(text: str, lexemes: list[str], i: int, terms: dict[str, Term]) -> Term:
-    """The term lexeme ``i`` spells, recorded in ``terms``; a ParseError when it spells none."""
+def _term(text: str, lexemes: list[str], i: int) -> Term:
+    """The term lexeme ``i`` spells; a ParseError when it spells none."""
     lex = lexemes[i]
     if lex[:1] == "?":
         if lex == "?":
             raise ParseError(_offset(text, i), "malformed variable name")
-        term = Var(lex[1:])
-    elif lex == "<":  # no ">" closes this "<" before the next "<" or the end of the text
+        return Var(lex[1:])
+    if lex == "<":  # no ">" closes this "<" before the next "<" or the end of the text
         start = _offset(text, i)
         raise ParseError(start, "malformed IRI" if text.find(">", start) >= 0 else "expected closing '>'")
-    elif lex[:1] == "<":
-        content = lex[1:-1]
-        if not _IRI.fullmatch(content):
-            raise ParseError(_offset(text, i), "malformed IRI")
-        if content.startswith(PLACEHOLDER_PREFIX):
-            label = content[len(PLACEHOLDER_PREFIX):]
-            if not _LABEL.match(label):
-                raise ParseError(_offset(text, i), f"malformed placeholder label {label!r}")
-            term = Placeholder(label)
-        else:
-            term = Iri(content)
-    else:
+    if lex[:1] != "<":
         raise ParseError(_offset(text, i), "expected an IRI, variable, or placeholder term")
-    terms[lex] = term
-    return term
+    content = lex[1:-1]
+    if not _IRI.fullmatch(content):
+        raise ParseError(_offset(text, i), "malformed IRI")
+    if not content.startswith(PLACEHOLDER_PREFIX):
+        return Iri(content)
+    label = content[len(PLACEHOLDER_PREFIX):]
+    if not _LABEL.match(label):
+        raise ParseError(_offset(text, i), f"malformed placeholder label {label!r}")
+    return Placeholder(label)
 
 
 def _offset(text: str, i: int) -> int:
     """Where lexeme ``i`` of ``text`` starts; the end of the text when it has fewer lexemes."""
     m = next(itertools.islice(_LEXEME.finditer(text), i, None), None)
     return len(text) if m is None else m.start()
+
+
+# An angle term: the lexer reads one wherever this matches, scanning left to right
+# (no other lexeme holds a "<"), so the text between the matches lexes the same
+# whatever the angle terms hold.
+_ANGLE_TERM = re.compile(r"<([^<>]*)>")
+
+
+def _is_term(content: str) -> bool:
+    """Whether ``<content>`` is a well-formed IRI or placeholder term."""
+    if not _IRI.fullmatch(content):
+        return False
+    return not content.startswith(PLACEHOLDER_PREFIX) or bool(_LABEL.match(content[len(PLACEHOLDER_PREFIX):]))
+
+
+def query_checker() -> Callable[[str], tuple[str, ...] | None]:
+    """A memoised ``text -> tuple(extract_predicates(parse_query(text)))``, None for a placeholder predicate.
+
+    The memo is keyed by the query's shape: the text outside its angle terms.
+    The lexemes outside them are read from the shape alone, and every angle
+    term of a query that parses is a subject, predicate or object, so a query
+    of a shape that parsed before parses iff each of its angle terms is a
+    well-formed IRI or placeholder; its predicates are its angle terms at the
+    shape's predicate positions. `parse_query` runs once per new shape, and a
+    query that fails the check is parsed again, so it raises the parser's
+    ParseError, message and offset. Equal predicate tuples are one object.
+    """
+    shapes: dict[tuple[str, ...], tuple[int, ...]] = {}  # shape -> its predicates' positions among its angle terms
+    terms: set[str] = set()  # the texts of well-formed angle terms
+    predicates: dict[tuple[str, ...], tuple[str, ...] | None] = {}
+
+    def check(text: str) -> tuple[str, ...] | None:
+        parts = _ANGLE_TERM.split(text)
+        angles = parts[1::2]
+        shape = tuple(parts[0::2])
+        at = shapes.get(shape)
+        if at is None or not terms.issuperset(angles):
+            if at is None or not all(map(_is_term, angles)):
+                at = shapes[shape] = _predicate_positions(parse_query(text))
+            terms.update(angles)
+        preds = tuple([angles[k] for k in at])
+        if preds not in predicates:
+            predicates[preds] = None if any(p.startswith(PLACEHOLDER_PREFIX) for p in preds) else preds
+        return predicates[preds]
+
+    return check
+
+
+def _predicate_positions(ast: QueryAst) -> tuple[int, ...]:
+    """Where the predicates are among the query's IRI and placeholder terms, in text order."""
+    places = [place for pattern in ast.patterns for place, term in enumerate(pattern) if type(term) is not Var]
+    return tuple(k for k, place in enumerate(places) if place == 1)
 
 
 def extract_predicates(ast: QueryAst, skip_placeholders: bool = False) -> list[str]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import hashlib
 from itertools import accumulate
 
-import numpy as np
-
 
 def _stream_word(parts: tuple) -> int:
     text = "\x1f".join(str(p) for p in parts)
@@ -21,6 +19,8 @@ def _stream_word(parts: tuple) -> int:
 
 def generator(seed: int, *stream: object) -> np.random.Generator:
     """Philox generator for the given seed and stream label parts."""
+    import numpy as np  # here, not at the top: a step that draws no random number loads no numpy
+
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(_stream_word(stream))])
     return np.random.Generator(np.random.Philox(key=key))
 

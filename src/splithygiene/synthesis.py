@@ -11,6 +11,7 @@ compiled `QueryForm`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,40 +53,54 @@ class Template:
 
 @dataclass(frozen=True)
 class QueryForm:
-    """A template's query, compiled once to be filled in from binding rows.
+    """A template's query, compiled once to be filled in from binding rows and to read them back.
 
     A row maps each placeholder label, lowercased, to an IRI. ``text`` is the
     query's `qlang.serialize` text as a `str.format_map` template: the IRI
     text of placeholder X is the field ``{x}``, and every other brace is
-    doubled. ``terms`` are the query's terms, three per triple pattern, and
-    ``holes`` the (position in ``terms``, row key) of each placeholder.
+    doubled. ``predicates`` are the query's predicates in triple order, an
+    IRI or, at the positions ``holes``, a placeholder's row key. ``pattern``
+    matches the text of the query with placeholder X bound to the IRI that
+    its group ``X`` captures; an IRI spelled ``Placeholder:...`` would read
+    back as a placeholder, so no group captures one.
     """
 
-    query: QueryAst
     text: str
-    terms: tuple
-    holes: tuple[tuple[int, str], ...]
+    predicates: tuple[str, ...]
+    holes: tuple[int, ...]
+    pattern: re.Pattern
 
     @classmethod
     def compile(cls, query: QueryAst) -> "QueryForm":
-        text = qlang.serialize(query).replace("{", "{{").replace("}", "}}")
+        serialized = qlang.serialize(query)
+        text = serialized.replace("{", "{{").replace("}", "}}")
+        pattern = re.escape(serialized)
+        iri = f"(?!{re.escape(qlang.PLACEHOLDER_PREFIX)}){qlang.IRI_TEXT}"
         for label in query.placeholder_labels():  # no IRI holds "<", so only a placeholder term matches
             text = text.replace(str(Placeholder(label)), str(Iri(f"{{{label.lower()}}}")))
-        terms = tuple(term for pattern in query.patterns for term in pattern)
-        holes = tuple((k, t.label.lower()) for k, t in enumerate(terms) if isinstance(t, Placeholder))
-        return cls(query, text, terms, holes)
+            term = re.escape(str(Placeholder(label)))
+            pattern = pattern.replace(term, f"<(?P<{label}>{iri})>", 1).replace(term, f"<(?P={label})>")
+        predicates = tuple(p.label.lower() if isinstance(p, Placeholder) else p.value for _, p, _ in query.patterns)
+        holes = tuple(k for k, (_, p, _) in enumerate(query.patterns) if isinstance(p, Placeholder))
+        return cls(text, predicates, holes, re.compile(pattern))
 
     def fill(self, row: dict[str, str]) -> str:
         """The `qlang.serialize` text of the query that binds each placeholder to its row's IRI."""
         return self.text.format_map(row)
 
-    def ast(self, row: dict[str, Iri]) -> QueryAst:
-        """The query binding each placeholder to the term its lowercased label maps to in ``row``."""
-        terms = list(self.terms)
-        for k, key in self.holes:
-            terms[k] = row[key]
-        triples = iter(terms)
-        return QueryAst(self.query.form, self.query.select_vars, tuple(zip(triples, triples, triples)))
+    def fill_predicates(self, row: dict[str, str]) -> tuple[str, ...]:
+        """The predicates of the query that `fill` writes for the row."""
+        if not self.holes:
+            return self.predicates
+        predicates = list(self.predicates)
+        for k in self.holes:
+            predicates[k] = row[predicates[k]]
+        return tuple(predicates)
+
+    def match(self, text: str) -> dict[str, str] | None:
+        """Each placeholder label's IRI in a query text that `fill` writes, else None."""
+        m = self.pattern.fullmatch(text)
+        return None if m is None else m.groupdict()
 
 
 def split_iri(iri: str) -> tuple[str, str]:
@@ -176,15 +191,17 @@ def derive_binding_query(template: Template) -> QueryAst:
 
 
 def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: int,
-                       entities: dict[str, tuple[Iri, tuple[str, ...]]] | None = None) -> list[Instance]:
+                       entities: dict[str, tuple[str, ...]] | None = None) -> list[Instance]:
     """Instantiate a template against a graph.
 
     Binding rows are shuffled with a stream keyed by (rng_seed, template id)
     and the first `limit` are substituted into both the question and the
     query; generation over many templates is therefore order-independent.
     Rows binding an entity whose label has no token are dropped before the
-    shuffle. ``entities`` maps an IRI to its term and its label's tokens;
-    callers that pass one dict to many calls make each once per distinct IRI.
+    shuffle. ``entities`` maps an IRI to its label's tokens; callers that
+    pass one dict to many calls tokenize each label once. A row holds its
+    query's text and predicates, both filled in from the template's
+    `QueryForm`, and no AST.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -200,10 +217,10 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
     labelless = set()
     for row in rows:
         for iri in row.values():
-            entity = entities.get(iri)
-            if entity is None:
-                entity = entities[iri] = (Iri(iri), qlang.tokenize_nlq(entity_label(iri)))
-            if not entity[1]:
+            tokens = entities.get(iri)
+            if tokens is None:
+                tokens = entities[iri] = qlang.tokenize_nlq(entity_label(iri))
+            if not tokens:
                 labelless.add(iri)
     if labelless:
         rows = [row for row in rows if labelless.isdisjoint(row.values())]
@@ -213,9 +230,8 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
     instances: list[Instance] = []
     for k, row_idx in enumerate(order[:limit]):
         row = rows[row_idx]
-        nlq = qlang.substitute_slots(template.nlq_pattern, {label: entities[row[key]][1] for label, key in keys})
-        query = form.ast({key: entities[iri][0] for key, iri in row.items()})
-        pair = QAPair(nlq, form.fill(row), query)
+        nlq = qlang.substitute_slots(template.nlq_pattern, {label: entities[row[key]] for label, key in keys})
+        pair = QAPair(nlq, form.fill(row), form.fill_predicates(row))
         instances.append(Instance(id=f"{template.id}-{k}", pair=pair, origin_template_id=template.id))
     return instances
 

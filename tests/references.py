@@ -6,7 +6,9 @@ triple list, slot matching by enumerating every segmentation, and subsequence
 checking by trying every index mapping. The exceptions are the package's
 earlier loops kept as references for their fast replacements. The memorizer
 training reference is the per-partition trainer, which harvests every train
-instance's labels and lists, for each question token, the fallback positions
+instance's labels (aligning each template with the query that the reference
+parser reads, where the package matches the query text against the
+template's compiled form first) and lists, for each question token, the fallback positions
 holding it; a model that selects rows of a once-per-corpus index must agree
 with it field for field, and its fallback tables must be these postings cut
 into frequent and rare tokens. The memorizer
@@ -365,6 +367,26 @@ class RefMemorizer:
     sizes: np.ndarray
 
 
+def ref_harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
+    """The (slot text, IRI) pairs of an instance: its origin template's if attributed, else each attributed one's.
+
+    Each template's bindings come from the matcher and its IRIs from aligning
+    it with the query that the reference parser reads from the query text.
+    """
+    attributed = index.attributed(inst.id)
+    origin = inst.origin_template_id
+    labels = []
+    for tid in [origin] if origin in attributed else attributed:
+        template = index.templates[tid]
+        bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
+        iris = align_placeholders(template, ref_parse_query(inst.pair.query_text))
+        if iris is None:
+            continue
+        for label, span in bindings.items():
+            labels.append((" ".join(span_tokens(inst.pair.nlq, span)), iris[label]))
+    return labels
+
+
 def ref_train_memorizer(train_instances, index: AttributionIndex) -> RefMemorizer:
     """Store the templates `index` attributes to train, and harvest a label-to-IRI index.
 
@@ -373,17 +395,8 @@ def ref_train_memorizer(train_instances, index: AttributionIndex) -> RefMemorize
     train = list(train_instances)
     label_index: dict[str, str] = {}
     for inst in train:
-        attributed = index.attributed(inst.id)
-        origin = inst.origin_template_id
-        for tid in [origin] if origin in attributed else attributed:
-            template = index.templates[tid]
-            bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
-            iris = align_placeholders(template, inst.pair.query_ast)
-            if iris is None:
-                continue
-            for label, span in bindings.items():
-                text = " ".join(span_tokens(inst.pair.nlq, span))
-                label_index.setdefault(text, iris[label])
+        for text, iri in ref_harvest(inst, index):
+            label_index.setdefault(text, iri)
     namespaces = Counter(_namespace(iri) for iri in label_index.values())
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
     seen = index.tally(train)
@@ -485,7 +498,7 @@ def ref_template_matches_seed(template, seed) -> bool:
     """True when the NLQs align slot-wise and the predicate lists are equal."""
     if match_nlq(template.nlq_pattern, seed.pair.nlq) is None:
         return False
-    return extract_predicates(template.query_pattern, skip_placeholders=True) == extract_predicates(seed.pair.query_ast)
+    return extract_predicates(template.query_pattern, skip_placeholders=True) == extract_predicates(ref_parse_query(seed.pair.query_text))
 
 
 def ref_split_templates(templates, seeds, seed_test_ids) -> tuple[set[str], set[str], set[str]]:
@@ -501,7 +514,7 @@ def ref_split_templates(templates, seeds, seed_test_ids) -> tuple[set[str], set[
 
 def ref_attribute_instance(instance, templates) -> list[str]:
     """Try every template's matcher, then its predicate rule."""
-    instance_preds = extract_predicates(instance.pair.query_ast)
+    instance_preds = extract_predicates(ref_parse_query(instance.pair.query_text))
     out = []
     for t in sorted(templates, key=lambda t: t.id):
         if match_nlq(t.nlq_pattern, instance.pair.nlq) is None:

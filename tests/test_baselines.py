@@ -271,7 +271,7 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
 def _instance(instance_id, tokens, n):
     """A train instance with the given question tokens, case kept as given."""
     query = f"ASK WHERE {{ <e:n{n}> <p:p> <e:x> }}"
-    return corpus.Instance(id=instance_id, pair=corpus.QAPair(tuple(tokens), query, qlang.parse_query(query)))
+    return corpus.Instance(id=instance_id, pair=corpus.QAPair(tuple(tokens), query, ("p:p",)))
 
 
 def _jaccard(a, b):
@@ -527,22 +527,65 @@ def _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config, bindings) -> Counte
     for module, name in bindings:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(baselines, "_harvest", inside("harvest", baselines._harvest))
-    monkeypatch.setattr(experiments, "memorizer_predict", inside("predict", baselines.memorizer_predict))
+    monkeypatch.setattr(baselines, "memorizer_predict", inside("predict", baselines.memorizer_predict))
     experiments.run_experiment("exp1", dataclasses.replace(toy_config, workdir=str(tmp_path)), toy_data)
     index = inside("build_index", attribution.build_index)(toy_data.instances, toy_data.templates)
     assert index == toy_data.index
     return calls
 
 
+def _fresh(inst, origin):
+    """The instance with the given origin and a pair that holds no parsed AST: the fixtures' rows stay as built."""
+    pair = corpus.QAPair(inst.pair.nlq, inst.pair.query_text, inst.pair.predicates)
+    return corpus.Instance(inst.id, pair, origin)
+
+
+def test_text_harvest_equals_the_reference_harvest_on_the_toy_and_4x_worlds(toy_data, scaled_world):
+    # without origins every attributed template is read, subsumed ones included: their form cannot
+    # match a longer query, so those pairs take the alignment on a parsed query
+    aligned = 0
+    for data in (toy_data, scaled_world[1]):
+        index = data.index
+        for inst in data.instances:
+            for origin in (inst.origin_template_id, None):
+                row = _fresh(inst, origin)
+                assert baselines._harvest(row, index) == references.ref_harvest(row, index), (inst.id, origin)
+            ast = references.ref_parse_query(inst.pair.query_text)
+            for tid in index.attributed(inst.id):
+                template = index.templates[tid]
+                iris = template.query_form.match(inst.pair.query_text)
+                assert iris is None or iris == baselines.align_placeholders(template, ast), (inst.id, tid)
+                aligned += iris is None
+    assert aligned > 1000
+
+
+def test_harvest_aligns_a_query_its_form_does_not_match(industry_template):
+    form = industry_template.query_form
+    canonical = COMICS_INSTANCE_QUERY.replace("{", "{ ").replace("}", " }")
+    assert form.match(canonical) == {"A": f"{DBR}Publishing", "B": f"{DBR}Robot_Comics"}
+    for text in (COMICS_INSTANCE_QUERY,  # spaced otherwise
+                 canonical.replace(" }", f" . <{DBR}Robot_Comics> <p:extra> ?x }}"),  # one pattern more
+                 canonical.replace(f"{DBR}Publishing", "Placeholder:A")):  # a placeholder, not an IRI
+        assert form.match(text) is None
+        pair = corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, text)
+        assert baselines._placeholder_iris(industry_template, pair) == baselines.align_placeholders(
+            industry_template, qlang.parse_query(text))
+    assert baselines._placeholder_iris(industry_template, corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, canonical)) \
+        == form.match(canonical)
+
+
 def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch, toy_data, toy_config):
-    # exp1 trains six memorizers on overlapping train sets; the harvest aligns once per
-    # (corpus instance, harvested template) and reads its bindings from the match table
+    # exp1 trains six memorizers on overlapping train sets; the harvest reads the IRIs once per
+    # (corpus instance, harvested template), from the query text, and its bindings from the match table
     calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config,
-                        [(attribution, "match_nlq"), (baselines, "align_placeholders")])
+                        [(attribution, "match_nlq"), (baselines, "_placeholder_iris"),
+                         (baselines, "align_placeholders")])
     index = toy_data.index
     harvested = sum(1 if inst.origin_template_id in index.attributed(inst.id) else len(index.attributed(inst.id))
                     for inst in toy_data.instances)
-    assert 0 < calls["align_placeholders", "harvest"] <= harvested, (calls, harvested)
+    assert 0 < calls["_placeholder_iris", "harvest"] <= harvested, (calls, harvested)
+    # every toy row's query is its origin template's query filled in, so no harvest parses one
+    assert calls["align_placeholders", "harvest"] == 0, calls
     assert calls["match_nlq", "harvest"] == 0 < calls["match_nlq", "build_index"], calls
 
 
@@ -568,7 +611,7 @@ def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypat
         return train(mindex, rows)
 
     monkeypatch.setattr(baselines, "_harvest", counted_harvest)
-    monkeypatch.setattr(experiments, "train_memorizer", recorded_train)
+    monkeypatch.setattr(baselines, "train_memorizer", recorded_train)
     experiments.run_experiment("exp2", dataclasses.replace(toy_config, workdir=str(tmp_path)), toy_data)
     assert max(harvested.values()) == 1
     assert 0 < sum(harvested.values()) <= len(selected) < len(toy_data.instances)

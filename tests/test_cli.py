@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import references
-from splithygiene import baselines, cli, experiments, partitioner, synthesis, toydata
+from splithygiene import baselines, experiments, partitioner, synthesis, toydata
 from splithygiene.cli import main
 from splithygiene.errors import SplitHygieneError
 
@@ -114,6 +114,48 @@ def test_partition_sanitized_requires_templates(tmp_path, runner):
         "partition", "--scheme", "sanitized", "--nlq", str(gen), "--ql", str(ql),
         "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("given", [[], ["--seeds", SEEDS], ["--templates", "templates.jsonl"]])
+def test_partition_sanitized_checks_its_options_before_reading_the_corpus(tmp_path, runner, given, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.nlq").write_text("is it here ?\n")
+    (tmp_path / "x.ql").write_text('ASK WHERE { <e:s> <p:p> "lit" }\n')  # a line that does not parse
+    (tmp_path / "templates.jsonl").write_text("")
+    result = runner.invoke(main, ["partition", "--scheme", "sanitized", "--nlq", "x.nlq", "--ql", "x.ql", *given,
+                                  "--out-dir", "out"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: sanitized partitioning needs --templates and --seeds\n"
+    assert not (tmp_path / "out").exists()
+
+
+# imports the CLI, then runs each tab-separated argument list given; prints whether numpy was loaded after each
+_NUMPY_PROBE = """
+import json, sys
+import splithygiene.cli, splithygiene.experiments
+loaded = ["numpy" in sys.modules]
+for args in sys.argv[1:]:
+    splithygiene.cli.main.main(args=args.split("\\t"), standalone_mode=False)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_the_cli_import_extract_and_attribute_load_no_numpy(tmp_path, runner):
+    corpus_dir = tmp_path / "corpus"
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(tmp_path / "t.jsonl")]))
+    _ok(runner.invoke(main, ["generate", "--templates", str(tmp_path / "t.jsonl"), "--kg", KG, "--limit", "5",
+                             "--out-dir", str(corpus_dir)]))
+    extract = ["extract", "--seeds", SEEDS, "--out", str(tmp_path / "again.jsonl")]
+    attribute = ["attribute", "--nlq", str(corpus_dir / "instances.nlq"), "--ql", str(corpus_dir / "instances.ql"),
+                 "--manifest", str(corpus_dir / "instances.manifest.json"), "--templates", str(tmp_path / "t.jsonl"),
+                 "--out", str(tmp_path / "attribution.tsv")]
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, "\t".join(extract), "\t".join(attribute)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, False]
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "t.jsonl").read_bytes()
+    assert (tmp_path / "attribution.tsv").read_text().count("\n") > 100
 
 
 def test_missing_file_is_a_usage_error(tmp_path, runner):
@@ -619,7 +661,7 @@ def test_lm_scores_the_eval_file_once(tmp_path, runner, monkeypatch):
     (tmp_path / "q.ql").write_text("a b\nb a c\n")
     calls = []
     score = baselines.score_sentences
-    monkeypatch.setattr(cli, "score_sentences", lambda *args: calls.append(1) or score(*args))
+    monkeypatch.setattr(baselines, "score_sentences", lambda *args: calls.append(1) or score(*args))
     result = _ok(runner.invoke(main, ["lm", "--train-ql", str(tmp_path / "q.ql"), "--eval-ql", str(tmp_path / "q.ql"),
                                       "--out-logp", str(tmp_path / "q.logp")]))
     assert len(calls) == 1

@@ -81,7 +81,7 @@ def test_dedup_three_duplicate_groups():
                        min_size=1, max_size=5))
 def test_canonical_key_lowercases_each_token_on_its_own(tokens):
     # a capital sigma lowercases to a final sigma by what surrounds it: never across the joining space
-    pair = corpus.QAPair(tuple(tokens), ASK_Q % 1, qlang.parse_query(ASK_Q % 1))
+    pair = corpus.QAPair(tuple(tokens), ASK_Q % 1, ("p:p",))
     assert corpus.canonical_key(pair) == " ".join(t.lower() for t in tokens) + "\n" + ASK_Q % 1
 
 
@@ -151,12 +151,15 @@ def test_read_parallel_reads_a_unicode_line_break_inside_a_line_as_whitespace(tm
     assert inst.pair.query_ast == qlang.parse_query(ASK_Q % 1)
 
 
-def test_read_parallel_shares_one_object_per_distinct_term(tmp_path):
+def test_read_parallel_rows_hold_no_ast_until_asked(tmp_path):
     (tmp_path / "c.nlq").write_text("is one here ?\nis two here ?\n")
     (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")
-    first, second = (i.pair.query_ast.patterns[0] for i in corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql"))
-    assert first[1] is second[1] and first[2] is second[2]
-    assert first[0] == qlang.Iri("e:s1") and second[0] == qlang.Iri("e:s2")
+    first, second = (i.pair for i in corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql"))
+    assert "query_ast" not in vars(first) and "query_ast" not in vars(second)
+    assert first.predicates is second.predicates and first.predicates == ("p:p",)
+    assert first.query_ast is first.query_ast == qlang.parse_query(ASK_Q % 1)
+    assert "query_ast" in vars(first) and "query_ast" not in vars(second)
+    assert second.query_ast.patterns[0][0] == qlang.Iri("e:s2")
 
 
 # words that repeat across lines, with trailing ?!., slot-marker shapes, case and non-ASCII case mappings
@@ -206,6 +209,23 @@ def test_write_split_round_trip(tmp_path):
     assert [i.pair.nlq_text() for i in back] == [i.pair.nlq_text() for i in items[:8]]
     assert [i.pair.query_text for i in back] == [i.pair.query_text for i in items[:8]]
     assert manifest["counts"] == [8, 1, 1]
+
+
+# ids with quotes, backslashes, non-ASCII, surrogates and control characters
+_IDS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€𝄞'), st.characters()), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.dictionaries(_IDS, st.sampled_from(["train", "valid", "test"]), max_size=12),
+       origins=st.dictionaries(_IDS, _IDS, max_size=6), scheme=st.sampled_from([corpus.LEAKY, corpus.SANITIZED]),
+       rng_seed=st.integers(-2**70, 2**70), ratio=st.floats(allow_nan=False) | st.just(0.1))
+def test_json_text_writes_what_the_indenting_encoder_writes(ids, origins, scheme, rng_seed, ratio):
+    # a split manifest, with empty and non-empty id maps, and a corpus manifest
+    split_manifest = {"scheme": scheme, "rng_seed": rng_seed, "ratios": [ratio, 0.1, 1 - ratio],
+                      "counts": [len(ids), 0, 0], "config_digest": "d" * 64, "assignments": ids, "origins": origins}
+    corpus_manifest = {"ids": list(ids), "origins": origins}
+    for doc in (split_manifest, corpus_manifest, {}, {"ids": [], "origins": {}}):
+        assert corpus.json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_write_split_empty_test_files(tmp_path):

@@ -7,6 +7,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splithygiene import qlang
 from splithygiene.errors import AdjacentSlots, ParseError, PatternError, PlaceholderPredicate
 from splithygiene.qlang import (
     ASK,
@@ -22,6 +23,7 @@ from splithygiene.qlang import (
     match_nlq,
     parse_query,
     predicates_subsequence,
+    query_checker,
     serialize,
     span_tokens,
     substitute_slots,
@@ -171,13 +173,77 @@ def test_parse_query_reads_the_pattern_variables_only_for_a_select_list(monkeypa
     assert forms == [SELECT_DISTINCT, SELECT_DISTINCT]
 
 
-def test_parses_that_share_a_terms_dict_share_equal_terms():
-    terms = {}
-    first = parse_query("SELECT DISTINCT ?x WHERE { ?x <p:p> <Placeholder:A> }", terms)
-    second = parse_query("ASK WHERE { <e:s> <p:p> ?x . ?x <p:p> <Placeholder:A> }", terms)
-    assert second.patterns[0][1] is second.patterns[1][1] is first.patterns[0][1]
-    assert second.patterns[1][0] is first.patterns[0][0]
-    assert second.patterns[1][2] is first.patterns[0][2]
+# query shapes, "@" standing for an angle term: good ones, ones no term can mend, and whitespace variants
+_SHAPES = [
+    "ASK WHERE { @ @ @ }",
+    "ASK WHERE {@ @ @}",
+    "ASK\tWHERE\u00a0{ @ @ @ . }",
+    "ASK WHERE { @@@ . @ @ ?x }",
+    "SELECT DISTINCT ?x, ?y WHERE { ?x @ @ . @ @ ?y . }",
+    "SELECT DISTINCT ?x WHERE { ?x @ ?x }",
+    "SELECT DISTINCT ?x, ?yWHERE { ?x @ ?y }",
+    "SELECT DISTINCT ?x WHERE { @ @ @ }",
+    "ASK WHERE { ?s @ ?o . @ ?p @ }",
+    "ASK WHERE { @ @ @ @ }",
+    "ASK WHERE { @ @ @ } @",
+    "< ASK WHERE { @ @ @ }",
+    "ASK WHERE { @ @ @ }>",
+    "ASK WHERE { @ @ }",
+]
+# angle-term texts: IRIs, placeholders in every position, malformed ones, and runs of "<" and ">"
+_ANGLES = ["<e:s>", "<p:p>", "<p:q>", "<e:é>", "<Placeholder:A>", "<Placeholder:B1>", "<Placeholder:a>",
+           "<Placeholder:>", "<Placeholder:A >", "<>", "<a b>", "<x{y>", "<\u00a0>", "<", "<<", "<<<e:s>",
+           "<e:s>>", ">", "<?x>", "<Placeholder:A<p:p>"]
+
+
+@st.composite
+def _shaped_queries(draw):
+    pieces = draw(st.sampled_from(_SHAPES)).split("@")
+    terms = draw(st.lists(st.sampled_from(_ANGLES), min_size=len(pieces) - 1, max_size=len(pieces) - 1))
+    return "".join(piece + term for piece, term in zip(pieces, terms)) + pieces[-1]
+
+
+def _predicates_outcome(read, text):
+    """("ok", the predicates, None for a placeholder predicate) or ("error", position, message)."""
+    try:
+        predicates = read(text)
+    except ParseError as exc:
+        return "error", exc.position, exc.message
+    return "ok", predicates
+
+
+def _parsed_predicates(text):
+    ast = parse_query(text)
+    try:
+        return tuple(extract_predicates(ast))
+    except PlaceholderPredicate:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=st.lists(st.one_of(_shaped_queries(), _shaped_queries(), st.text(max_size=30)), min_size=1,
+                      max_size=20))
+def test_query_checker_reads_what_the_parser_reads_through_one_memo(texts):
+    # one memo for every text, as for the lines of a file: a shape is cached by its first good query,
+    # and later queries of that shape are checked by their angle terms alone
+    check = query_checker()
+    for text in texts:
+        assert _predicates_outcome(check, text) == _predicates_outcome(_parsed_predicates, text), text
+
+
+def test_query_checker_parses_each_shape_once(monkeypatch):
+    calls = []
+    parse = parse_query
+    monkeypatch.setattr(qlang, "parse_query", lambda text: calls.append(text) or parse(text))
+    check = query_checker()
+    texts = [f"ASK WHERE {{ <e:s{i}> <p:p{i % 2}> <e:o> }}" for i in range(100)]
+    assert [check(text) for text in texts] == [(f"p:p{i % 2}",) for i in range(100)]
+    assert check(texts[0]) is check(texts[2]) is not check(texts[1])  # equal predicates are one tuple
+    assert calls == texts[:1]
+    assert check("ASK WHERE { <e:s> <Placeholder:P> <e:o> }") is None and len(calls) == 1
+    with pytest.raises(ParseError) as err:  # a bad term in a known shape is parsed again for the error
+        check("ASK WHERE { <e:s> <p:p> <Placeholder:p> }")
+    assert (err.value.position, err.value.message, len(calls)) == (24, "malformed placeholder label 'p'", 2)
 
 
 def _raise_timeout(signum, frame):

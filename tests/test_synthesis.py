@@ -11,6 +11,7 @@ from conftest import (
     INDUSTRY_TEMPLATE_QUERY,
 )
 from splithygiene import corpus, experiments, kgstore, qlang, synthesis
+from splithygiene.baselines import align_placeholders
 from splithygiene.errors import AdjacentSlots, UnlocatableEntity
 from splithygiene.qlang import Iri, NlqPattern, Placeholder, match_nlq, parse_query, serialize
 from references import ref_bind_placeholders, ref_eval
@@ -224,7 +225,8 @@ def test_generated_instances_invert_and_hold(toy_data, toy_config):
 
 
 def _assert_forms_equal_the_reference_binder(templates, graph) -> int:
-    """Every binding row of every template: the compiled text and AST equal the term-by-term rebuild."""
+    """Every binding row of every template: the compiled text and predicates equal the term-by-term
+    rebuild's, and matching the text reads back the alignment of the rebuild."""
     checked = 0
     for template in templates:
         form = template.query_form
@@ -232,8 +234,9 @@ def _assert_forms_equal_the_reference_binder(templates, graph) -> int:
                 else [{}])
         for row in rows:
             expected = ref_bind_placeholders(template, row)
-            assert form.ast({key: Iri(iri) for key, iri in row.items()}) == expected
             assert form.fill(row) == serialize(expected)
+            assert form.fill_predicates(row) == tuple(qlang.extract_predicates(expected))
+            assert form.match(form.fill(row)) == align_placeholders(template, expected)
             checked += 1
     return checked
 
@@ -253,10 +256,14 @@ def test_query_form_fills_repeated_predicate_and_prefix_labelled_placeholders():
     expected = ref_bind_placeholders(template, row)
     assert template.query_form.fill(row) == serialize(expected) == (
         "SELECT DISTINCT ?x WHERE { <e:one> <e:two> ?x . ?x <p:q> <e:one> . <e:two> <p:r> <e:o> }")
-    assert template.query_form.ast({key: Iri(iri) for key, iri in row.items()}) == expected
+    assert template.query_form.fill_predicates(row) == ("e:two", "p:q", "p:r")
+    assert template.query_form.match(template.query_form.fill(row)) == {"A": "e:one", "A1": "e:two"}
+    # a placeholder's two places must hold one IRI
+    assert template.query_form.match(template.query_form.fill(row).replace("<e:one> <e:two> ?x", "<e:o> <e:two> ?x")) \
+        is None
 
 
-def test_generate_shares_one_term_and_one_label_per_iri_across_templates(industry_template):
+def test_generate_tokenizes_one_label_per_iri_and_holds_no_ast_until_asked(industry_template):
     graph = kgstore.Graph([(f"{DBR}Robot_Comics", DBO_INDUSTRY, f"{DBR}Publishing"),
                            (f"{DBR}Tiger_Aircraft", DBO_INDUSTRY, f"{DBR}Publishing")])
     entities: dict = {}
@@ -266,9 +273,14 @@ def test_generate_shares_one_term_and_one_label_per_iri_across_templates(industr
                  for inst in synthesis.generate_instances(template, graph, 5, 1, entities)]
     assert len(instances) == 4 and sorted(entities) == [f"{DBR}{n}" for n in ("Publishing", "Robot_Comics",
                                                                                "Tiger_Aircraft")]
-    terms = {id(p[2]) for inst in instances for p in inst.pair.query_ast.patterns}
-    assert terms == {id(entities[f"{DBR}Publishing"][0])}
-    assert entities[f"{DBR}Robot_Comics"][1] == ("robot", "comics")
+    assert entities[f"{DBR}Robot_Comics"] == ("robot", "comics")
+    assert all("query_ast" not in vars(inst.pair) for inst in instances)
+    # one predicates tuple per template, shared by its rows
+    assert {id(inst.pair.predicates) for inst in instances} == {id(t.query_form.predicates)
+                                                                for t in (industry_template, other)}
+    for inst in instances:
+        assert inst.pair.query_ast == parse_query(inst.pair.query_text)
+        assert inst.pair.predicates == tuple(qlang.extract_predicates(inst.pair.query_ast)) == (DBO_INDUSTRY,)
 
 
 def test_generate_instantiates_a_5000_pattern_template():
