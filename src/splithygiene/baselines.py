@@ -13,22 +13,20 @@ is a selection of that corpus's train rows.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics
 from .attribution import AttributionIndex
 from .errors import EmptyCorpus
-from .qlang import Iri, Placeholder, QueryAst, Var, span_tokens
-from .synthesis import Template, split_iri
+from .qlang import span_tokens
+from .synthesis import Template, entity_namespace, label_to_iri_form, placeholder_iris
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-_DEFAULT_NAMESPACE = "http://example.org/resource/"
 _BLOCK = 1 << 14  # candidate entries scored at once by the fallback
 
 
@@ -72,81 +70,7 @@ class MemorizerModel:
     group_ids: np.ndarray = field(repr=False)
     rare_starts: np.ndarray = field(repr=False)
     rare_positions: np.ndarray = field(repr=False)
-    entity_namespace: str = _DEFAULT_NAMESPACE
-
-
-def _unify_pattern(template_pattern, instance_pattern, mapping: dict[str, str]) -> dict[str, str] | None:
-    out = dict(mapping)
-    for t_term, i_term in zip(template_pattern, instance_pattern):
-        if isinstance(t_term, Placeholder):
-            if not isinstance(i_term, Iri):
-                return None
-            bound = out.get(t_term.label)
-            if bound is not None and bound != i_term.value:
-                return None
-            out[t_term.label] = i_term.value
-        elif isinstance(t_term, Iri):
-            if not isinstance(i_term, Iri) or t_term.value != i_term.value:
-                return None
-        else:  # Var
-            if not isinstance(i_term, Var) or t_term.name != i_term.name:
-                return None
-    return out
-
-
-def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, str] | None:
-    """Map each placeholder label to the IRI it binds in the instance query.
-
-    Template patterns are aligned to an ordered subsequence of the instance
-    patterns, earliest first; None when no consistent alignment exists. A
-    failed (template pattern, instance pattern, bindings) state is never
-    retried. It is remembered by the bindings of only the labels its template
-    pattern and the later ones read, since its outcome depends on no other, so
-    the walk makes O(|template| x |instance| x B) unifications for B distinct
-    such bindings, not one per subsequence. The states on the current path are kept in a
-    list, not on the call stack, so a query of any length aligns.
-    """
-    t_pats = template.query_pattern.patterns
-    i_pats = instance_ast.patterns
-    last_read = {t.label: ti for ti, p in enumerate(t_pats) for t in p if isinstance(t, Placeholder)}
-
-    def key(state) -> tuple[int, int, frozenset]:  # what a failed state is remembered by
-        ti, ii, mapping = state
-        return ti, ii, frozenset((label, iri) for label, iri in mapping.items() if last_read[label] >= ti)
-
-    failed: set[tuple[int, int, frozenset]] = set()
-    path: list[tuple[tuple, tuple | None]] = []  # each open state, and its skip state while untried
-    state = (0, 0, {})
-    while True:
-        ti, ii, mapping = state
-        if ti == len(t_pats):
-            return mapping
-        if len(i_pats) - ii >= len(t_pats) - ti and not (failed and key(state) in failed):
-            # first align t_pats[ti] with i_pats[ii], then skip i_pats[ii]
-            unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
-            skip = (ti, ii + 1, mapping)
-            if unified is not None:
-                path.append((state, skip))
-                state = (ti + 1, ii + 1, unified)
-            else:
-                path.append((state, None))
-                state = skip
-            continue
-        while path:  # the state failed: resume the innermost open state with an untried skip
-            opened, skip = path.pop()
-            if skip is not None:
-                path.append((opened, None))
-                state = skip
-                break
-            failed.add(key(opened))
-        else:
-            return None
-
-
-def _namespace(iri: str) -> str:
-    """The IRI before its local name (`split_iri`), or the default if no separator follows the scheme's `//`."""
-    namespace = split_iri(iri)[0]
-    return namespace if len(namespace) > len("http://") + 1 else _DEFAULT_NAMESPACE
+    entity_namespace: str
 
 
 @dataclass
@@ -175,34 +99,24 @@ class MemorizerIndex:
     rank: np.ndarray = field(repr=False)
 
 
-def _placeholder_iris(template: Template, pair) -> dict[str, str] | None:
-    """`align_placeholders` of the template on the pair's query.
-
-    A query text that the template's `QueryForm` matches in full is the
-    template's query with each placeholder bound to one IRI, so the alignment
-    is that binding, read with no parse. Any other text (a query holding more
-    patterns than the template, one spaced otherwise, or one binding a
-    placeholder to a ``Placeholder:...`` text) is aligned on its AST.
-    """
-    iris = template.query_form.match(pair.query_text)
-    return iris if iris is not None else align_placeholders(template, pair.query_ast)
-
-
 def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     """The (slot text, IRI) pairs an instance binds, in binding order.
 
     They are read under its origin template if that is attributed, else under
     each attributed template in order; the bindings come from the index's
-    match table, the IRIs from `_placeholder_iris`.
+    match table, the IRIs from `placeholder_iris` on a copy of the row's pair,
+    so a query that some template aligns on is parsed once and the row keeps
+    no AST.
     """
     attributed = index.attributed(inst.id)
     origin = inst.origin_template_id
     bindings_of = {t.id: bindings for t, bindings in index.matches(inst.pair.nlq)}
+    pair = replace(inst.pair)
     labels = []
     for tid in [origin] if origin in attributed else attributed:
         template = index.templates[tid]
         bindings = bindings_of[tid]
-        iris = _placeholder_iris(template, inst.pair)
+        iris = placeholder_iris(template, pair)
         if iris is None:
             continue
         for label, span in bindings.items():
@@ -267,8 +181,6 @@ def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
             labels = mindex.labels[r] = _harvest(mindex.instances[r], mindex.index)
         for text, iri in labels:
             label_index.setdefault(text, iri)
-    namespaces = Counter(_namespace(iri) for iri in label_index.values())
-    namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
     seen = mindex.index.tally(mindex.instances[r] for r in train)
     fallback = rows[np.argsort(mindex.rank[rows], kind="stable")]  # ties keep training order
     sizes = np.diff(mindex.starts)[fallback]
@@ -296,13 +208,8 @@ def train_memorizer(mindex: MemorizerIndex, rows) -> MemorizerModel:
         group_ids=group_ids,
         rare_starts=rare_starts,
         rare_positions=rare_positions,
-        entity_namespace=namespace,
+        entity_namespace=entity_namespace(label_index.values()),
     )
-
-
-def label_to_iri_form(text: str, namespace: str) -> str:
-    """Reverse the label convention: capitalize words, join with underscores."""
-    return namespace + "_".join(w.capitalize() for w in text.split())
 
 
 def _template_prediction(model: MemorizerModel, tokens: tuple) -> list[str] | None:

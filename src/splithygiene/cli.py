@@ -30,14 +30,13 @@ from .corpus import (
     SANITIZED,
     dedup,
     file_digest,
-    json_text,
     read_logp,
     read_lines,
     read_parallel,
     read_seeds,
     unique_ids,
+    write_corpus,
     write_lines,
-    write_parallel,
     write_text,
 )
 from .errors import EmptyCorpus, InputFileError, LineCountMismatch, RatioError, SplitHygieneError
@@ -54,12 +53,15 @@ def _fail(code: int, message: str):
 
 
 class _Main(click.Group):
-    """Maps validation errors of any subcommand to exit code 2, other I/O errors to 1."""
+    """Maps validation errors of any subcommand to exit code 2, other I/O errors to 1.
+
+    A missing input file, or a directory named in its place by an option or a config key, is a usage error.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (SplitHygieneError, FileNotFoundError, ValueError) as exc:
+        except (SplitHygieneError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
             _fail(2, str(exc))
         except OSError as exc:
             _fail(1, str(exc))
@@ -109,14 +111,7 @@ def generate(templates_path, kg_path, limit, out_dir, rng_seed):
     """Instantiate templates against an N-Triples graph."""
     templates = read_templates(templates_path)
     instances, removed = experiments.generate_stage(templates, experiments.load_graph(kg_path), limit, rng_seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_parallel(out, "instances", instances)
-    doc = {
-        "ids": [i.id for i in instances],
-        "origins": {i.id: i.origin_template_id for i in instances if i.origin_template_id},
-    }
-    write_text(out / "instances.manifest.json", json_text(doc))
+    write_corpus(out_dir, instances)
     click.echo(f"generated {len(instances)} instances ({removed} duplicates dropped)")
 
 
@@ -241,14 +236,7 @@ def eval_cmd(pred_path, test_path, logp_path, out_path):
     refs = [line.split() for line in read_lines(test_path)]
     if len(preds) != len(refs):
         raise LineCountMismatch(f"{pred_path} has {len(preds)} lines but {test_path} has {len(refs)}")
-    report = corpus_bleu(preds, refs)
-    doc = {
-        "bleu": report.bleu,
-        "precisions": list(report.precisions),
-        "brevity_penalty": report.brevity_penalty,
-        "candidate_len": report.candidate_len,
-        "reference_len": report.reference_len,
-    }
+    doc = dataclasses.asdict(corpus_bleu(preds, refs))
     if logp_path:
         logp = read_logp(logp_path)
         if len(logp) != len(refs):

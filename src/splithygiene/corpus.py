@@ -4,7 +4,8 @@ A corpus on disk is a pair of UTF-8 text files, ``<name>.nlq`` and
 ``<name>.ql``, one record per line with LF endings, line-aligned. A partition
 manifest is JSON holding the scheme, rng seed, the ratios (leaky) or valid
 fraction (sanitized) that cut it, per-instance split assignments, counts, and
-a content digest of the inputs.
+a content digest of the inputs; a corpus manifest lists a corpus's ids. Both
+record origin template ids by one rule (`_origins`).
 """
 
 from __future__ import annotations
@@ -363,6 +364,20 @@ def json_text(doc: dict[str, object]) -> str:
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
+def _origins(instances) -> dict[str, str]:
+    """Each instance's origin template id, for the instances that have one; every manifest records these."""
+    return {inst.id: inst.origin_template_id for inst in instances if inst.origin_template_id is not None}
+
+
+def write_corpus(out_dir, instances) -> None:
+    """Write ``instances.nlq``/``.ql`` and their corpus manifest, ``{"ids": [...], "origins": {...}}``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_parallel(out, "instances", instances)
+    doc = {"ids": [inst.id for inst in instances], "origins": _origins(instances)}
+    write_text(out / "instances.manifest.json", json_text(doc))
+
+
 def write_split(out_dir, split3, manifest: dict) -> None:
     """Write train/valid/test as parallel .nlq/.ql files plus manifest.json."""
     out = Path(out_dir)
@@ -383,13 +398,9 @@ def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str
     ``valid_fraction`` (VALID_FRACTION) in their place. ``origins`` maps instance ids to origin
     template ids and is present only when some instance has one.
     """
-    assignments: dict[str, str] = {}
-    origins: dict[str, str] = {}
-    for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
-        for inst in instances:
-            assignments[inst.id] = name
-            if inst.origin_template_id is not None:
-                origins[inst.id] = inst.origin_template_id
+    parts = {"train": split3.train, "valid": split3.valid, "test": split3.test}
+    assignments = {inst.id: name for name, instances in parts.items() for inst in instances}
+    origins = _origins(inst for instances in parts.values() for inst in instances)
     doc = {
         "scheme": scheme,
         "rng_seed": rng_seed,

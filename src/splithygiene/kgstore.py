@@ -15,10 +15,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import InputFileError, UnboundVariable
-from .qlang import ASK, IRI_TEXT, PLACEHOLDER_PREFIX, Iri, QueryAst, Var
+from .qlang import ASK, CONCRETE_IRI, Iri, QueryAst, Var
 
-# An IRI a query can write: one spelled like a placeholder term would read back as a placeholder.
-_IRI = rf"<(?!{re.escape(PLACEHOLDER_PREFIX)})({IRI_TEXT})>"
+_IRI = rf"<({CONCRETE_IRI})>"  # an IRI a query can write
 _TRIPLE_LINE = re.compile(rf"^{_IRI}\s+{_IRI}\s+(.+?)\s*\.\s*$")
 _IRI_OBJECT = re.compile(rf"^{_IRI}$")
 
@@ -208,7 +207,7 @@ def evaluate(graph: Graph, ast: QueryAst):
     ASK returns a bool; SELECT DISTINCT returns deduplicated binding rows,
     ordered lexicographically by the bound IRIs in select-variable order.
     """
-    if ast.has_placeholders():
+    if ast.placeholders():
         raise ValueError("query still contains placeholder terms")
     if ast.form == ASK:
         return _join(graph, ast.patterns, (), True)

@@ -29,10 +29,12 @@ ASK = "ask"
 SELECT_DISTINCT = "select_distinct"
 
 _SLOT_MARKER = re.compile(r"<([A-Z][A-Z0-9]*)>\Z")
-# The text of an IRI, between its angle brackets, here and in the graph loader.
-IRI_TEXT = r"[^<>{}\s]+"
 # The start of a placeholder term's text; an IRI spelled so would read back as a placeholder.
 PLACEHOLDER_PREFIX = "Placeholder:"
+_TERM_TEXT = r"[^<>{}\s]+"  # the text of a well-formed angle term, between its brackets
+# The text of a concrete IRI, between its angle brackets, as a regex; the graph loader and the
+# template query forms read IRIs with it.
+CONCRETE_IRI = rf"(?!{re.escape(PLACEHOLDER_PREFIX)}){_TERM_TEXT}"
 _LABEL = re.compile(r"[A-Z][A-Z0-9]*\Z")
 
 
@@ -79,16 +81,8 @@ class QueryAst:
     def variables(self) -> set[str]:
         return {t.name for p in self.patterns for t in p if isinstance(t, Var)}
 
-    def placeholder_labels(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for p in self.patterns:
-            for t in p:
-                if isinstance(t, Placeholder) and t.label not in seen:
-                    seen.append(t.label)
-        return tuple(seen)
-
-    def has_placeholders(self) -> bool:
-        return any(isinstance(t, Placeholder) for p in self.patterns for t in p)
+    def placeholders(self) -> set[str]:
+        return {t.label for p in self.patterns for t in p if isinstance(t, Placeholder)}
 
 
 def serialize(ast: QueryAst) -> str:
@@ -113,7 +107,7 @@ def serialize(ast: QueryAst) -> str:
 # name). An angle term may not contain "<": "<[^>]*>" would rescan to the end
 # of the line from every "<", making a run of them quadratic.
 _LEXEME = re.compile(r"<[^<>]*>|\?[A-Za-z_][A-Za-z0-9_]*|\w+|\S")
-_IRI = re.compile(IRI_TEXT)
+_TERM = re.compile(_TERM_TEXT)
 
 
 def parse_query(text: str) -> QueryAst:
@@ -191,14 +185,21 @@ def _term(text: str, lexemes: list[str], i: int) -> Term:
     if lex[:1] != "<":
         raise ParseError(_offset(text, i), "expected an IRI, variable, or placeholder term")
     content = lex[1:-1]
-    if not _IRI.fullmatch(content):
-        raise ParseError(_offset(text, i), "malformed IRI")
-    if not content.startswith(PLACEHOLDER_PREFIX):
-        return Iri(content)
+    if error := _term_error(content):
+        raise ParseError(_offset(text, i), error)
+    if content.startswith(PLACEHOLDER_PREFIX):
+        return Placeholder(content[len(PLACEHOLDER_PREFIX):])
+    return Iri(content)
+
+
+def _term_error(content: str) -> str | None:
+    """The ParseError message for the angle term ``<content>``; None when it is a well-formed IRI or placeholder."""
+    if not _TERM.fullmatch(content):
+        return "malformed IRI"
     label = content[len(PLACEHOLDER_PREFIX):]
-    if not _LABEL.match(label):
-        raise ParseError(_offset(text, i), f"malformed placeholder label {label!r}")
-    return Placeholder(label)
+    if content.startswith(PLACEHOLDER_PREFIX) and not _LABEL.match(label):
+        return f"malformed placeholder label {label!r}"
+    return None
 
 
 def _offset(text: str, i: int) -> int:
@@ -211,13 +212,6 @@ def _offset(text: str, i: int) -> int:
 # (no other lexeme holds a "<"), so the text between the matches lexes the same
 # whatever the angle terms hold.
 _ANGLE_TERM = re.compile(r"<([^<>]*)>")
-
-
-def _is_term(content: str) -> bool:
-    """Whether ``<content>`` is a well-formed IRI or placeholder term."""
-    if not _IRI.fullmatch(content):
-        return False
-    return not content.startswith(PLACEHOLDER_PREFIX) or bool(_LABEL.match(content[len(PLACEHOLDER_PREFIX):]))
 
 
 def query_checker() -> Callable[[str], tuple[str, ...] | None]:
@@ -242,7 +236,7 @@ def query_checker() -> Callable[[str], tuple[str, ...] | None]:
         shape = tuple(parts[0::2])
         at = shapes.get(shape)
         if at is None or not terms.issuperset(angles):
-            if at is None or not all(map(_is_term, angles)):
+            if at is None or any(map(_term_error, angles)):
                 at = shapes[shape] = _predicate_positions(parse_query(text))
             terms.update(angles)
         preds = tuple([angles[k] for k in at])
@@ -259,20 +253,13 @@ def _predicate_positions(ast: QueryAst) -> tuple[int, ...]:
     return tuple(k for k, place in enumerate(places) if place == 1)
 
 
-def extract_predicates(ast: QueryAst, skip_placeholders: bool = False) -> list[str]:
-    """Predicate IRIs in textual triple order, duplicates preserved.
-
-    Placeholder predicates raise PlaceholderPredicate unless
-    ``skip_placeholders`` is set, in which case their patterns are dropped.
-    """
+def extract_predicates(ast: QueryAst) -> list[str]:
+    """Predicate IRIs in textual triple order, duplicates preserved; a placeholder raises PlaceholderPredicate."""
     out: list[str] = []
     for _, pred, _ in ast.patterns:
-        if isinstance(pred, Iri):
-            out.append(pred.value)
-        elif skip_placeholders:
-            continue
-        else:
+        if not isinstance(pred, Iri):
             raise PlaceholderPredicate(f"predicate {pred} is not a concrete IRI")
+        out.append(pred.value)
     return out
 
 

@@ -1,17 +1,20 @@
-"""Template extraction from seeds and instantiation into new instances.
+"""Template extraction from seeds, instantiation into new instances, and the read-back.
 
 A template pairs a question pattern (words + labeled slots) with a query
 pattern whose entity positions are ``<Placeholder:X>`` terms. Instantiation
 derives a SELECT DISTINCT binding query, runs it on a graph, and substitutes
 each binding row back into both sides: the question's slots take the
 entity labels' tokens, and the query is filled in from the template's
-compiled `QueryForm`.
+compiled `QueryForm`. The read-back goes the other way: `placeholder_iris`
+finds the IRI each placeholder binds in a query, and `label_to_iri_form`
+turns a label back into an IRI by the naming convention of `entity_label`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +37,7 @@ class Template:
     def __post_init__(self):
         if not self.query_pattern.patterns:
             raise ValueError(f"template {self.id}: query pattern has no triples")
-        if set(self.nlq_pattern.labels) != set(self.query_pattern.placeholder_labels()):
+        if set(self.nlq_pattern.labels) != self.query_pattern.placeholders():
             raise ValueError(f"template {self.id}: NLQ and query disagree on labels")
 
     @cached_property
@@ -44,7 +47,7 @@ class Template:
     @cached_property
     def predicates(self) -> tuple[str, ...]:
         """Concrete predicate IRIs in triple order, placeholder-predicate patterns skipped."""
-        return tuple(qlang.extract_predicates(self.query_pattern, skip_placeholders=True))
+        return tuple(p.value for _, p, _ in self.query_pattern.patterns if isinstance(p, Iri))
 
     @cached_property
     def query_form(self) -> "QueryForm":
@@ -75,11 +78,10 @@ class QueryForm:
         serialized = qlang.serialize(query)
         text = serialized.replace("{", "{{").replace("}", "}}")
         pattern = re.escape(serialized)
-        iri = f"(?!{re.escape(qlang.PLACEHOLDER_PREFIX)}){qlang.IRI_TEXT}"
-        for label in query.placeholder_labels():  # no IRI holds "<", so only a placeholder term matches
+        for label in sorted(query.placeholders()):  # no IRI holds "<", so only a placeholder term matches
             text = text.replace(str(Placeholder(label)), str(Iri(f"{{{label.lower()}}}")))
             term = re.escape(str(Placeholder(label)))
-            pattern = pattern.replace(term, f"<(?P<{label}>{iri})>", 1).replace(term, f"<(?P={label})>")
+            pattern = pattern.replace(term, f"<(?P<{label}>{qlang.CONCRETE_IRI})>", 1).replace(term, f"<(?P={label})>")
         predicates = tuple(p.label.lower() if isinstance(p, Placeholder) else p.value for _, p, _ in query.patterns)
         holes = tuple(k for k, (_, p, _) in enumerate(query.patterns) if isinstance(p, Placeholder))
         return cls(text, predicates, holes, re.compile(pattern))
@@ -103,6 +105,87 @@ class QueryForm:
         return None if m is None else m.groupdict()
 
 
+def _unify_pattern(template_pattern, instance_pattern, mapping: dict[str, str]) -> dict[str, str] | None:
+    out = dict(mapping)
+    for t_term, i_term in zip(template_pattern, instance_pattern):
+        if isinstance(t_term, Placeholder):
+            if not isinstance(i_term, Iri):
+                return None
+            bound = out.get(t_term.label)
+            if bound is not None and bound != i_term.value:
+                return None
+            out[t_term.label] = i_term.value
+        elif isinstance(t_term, Iri):
+            if not isinstance(i_term, Iri) or t_term.value != i_term.value:
+                return None
+        else:  # Var
+            if not isinstance(i_term, Var) or t_term.name != i_term.name:
+                return None
+    return out
+
+
+def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, str] | None:
+    """Map each placeholder label to the IRI it binds in the instance query.
+
+    Template patterns are aligned to an ordered subsequence of the instance
+    patterns, earliest first; None when no consistent alignment exists. A
+    failed (template pattern, instance pattern, bindings) state is never
+    retried. It is remembered by the bindings of only the labels its template
+    pattern and the later ones read, since its outcome depends on no other, so
+    the walk makes O(|template| x |instance| x B) unifications for B distinct
+    such bindings, not one per subsequence. The states on the current path are kept in a
+    list, not on the call stack, so a query of any length aligns.
+    """
+    t_pats = template.query_pattern.patterns
+    i_pats = instance_ast.patterns
+    last_read = {t.label: ti for ti, p in enumerate(t_pats) for t in p if isinstance(t, Placeholder)}
+
+    def key(state) -> tuple[int, int, frozenset]:  # what a failed state is remembered by
+        ti, ii, mapping = state
+        return ti, ii, frozenset((label, iri) for label, iri in mapping.items() if last_read[label] >= ti)
+
+    failed: set[tuple[int, int, frozenset]] = set()
+    path: list[tuple[tuple, tuple | None]] = []  # each open state, and its skip state while untried
+    state = (0, 0, {})
+    while True:
+        ti, ii, mapping = state
+        if ti == len(t_pats):
+            return mapping
+        if len(i_pats) - ii >= len(t_pats) - ti and not (failed and key(state) in failed):
+            # first align t_pats[ti] with i_pats[ii], then skip i_pats[ii]
+            unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
+            skip = (ti, ii + 1, mapping)
+            if unified is not None:
+                path.append((state, skip))
+                state = (ti + 1, ii + 1, unified)
+            else:
+                path.append((state, None))
+                state = skip
+            continue
+        while path:  # the state failed: resume the innermost open state with an untried skip
+            opened, skip = path.pop()
+            if skip is not None:
+                path.append((opened, None))
+                state = skip
+                break
+            failed.add(key(opened))
+        else:
+            return None
+
+
+def placeholder_iris(template: Template, pair) -> dict[str, str] | None:
+    """`align_placeholders` of the template on the pair's query.
+
+    A query text that the template's `QueryForm` matches in full is the
+    template's query with each placeholder bound to one IRI, so the alignment
+    is that binding, read with no parse. Any other text (a query holding more
+    patterns than the template, one spaced otherwise, or one binding a
+    placeholder to a ``Placeholder:...`` text) is aligned on the pair's AST.
+    """
+    iris = template.query_form.match(pair.query_text)
+    return iris if iris is not None else align_placeholders(template, pair.query_ast)
+
+
 def split_iri(iri: str) -> tuple[str, str]:
     """(namespace, local name): the local name is what follows the IRI's last `/` or `#`."""
     cut = max(iri.rfind("/"), iri.rfind("#")) + 1
@@ -112,6 +195,26 @@ def split_iri(iri: str) -> tuple[str, str]:
 def entity_label(iri: str) -> str:
     """Human label for an entity IRI: local name, underscores as spaces, lowercased."""
     return split_iri(iri)[1].replace("_", " ").lower()
+
+
+def label_to_iri_form(text: str, namespace: str) -> str:
+    """Reverse the label convention: capitalize words, join with underscores."""
+    return namespace + "_".join(w.capitalize() for w in text.split())
+
+
+_DEFAULT_NAMESPACE = "http://example.org/resource/"
+
+
+def _namespace(iri: str) -> str:
+    """The IRI before its local name (`split_iri`), or the default if no separator follows the scheme's `//`."""
+    namespace = split_iri(iri)[0]
+    return namespace if len(namespace) > len("http://") + 1 else _DEFAULT_NAMESPACE
+
+
+def entity_namespace(iris) -> str:
+    """The most common namespace of the IRIs, the first seen on a tie; the default when there are none."""
+    namespaces = Counter(map(_namespace, iris))
+    return namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
 
 
 def _locate_iri(ast: QueryAst, span: tuple[str, ...]) -> str | None:

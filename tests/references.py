@@ -7,22 +7,25 @@ checking by trying every index mapping. The exceptions are the package's
 earlier loops kept as references for their fast replacements. The memorizer
 training reference is the per-partition trainer, which harvests every train
 instance's labels (aligning each template with the query that the reference
-parser reads, where the package matches the query text against the
-template's compiled form first) and lists, for each question token, the fallback positions
-holding it; a model that selects rows of a once-per-corpus index must agree
-with it field for field, and its fallback tables must be these postings cut
-into frequent and rare tokens. The memorizer
+parser reads, where `synthesis.placeholder_iris` matches the query text
+against the template's compiled form first) and lists, for each question
+token, the fallback positions holding it; a model that selects rows of a
+once-per-corpus index must agree with it field for field, and its fallback
+tables must be these postings cut into frequent and rare tokens. It shares
+the IRI-label convention of `synthesis` (`label_to_iri_form` and the
+namespace rule). The memorizer
 prediction reference is the linear-scan prediction: it calls the package's
 matcher and the reference binder, and differs from the indexed prediction
 only in how it finds the template candidates and the nearest training
 question. The binder reference rebuilds a template's query term by term,
 where the package fills in a form compiled once per template. The attribution
 reference tries the matcher on every template, with no pre-filter, and the
-template-split reference tries it on every (template, seed) pair. The
+template-split reference tries it on every (template, seed) pair; both read
+a template's concrete predicates with their own loop over its patterns. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
 The placeholder-alignment reference is the plain subsequence walk, with the
-package's one-pattern unifier and no memo of failed states. The query parser
+one-pattern unifier of `synthesis` and no memo of failed states. The query parser
 reference is the character scanner, which reads one character at a time where
 the package walks lexemes, and the tokenizer reference runs the
 trailing-punctuation loop on every token.
@@ -40,16 +43,7 @@ import numpy as np
 
 from splithygiene import metrics
 from splithygiene.attribution import AttributionIndex
-from splithygiene.baselines import (
-    _DEFAULT_NAMESPACE,
-    BOS,
-    EOS,
-    UNK,
-    _namespace,
-    _unify_pattern,
-    align_placeholders,
-    label_to_iri_form,
-)
+from splithygiene.baselines import BOS, EOS, UNK
 from splithygiene.errors import EmptyCorpus, ParseError
 from splithygiene.qlang import (
     ASK,
@@ -67,6 +61,13 @@ from splithygiene.qlang import (
     predicates_subsequence,
     serialize,
     span_tokens,
+)
+from splithygiene.synthesis import (
+    _DEFAULT_NAMESPACE,
+    _namespace,
+    _unify_pattern,
+    align_placeholders,
+    label_to_iri_form,
 )
 
 
@@ -494,11 +495,20 @@ def ref_align_placeholders(template, instance_ast):
 # Attribution
 # ---------------------------------------------------------------------------
 
+def ref_concrete_predicates(ast) -> list[str]:
+    """The IRI predicates of a query in triple order, the patterns with a placeholder predicate skipped."""
+    out = []
+    for _, pred, _ in ast.patterns:
+        if isinstance(pred, Iri):
+            out.append(pred.value)
+    return out
+
+
 def ref_template_matches_seed(template, seed) -> bool:
     """True when the NLQs align slot-wise and the predicate lists are equal."""
     if match_nlq(template.nlq_pattern, seed.pair.nlq) is None:
         return False
-    return extract_predicates(template.query_pattern, skip_placeholders=True) == extract_predicates(ref_parse_query(seed.pair.query_text))
+    return ref_concrete_predicates(template.query_pattern) == extract_predicates(ref_parse_query(seed.pair.query_text))
 
 
 def ref_split_templates(templates, seeds, seed_test_ids) -> tuple[set[str], set[str], set[str]]:
@@ -519,7 +529,7 @@ def ref_attribute_instance(instance, templates) -> list[str]:
     for t in sorted(templates, key=lambda t: t.id):
         if match_nlq(t.nlq_pattern, instance.pair.nlq) is None:
             continue
-        if predicates_subsequence(extract_predicates(t.query_pattern, skip_placeholders=True), instance_preds):
+        if predicates_subsequence(ref_concrete_predicates(t.query_pattern), instance_preds):
             out.append(t.id)
     return out
 

@@ -135,7 +135,7 @@ def test_align_placeholders_equals_the_plain_walk_on_random_cases():
     for case in range(800):
         template, instance_ast = _align_case(random.Random(case))
         expected = references.ref_align_placeholders(template, instance_ast)
-        assert baselines.align_placeholders(template, instance_ast) == expected, case
+        assert synthesis.align_placeholders(template, instance_ast) == expected, case
         outcomes["none" if expected is None else "bound" if expected else "empty"] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -149,7 +149,7 @@ def test_align_placeholders_rejects_a_long_unalignable_query_without_trying_ever
     template = synthesis.Template("t", qlang.NlqPattern.from_text("is <A> ok ?"),
                                   qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s")
     instance_ast = qlang.parse_query(_chain_query(30, "?x <p:q> <e:z>"))
-    assert baselines.align_placeholders(template, instance_ast) is None
+    assert synthesis.align_placeholders(template, instance_ast) is None
 
 
 def test_align_placeholders_aligns_a_5000_pattern_query_without_recursing():
@@ -159,10 +159,10 @@ def test_align_placeholders_aligns_a_5000_pattern_query_without_recursing():
                                   qlang.parse_query(f"ASK WHERE {{ {body} }}"), "s")
     # each template pattern meets a noise pattern it cannot take first
     noisy = " . ".join(f"<e:b> <p:{i}> <e:a> . <e:a> <p:{i}> <e:b>" for i in range(n))
-    assert baselines.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {noisy} }}")) == {
+    assert synthesis.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {noisy} }}")) == {
         "A": "e:b", "B": "e:a"}
     shifted = " . ".join(f"<e:a> <p:{(i + 1) % n}> <e:b>" for i in range(n))
-    assert baselines.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {shifted} }}")) is None
+    assert synthesis.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {shifted} }}")) is None
 
 
 def test_align_placeholders_stays_polynomial_when_the_placeholders_differ(monkeypatch):
@@ -175,14 +175,14 @@ def test_align_placeholders_stays_polynomial_when_the_placeholders_differ(monkey
                                   qlang.parse_query(f"ASK WHERE {{ {body} . ?w <p:q> <e:z> }}"), "s")
     instance_ast = qlang.parse_query("ASK WHERE { " + " . ".join(f"<e:{j}> <p:p> ?x" for j in range(2 * k)) + " }")
     calls = Counter()
-    unify = baselines._unify_pattern
+    unify = synthesis._unify_pattern
 
     def counted(*args):
         calls["unify"] += 1
         return unify(*args)
 
-    monkeypatch.setattr(baselines, "_unify_pattern", counted)
-    assert baselines.align_placeholders(template, instance_ast) is None
+    monkeypatch.setattr(synthesis, "_unify_pattern", counted)
+    assert synthesis.align_placeholders(template, instance_ast) is None
     assert calls["unify"] <= (k + 2) * (2 * k + 1), calls  # one per (template pattern, instance pattern)
 
 
@@ -554,7 +554,7 @@ def test_text_harvest_equals_the_reference_harvest_on_the_toy_and_4x_worlds(toy_
             for tid in index.attributed(inst.id):
                 template = index.templates[tid]
                 iris = template.query_form.match(inst.pair.query_text)
-                assert iris is None or iris == baselines.align_placeholders(template, ast), (inst.id, tid)
+                assert iris is None or iris == synthesis.align_placeholders(template, ast), (inst.id, tid)
                 aligned += iris is None
     assert aligned > 1000
 
@@ -568,9 +568,9 @@ def test_harvest_aligns_a_query_its_form_does_not_match(industry_template):
                  canonical.replace(f"{DBR}Publishing", "Placeholder:A")):  # a placeholder, not an IRI
         assert form.match(text) is None
         pair = corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, text)
-        assert baselines._placeholder_iris(industry_template, pair) == baselines.align_placeholders(
+        assert synthesis.placeholder_iris(industry_template, pair) == synthesis.align_placeholders(
             industry_template, qlang.parse_query(text))
-    assert baselines._placeholder_iris(industry_template, corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, canonical)) \
+    assert synthesis.placeholder_iris(industry_template, corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, canonical)) \
         == form.match(canonical)
 
 
@@ -578,12 +578,12 @@ def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch
     # exp1 trains six memorizers on overlapping train sets; the harvest reads the IRIs once per
     # (corpus instance, harvested template), from the query text, and its bindings from the match table
     calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config,
-                        [(attribution, "match_nlq"), (baselines, "_placeholder_iris"),
-                         (baselines, "align_placeholders")])
+                        [(attribution, "match_nlq"), (baselines, "placeholder_iris"),
+                         (synthesis, "align_placeholders")])
     index = toy_data.index
     harvested = sum(1 if inst.origin_template_id in index.attributed(inst.id) else len(index.attributed(inst.id))
                     for inst in toy_data.instances)
-    assert 0 < calls["_placeholder_iris", "harvest"] <= harvested, (calls, harvested)
+    assert 0 < calls["placeholder_iris", "harvest"] <= harvested, (calls, harvested)
     # every toy row's query is its origin template's query filled in, so no harvest parses one
     assert calls["align_placeholders", "harvest"] == 0, calls
     assert calls["match_nlq", "harvest"] == 0 < calls["match_nlq", "build_index"], calls
@@ -617,6 +617,23 @@ def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypat
     assert 0 < sum(harvested.values()) <= len(selected) < len(toy_data.instances)
 
 
+def test_a_harvest_that_aligns_parsed_queries_leaves_no_ast_on_its_rows(tmp_path, toy_data, toy_config):
+    # a split read without its manifest has no origins, so every attributed template is read, and a
+    # subsumed template's form cannot match the longer query: those rows are aligned on a parsed query
+    seed = toy_config.rng_seeds[0]
+    split = partitioner.leaky_partition(toy_data.instances, toy_config.ratios, seed)
+    experiments.write_partition(tmp_path, split, "leaky", seed, toy_config.ratios, toy_data.config_digest)
+    train = corpus.read_parallel(tmp_path / "train.nlq", tmp_path / "train.ql")
+    index = attribution.build_index(train, toy_data.templates)
+    aligned = sum(index.templates[tid].query_form.match(inst.pair.query_text) is None
+                  for inst in train for tid in index.attributed(inst.id))
+    model = _memorizer(train, index)
+    assert aligned > 100
+    assert all("query_ast" not in vars(inst.pair) for inst in train)
+    assert list(model.label_index.items()) == list(references.ref_train_memorizer(train, index).label_index.items())
+    questions = [inst.pair.nlq for inst in split.test]
+    assert baselines.memorizer_predict(model, questions) == [ref_memorizer_predict(model, q) for q in questions]
+
 
 @pytest.mark.parametrize("iri", [
     "http://x.org/resource/Ada_Varga",  # "/"
@@ -625,11 +642,11 @@ def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypat
     "http://x.org/people/ns#Ada_Varga",  # "/", then "#"
 ])
 def test_label_and_namespace_split_an_iri_at_one_place(iri):
-    assert baselines.label_to_iri_form(synthesis.entity_label(iri), baselines._namespace(iri)) == iri
+    assert synthesis.label_to_iri_form(synthesis.entity_label(iri), synthesis._namespace(iri)) == iri
 
 
 def test_namespace_defaults_when_no_separator_follows_the_scheme():
-    assert baselines._namespace("http://Ada_Varga") == baselines._namespace("https://x") == baselines._DEFAULT_NAMESPACE
+    assert synthesis._namespace("http://Ada_Varga") == synthesis._namespace("https://x") == synthesis._DEFAULT_NAMESPACE
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import references
-from splithygiene import baselines, experiments, partitioner, synthesis, toydata
+from splithygiene import baselines, corpus, experiments, partitioner, synthesis, toydata
 from splithygiene.cli import main
 from splithygiene.errors import SplitHygieneError
 
@@ -162,6 +162,44 @@ def test_missing_file_is_a_usage_error(tmp_path, runner):
     result = runner.invoke(main, [
         "extract", "--seeds", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "t.jsonl")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["extract", "generate", "attribute", "eval", "run"])
+def test_a_directory_named_for_an_input_file_is_a_usage_error(tmp_path, runner, command):
+    templates = tmp_path / "templates.jsonl"
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (tmp_path / "c.ql").write_text("ASK WHERE { <e:s> <p:p> <e:o> }\n")
+    (tmp_path / "run.conf").write_text(f'seeds_path = "{folder}"\n')
+    args = {
+        "extract": ["extract", "--seeds", str(folder), "--out", str(tmp_path / "t.jsonl")],
+        "generate": ["generate", "--templates", str(templates), "--kg", str(folder), "--out-dir", str(tmp_path / "g")],
+        "attribute": ["attribute", "--nlq", str(folder), "--ql", str(tmp_path / "c.ql"), "--templates", str(templates),
+                      "--out", str(tmp_path / "a.tsv")],
+        "eval": ["eval", "--pred", str(folder), "--test", str(tmp_path / "c.ql")],
+        "run": ["run", "exp3", "--config", str(tmp_path / "run.conf"), "--workdir", str(tmp_path / "w")],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == f"error: [Errno 21] Is a directory: '{folder}'"
+
+
+def test_a_template_with_an_empty_id_keeps_its_origins_through_generate(tmp_path, runner, industry_template):
+    kg = tmp_path / "kg.nt"
+    kg.write_text("".join(f"<http://dbpedia.org/resource/{s}> <http://dbpedia.org/ontology/industry> "
+                          f"<http://dbpedia.org/resource/{o}> .\n"
+                          for s, o in (("Robot_Comics", "Publishing"), ("Tiger_Aircraft", "Aerospace"))))
+    synthesis.write_templates(tmp_path / "t.jsonl", [dataclasses.replace(industry_template, id="")])
+    out = tmp_path / "gen"
+    _ok(runner.invoke(main, ["generate", "--templates", str(tmp_path / "t.jsonl"), "--kg", str(kg),
+                             "--out-dir", str(out)]))
+    read = corpus.read_parallel(out / "instances.nlq", out / "instances.ql", out / "instances.manifest.json")
+    assert [(inst.id, inst.origin_template_id) for inst in read] == [("-0", ""), ("-1", "")]
+    # a split manifest of the same instances records the same origins
+    split = partitioner.Split3(tuple(read[:1]), (), tuple(read[1:]))
+    manifest = corpus.make_manifest(split, corpus.LEAKY, 0, (0.5, 0.0, 0.5), "d" * 64)
+    assert manifest["origins"] == json.loads((out / "instances.manifest.json").read_text())["origins"]
 
 
 @pytest.mark.parametrize("command", ["extract", "attribute", "eval"])

@@ -299,7 +299,6 @@ def test_extract_predicates_placeholder():
     ast = parse_query("ASK WHERE { <e:1> <Placeholder:A> <e:2> . <e:2> <p:Q> <e:3> }")
     with pytest.raises(PlaceholderPredicate):
         extract_predicates(ast)
-    assert extract_predicates(ast, skip_placeholders=True) == ["p:Q"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from conftest import (
     INDUSTRY_TEMPLATE_QUERY,
 )
 from splithygiene import corpus, experiments, kgstore, qlang, synthesis
-from splithygiene.baselines import align_placeholders
 from splithygiene.errors import AdjacentSlots, UnlocatableEntity
 from splithygiene.qlang import Iri, NlqPattern, Placeholder, match_nlq, parse_query, serialize
-from references import ref_bind_placeholders, ref_eval
+from splithygiene.synthesis import align_placeholders
+from references import ref_bind_placeholders, ref_concrete_predicates, ref_eval
 
 DBR = "http://dbpedia.org/resource/"
 DBO_INDUSTRY = "http://dbpedia.org/ontology/industry"
@@ -317,7 +317,7 @@ def test_template_predicates_skip_placeholder_predicates(industry_template):
                         "<e:x> <p:r> <Placeholder:B> . <e:y> <p:q> <e:z> }")
     template = synthesis.Template("t", NlqPattern.from_text("is <A> or <B> ?"), query, "s")
     assert template.predicates == ("p:q", "p:r", "p:q")
-    assert list(template.predicates) == qlang.extract_predicates(query, skip_placeholders=True)
+    assert list(template.predicates) == ref_concrete_predicates(query)
     assert industry_template.predicates == (DBO_INDUSTRY,)
 
 
