@@ -48,6 +48,7 @@ from .partitioner import (
     diagnostics,
     leaky_partition,
     sanitized_partition,
+    seen_fractions,
     split_templates,
     subsample_train,
 )
@@ -88,14 +89,20 @@ class RunConfig:
         def tuple_of(values, check) -> bool:
             return isinstance(values, tuple) and bool(values) and all(map(check, values))
 
+        def distinct(values) -> bool:
+            return len(set(values)) == len(values)
+
         expected = {
             "seeds_path": (isinstance(self.seeds_path, str), "a string"),
             "kg_path": (isinstance(self.kg_path, str), "a string"),
             "workdir": (isinstance(self.workdir, str), "a string"),
-            "rng_seeds": (tuple_of(self.rng_seeds, _is_int), "one or more integers"),
+            # a repeated rng seed or fraction would be reported as another replicate or sweep point
+            "rng_seeds": (tuple_of(self.rng_seeds, _is_int) and distinct(self.rng_seeds),
+                          "one or more distinct integers"),
             "ratios": (tuple_of(self.ratios, _is_real) and len(self.ratios) == 3, "three numbers"),
             "seed_test_fraction": (_is_real(self.seed_test_fraction), "a number"),
-            "fractions": (tuple_of(self.fractions, _is_real), "one or more numbers"),
+            "fractions": (tuple_of(self.fractions, _is_real) and distinct(self.fractions),
+                          "one or more distinct numbers"),
             "instance_limit": (_is_int(self.instance_limit) and self.instance_limit >= 0, "an integer >= 0"),
             "lm_order": (_is_int(self.lm_order) and self.lm_order >= 1, "an integer >= 1"),
             "lm_k": (_is_real(self.lm_k) and math.isfinite(self.lm_k) and self.lm_k > 0, "a finite number > 0"),
@@ -287,19 +294,15 @@ def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig, lm
     `rows` maps each instance id to its row.
     """
     from .baselines import lm_perplexity, memorizer_predict, train_memorizer, train_ngram_lm
-    from .metrics import corpus_bleu, leakage_report
+    from .metrics import corpus_bleu
 
     train_rows = [rows[inst.id] for inst in split.train]
     memorizer = train_memorizer(mem_index, train_rows)
     lm = train_ngram_lm(lm_index, train_rows, config.lm_k)
-    leakage = leakage_report(split, data.index)
     out: dict[str, dict[str, float]] = {
         "memorizer_bleu": {},
         "lm_perplexity": {},
-        "template_seen_fraction": {
-            "valid": leakage.valid_seen_fraction,
-            "test": leakage.test_seen_fraction,
-        },
+        "template_seen_fraction": seen_fractions(split, data.index),
     }
     for name, part in (("valid", split.valid), ("test", split.test)):
         refs = [inst.pair.query_text.split() for inst in part]

@@ -20,6 +20,7 @@ from .qlang import ASK, CONCRETE_IRI, Iri, QueryAst, Var
 _IRI = rf"<({CONCRETE_IRI})>"  # an IRI a query can write
 _TRIPLE_LINE = re.compile(rf"^{_IRI}\s+{_IRI}\s+(.+?)\s*\.\s*$")
 _IRI_OBJECT = re.compile(rf"^{_IRI}$")
+_LINE_END = re.compile(rb"\r\n?|\n")  # as universal newlines end a line
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,18 @@ class Graph:
 
 
 def _utf8_lines(fh, path):
+    """The lines of `fh`, a text file read with universal newlines; text that is not UTF-8 raises
+    InputFileError naming path:line."""
     try:
         yield from fh
-    except UnicodeDecodeError as exc:
-        raise InputFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # its offset is into the file; the stream's is into one chunk
+            line = len(_LINE_END.findall(data, 0, exc.start)) + 1
+            raise InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        raise
 
 
 def load_ntriples(path) -> Graph:
@@ -64,7 +73,7 @@ def load_ntriples(path) -> Graph:
     comments, blank, nor well-formed triples are recorded as malformed
     (1-based line numbers) in the graph's load report, not raised; so is a
     line naming an IRI that starts like a placeholder term. A file
-    that is not UTF-8 raises InputFileError.
+    that is not UTF-8 raises InputFileError naming the line.
     """
     triples: set[tuple[str, str, str]] = set()
     skipped = 0

@@ -1,8 +1,9 @@
-"""Corpus BLEU, perplexity, and split-leakage diagnostics.
+"""Corpus BLEU and perplexity: scores of predictions against references.
 
 BLEU is computed in unsmoothed corpus mode: clipped n-gram counts (n=1..4)
 pooled over the corpus, geometric mean weighted 1/4 each, times a brevity
-penalty, on the 0-100 scale.
+penalty, on the 0-100 scale. A split's template leakage is measured where
+it is enforced, by `partitioner.seen_fractions`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import AttributionIndex
 from .errors import EmptyCorpus, InvalidLogProb
-from .partitioner import Split3
 
 MAX_ORDER = 4
 _PAIRS_PER_BLOCK = 256  # differing pairs counted at once; a pair's counts need no other pair
@@ -27,12 +26,6 @@ class BleuReport:
     brevity_penalty: float
     candidate_len: int
     reference_len: int
-
-
-@dataclass(frozen=True)
-class LeakageStats:
-    test_seen_fraction: float
-    valid_seen_fraction: float
 
 
 def _clipped_matches(pairs) -> list[int]:
@@ -139,18 +132,3 @@ def perplexity(log_probs) -> float:
         raise EmptyCorpus("no token log probabilities")
     return math.exp(-total / count)
 
-
-def leakage_report(split: Split3, index: AttributionIndex) -> LeakageStats:
-    """How much of valid/test is template-seen with respect to train."""
-    seen = index.tally(split.train).keys()
-
-    def seen_fraction(instances) -> float:
-        if not instances:
-            return 0.0
-        hits = sum(1 for inst in instances if not seen.isdisjoint(index.attributed(inst.id)))
-        return hits / len(instances)
-
-    return LeakageStats(
-        test_seen_fraction=seen_fraction(split.test),
-        valid_seen_fraction=seen_fraction(split.valid),
-    )

@@ -1,4 +1,4 @@
-"""Leaky and sanitized corpus partitioning, plus training-set subsampling.
+"""Leaky and sanitized corpus partitioning, training-set subsampling, and template leakage.
 
 Leaky partitioning shuffles instances and cuts them 80/10/10 regardless of
 templates. Sanitized partitioning first splits templates by their seeds, then
@@ -6,11 +6,14 @@ routes to the test split only instances whose attributed templates are
 held-out ones; everything else forms a pool that is re-split 90/10 into train
 and validation. The guarantee is strict: no test instance shares an
 attributed template with any train or validation instance.
+
+One rule defines template leakage: an instance is template-seen by a set of
+templates when its attributed templates meet the set (`_meets`). The
+sanitized split enforces it and `seen_fractions` measures it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isfinite
@@ -61,6 +64,11 @@ def _check_ratios(ratios) -> tuple[Fraction, Fraction, Fraction]:
     if abs(float(sum(fracs)) - 1.0) > 1e-9:
         raise RatioError(f"ratios must sum to 1: {ratios}")
     return fracs
+
+
+def _meets(index: AttributionIndex, template_ids, inst) -> bool:
+    """Whether the instance's attributed templates meet `template_ids`; an unattributed one meets none."""
+    return not template_ids.isdisjoint(index.attributed(inst.id))
 
 
 def leaky_partition(instances, ratios=(0.8, 0.1, 0.1), rng_seed: int = 0) -> Split3:
@@ -124,20 +132,11 @@ def sanitized_partition(
     pool instances for valid; the rest of the pool is train.
     """
     items = list(instances)
-    test_tids = tsplit.test_template_ids
-    train_tids = tsplit.train_template_ids
-
-    def is_candidate(inst) -> bool:
-        attributed = index.attributed(inst.id)
-        return not test_tids.isdisjoint(attributed) and train_tids.isdisjoint(attributed)
-
-    in_test = {inst.id: is_candidate(inst) for inst in items}
+    in_test = {inst.id: _meets(index, tsplit.test_template_ids, inst)
+               and not _meets(index, tsplit.train_template_ids, inst) for inst in items}
     while True:
         pool_templates = index.tally(inst for inst in items if not in_test[inst.id]).keys()
-        demote = [
-            inst.id for inst in items
-            if in_test[inst.id] and not pool_templates.isdisjoint(index.attributed(inst.id))
-        ]
+        demote = [inst.id for inst in items if in_test[inst.id] and _meets(index, pool_templates, inst)]
         if not demote:
             break
         for iid in demote:
@@ -163,13 +162,22 @@ def subsample_train(split: Split3, fraction: float, rng_seed: int = 0) -> Split3
     return Split3(train=train, valid=split.valid, test=split.test)
 
 
+def seen_fractions(split: Split3, index: AttributionIndex) -> dict[str, float]:
+    """The template leakage of a split: per valid and test, the share of its instances that
+    train's templates have seen (0.0 for an empty part)."""
+    seen = index.tally(split.train).keys()
+    return {name: sum(_meets(index, seen, inst) for inst in part) / len(part) if part else 0.0
+            for name, part in (("valid", split.valid), ("test", split.test))}
+
+
 def diagnostics(split: Split3, index: AttributionIndex, tsplit: TemplateSplit | None = None) -> dict:
     """Ambiguity/attribution counters and per-split template histograms."""
     parts = {"train": split.train, "valid": split.valid, "test": split.test}
-    sizes = Counter([len(index.attributed(inst.id)) for part in parts.values() for inst in part])
+    ids = [inst.id for part in parts.values() for inst in part]
+    unattributed = index.unattributed_ids
     out = {
-        "ambiguous_count": sum(n for size, n in sizes.items() if size >= 2),
-        "unattributed_count": sizes[0],
+        "ambiguous_count": sum(i in index.ambiguous_ids for i in ids),
+        "unattributed_count": sum(i in unattributed for i in ids),
         "template_histograms": {name: dict(sorted(index.tally(part).items())) for name, part in parts.items()},
     }
     if tsplit is not None:

@@ -50,7 +50,7 @@ def test_criterion_1_split_arithmetic(capsys):
 def test_criterion_2_sanitization_invariant(capsys, toy_data, toy_config, sanitized_world):
     started = time.perf_counter()
     _, _, sanitized = sanitized_world
-    toy_leak = metrics.leakage_report(sanitized, toy_data.index).test_seen_fraction
+    toy_leak = partitioner.seen_fractions(sanitized, toy_data.index)["test"]
     failures = []
     if toy_leak != 0.0:
         failures.append(f"toy corpus leaked {toy_leak}")
@@ -63,13 +63,13 @@ def test_criterion_2_sanitization_invariant(capsys, toy_data, toy_config, saniti
         checked += 1
         tsplit = random_template_split(rnd, templates)
         split = partitioner.sanitized_partition(instances, tsplit, index, rnd.randrange(1000))
-        leak = metrics.leakage_report(split, index).test_seen_fraction
+        leak = partitioner.seen_fractions(split, index)["test"]
         if leak != 0.0:
             failures.append(f"random corpus #{checked} leaked {leak}")
     leaky_fractions = []
     for seed in toy_config.rng_seeds:
         leaky = partitioner.leaky_partition(toy_data.instances, toy_config.ratios, seed)
-        leaky_fractions.append(metrics.leakage_report(leaky, toy_data.index).test_seen_fraction)
+        leaky_fractions.append(partitioner.seen_fractions(leaky, toy_data.index)["test"])
     if min(leaky_fractions) < 0.99:
         failures.append(f"leaky seen fraction fell to {min(leaky_fractions)}")
     elapsed = time.perf_counter() - started
@@ -136,7 +136,7 @@ def test_criterion_6_halved_holdout(capsys, toy_data, toy_config, sanitized_worl
     _, san2 = experiments._sanitized_split(toy_data, toy_config, halved)
     lm2 = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in san2.train], toy_config.lm_k)
     exp3_ppl = baselines.lm_perplexity(lm2, [i.pair.query_text.split() for i in san2.test])
-    leak = metrics.leakage_report(san2, toy_data.index).test_seen_fraction
+    leak = partitioner.seen_fractions(san2, toy_data.index)["test"]
     ok = exp3_ppl <= 1.1 * exp1_ppl and leak == 0.0
     _announce(capsys, 6, ok,
               f"halved holdout: ppl {exp3_ppl:.2f} <= 1.1 x {exp1_ppl:.2f} "

@@ -401,6 +401,8 @@ def test_invalid_preset_config_exits_2_without_traceback(tmp_path, line, stage):
     ("lm_order = 0", "lm_order"),
     ("lm_k = nan", "lm_k"),
     ("rng_seeds = 7, seven", "rng_seeds"),
+    ("rng_seeds = 101, 101", "rng_seeds"),
+    ("fractions = 0.5, 0.25, 0.5", "fractions"),
 ])
 def test_config_of_wrong_type_or_range_exits_2_without_traceback(tmp_path, line, key):
     config = tmp_path / "run.conf"

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import PIZZA_SEED_QUERY, INDUSTRY_TEMPLATE_QUERY
 from splithygiene import kgstore
-from splithygiene.errors import UnboundVariable
+from splithygiene.errors import InputFileError, UnboundVariable
 from splithygiene.qlang import ASK, Iri, Placeholder, QueryAst, Var, parse_query
 from references import ref_eval
 
@@ -66,6 +66,25 @@ def test_load_collects_malformed_lines(tmp_path):
     graph = kgstore.load_ntriples(path)
     assert len(graph) == 3
     assert graph.load_report.malformed_lines == (3, 5, 6, 7, 8, 9, 10)
+
+
+_TRIPLE = b"<e:s> <p:p> <e:o> ."
+_BAD_TRIPLE = b"<e:s\xff> <p:p> <e:o> ."
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\n".join([_TRIPLE, b"# a comment", _BAD_TRIPLE, b""]), 3),
+    (b"\r\n".join([_TRIPLE, b"# a comment", _BAD_TRIPLE, b""]), 3),
+    (b"\r".join([_TRIPLE, b"# a comment", _BAD_TRIPLE, b""]), 3),
+    # the streaming decoder fails in a later chunk, whose offsets are not the file's
+    ((_TRIPLE + b"\r\n") * 5000 + _BAD_TRIPLE, 5001),
+], ids=["LF", "CRLF", "CR", "CRLF past the first chunk"])
+def test_non_utf8_graph_names_the_line(tmp_path, data, line):
+    path = tmp_path / "g.nt"
+    path.write_bytes(data)
+    with pytest.raises(InputFileError, match="not UTF-8") as err:
+        kgstore.load_ntriples(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
 
 
 # ---------------------------------------------------------------------------

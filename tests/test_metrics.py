@@ -6,12 +6,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_instance
-from splithygiene import attribution, metrics, partitioner
+from splithygiene import metrics
 from splithygiene.errors import EmptyCorpus, InvalidLogProb
 from references import ref_corpus_bleu
-
-ASK_Q = "ASK WHERE { <e:s%d> <p:p> <e:o> }"
 
 
 # ---------------------------------------------------------------------------
@@ -208,56 +205,4 @@ def test_perplexity_at_least_1_for_probabilities():
         sents = [[math.log(rnd.uniform(1e-6, 1.0)) for _ in range(rnd.randrange(1, 8))]
                  for _ in range(rnd.randrange(1, 5))]
         assert metrics.perplexity(sents) >= 1.0
-
-
-# ---------------------------------------------------------------------------
-# leakage_report
-# ---------------------------------------------------------------------------
-
-def _toy_split_corpus(n_templates=5, per_template=20):
-    from splithygiene.qlang import NlqPattern, parse_query
-    from splithygiene import synthesis
-    words = ["red", "blue", "green", "gold", "grey"]
-    templates, instances = [], []
-    for t in range(n_templates):
-        word = words[t]
-        ast = parse_query(f"ASK WHERE {{ <e:{word}> <p:{word}> <Placeholder:A> }}")
-        templates.append(synthesis.Template(
-            id=f"t{t}", nlq_pattern=NlqPattern.from_text(f"does {word} touch <A> ?"),
-            query_pattern=ast, origin_seed_id=f"s{t}"))
-        for k in range(per_template):
-            instances.append(make_instance(
-                f"t{t}-i{k}", f"does {word} touch thing {k} ?",
-                f"ASK WHERE {{ <e:{word}> <p:{word}> <e:Thing_{k}> }}", origin=f"t{t}"))
-    return templates, instances, attribution.build_index(instances, templates)
-
-
-def test_leakage_zero_on_sanitized_split():
-    templates, instances, index = _toy_split_corpus()
-    tsplit = partitioner.TemplateSplit(
-        train_template_ids=frozenset({"t1", "t2", "t3", "t4"}),
-        test_template_ids=frozenset({"t0"}))
-    split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=4)
-    stats = metrics.leakage_report(split, index)
-    assert stats.test_seen_fraction == 0.0
-    assert stats.valid_seen_fraction == 1.0
-
-
-def test_leakage_one_on_leaky_toy_split():
-    templates, instances, index = _toy_split_corpus()
-    split = partitioner.leaky_partition(instances, (0.8, 0.1, 0.1), rng_seed=12)
-    # brute-force expectation over the attribution sets
-    seen = {t for inst in split.train for t in index.attributed(inst.id)}
-    expected = sum(1 for inst in split.test if set(index.attributed(inst.id)) & seen) / len(split.test)
-    stats = metrics.leakage_report(split, index)
-    assert stats.test_seen_fraction == pytest.approx(expected)
-    assert stats.test_seen_fraction == 1.0
-
-
-def test_leakage_is_zero_on_empty_splits():
-    templates, instances, index = _toy_split_corpus(n_templates=2, per_template=3)
-    split = partitioner.Split3(train=tuple(instances), valid=(), test=())
-    stats = metrics.leakage_report(split, index)
-    assert stats.test_seen_fraction == 0.0
-    assert stats.valid_seen_fraction == 0.0
 

@@ -328,6 +328,67 @@ def test_subsample_fraction_validation(fraction):
 
 
 # ---------------------------------------------------------------------------
+# seen_fractions
+# ---------------------------------------------------------------------------
+
+def _brute_seen_fraction(split, part, index):
+    seen = {t for inst in split.train for t in index.attributed(inst.id)}
+    return sum(1 for inst in part if set(index.attributed(inst.id)) & seen) / len(part) if part else 0.0
+
+
+def test_leakage_zero_on_sanitized_split():
+    templates, _, instances, index = _toy_corpus()
+    tsplit = partitioner.TemplateSplit(
+        train_template_ids=frozenset({"t1", "t2", "t3", "t4"}),
+        test_template_ids=frozenset({"t0"}))
+    split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=4)
+    stats = partitioner.seen_fractions(split, index)
+    assert stats["test"] == 0.0
+    assert stats["valid"] == 1.0
+
+
+def test_leakage_one_on_leaky_toy_split():
+    templates, _, instances, index = _toy_corpus()
+    split = partitioner.leaky_partition(instances, (0.8, 0.1, 0.1), rng_seed=12)
+    # brute-force expectation over the attribution sets
+    seen = {t for inst in split.train for t in index.attributed(inst.id)}
+    expected = sum(1 for inst in split.test if set(index.attributed(inst.id)) & seen) / len(split.test)
+    stats = partitioner.seen_fractions(split, index)
+    assert stats["test"] == pytest.approx(expected)
+    assert stats["test"] == 1.0
+
+
+def test_leakage_is_zero_on_empty_splits():
+    templates, _, instances, index = _toy_corpus(n_templates=2, per_template=3)
+    split = partitioner.Split3(train=tuple(instances), valid=(), test=())
+    stats = partitioner.seen_fractions(split, index)
+    assert stats["test"] == 0.0
+    assert stats["valid"] == 0.0
+
+
+def test_seen_fractions_equal_a_brute_force_count_on_random_corpora():
+    # subsuming random templates make ambiguous rows, which the toy corpus never has; a small
+    # train sample leaves some of them with one template seen and another not
+    rnd = random.Random(41)
+    partly_seen = leaked = 0
+    for _ in range(40):
+        _, templates, instances, index = random_corpus(rnd)
+        tsplit = random_template_split(rnd, templates)
+        leaky = partitioner.leaky_partition(instances, (0.8, 0.1, 0.1), rnd.randrange(100))
+        for split in (leaky, partitioner.subsample_train(leaky, 0.1, rnd.randrange(100)),
+                      partitioner.sanitized_partition(instances, tsplit, index, rnd.randrange(100))):
+            stats = partitioner.seen_fractions(split, index)
+            assert list(stats) == ["valid", "test"]
+            seen = {t for inst in split.train for t in index.attributed(inst.id)}
+            for name, part in (("valid", split.valid), ("test", split.test)):
+                assert stats[name] == _brute_seen_fraction(split, part, index)
+                partly_seen += sum(1 for inst in part if set(index.attributed(inst.id)) & seen
+                                   and not set(index.attributed(inst.id)) <= seen)
+            leaked += stats["test"] > 0
+    assert partly_seen and leaked
+
+
+# ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
