@@ -108,4 +108,4 @@ def build_index(instances, templates) -> AttributionIndex:
 
 def write_attribution(path, instances, index: AttributionIndex) -> None:
     """TSV: instance_id <TAB> comma-joined template ids (empty = unattributed)."""
-    write_lines(path, [f"{inst.id}\t{','.join(index.attributed(inst.id))}" for inst in instances])
+    write_lines(path, (f"{inst.id}\t{','.join(index.attributed(inst.id))}" for inst in instances))

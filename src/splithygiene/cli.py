@@ -218,7 +218,7 @@ def lm(train_ql, eval_ql, order, k, out_logp):
         raise EmptyCorpus("no evaluation sentences")
     scored = score_sentences(model, eval_sents)
     if out_logp:
-        write_lines(out_logp, [" ".join(repr(lp) for lp in sent) for sent in scored])
+        write_lines(out_logp, (" ".join(repr(lp) for lp in sent) for sent in scored))
     click.echo(json.dumps({"metric": "lm_perplexity", "value": perplexity(scored)}))
 
 

@@ -15,8 +15,10 @@ import json
 import os
 import uuid
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 from . import qlang
@@ -25,6 +27,7 @@ from .errors import InputFileError, LineCountMismatch, ParseError, SplitHygieneE
 LEAKY = "leaky"
 SANITIZED = "sanitized"
 VALID_FRACTION = 0.1  # the share of a sanitized split's train pool cut to valid
+BATCH = 1024  # lines, or id-map members, encoded and written per chunk
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,27 @@ def canonical_key(pair: QAPair) -> str:
 
 
 def dedup(records, key=lambda rec: canonical_key(rec.pair)):
-    """Drop records whose key (default: the pair's canonical key) repeats, keeping firsts in order."""
-    seen = set()
+    """Drop records whose key (default: the pair's canonical key) repeats, keeping firsts in order.
+
+    Only the hash of each kept record's key is kept, with its position. A
+    hash seen before is settled by recomputing the keys of the kept records
+    that share it, so the result is exact and no key string is held.
+    """
     kept = []
+    first: dict[int, int] = {}  # key hash -> position in kept of the first record with it
+    later: dict[int, list[int]] = {}  # key hash -> positions of the other kept records with it
     removed = 0
     for rec in records:
         k = key(rec)
-        if k in seen:
+        h = hash(k)
+        at = first.get(h)
+        if at is None:
+            first[h] = len(kept)
+        elif key(kept[at]) == k or any(key(kept[i]) == k for i in later.get(h, ())):
             removed += 1
             continue
-        seen.add(k)
+        else:
+            later.setdefault(h, []).append(len(kept))
         kept.append(rec)
     return kept, removed
 
@@ -305,19 +319,21 @@ def read_logp(path) -> list[list[float]]:
     return out
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, text: str | Iterable[str]) -> None:
     """Write UTF-8 text with LF line endings; every file the package writes goes through here.
 
-    The text goes to a new temporary file beside the target, which then
-    replaces the target in one rename: an interrupted write leaves either the
-    old file or the new one, never a truncated one. A failed write raises the
-    same OSError type naming `path`, not the temporary file.
+    ``text`` is a str or an iterable of str chunks, written one after another
+    as they come. They go to a new temporary file beside the target, which
+    then replaces the target in one rename: an interrupted write, or an
+    error that the iterable raises mid-file, leaves either the old file or the
+    new one, never a truncated one. A failed write raises the same OSError
+    type naming `path`, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -327,41 +343,56 @@ def write_text(path, text: str) -> None:
 
 
 def write_lines(path, lines) -> None:
-    """Write one LF-terminated line per item."""
-    write_text(path, "".join(line + "\n" for line in lines))
+    """Write one LF-terminated line per item, joined and written BATCH lines at a time."""
+    def batches():
+        rest = iter(lines)
+        while batch := list(islice(rest, BATCH)):
+            batch.append("")  # the end of the batch's last line
+            yield "\n".join(batch)
+
+    write_text(path, batches())
 
 
 def write_parallel(out_dir, name: str, instances) -> None:
     """Write ``<name>.nlq`` and ``<name>.ql`` under out_dir, one instance per line."""
     out = Path(out_dir)
-    write_lines(out / f"{name}.nlq", [i.pair.nlq_text() for i in instances])
-    write_lines(out / f"{name}.ql", [i.pair.query_text for i in instances])
+    write_lines(out / f"{name}.nlq", (i.pair.nlq_text() for i in instances))
+    write_lines(out / f"{name}.ql", (i.pair.query_text for i in instances))
 
 
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def json_text(doc: dict[str, object]) -> str:
-    """``json.dumps(doc, indent=2) + "\n"`` for a JSON object with string keys, with the same bytes.
+def json_text(doc: dict[str, object]) -> Iterator[str]:
+    """The chunks of ``json.dumps(doc, indent=2) + "\n"`` for a JSON object with string keys, with the same bytes.
 
     ``json.dumps`` encodes in pure Python when it indents. Here each value of
     the object that is a non-empty object or array of scalars (a manifest's
-    id maps) is one call of the C encoder, its item separator carrying the
-    line break and the indent; a JSON string never holds a raw line break.
+    id maps) goes through the C encoder BATCH members at a time, its item
+    separator carrying the line break and the indent; a JSON string never
+    holds a raw line break. No chunk holds more than one slice of a map.
     """
     if not doc:
-        return "{}\n"
-    items = []
+        yield "{}\n"
+        return
+    head = "{\n"
     for key, value in doc.items():
-        of_scalars = isinstance(value, (dict, list)) and value and set(
-            map(type, value.values() if isinstance(value, dict) else value)) <= _SCALARS
-        if of_scalars:
-            encoded = json.dumps(value, separators=(",\n    ", ": "))  # the brackets around the members
-            text = f"{encoded[0]}\n    {encoded[1:-1]}\n  {encoded[-1]}"
+        head += f"  {json.dumps(key)}: "
+        is_object = isinstance(value, dict)
+        if isinstance(value, (dict, list)) and value and set(
+                map(type, value.values() if is_object else value)) <= _SCALARS:
+            opening, closing = "{}" if is_object else "[]"
+            items = iter(value.items() if is_object else value)
+            head += opening + "\n    "
+            while part := (dict if is_object else list)(islice(items, BATCH)):
+                encoded = json.dumps(part, separators=(",\n    ", ": "))
+                yield head + encoded[1:-1]  # the members, without the brackets around them
+                head = ",\n    "
+            yield "\n  " + closing
         else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+            yield head + json.dumps(value, indent=2).replace("\n", "\n  ")
+        head = ",\n"
+    yield "\n}\n"
 
 
 def _origins(instances) -> dict[str, str]:
@@ -419,10 +450,12 @@ def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str
 # ---------------------------------------------------------------------------
 
 def file_digest(paths) -> str:
-    """SHA-256 of the given files' bytes, concatenated in order."""
+    """SHA-256 of the given files' bytes, concatenated in order, read 1 MiB at a time."""
     h = hashlib.sha256()
     for p in paths:
-        h.update(Path(p).read_bytes())
+        with open(p, "rb") as fh:
+            while block := fh.read(1 << 20):
+                h.update(block)
     return h.hexdigest()
 
 
@@ -467,7 +500,7 @@ def seed_from_dict(doc: dict) -> Seed:
 
 
 def write_seeds(path, seeds) -> None:
-    write_lines(path, [json.dumps(seed_to_dict(s)) for s in seeds])
+    write_lines(path, (json.dumps(seed_to_dict(s)) for s in seeds))
 
 
 def read_seeds(path, extract=None) -> list:

@@ -281,7 +281,7 @@ def baseline_corpus(data: PipelineData, config: RunConfig) -> tuple[NGramIndex, 
     over every instance, and each instance id's row in both."""
     from .baselines import memorizer_index, ngram_index
 
-    lm_index = ngram_index([inst.pair.query_text.split() for inst in data.instances], config.lm_order)
+    lm_index = ngram_index((inst.pair.query_text.split() for inst in data.instances), config.lm_order)
     rows = {inst.id: row for row, inst in enumerate(data.instances)}
     return lm_index, memorizer_index(data.instances, data.index), rows
 

@@ -362,7 +362,7 @@ def template_from_dict(doc: dict) -> Template:
 
 
 def write_templates(path, templates) -> None:
-    write_lines(path, [json.dumps(template_to_dict(t)) for t in templates])
+    write_lines(path, (json.dumps(template_to_dict(t)) for t in templates))
 
 
 _TEMPLATE_KEYS = {"id": STRING, "nlq_pattern": STRING, "query_pattern": STRING, "origin_seed_id": STRING}

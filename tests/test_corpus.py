@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, make_instance
-from splithygiene import corpus, qlang
+from splithygiene import corpus, partitioner, qlang, toydata
 from splithygiene.errors import InputFileError, LineCountMismatch
 from splithygiene.partitioner import Split3
 from references import ref_dedup_keys, ref_tokenize_nlq
@@ -93,6 +97,54 @@ def test_dedup_idempotent(pairs):
     once, _ = corpus.dedup(records)
     twice, removed = corpus.dedup(once)
     assert twice == once and removed == 0
+
+
+class _Colliding(str):
+    """A key whose hash is the same for every value, so only equality tells two apart."""
+
+    def __hash__(self):
+        return 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c", "ab", "", "a b"]), max_size=30))
+def test_dedup_settles_hash_collisions_by_equality(keys):
+    records = list(enumerate(keys))
+    kept, removed = corpus.dedup(records, key=lambda rec: _Colliding(rec[1]))
+    assert [k for _, k in kept] == ref_dedup_keys(keys)
+    assert removed == len(keys) - len(kept)
+    assert [i for i, _ in kept] == [keys.index(k) for k in ref_dedup_keys(keys)]
+
+
+def test_dedup_of_a_corpus_that_is_mostly_duplicates():
+    originals = _instances(5)
+    records = [make_instance(f"r{n}", originals[n % 5].pair.nlq_text().upper(), originals[n % 5].pair.query_text)
+               for n in range(500)] + _instances(3, offset=5)
+    kept, removed = corpus.dedup(records)
+    assert [corpus.canonical_key(r.pair) for r in kept] == ref_dedup_keys(
+        [corpus.canonical_key(r.pair) for r in records])
+    assert [r.id for r in kept] == ["r0", "r1", "r2", "r3", "r4", "i5", "i6", "i7"]
+    assert removed == 495
+
+
+def _extract_and_generate(out, hash_seed: str) -> dict[str, bytes]:
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    cli = [sys.executable, "-m", "splithygiene.cli"]
+    out.mkdir()
+    templates = out / "templates.jsonl"
+    subprocess.run([*cli, "extract", "--seeds", str(toydata.toy_seeds_path()), "--out", str(templates)],
+                   check=True, env=env, capture_output=True)
+    subprocess.run([*cli, "generate", "--templates", str(templates), "--kg", str(toydata.toy_kg_path()),
+                    "--out-dir", str(out / "corpus")], check=True, env=env, capture_output=True)
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_extract_and_generate_write_the_same_bytes_under_any_hash_seed(tmp_path):
+    # dedup keeps key hashes, which differ between hash seeds; what it keeps must not
+    first = _extract_and_generate(tmp_path / "one", "1")
+    assert set(first) == {"templates.jsonl", "corpus/instances.nlq", "corpus/instances.ql",
+                          "corpus/instances.manifest.json"}
+    assert _extract_and_generate(tmp_path / "two", "2") == first
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +277,16 @@ def test_json_text_writes_what_the_indenting_encoder_writes(ids, origins, scheme
                       "counts": [len(ids), 0, 0], "config_digest": "d" * 64, "assignments": ids, "origins": origins}
     corpus_manifest = {"ids": list(ids), "origins": origins}
     for doc in (split_manifest, corpus_manifest, {}, {"ids": [], "origins": {}}):
-        assert corpus.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+        assert "".join(corpus.json_text(doc)) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, corpus.BATCH - 1, corpus.BATCH, corpus.BATCH + 1, 2 * corpus.BATCH + 1])
+def test_json_text_chunk_boundaries(n):
+    ids = [f"i{k}" for k in range(n)]
+    doc = {"scheme": "leaky", "ids": ids, "assignments": {i: "train" for i in ids}, "counts": [n, 0, 0]}
+    chunks = list(corpus.json_text(doc))
+    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+    assert max(chunk.count("\n    ") for chunk in chunks) <= corpus.BATCH  # one line break per member
 
 
 def test_write_split_empty_test_files(tmp_path):
@@ -369,3 +430,41 @@ def test_write_text_failure_keeps_old_content_and_leaves_no_temp_file(tmp_path, 
         corpus.write_text(target, "new\n")
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_an_error_mid_stream_keeps_old_content_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "train.nlq"
+    corpus.write_text(target, "old\n")
+
+    def lines():
+        yield from (f"line {k}" for k in range(corpus.BATCH))
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        corpus.write_lines(target, lines())
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["train.nlq"]
+
+
+@pytest.mark.parametrize("n", [0, 1, corpus.BATCH, corpus.BATCH + 1])
+def test_write_lines_writes_each_line_with_its_end(tmp_path, n):
+    lines = ["", "é ?", "a\rb", "x\u2028y"] * (n // 4) + ["last"] * (n % 4)
+    corpus.write_lines(tmp_path / "c.txt", iter(lines))
+    assert (tmp_path / "c.txt").read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_write_split_streams_its_files(tmp_path, scaled_world):
+    # each file goes out in batches, so the write holds a small share of what it writes, never a whole file
+    config, data = scaled_world
+    split = partitioner.leaky_partition(data.instances, config.ratios, config.rng_seeds[0])
+    manifest = corpus.make_manifest(split, corpus.LEAKY, config.rng_seeds[0], config.ratios, data.config_digest)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus.write_split(tmp_path, split, manifest)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    written = sum(p.stat().st_size for p in tmp_path.iterdir())
+    assert written > 2_000_000
+    assert peak <= 0.25 * written, (peak, written)
