@@ -13,7 +13,7 @@ is a selection of that corpus's train rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import metrics
 from .attribution import AttributionIndex
 from .errors import EmptyCorpus
 from .qlang import span_tokens
-from .synthesis import Template, entity_namespace, label_to_iri_form, placeholder_iris
+from .synthesis import Template, entity_namespace, label_to_iri_form
 
 BOS = "<s>"
 EOS = "</s>"
@@ -104,22 +104,18 @@ def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
 
     They are read under its origin template if that is attributed, else under
     each attributed template in order; the bindings come from the index's
-    match table, the IRIs from `placeholder_iris` on a copy of the row's pair,
-    so a query that some template aligns on is parsed once and the row keeps
-    no AST.
+    match table, the IRIs from the template's `QueryForm.match` of the row's
+    query text. A template whose form the query does not fill adds none.
     """
     attributed = index.attributed(inst.id)
     origin = inst.origin_template_id
     bindings_of = {t.id: bindings for t, bindings in index.matches(inst.pair.nlq)}
-    pair = replace(inst.pair)
     labels = []
     for tid in [origin] if origin in attributed else attributed:
-        template = index.templates[tid]
-        bindings = bindings_of[tid]
-        iris = placeholder_iris(template, pair)
+        iris = index.templates[tid].query_form.match(inst.pair.query_text)
         if iris is None:
             continue
-        for label, span in bindings.items():
+        for label, span in bindings_of[tid].items():
             labels.append((" ".join(span_tokens(inst.pair.nlq, span)), iris[label]))
     return labels
 

@@ -159,6 +159,7 @@ def partition(scheme, nlq_path, ql_path, manifest_path, ratios, templates_path,
               seeds_path, seed_test_fraction, out_dir, rng_seed):
     """Split a parallel corpus into train/valid/test."""
     ratio_tuple = _parse_ratios(ratios)
+    experiments._check_seed_test_fraction(seed_test_fraction)
     if scheme == SANITIZED and not (templates_path and seeds_path):
         _fail(2, "sanitized partitioning needs --templates and --seeds")
     instances = read_parallel(nlq_path, ql_path, manifest_path)

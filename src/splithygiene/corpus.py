@@ -322,14 +322,16 @@ def read_logp(path) -> list[list[float]]:
 def write_text(path, text: str | Iterable[str]) -> None:
     """Write UTF-8 text with LF line endings; every file the package writes goes through here.
 
-    ``text`` is a str or an iterable of str chunks, written one after another
-    as they come. They go to a new temporary file beside the target, which
-    then replaces the target in one rename: an interrupted write, or an
-    error that the iterable raises mid-file, leaves either the old file or the
-    new one, never a truncated one. A failed write raises the same OSError
-    type naming `path`, not the temporary file.
+    Missing directories on the way are made first. ``text`` is a str or an
+    iterable of str chunks, written one after another as they come. They go
+    to a new temporary file beside the target, which then replaces the
+    target in one rename: an interrupted write, or an error that the iterable
+    raises mid-file, leaves either the old file or the new one, never a
+    truncated one. A failed write raises the same OSError type naming `path`,
+    not the temporary file.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
@@ -403,7 +405,6 @@ def _origins(instances) -> dict[str, str]:
 def write_corpus(out_dir, instances) -> None:
     """Write ``instances.nlq``/``.ql`` and their corpus manifest, ``{"ids": [...], "origins": {...}}``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_parallel(out, "instances", instances)
     doc = {"ids": [inst.id for inst in instances], "origins": _origins(instances)}
     write_text(out / "instances.manifest.json", json_text(doc))
@@ -413,7 +414,6 @@ def write_split(out_dir, split3, manifest: dict) -> None:
     """Write train/valid/test as parallel .nlq/.ql files plus manifest.json."""
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
             write_parallel(out, name, instances)
         write_text(out / "manifest.json", json_text(manifest))

@@ -44,6 +44,7 @@ from .errors import ConfigError, RatioError
 from .kgstore import Graph, load_ntriples
 from .partitioner import (
     Split3,
+    _check_fraction,
     _check_ratios,
     diagnostics,
     leaky_partition,
@@ -81,11 +82,7 @@ class RunConfig:
     lm_k: float = 0.1
 
     def __post_init__(self):
-        """Check every key's type, and the range of the keys no stage checks where it reads them.
-
-        The ranges of ratios, seed_test_fraction and fractions are checked by
-        the stages that use them.
-        """
+        """Check every key's type, then its range, by the check of the stage that reads it where there is one."""
         def tuple_of(values, check) -> bool:
             return isinstance(values, tuple) and bool(values) and all(map(check, values))
 
@@ -110,6 +107,12 @@ class RunConfig:
         for key, (ok, what) in expected.items():
             if not ok:
                 raise ConfigError(key, f"{key}: expected {what}, got {getattr(self, key)!r}")
+        for key, check in (("ratios", _check_ratios), ("seed_test_fraction", _check_seed_test_fraction),
+                           ("fractions", lambda fractions: [_check_fraction(f) for f in fractions])):
+            try:
+                check(getattr(self, key))
+            except RatioError as exc:
+                raise ConfigError(key, f"{key}: {exc}") from None
 
     def resolved_seeds_path(self) -> Path:
         return Path(self.seeds_path) if self.seeds_path else toydata.toy_seeds_path()
@@ -255,10 +258,14 @@ def build_pipeline_data(config: RunConfig) -> PipelineData:
     )
 
 
-def held_out_seed_ids(seeds, fraction: float, rng_seed: int) -> list[str]:
-    """A seeded sample of `fraction` of the seed ids, sorted; `fraction` is in [0, 1]."""
+def _check_seed_test_fraction(fraction) -> None:
     if not 0 <= fraction <= 1:
         raise RatioError(f"seed test fraction must be in [0, 1]: {fraction}")
+
+
+def held_out_seed_ids(seeds, fraction: float, rng_seed: int) -> list[str]:
+    """A seeded sample of `fraction` of the seed ids, sorted; `fraction` is in [0, 1]."""
+    _check_seed_test_fraction(fraction)
     ids = [s.id for s in seeds]
     (held_out,) = rng.seeded_cut(ids, (round(len(ids) * fraction),), rng_seed, "seed-split")
     return sorted(held_out)
@@ -345,7 +352,6 @@ def _aggregate_rows(rows, experiment, scheme, digest):
 
 
 def _write_report(out_dir: Path, rows) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_REPORT_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -388,7 +394,6 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
     try:
         data = data or build_pipeline_data(config)
         digest = data.config_digest
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_templates(out_dir / "templates.jsonl", data.templates)
         write_attribution(out_dir / "attribution.tsv", data.instances, data.index)
         baseline = baseline_corpus(data, config)

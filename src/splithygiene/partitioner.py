@@ -66,6 +66,13 @@ def _check_ratios(ratios) -> tuple[Fraction, Fraction, Fraction]:
     return fracs
 
 
+def _check_fraction(fraction) -> Fraction:
+    """A train subsample fraction, exact; one outside (0, 1] raises RatioError."""
+    if not (isfinite(fraction) and 0 < _exact(fraction) <= 1):
+        raise RatioError(f"fraction must be in (0, 1]: {fraction}")
+    return _exact(fraction)
+
+
 def _meets(index: AttributionIndex, template_ids, inst) -> bool:
     """Whether the instance's attributed templates meet `template_ids`; an unattributed one meets none."""
     return not template_ids.isdisjoint(index.attributed(inst.id))
@@ -155,9 +162,7 @@ def subsample_train(split: Split3, fraction: float, rng_seed: int = 0) -> Split3
     The same rng_seed yields nested samples across growing fractions; valid
     and test are untouched.
     """
-    if not (isfinite(fraction) and 0 < _exact(fraction) <= 1):
-        raise RatioError(f"fraction must be in (0, 1]: {fraction}")
-    k = floor(_exact(fraction) * len(split.train))
+    k = floor(_check_fraction(fraction) * len(split.train))
     (train,) = rng.seeded_cut(split.train, (k,), rng_seed, "subsample-train")
     return Split3(train=train, valid=split.valid, test=split.test)
 

@@ -5,9 +5,10 @@ pattern whose entity positions are ``<Placeholder:X>`` terms. Instantiation
 derives a SELECT DISTINCT binding query, runs it on a graph, and substitutes
 each binding row back into both sides: the question's slots take the
 entity labels' tokens, and the query is filled in from the template's
-compiled `QueryForm`. The read-back goes the other way: `placeholder_iris`
-finds the IRI each placeholder binds in a query, and `label_to_iri_form`
-turns a label back into an IRI by the naming convention of `entity_label`.
+compiled `QueryForm`. The read-back goes the other way: `QueryForm.match`
+reads each placeholder's IRI from a query whose canonical text fills the
+form, and `label_to_iri_form` turns a label back into an IRI by the naming
+convention of `entity_label`.
 """
 
 from __future__ import annotations
@@ -100,90 +101,18 @@ class QueryForm:
         return tuple(predicates)
 
     def match(self, text: str) -> dict[str, str] | None:
-        """Each placeholder label's IRI in a query text that `fill` writes, else None."""
+        """Each placeholder label's IRI in a query whose canonical text `fill` writes, else None.
+
+        The text is matched as written, then, only when that fails and the
+        parsed query's `qlang.serialize` text differs, as that text: a query
+        spaced otherwise reads back, one with other patterns, another form or
+        another SELECT list does not.
+        """
         m = self.pattern.fullmatch(text)
+        if m is None:
+            canonical = qlang.serialize(qlang.parse_query(text))
+            m = None if canonical == text else self.pattern.fullmatch(canonical)
         return None if m is None else m.groupdict()
-
-
-def _unify_pattern(template_pattern, instance_pattern, mapping: dict[str, str]) -> dict[str, str] | None:
-    out = dict(mapping)
-    for t_term, i_term in zip(template_pattern, instance_pattern):
-        if isinstance(t_term, Placeholder):
-            if not isinstance(i_term, Iri):
-                return None
-            bound = out.get(t_term.label)
-            if bound is not None and bound != i_term.value:
-                return None
-            out[t_term.label] = i_term.value
-        elif isinstance(t_term, Iri):
-            if not isinstance(i_term, Iri) or t_term.value != i_term.value:
-                return None
-        else:  # Var
-            if not isinstance(i_term, Var) or t_term.name != i_term.name:
-                return None
-    return out
-
-
-def align_placeholders(template: Template, instance_ast: QueryAst) -> dict[str, str] | None:
-    """Map each placeholder label to the IRI it binds in the instance query.
-
-    Template patterns are aligned to an ordered subsequence of the instance
-    patterns, earliest first; None when no consistent alignment exists. A
-    failed (template pattern, instance pattern, bindings) state is never
-    retried. It is remembered by the bindings of only the labels its template
-    pattern and the later ones read, since its outcome depends on no other, so
-    the walk makes O(|template| x |instance| x B) unifications for B distinct
-    such bindings, not one per subsequence. The states on the current path are kept in a
-    list, not on the call stack, so a query of any length aligns.
-    """
-    t_pats = template.query_pattern.patterns
-    i_pats = instance_ast.patterns
-    last_read = {t.label: ti for ti, p in enumerate(t_pats) for t in p if isinstance(t, Placeholder)}
-
-    def key(state) -> tuple[int, int, frozenset]:  # what a failed state is remembered by
-        ti, ii, mapping = state
-        return ti, ii, frozenset((label, iri) for label, iri in mapping.items() if last_read[label] >= ti)
-
-    failed: set[tuple[int, int, frozenset]] = set()
-    path: list[tuple[tuple, tuple | None]] = []  # each open state, and its skip state while untried
-    state = (0, 0, {})
-    while True:
-        ti, ii, mapping = state
-        if ti == len(t_pats):
-            return mapping
-        if len(i_pats) - ii >= len(t_pats) - ti and not (failed and key(state) in failed):
-            # first align t_pats[ti] with i_pats[ii], then skip i_pats[ii]
-            unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
-            skip = (ti, ii + 1, mapping)
-            if unified is not None:
-                path.append((state, skip))
-                state = (ti + 1, ii + 1, unified)
-            else:
-                path.append((state, None))
-                state = skip
-            continue
-        while path:  # the state failed: resume the innermost open state with an untried skip
-            opened, skip = path.pop()
-            if skip is not None:
-                path.append((opened, None))
-                state = skip
-                break
-            failed.add(key(opened))
-        else:
-            return None
-
-
-def placeholder_iris(template: Template, pair) -> dict[str, str] | None:
-    """`align_placeholders` of the template on the pair's query.
-
-    A query text that the template's `QueryForm` matches in full is the
-    template's query with each placeholder bound to one IRI, so the alignment
-    is that binding, read with no parse. Any other text (a query holding more
-    patterns than the template, one spaced otherwise, or one binding a
-    placeholder to a ``Placeholder:...`` text) is aligned on the pair's AST.
-    """
-    iris = template.query_form.match(pair.query_text)
-    return iris if iris is not None else align_placeholders(template, pair.query_ast)
 
 
 def split_iri(iri: str) -> tuple[str, str]:

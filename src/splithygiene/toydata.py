@@ -297,7 +297,6 @@ def build_seeds() -> list[Seed]:
 
 def write_toy_dataset(out_dir) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "toy.nt", (f"<{s}> <{p}> <{o}> ." for s, p, o in build_triples()))
     write_seeds(out / "seeds.jsonl", build_seeds())
 

@@ -6,9 +6,9 @@ triple list, slot matching by enumerating every segmentation, and subsequence
 checking by trying every index mapping. The exceptions are the package's
 earlier loops kept as references for their fast replacements. The memorizer
 training reference is the per-partition trainer, which harvests every train
-instance's labels (aligning each template with the query that the reference
-parser reads, where `synthesis.placeholder_iris` matches the query text
-against the template's compiled form first) and lists, for each question
+instance's labels (reading each template back from the query that the
+reference parser reads, where the package matches the query text against
+the template's compiled form) and lists, for each question
 token, the fallback positions holding it; a model that selects rows of a
 once-per-corpus index must agree with it field for field, and its fallback
 tables must be these postings cut into frequent and rare tokens. It shares
@@ -24,8 +24,10 @@ template-split reference tries it on every (template, seed) pair; both read
 a template's concrete predicates with their own loop over its patterns. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
-The placeholder-alignment reference is the plain subsequence walk, with the
-one-pattern unifier of `synthesis` and no memo of failed states. The query parser
+The read-back reference compares the parsed query with the template's term
+by term: the same form, the same SELECT list, as many patterns, and each
+placeholder unified with one IRI, where the package matches text against a
+regular expression. The query parser
 reference is the character scanner, which reads one character at a time where
 the package walks lexemes, and the tokenizer reference runs the
 trailing-punctuation loop on every token.
@@ -62,13 +64,7 @@ from splithygiene.qlang import (
     serialize,
     span_tokens,
 )
-from splithygiene.synthesis import (
-    _DEFAULT_NAMESPACE,
-    _namespace,
-    _unify_pattern,
-    align_placeholders,
-    label_to_iri_form,
-)
+from splithygiene.synthesis import _DEFAULT_NAMESPACE, _namespace, label_to_iri_form
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +367,8 @@ class RefMemorizer:
 def ref_harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     """The (slot text, IRI) pairs of an instance: its origin template's if attributed, else each attributed one's.
 
-    Each template's bindings come from the matcher and its IRIs from aligning
-    it with the query that the reference parser reads from the query text.
+    Each template's bindings come from the matcher and its IRIs from reading
+    it back from the query that the reference parser reads from the query text.
     """
     attributed = index.attributed(inst.id)
     origin = inst.origin_template_id
@@ -380,7 +376,7 @@ def ref_harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     for tid in [origin] if origin in attributed else attributed:
         template = index.templates[tid]
         bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
-        iris = align_placeholders(template, ref_parse_query(inst.pair.query_text))
+        iris = ref_read_back(template, ref_parse_query(inst.pair.query_text))
         if iris is None:
             continue
         for label, span in bindings.items():
@@ -468,27 +464,29 @@ def ref_memorizer_predict(model, nlq) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Placeholder alignment
+# Placeholder read-back
 # ---------------------------------------------------------------------------
 
-def ref_align_placeholders(template, instance_ast):
-    """Depth-first walk over the ordered subsequences, exponential in the worst case."""
-    t_pats = template.query_pattern.patterns
-    i_pats = instance_ast.patterns
+def _ref_unify_term(t_term, i_term, mapping: dict[str, str]) -> bool:
+    """Unify one template term with one query term, binding a placeholder in `mapping`."""
+    if isinstance(t_term, Placeholder):
+        return isinstance(i_term, Iri) and mapping.setdefault(t_term.label, i_term.value) == i_term.value
+    return t_term == i_term
 
-    def walk(ti: int, ii: int, mapping: dict[str, str]):
-        if ti == len(t_pats):
-            return mapping
-        if len(i_pats) - ii < len(t_pats) - ti:
-            return None
-        unified = _unify_pattern(t_pats[ti], i_pats[ii], mapping)
-        if unified is not None:
-            result = walk(ti + 1, ii + 1, unified)
-            if result is not None:
-                return result
-        return walk(ti, ii + 1, mapping)
 
-    return walk(0, 0, {})
+def ref_read_back(template, instance_ast):
+    """Each placeholder label's IRI when the query is the template's query with one IRI per placeholder, else None."""
+    t_ast = template.query_pattern
+    if (t_ast.form, t_ast.select_vars) != (instance_ast.form, instance_ast.select_vars):
+        return None
+    if len(t_ast.patterns) != len(instance_ast.patterns):
+        return None
+    mapping: dict[str, str] = {}
+    for t_pattern, i_pattern in zip(t_ast.patterns, instance_ast.patterns):
+        for t_term, i_term in zip(t_pattern, i_pattern):
+            if not _ref_unify_term(t_term, i_term, mapping):
+                return None
+    return mapping
 
 
 # ---------------------------------------------------------------------------

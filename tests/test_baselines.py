@@ -91,7 +91,7 @@ def test_memorizer_reads_its_templates_from_the_index_in_id_order(industry_templ
 
 
 # ---------------------------------------------------------------------------
-# align_placeholders
+# placeholder read-back
 # ---------------------------------------------------------------------------
 
 _ALIGN_IRIS = [qlang.Iri(v) for v in ("e:a", "e:b", "e:c")]
@@ -99,8 +99,16 @@ _ALIGN_VARS = [qlang.Var(v) for v in ("x", "y")]
 _ALIGN_PREDS = [qlang.Iri("p:p"), qlang.Iri("p:q")]
 
 
+def _head(rnd, patterns) -> tuple[str, tuple[str, ...]]:
+    """ASK, or SELECT DISTINCT over one or two of the patterns' variables."""
+    names = sorted({t.name for p in patterns for t in p if isinstance(t, qlang.Var)})
+    if not names or rnd.random() < 0.5:
+        return qlang.ASK, ()
+    return qlang.SELECT_DISTINCT, tuple(rnd.sample(names, rnd.randrange(1, len(names) + 1)))
+
+
 def _align_case(rnd):
-    """A random template and an instance query holding a noisy copy of its patterns."""
+    """A random template and an instance query holding a noisy copy of its patterns, form and SELECT list."""
     labels = rnd.sample(["A", "B"], rnd.randrange(0, 3))
     holders = [qlang.Placeholder(label) for label in labels]
     t_pats = []
@@ -112,78 +120,84 @@ def _align_case(rnd):
         if not any(holder in p for p in t_pats):
             t_pats.insert(rnd.randrange(len(t_pats) + 1), (holder, rnd.choice(_ALIGN_PREDS), rnd.choice(_ALIGN_IRIS)))
     nlq = " ".join(["w"] + [f"<{label}> w" for label in labels])
-    template = synthesis.Template("t", qlang.NlqPattern.from_text(nlq),
-                                  qlang.QueryAst(qlang.ASK, (), tuple(t_pats)), "s")
+    t_head = _head(rnd, t_pats)
+    template = synthesis.Template("t", qlang.NlqPattern.from_text(nlq), qlang.QueryAst(*t_head, tuple(t_pats)), "s")
     binding = {label: rnd.choice(_ALIGN_IRIS) for label in labels}
 
     def concrete(term):
         if isinstance(term, qlang.Placeholder):
             return binding[term.label] if rnd.random() < 0.9 else rnd.choice(_ALIGN_IRIS)
-        return term if rnd.random() < 0.9 else rnd.choice(_ALIGN_IRIS + _ALIGN_VARS)
+        return term if rnd.random() < 0.95 else rnd.choice(_ALIGN_IRIS + _ALIGN_VARS)
 
     i_pats = [tuple(concrete(t) for t in p) for p in t_pats if rnd.random() < 0.9]
-    for _ in range(rnd.randrange(0, 5)):
+    for _ in range(rnd.choice([0, 0, 0, 1, 2])):
         i_pats.insert(rnd.randrange(len(i_pats) + 1), tuple(concrete(t) for t in rnd.choice(t_pats)))
     if not i_pats:
         i_pats = [(rnd.choice(_ALIGN_IRIS), rnd.choice(_ALIGN_PREDS), rnd.choice(_ALIGN_IRIS))]
     i_pats = [(s, p if isinstance(p, qlang.Iri) else rnd.choice(_ALIGN_PREDS), o) for s, p, o in i_pats]
-    return template, qlang.QueryAst(qlang.ASK, (), tuple(i_pats))
+    i_vars = {t.name for p in i_pats for t in p if isinstance(t, qlang.Var)}
+    i_head = t_head if rnd.random() < 0.9 and i_vars.issuperset(t_head[1]) else _head(rnd, i_pats)
+    return template, qlang.QueryAst(*i_head, tuple(i_pats))
 
 
-def test_align_placeholders_equals_the_plain_walk_on_random_cases():
+def _respaced(rnd, text: str) -> str:
+    """The query text with other spacing and perhaps a "." before its closing brace: it parses as the text does."""
+    spaced = "".join(rnd.choice([" ", "  ", "\n", " \t "]) if c == " " else c for c in text)
+    return spaced[:-1] + rnd.choice(["}", ". }"])
+
+
+def test_query_form_match_equals_the_reference_read_back_on_random_cases():
     outcomes = Counter()
-    for case in range(800):
-        template, instance_ast = _align_case(random.Random(case))
-        expected = references.ref_align_placeholders(template, instance_ast)
-        assert synthesis.align_placeholders(template, instance_ast) == expected, case
+    for case in range(2000):
+        rnd = random.Random(case)
+        template, instance_ast = _align_case(rnd)
+        expected = references.ref_read_back(template, instance_ast)
+        text = qlang.serialize(instance_ast)
+        assert template.query_form.match(text) == expected, case
+        assert template.query_form.match(_respaced(rnd, text)) == expected, case
         outcomes["none" if expected is None else "bound" if expected else "empty"] += 1
+        outcomes[instance_ast.form] += expected is not None
     assert min(outcomes.values()) >= 50, outcomes
 
 
-def _chain_query(n, tail):
-    return "ASK WHERE { " + " . ".join(["?x <p:p> ?y"] * n + [tail]) + " }"
-
-
-def test_align_placeholders_rejects_a_long_unalignable_query_without_trying_every_subsequence():
-    # C(30, 15) ~ 1.6e8 ways to place the template's first 15 patterns; the last never unifies
-    template = synthesis.Template("t", qlang.NlqPattern.from_text("is <A> ok ?"),
-                                  qlang.parse_query(_chain_query(15, "?w <p:q> <Placeholder:A>")), "s")
-    instance_ast = qlang.parse_query(_chain_query(30, "?x <p:q> <e:z>"))
-    assert synthesis.align_placeholders(template, instance_ast) is None
-
-
-def test_align_placeholders_aligns_a_5000_pattern_query_without_recursing():
+def test_query_form_reads_back_a_5000_pattern_query():
     n = 5000
     body = " . ".join(f"<Placeholder:A> <p:{i}> <Placeholder:B>" for i in range(n))
     template = synthesis.Template("t", qlang.NlqPattern.from_text("is <A> with <B> ?"),
                                   qlang.parse_query(f"ASK WHERE {{ {body} }}"), "s")
-    # each template pattern meets a noise pattern it cannot take first
-    noisy = " . ".join(f"<e:b> <p:{i}> <e:a> . <e:a> <p:{i}> <e:b>" for i in range(n))
-    assert synthesis.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {noisy} }}")) == {
-        "A": "e:b", "B": "e:a"}
-    shifted = " . ".join(f"<e:a> <p:{(i + 1) % n}> <e:b>" for i in range(n))
-    assert synthesis.align_placeholders(template, qlang.parse_query(f"ASK WHERE {{ {shifted} }}")) is None
+    form = template.query_form
+    filled = form.fill({"a": "e:a", "b": "e:b"})
+    for text, expected in ((filled, {"A": "e:a", "B": "e:b"}),
+                           (filled.replace(" . ", " .\n"), {"A": "e:a", "B": "e:b"}),  # spaced otherwise
+                           (filled.replace(f"<p:{n - 1}> <e:b>", f"<p:{n - 1}> <e:c>"), None),  # B binds two IRIs
+                           (filled.replace(" }", " . <e:a> <p:0> <e:b> }"), None)):  # one pattern more
+        assert form.match(text) == expected
+        assert references.ref_read_back(template, qlang.parse_query(text)) == expected
 
 
-def test_align_placeholders_stays_polynomial_when_the_placeholders_differ(monkeypatch):
-    # k distinct placeholders on one predicate, then a pattern that never unifies, against 2k
-    # candidates: every partial binding differs, but none is read again after its pattern
-    k = 15
-    labels = [f"A{i}" for i in range(k)]
-    body = " . ".join(f"<Placeholder:{label}> <p:p> ?x" for label in labels)
-    template = synthesis.Template("t", qlang.NlqPattern.from_text(" ".join(f"w <{label}>" for label in labels)),
-                                  qlang.parse_query(f"ASK WHERE {{ {body} . ?w <p:q> <e:z> }}"), "s")
-    instance_ast = qlang.parse_query("ASK WHERE { " + " . ".join(f"<e:{j}> <p:p> ?x" for j in range(2 * k)) + " }")
-    calls = Counter()
-    unify = synthesis._unify_pattern
+def test_a_subsumed_template_harvests_no_label_from_a_longer_query():
+    # the shorter template matches the question with B = "oslo and in the pizza industry", and its one
+    # pattern is the query's first; only the template whose query the row fills reads its IRIs back
+    dbo = "http://dbpedia.org/ontology/"
+    short = synthesis.Template("t-hq", qlang.NlqPattern.from_text("Is <A> headquartered in <B>?"), qlang.parse_query(
+        f"ASK WHERE {{ <Placeholder:A> <{dbo}headquarter> <Placeholder:B> }}"), "s0")
+    longer = synthesis.Template(
+        "t-hq-industry", qlang.NlqPattern.from_text("Is <A> headquartered in <B> and in the <C> industry?"),
+        qlang.parse_query(f"ASK WHERE {{ <Placeholder:A> <{dbo}headquarter> <Placeholder:B> . "
+                          f"<Placeholder:A> <{dbo}industry> <Placeholder:C> }}"), "s1")
+    row = make_instance("line-0", "is acme headquartered in oslo and in the pizza industry ?",
+                        f"ASK WHERE {{ <{DBR}Acme> <{dbo}headquarter> <{DBR}Oslo> . "
+                        f"<{DBR}Acme> <{dbo}industry> <{DBR}Pizza> }}")
+    index = attribution.build_index([row], [short, longer])
+    assert index.attributed(row.id) == ("t-hq", "t-hq-industry")
+    labels = baselines._harvest(row, index)
+    assert labels == references.ref_harvest(row, index)
+    assert sorted(labels) == [("acme", f"{DBR}Acme"), ("oslo", f"{DBR}Oslo"), ("pizza", f"{DBR}Pizza")]
+    assert _memorizer([row], index).label_index == dict(labels)
 
-    def counted(*args):
-        calls["unify"] += 1
-        return unify(*args)
 
-    monkeypatch.setattr(synthesis, "_unify_pattern", counted)
-    assert synthesis.align_placeholders(template, instance_ast) is None
-    assert calls["unify"] <= (k + 2) * (2 * k + 1), calls  # one per (template pattern, instance pattern)
+def _chain_query(n, tail):
+    return "ASK WHERE { " + " . ".join(["?x <p:p> ?y"] * n + [tail]) + " }"
 
 
 def test_memorize_trains_on_an_attributed_but_unalignable_instance(tmp_path):
@@ -541,9 +555,9 @@ def _fresh(inst, origin):
 
 
 def test_text_harvest_equals_the_reference_harvest_on_the_toy_and_4x_worlds(toy_data, scaled_world):
-    # without origins every attributed template is read, subsumed ones included: their form cannot
-    # match a longer query, so those pairs take the alignment on a parsed query
-    aligned = 0
+    # without origins every attributed template is read, subsumed ones included: their form misses a
+    # longer query, which then binds nothing, as the reference's term-by-term read-back says
+    missed = 0
     for data in (toy_data, scaled_world[1]):
         index = data.index
         for inst in data.instances:
@@ -554,38 +568,39 @@ def test_text_harvest_equals_the_reference_harvest_on_the_toy_and_4x_worlds(toy_
             for tid in index.attributed(inst.id):
                 template = index.templates[tid]
                 iris = template.query_form.match(inst.pair.query_text)
-                assert iris is None or iris == synthesis.align_placeholders(template, ast), (inst.id, tid)
-                aligned += iris is None
-    assert aligned > 1000
+                assert iris == references.ref_read_back(template, ast), (inst.id, tid)
+                missed += iris is None
+    assert missed > 1000
 
 
 def test_harvest_aligns_a_query_its_form_does_not_match(industry_template):
+    # a query spaced otherwise is read back from its canonical text; one pattern more, or a placeholder
+    # where the row needs an IRI, binds nothing
     form = industry_template.query_form
     canonical = COMICS_INSTANCE_QUERY.replace("{", "{ ").replace("}", " }")
-    assert form.match(canonical) == {"A": f"{DBR}Publishing", "B": f"{DBR}Robot_Comics"}
-    for text in (COMICS_INSTANCE_QUERY,  # spaced otherwise
-                 canonical.replace(" }", f" . <{DBR}Robot_Comics> <p:extra> ?x }}"),  # one pattern more
-                 canonical.replace(f"{DBR}Publishing", "Placeholder:A")):  # a placeholder, not an IRI
-        assert form.match(text) is None
-        pair = corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, text)
-        assert synthesis.placeholder_iris(industry_template, pair) == synthesis.align_placeholders(
-            industry_template, qlang.parse_query(text))
-    assert synthesis.placeholder_iris(industry_template, corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, canonical)) \
-        == form.match(canonical)
+    assert form.pattern.fullmatch(COMICS_INSTANCE_QUERY) is None
+    assert form.match(COMICS_INSTANCE_QUERY) == form.match(canonical) == {
+        "A": f"{DBR}Publishing", "B": f"{DBR}Robot_Comics"}
+    for text, labels in ((COMICS_INSTANCE_QUERY, [("publishing", f"{DBR}Publishing"),
+                                                  ("robot comics", f"{DBR}Robot_Comics")]),
+                         (canonical.replace(" }", f" . <{DBR}Robot_Comics> <p:extra> ?x }}"), []),
+                         (canonical.replace(f"{DBR}Publishing", "Placeholder:A"), [])):
+        row = make_instance("i1", COMICS_INSTANCE_NLQ, text, origin=industry_template.id)
+        index = attribution.build_index([row], [industry_template])
+        assert baselines._harvest(row, index) == references.ref_harvest(row, index) == labels, text
 
 
 def test_memorizer_index_harvests_once_per_corpus_instance(tmp_path, monkeypatch, toy_data, toy_config):
     # exp1 trains six memorizers on overlapping train sets; the harvest reads the IRIs once per
     # (corpus instance, harvested template), from the query text, and its bindings from the match table
     calls = _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config,
-                        [(attribution, "match_nlq"), (baselines, "placeholder_iris"),
-                         (synthesis, "align_placeholders")])
+                        [(attribution, "match_nlq"), (synthesis.QueryForm, "match"), (qlang, "parse_query")])
     index = toy_data.index
     harvested = sum(1 if inst.origin_template_id in index.attributed(inst.id) else len(index.attributed(inst.id))
                     for inst in toy_data.instances)
-    assert 0 < calls["placeholder_iris", "harvest"] <= harvested, (calls, harvested)
+    assert 0 < calls["match", "harvest"] <= harvested, (calls, harvested)
     # every toy row's query is its origin template's query filled in, so no harvest parses one
-    assert calls["align_placeholders", "harvest"] == 0, calls
+    assert calls["parse_query", "harvest"] == 0, calls
     assert calls["match_nlq", "harvest"] == 0 < calls["match_nlq", "build_index"], calls
 
 
@@ -619,16 +634,16 @@ def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypat
 
 def test_a_harvest_that_aligns_parsed_queries_leaves_no_ast_on_its_rows(tmp_path, toy_data, toy_config):
     # a split read without its manifest has no origins, so every attributed template is read, and a
-    # subsumed template's form cannot match the longer query: those rows are aligned on a parsed query
+    # subsumed template's form misses the longer query: those queries are parsed to their canonical text
     seed = toy_config.rng_seeds[0]
     split = partitioner.leaky_partition(toy_data.instances, toy_config.ratios, seed)
     experiments.write_partition(tmp_path, split, "leaky", seed, toy_config.ratios, toy_data.config_digest)
     train = corpus.read_parallel(tmp_path / "train.nlq", tmp_path / "train.ql")
     index = attribution.build_index(train, toy_data.templates)
-    aligned = sum(index.templates[tid].query_form.match(inst.pair.query_text) is None
-                  for inst in train for tid in index.attributed(inst.id))
+    missed = sum(index.templates[tid].query_form.match(inst.pair.query_text) is None
+               for inst in train for tid in index.attributed(inst.id))
     model = _memorizer(train, index)
-    assert aligned > 100
+    assert missed > 100
     assert all("query_ast" not in vars(inst.pair) for inst in train)
     assert list(model.label_index.items()) == list(references.ref_train_memorizer(train, index).label_index.items())
     questions = [inst.pair.nlq for inst in split.test]

@@ -202,24 +202,46 @@ def test_a_template_with_an_empty_id_keeps_its_origins_through_generate(tmp_path
     assert manifest["origins"] == json.loads((out / "instances.manifest.json").read_text())["origins"]
 
 
-@pytest.mark.parametrize("command", ["extract", "attribute", "eval"])
-def test_an_output_in_a_missing_directory_is_named(tmp_path, runner, command):
+def _output_commands(tmp_path, runner) -> dict[str, list[str]]:
+    """Each command that writes one file, with its inputs on the toy data, less the option naming its output."""
     templates = tmp_path / "templates.jsonl"
     _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
     (tmp_path / "c.nlq").write_text("is this here ?\n")
     (tmp_path / "c.ql").write_text("ASK WHERE { <e:s> <p:p> <e:o> }\n")
+    nlq, ql = str(tmp_path / "c.nlq"), str(tmp_path / "c.ql")
+    return {
+        "extract": ["extract", "--seeds", SEEDS, "--out"],
+        "attribute": ["attribute", "--nlq", nlq, "--ql", ql, "--templates", str(templates), "--out"],
+        "memorize": ["memorize", "--train-nlq", nlq, "--train-ql", ql, "--templates", str(templates),
+                     "--input", nlq, "--out"],
+        "lm": ["lm", "--train-ql", ql, "--eval-ql", ql, "--out-logp"],
+        "eval": ["eval", "--pred", ql, "--test", ql, "--out"],
+    }
+
+
+@pytest.mark.parametrize("command", ["extract", "attribute", "eval"])
+def test_an_output_in_a_missing_directory_is_named(tmp_path, runner, command):
+    # the missing directory cannot be made, because a file holds its parent's name
+    args = _output_commands(tmp_path, runner)[command]
+    (tmp_path / "blocker").write_text("a file where a directory is needed")
     before = sorted(tmp_path.rglob("*"))
-    out = tmp_path / "missing" / "out.txt"
-    args = {
-        "extract": ["extract", "--seeds", SEEDS],
-        "attribute": ["attribute", "--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql"),
-                      "--templates", str(templates)],
-        "eval": ["eval", "--pred", str(tmp_path / "c.ql"), "--test", str(tmp_path / "c.ql")],
-    }[command]
-    result = runner.invoke(main, args + ["--out", str(out)])
-    assert result.exit_code == 2
-    assert result.output.splitlines()[-1] == f"error: [Errno 2] No such file or directory: '{out}'"
+    missing = tmp_path / "blocker" / "missing"
+    result = runner.invoke(main, args + [str(missing / "out.txt")])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == f"error: [Errno 20] Not a directory: '{missing}'"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["extract", "attribute", "memorize", "lm", "eval", "report"])
+def test_every_command_writes_into_a_missing_directory(tmp_path, runner, command):
+    out = tmp_path / "missing" / "deeper" / "out.txt"
+    if command == "report":
+        _ok(runner.invoke(main, ["report", "--workdir", str(out.parent)]))
+        out = out.parent / "consolidated.csv"
+    else:
+        _ok(runner.invoke(main, _output_commands(tmp_path, runner)[command] + [str(out)]))
+    assert out.read_text(encoding="utf-8")
+    assert [p.name for p in out.parent.iterdir()] == [out.name]
 
 
 def test_corrupt_input_is_a_validation_error(tmp_path, runner):
@@ -377,6 +399,7 @@ def test_failed_stage_is_named(tmp_path, monkeypatch):
     assert (last["metric"], last["split"]) == ("incomplete", "sanitized-halved")
 
 
+# stage: the first stage of exp1 that reads the key; the check at load stops the run before any stage
 @pytest.mark.parametrize("line, stage", [
     ("ratios = 0.5, 0.5, 0.5", "leaky-101"),
     ("seed_test_fraction = 1.5", "pipeline"),
@@ -389,10 +412,25 @@ def test_invalid_preset_config_exits_2_without_traceback(tmp_path, line, stage):
          "--workdir", str(tmp_path / "w")],
         capture_output=True, text=True)
     assert result.returncode == 2, result.stderr
-    assert result.stderr.startswith("error:")
+    assert result.stderr.startswith(f"error: {config}:1: {line.split()[0]}: ")
     assert "Traceback" not in result.stdout + result.stderr
-    last = _report_rows(tmp_path / "w" / "exp1" / "report.csv")[-1]
-    assert (last["metric"], last["split"]) == ("incomplete", stage)
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed_test_fraction = -0.5", "seed_test_fraction: seed test fraction must be in [0, 1]: -0.5"),
+    ("fractions = 0.5, 2.0", "fractions: fraction must be in (0, 1]: 2.0"),
+    ("fractions = 0, 1", "fractions: fraction must be in (0, 1]: 0"),
+])
+@pytest.mark.parametrize("preset", ["exp1", "exp3"])
+def test_a_key_out_of_range_is_named_at_load_for_every_preset(tmp_path, runner, line, message, preset):
+    # exp1 and exp3 read no fractions, yet a config that exp2 would reject is rejected for them too
+    config = tmp_path / "run.conf"
+    config.write_text("instance_limit = 3\n" + line + "\n")
+    result = runner.invoke(main, ["run", preset, "--config", str(config), "--workdir", str(tmp_path / "w")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {config}:2: {message}\n"
+    assert not (tmp_path / "w").exists()
 
 
 @pytest.mark.parametrize("line, key", [
@@ -558,13 +596,14 @@ def test_a_seed_with_a_raw_line_separator_in_a_json_string_is_one_record(tmp_pat
 @pytest.mark.parametrize("preset, ratios, message", [
     ("exp2", "nan, 0, 1", "ratios must be finite: (nan, 0, 1)"),
     ("exp3", "5, 5, 5", "ratios must sum to 1: (5, 5, 5)"),
+    ("exp1", "0.8, 0.1, -0.1", "ratios must be non-negative: (0.8, 0.1, -0.1)"),
 ])
 def test_a_preset_writes_no_manifest_with_bad_ratios(tmp_path, runner, preset, ratios, message):
     config = tmp_path / "run.conf"
     config.write_text(f"ratios = {ratios}\ninstance_limit = 3\n")
     result = runner.invoke(main, ["run", preset, "--config", str(config), "--workdir", str(tmp_path / "w")])
     assert result.exit_code == 2, result.output
-    assert result.output == f"error: {message}\n"
+    assert result.output == f"error: {config}:1: ratios: {message}\n"
     assert not list((tmp_path / "w").rglob("manifest.json"))
 
 
@@ -779,8 +818,10 @@ def test_load_config_returns_a_valid_config_or_an_exit_2_error(tmp_path, lines):
         assert type(getattr(cfg, key)) is str
     assert type(cfg.rng_seeds) is tuple and cfg.rng_seeds and all(map(_is_int, cfg.rng_seeds))
     assert type(cfg.ratios) is tuple and len(cfg.ratios) == 3 and all(map(_is_real, cfg.ratios))
-    assert _is_real(cfg.seed_test_fraction)
+    assert min(cfg.ratios) >= 0 and abs(sum(cfg.ratios) - 1) <= 1e-9
+    assert _is_real(cfg.seed_test_fraction) and 0 <= cfg.seed_test_fraction <= 1
     assert type(cfg.fractions) is tuple and cfg.fractions and all(map(_is_real, cfg.fractions))
+    assert all(0 < f <= 1 for f in cfg.fractions)
     assert _is_int(cfg.instance_limit) and cfg.instance_limit >= 0
     assert _is_int(cfg.lm_order) and cfg.lm_order >= 1
     assert _is_real(cfg.lm_k) and math.isfinite(cfg.lm_k) and cfg.lm_k > 0
@@ -812,6 +853,21 @@ def test_seed_test_fraction_out_of_range_is_rejected(tmp_path, runner, fraction)
         "--out-dir", str(tmp_path / "split")])
     assert result.exit_code == 2, result.output
     assert "seed test fraction must be in [0, 1]" in result.output
+
+
+@pytest.mark.parametrize("scheme", ["leaky", "sanitized"])
+def test_partition_checks_the_seed_test_fraction_before_it_reads_the_corpus(tmp_path, runner, scheme):
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text("NOT A QUERY\n")
+    (tmp_path / "s.jsonl").write_text(_SEED_LINE + "\n")
+    (tmp_path / "t.jsonl").write_text(_TEMPLATE_LINE + "\n")
+    result = runner.invoke(main, ["partition", "--scheme", scheme, "--nlq", str(tmp_path / "c.nlq"),
+                                  "--ql", str(tmp_path / "c.ql"), "--templates", str(tmp_path / "t.jsonl"),
+                                  "--seeds", str(tmp_path / "s.jsonl"), "--seed-test-fraction", "1.5",
+                                  "--out-dir", str(tmp_path / "split")])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: seed test fraction must be in [0, 1]: 1.5\n"
+    assert not (tmp_path / "split").exists()
 
 
 def test_stage_subcommands_match_preset(tmp_path, runner):

@@ -13,8 +13,7 @@ from conftest import (
 from splithygiene import corpus, experiments, kgstore, qlang, synthesis
 from splithygiene.errors import AdjacentSlots, UnlocatableEntity
 from splithygiene.qlang import Iri, NlqPattern, Placeholder, match_nlq, parse_query, serialize
-from splithygiene.synthesis import align_placeholders
-from references import ref_bind_placeholders, ref_concrete_predicates, ref_eval
+from references import ref_bind_placeholders, ref_concrete_predicates, ref_eval, ref_read_back
 
 DBR = "http://dbpedia.org/resource/"
 DBO_INDUSTRY = "http://dbpedia.org/ontology/industry"
@@ -226,7 +225,7 @@ def test_generated_instances_invert_and_hold(toy_data, toy_config):
 
 def _assert_forms_equal_the_reference_binder(templates, graph) -> int:
     """Every binding row of every template: the compiled text and predicates equal the term-by-term
-    rebuild's, and matching the text reads back the alignment of the rebuild."""
+    rebuild's, and matching the text reads back the reference read-back of the rebuild."""
     checked = 0
     for template in templates:
         form = template.query_form
@@ -236,7 +235,7 @@ def _assert_forms_equal_the_reference_binder(templates, graph) -> int:
             expected = ref_bind_placeholders(template, row)
             assert form.fill(row) == serialize(expected)
             assert form.fill_predicates(row) == tuple(qlang.extract_predicates(expected))
-            assert form.match(form.fill(row)) == align_placeholders(template, expected)
+            assert form.match(form.fill(row)) == ref_read_back(template, expected)
             checked += 1
     return checked
 
