@@ -103,7 +103,7 @@ def extract(seeds_path, out_path):
 @main.command()
 @click.option("--templates", "templates_path", type=click.Path(exists=True), required=True)
 @click.option("--kg", "kg_path", type=click.Path(exists=True), required=True)
-@click.option("--limit", type=int, default=_DEFAULTS.instance_limit, show_default=True,
+@click.option("--limit", type=click.IntRange(min=0), default=_DEFAULTS.instance_limit, show_default=True,
               help="Instances per template.")
 @click.option("--out-dir", type=click.Path(), required=True)
 @_rng_seed_option

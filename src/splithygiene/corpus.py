@@ -14,11 +14,10 @@ import hashlib
 import json
 import os
 import uuid
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 from . import qlang
@@ -28,15 +27,16 @@ LEAKY = "leaky"
 SANITIZED = "sanitized"
 VALID_FRACTION = 0.1  # the share of a sanitized split's train pool cut to valid
 BATCH = 1024  # lines, or id-map members, encoded and written per chunk
+BLOCK = 1 << 16  # characters read, or bytes hashed, per step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAPair:
     """A natural-language question paired with a formal query.
 
     ``predicates`` are the query's predicate IRIs in triple order, None when
-    one of them is a placeholder. The query's AST is parsed from its text
-    when first asked for, and kept.
+    one of them is a placeholder. The pair stores no AST: ``query_ast``
+    parses the query's text each time it is asked for.
     """
 
     nlq: tuple[str, ...]
@@ -52,7 +52,7 @@ class QAPair:
         """The pair of a question and a query; a query outside the subset raises ParseError."""
         return cls(qlang.tokenize_nlq(nlq_text), query_text, qlang.query_checker()(query_text))
 
-    @cached_property
+    @property
     def query_ast(self) -> qlang.QueryAst:
         return qlang.parse_query(self.query_text)
 
@@ -95,7 +95,7 @@ class Seed:
             taken.update(range(sf.start, sf.end))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A question-query pair generated from (or attributed to) a template."""
 
@@ -168,26 +168,86 @@ def unique_ids(path, records, kept=None) -> list:
 # Parallel corpus I/O
 # ---------------------------------------------------------------------------
 
+def _not_utf8(path) -> InputFileError:
+    """The error naming the line of a file's first byte that is not UTF-8, found one line at a time."""
+    with open(path, "rb") as fh:
+        for line, data in enumerate(fh, start=1):  # a binary file's lines end at LF only
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:  # the reason decoding the whole file gives: the LF ends a sequence
+                return InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})")
+    return InputFileError(f"{path}: not UTF-8 text")  # the file changed since the read that failed
+
+
 def read_text(path) -> str:
     """A file's text; a byte sequence that is not UTF-8 raises InputFileError naming path:line."""
-    data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+class _Lines:
+    """A file's LF-delimited lines, without their ends, read BLOCK characters at a time.
+
+    A CR before an LF is part of the end. Only LF ends a line: a U+2028, a
+    form feed or a lone CR is text, so a JSON string that holds one stays on
+    its line. The file opens at once, and closes when the `with` block ends.
+    A file that cannot be opened, or a byte that is not UTF-8, ends the
+    lines early; `count` reads what is left, then raises that fault or
+    returns the number of lines.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.n = 0  # the lines of the blocks read so far
+        self.fault: Exception | None = None
+        try:
+            self._fh = open(path, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            self._fh, self.fault = None, exc
+        self._lines = self._read()
+
+    def __enter__(self) -> "_Lines":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+    def __iter__(self) -> Iterator[str]:
+        return self._lines
+
+    def _read(self) -> Iterator[str]:
+        if self._fh is None:
+            return
+        rest = ""  # the start of a line that the next block ends
+        try:
+            while text := self._fh.read(BLOCK):
+                lines = (rest + text).replace("\r\n", "\n").split("\n")
+                rest = lines.pop()
+                self.n += len(lines)
+                yield from lines
+        except UnicodeDecodeError:  # its offset is into one block, not the file
+            self.fault = _not_utf8(self.path)
+            return
+        if rest:
+            self.n += 1
+            yield rest
+
+    def count(self) -> int:
+        deque(self._lines, maxlen=0)
+        if self.fault is not None:
+            raise self.fault
+        return self.n
 
 
 def read_lines(path) -> list[str]:
-    """A file's LF-delimited lines, without their ends; a CR before an LF is part of the end.
-
-    Only LF ends a line: a U+2028, a form feed or a lone CR is text, so a
-    JSON string that holds one stays on its line.
-    """
-    lines = read_text(path).replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+    """A file's lines, by the rule of `_Lines`; a byte that is not UTF-8 raises InputFileError naming path:line."""
+    with _Lines(path) as lines:
+        out = list(lines)
+        lines.count()
+    return out
 
 
 # (check, description) pairs for the keys of JSON records read from outside
@@ -243,6 +303,27 @@ def read_records(path, build, required: dict, optional: dict | None = None) -> l
     return out
 
 
+def _manifest_ids(path, split: str) -> tuple[list[str], list[str | None]]:
+    """The ids a manifest lists for the split named ``split``, and each id's origin template id or None.
+
+    Equal origin ids are one str. The document is dropped when this returns.
+    """
+    keys = {"assignments": STRING_MAP, "ids": STRING_LIST, "origins": STRING_MAP}
+    doc = json_record(read_text(path), path, 1, {}, keys)
+    if "assignments" in doc:
+        ids = [k for k, v in doc["assignments"].items() if v == split]
+    elif "ids" in doc:
+        ids = doc["ids"]
+        repeated = [i for i, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise InputFileError(f"{path}: duplicate id {repeated[0]!r}")
+    else:
+        raise InputFileError(f"{path}:1: missing key 'ids' (or 'assignments')")
+    origins = doc.get("origins", {})
+    shared: dict[str, str] = {}
+    return ids, [None if (o := origins.get(i)) is None else shared.setdefault(o, o) for i in ids]
+
+
 def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     """Read line-aligned .nlq/.ql files into instances.
 
@@ -253,49 +334,45 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     Each query goes through one `qlang.query_checker`, so the parser runs
     once per query shape, and a row keeps its query's predicates, not its AST.
     A bad line raises InputFileError naming path and line, any parser offset kept.
+
+    Both files are read a block at a time, in step (`_Lines`), and the
+    manifest is read before the rows are built. A fault found on the way is
+    raised once both files are read, in this order: the .nlq file, then the
+    .ql file, cannot be read or is not UTF-8; their line counts differ; the
+    manifest is bad, or lists another number of ids; the first bad line.
     """
-    nlq_lines = read_lines(nlq_path)
-    query_lines = read_lines(query_path)
-    if len(nlq_lines) != len(query_lines):
-        raise LineCountMismatch(
-            f"{nlq_path} has {len(nlq_lines)} lines but {query_path} has {len(query_lines)}"
-        )
-    ids = [f"line-{i}" for i in range(len(nlq_lines))]
-    origins: dict[str, str] = {}
-    if manifest_path is not None:
-        keys = {"assignments": STRING_MAP, "ids": STRING_LIST, "origins": STRING_MAP}
-        doc = json_record(read_text(manifest_path), manifest_path, 1, {}, keys)
-        if "assignments" in doc:
-            split = Path(nlq_path).stem
-            ids = [k for k, v in doc["assignments"].items() if v == split]
-        elif "ids" in doc:
-            ids = list(doc["ids"])
-            repeated = [i for i, n in Counter(ids).items() if n > 1]
-            if repeated:
-                raise InputFileError(f"{manifest_path}: duplicate id {repeated[0]!r}")
-        else:
-            raise InputFileError(f"{manifest_path}:1: missing key 'ids' (or 'assignments')")
-        origins = doc.get("origins", {})
-        if len(ids) != len(nlq_lines):
-            raise LineCountMismatch(
-                f"manifest lists {len(ids)} ids for {nlq_path} but the file has {len(nlq_lines)} lines"
-            )
-    out: list[Instance] = []
-    check = qlang.query_checker()
-    words: dict[str, tuple[str, ...]] = {}
-    for i, (nlq_line, query_line) in enumerate(zip(nlq_lines, query_lines)):
-        nlq = qlang.tokenize_nlq(nlq_line, words)
-        if not nlq:
-            raise InputFileError(f"{nlq_path}:{i + 1}: empty NLQ line")
-        try:
-            predicates = check(query_line)
-        except ParseError as exc:
-            raise InputFileError(f"{query_path}:{i + 1}: {exc}") from None
-        out.append(Instance(
-            id=ids[i],
-            pair=QAPair(nlq, query_line, predicates),
-            origin_template_id=origins.get(ids[i]),
-        ))
+    with _Lines(nlq_path) as nlq_lines, _Lines(query_path) as query_lines:
+        keys: Iterable[tuple[str, str | None]] = ((f"line-{i}", None) for i in count())
+        ids = manifest_fault = line_fault = None
+        if manifest_path is not None:
+            try:
+                ids, origins = _manifest_ids(manifest_path, Path(nlq_path).stem)
+                keys = zip(ids, origins)
+            except (OSError, SplitHygieneError) as exc:
+                keys, manifest_fault = (), exc
+        out: list[Instance] = []
+        check = qlang.query_checker()
+        words: dict[str, tuple[str, ...]] = {}
+        for i, ((key, origin), nlq_line, query_line) in enumerate(zip(keys, nlq_lines, query_lines), start=1):
+            nlq = qlang.tokenize_nlq(nlq_line, words)
+            if not nlq:
+                line_fault = InputFileError(f"{nlq_path}:{i}: empty NLQ line")
+                break
+            try:
+                predicates = check(query_line)
+            except ParseError as exc:
+                line_fault = InputFileError(f"{query_path}:{i}: {exc}")
+                break
+            out.append(Instance(key, QAPair(nlq, query_line, predicates), origin))
+        n, n_query = nlq_lines.count(), query_lines.count()
+    if n != n_query:
+        raise LineCountMismatch(f"{nlq_path} has {n} lines but {query_path} has {n_query}")
+    if manifest_fault is not None:
+        raise manifest_fault
+    if ids is not None and len(ids) != n:
+        raise LineCountMismatch(f"manifest lists {len(ids)} ids for {nlq_path} but the file has {n} lines")
+    if line_fault is not None:
+        raise line_fault
     return out
 
 
@@ -450,12 +527,14 @@ def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str
 # ---------------------------------------------------------------------------
 
 def file_digest(paths) -> str:
-    """SHA-256 of the given files' bytes, concatenated in order, read 1 MiB at a time."""
+    """SHA-256 of the given files' bytes, concatenated in order, read BLOCK bytes at a time into one buffer."""
     h = hashlib.sha256()
+    buffer = bytearray(BLOCK)
+    view = memoryview(buffer)
     for p in paths:
-        with open(p, "rb") as fh:
-            while block := fh.read(1 << 20):
-                h.update(block)
+        with open(p, "rb", buffering=0) as fh:
+            while n := fh.readinto(buffer):
+                h.update(view[:n])
     return h.hexdigest()
 
 

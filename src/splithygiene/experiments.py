@@ -227,11 +227,17 @@ def load_graph(kg_path) -> Graph:
 
 
 def generate_stage(templates, graph, limit: int, rng_seed: int) -> tuple[list, int]:
-    """Instantiate every template and de-duplicate; returns (instances, removed)."""
+    """Instantiate every template and de-duplicate; returns (instances, removed).
+
+    The graph is let go before de-duplication, so a graph that no caller
+    holds (both callers pass a freshly loaded one) is freed before the
+    de-duplication table is built.
+    """
     instances = []
     entities: dict = {}
     for template in templates:
         instances.extend(generate_instances(template, graph, limit, rng_seed, entities))
+    del graph, entities
     return dedup(instances)
 
 

@@ -73,9 +73,11 @@ def load_ntriples(path) -> Graph:
     comments, blank, nor well-formed triples are recorded as malformed
     (1-based line numbers) in the graph's load report, not raised; so is a
     line naming an IRI that starts like a placeholder term. A file
-    that is not UTF-8 raises InputFileError naming the line.
+    that is not UTF-8 raises InputFileError naming the line. The graph
+    holds one str per distinct IRI.
     """
     triples: set[tuple[str, str, str]] = set()
+    names: dict[str, str] = {}  # one str per distinct IRI, however often the file names it
     skipped = 0
     malformed: list[int] = []
     with open(Path(path), encoding="utf-8") as fh:
@@ -90,7 +92,8 @@ def load_ntriples(path) -> Graph:
             obj_text = m.group(3)
             obj = _IRI_OBJECT.match(obj_text)
             if obj:
-                triples.add((m.group(1), m.group(2), obj.group(1)))
+                s, p, o = m.group(1), m.group(2), obj.group(1)
+                triples.add((names.setdefault(s, s), names.setdefault(p, p), names.setdefault(o, o)))
             elif obj_text.startswith('"'):
                 skipped += 1
             else:

@@ -225,26 +225,58 @@ def query_checker() -> Callable[[str], tuple[str, ...] | None]:
     shape's predicate positions. `parse_query` runs once per new shape, and a
     query that fails the check is parsed again, so it raises the parser's
     ParseError, message and offset. Equal predicate tuples are one object.
+
+    While queries come in a run of one shape, as `generate` writes them,
+    each is first matched against the shape's pattern: its text, each angle
+    term a `CONCRETE_IRI` group that captures only at predicate positions.
+    No text of a shape that parsed holds "<" or ">", so a query that matches
+    has that shape, and all its angle terms are well-formed IRIs. A run
+    starts when two queries in a row have one shape; the pattern is compiled
+    then, once per shape, and a query of another shape ends the run.
     """
-    shapes: dict[tuple[str, ...], tuple[int, ...]] = {}  # shape -> its predicates' positions among its angle terms
+    shapes: dict[tuple[str, ...], list] = {}  # shape -> [its predicates' positions among its angle terms, pattern]
     terms: set[str] = set()  # the texts of well-formed angle terms
     predicates: dict[tuple[str, ...], tuple[str, ...] | None] = {}
+    previous: list | None = None  # the entry of the shape of the last query that was split
+    run: re.Pattern | None = None  # that shape's pattern, while its queries come in a run
 
     def check(text: str) -> tuple[str, ...] | None:
-        parts = _ANGLE_TERM.split(text)
-        angles = parts[1::2]
-        shape = tuple(parts[0::2])
-        at = shapes.get(shape)
-        if at is None or not terms.issuperset(angles):
-            if at is None or any(map(_term_error, angles)):
-                at = shapes[shape] = _predicate_positions(parse_query(text))
-            terms.update(angles)
-        preds = tuple([angles[k] for k in at])
+        nonlocal previous, run
+        m = None if run is None else run.fullmatch(text)
+        if m is not None:
+            preds = m.groups()
+        else:
+            parts = _ANGLE_TERM.split(text)
+            angles = parts[1::2]
+            shape = tuple(parts[0::2])
+            known = shapes.get(shape)
+            if known is None:
+                known = shapes[shape] = [_predicate_positions(parse_query(text)), None]
+                terms.update(angles)
+            elif not terms.issuperset(angles):
+                if any(map(_term_error, angles)):
+                    parse_query(text)  # raises: every angle term of the shape is a subject, predicate or object
+                terms.update(angles)
+            if known is previous:
+                if known[1] is None:
+                    known[1] = _shape_pattern(shape, known[0])
+                run = known[1]
+            else:
+                previous, run = known, None
+            preds = tuple([angles[k] for k in known[0]])
         if preds not in predicates:
             predicates[preds] = None if any(p.startswith(PLACEHOLDER_PREFIX) for p in preds) else preds
         return predicates[preds]
 
     return check
+
+
+def _shape_pattern(shape: tuple[str, ...], at: tuple[int, ...]) -> re.Pattern:
+    """The texts of a shape around `CONCRETE_IRI` angle terms, the terms at positions ``at`` captured."""
+    terms = [f"<(?:{CONCRETE_IRI})>"] * (len(shape) - 1)
+    for k in at:
+        terms[k] = f"<({CONCRETE_IRI})>"
+    return re.compile("".join(re.escape(part) + term for part, term in zip(shape, terms)) + re.escape(shape[-1]))
 
 
 def _predicate_positions(ast: QueryAst) -> tuple[int, ...]:

@@ -174,12 +174,13 @@ def extract_template(seed: Seed) -> Template:
     in the query.
     """
     nlq = seed.pair.nlq
+    query = seed.pair.query_ast  # parsed here, once: the pair keeps no AST
     label_iris: dict[str, str] = {}
     for label in sorted(seed.surface_forms):
         sf = seed.surface_forms[label]
         iri = sf.iri
         if iri is None:
-            iri = _locate_iri(seed.pair.query_ast, nlq[sf.start:sf.end])
+            iri = _locate_iri(query, nlq[sf.start:sf.end])
         if iri is None:
             raise UnlocatableEntity(label)
         if iri in label_iris.values():
@@ -200,7 +201,7 @@ def extract_template(seed: Seed) -> Template:
     return Template(
         id=f"t-{seed.id}",
         nlq_pattern=nlq_pattern,
-        query_pattern=_rewrite_terms(seed.pair.query_ast, Iri, lambda t: placeholders.get(t.value, t)),
+        query_pattern=_rewrite_terms(query, Iri, lambda t: placeholders.get(t.value, t)),
         origin_seed_id=seed.id,
     )
 

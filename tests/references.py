@@ -27,7 +27,10 @@ order at a time; the indexed LM must give the same float for every token.
 The read-back reference compares the parsed query with the template's term
 by term: the same form, the same SELECT list, as many patterns, and each
 placeholder unified with one IRI, where the package matches text against a
-regular expression. The query parser
+regular expression. The parallel
+reader reference reads both files whole, then the manifest, then parses
+every query, where the package streams the files and checks queries
+through one memo of shapes. The query parser
 reference is the character scanner, which reads one character at a time where
 the package walks lexemes, and the tokenizer reference runs the
 trailing-punctuation loop on every token.
@@ -40,13 +43,15 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from splithygiene import metrics
 from splithygiene.attribution import AttributionIndex
 from splithygiene.baselines import BOS, EOS, UNK
-from splithygiene.errors import EmptyCorpus, ParseError
+from splithygiene.corpus import STRING_LIST, STRING_MAP, Instance, QAPair, json_record
+from splithygiene.errors import EmptyCorpus, InputFileError, LineCountMismatch, ParseError
 from splithygiene.qlang import (
     ASK,
     SELECT_DISTINCT,
@@ -348,6 +353,72 @@ def ref_dedup_keys(keys):
         if not any(key == existing for existing in kept):
             kept.append(key)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Parallel corpus reading
+# ---------------------------------------------------------------------------
+
+def _ref_read_text(path) -> str:
+    """The whole file decoded at once; a byte that is not UTF-8 is named by the LFs before it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def _ref_read_lines(path) -> list[str]:
+    """The whole file decoded at once, CRLF turned into LF, and split at LF."""
+    lines = _ref_read_text(path).replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def ref_read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
+    """The reader that holds both files' lines: each file read whole, then the manifest, then the rows.
+
+    Every query is parsed on its own, where the package checks it through
+    one memo of query shapes.
+    """
+    nlq_lines = _ref_read_lines(nlq_path)
+    query_lines = _ref_read_lines(query_path)
+    if len(nlq_lines) != len(query_lines):
+        raise LineCountMismatch(f"{nlq_path} has {len(nlq_lines)} lines but {query_path} has {len(query_lines)}")
+    ids = [f"line-{i}" for i in range(len(nlq_lines))]
+    origins: dict[str, str] = {}
+    if manifest_path is not None:
+        keys = {"assignments": STRING_MAP, "ids": STRING_LIST, "origins": STRING_MAP}
+        doc = json_record(_ref_read_text(manifest_path), manifest_path, 1, {}, keys)
+        if "assignments" in doc:
+            split = Path(nlq_path).stem
+            ids = [k for k, v in doc["assignments"].items() if v == split]
+        elif "ids" in doc:
+            ids = list(doc["ids"])
+            repeated = [i for i, n in Counter(ids).items() if n > 1]
+            if repeated:
+                raise InputFileError(f"{manifest_path}: duplicate id {repeated[0]!r}")
+        else:
+            raise InputFileError(f"{manifest_path}:1: missing key 'ids' (or 'assignments')")
+        origins = doc.get("origins", {})
+        if len(ids) != len(nlq_lines):
+            raise LineCountMismatch(
+                f"manifest lists {len(ids)} ids for {nlq_path} but the file has {len(nlq_lines)} lines")
+    out = []
+    for i, (nlq_line, query_line) in enumerate(zip(nlq_lines, query_lines)):
+        nlq = ref_tokenize_nlq(nlq_line)
+        if not nlq:
+            raise InputFileError(f"{nlq_path}:{i + 1}: empty NLQ line")
+        try:
+            ast = ref_parse_query(query_line)
+        except ParseError as exc:
+            raise InputFileError(f"{query_path}:{i + 1}: {exc}") from None
+        predicates = [p.value for _, p, _ in ast.patterns if isinstance(p, Iri)]
+        pair = QAPair(nlq, query_line, tuple(predicates) if len(predicates) == len(ast.patterns) else None)
+        out.append(Instance(ids[i], pair, origins.get(ids[i])))
+    return out
 
 
 # ---------------------------------------------------------------------------

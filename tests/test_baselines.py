@@ -644,7 +644,8 @@ def test_a_harvest_that_aligns_parsed_queries_leaves_no_ast_on_its_rows(tmp_path
                for inst in train for tid in index.attributed(inst.id))
     model = _memorizer(train, index)
     assert missed > 100
-    assert all("query_ast" not in vars(inst.pair) for inst in train)
+    assert not any(hasattr(obj, "__dict__") for inst in train for obj in (inst, inst.pair))
+    assert all(inst.pair.query_ast == inst.pair.query_ast for inst in train)
     assert list(model.label_index.items()) == list(references.ref_train_memorizer(train, index).label_index.items())
     questions = [inst.pair.nlq for inst in split.test]
     assert baselines.memorizer_predict(model, questions) == [ref_memorizer_predict(model, q) for q in questions]

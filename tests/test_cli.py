@@ -105,6 +105,16 @@ def test_sanitized_partition_subcommand(tmp_path, runner):
     assert manifest["scheme"] == "sanitized"
 
 
+def test_generate_names_limit_when_it_is_negative(tmp_path, runner):
+    templates = tmp_path / "templates.jsonl"
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", str(templates)]))
+    result = runner.invoke(main, ["generate", "--templates", str(templates), "--kg", KG, "--limit", "-1",
+                                  "--out-dir", str(tmp_path / "gen")])
+    assert result.exit_code == 2
+    assert "Invalid value for '--limit': -1 is not in the range x>=0." in result.stderr
+    assert not (tmp_path / "gen").exists()
+
+
 def test_partition_sanitized_requires_templates(tmp_path, runner):
     gen = tmp_path / "x.nlq"
     gen.write_text("is it here ?\n")

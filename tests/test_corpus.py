@@ -1,19 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, make_instance
 from splithygiene import corpus, partitioner, qlang, toydata
-from splithygiene.errors import InputFileError, LineCountMismatch
+from splithygiene.errors import InputFileError, LineCountMismatch, SplitHygieneError
 from splithygiene.partitioner import Split3
-from references import ref_dedup_keys, ref_tokenize_nlq
+from references import ref_dedup_keys, ref_read_parallel, ref_tokenize_nlq
 
 ASK_Q = "ASK WHERE { <e:s%d> <p:p> <e:o> }"
 
@@ -206,11 +208,12 @@ def test_read_parallel_reads_a_unicode_line_break_inside_a_line_as_whitespace(tm
 def test_read_parallel_rows_hold_no_ast_until_asked(tmp_path):
     (tmp_path / "c.nlq").write_text("is one here ?\nis two here ?\n")
     (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")
-    first, second = (i.pair for i in corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql"))
-    assert "query_ast" not in vars(first) and "query_ast" not in vars(second)
+    rows = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
+    first, second = (i.pair for i in rows)
+    # slotted rows: no attribute dict to keep an AST in
+    assert not any(hasattr(obj, "__dict__") for obj in (*rows, first, second))
     assert first.predicates is second.predicates and first.predicates == ("p:p",)
-    assert first.query_ast is first.query_ast == qlang.parse_query(ASK_Q % 1)
-    assert "query_ast" in vars(first) and "query_ast" not in vars(second)
+    assert first.query_ast == first.query_ast == qlang.parse_query(ASK_Q % 1)
     assert second.query_ast.patterns[0][0] == qlang.Iri("e:s2")
 
 
@@ -228,6 +231,118 @@ def test_read_parallel_tokenizes_each_line_as_the_reference_does(tmp_path_factor
     (path / "c.ql").write_text((ASK_Q % 1 + "\n") * len(lines))
     read = corpus.read_parallel(path / "c.nlq", path / "c.ql")
     assert [inst.pair.nlq for inst in read] == [ref_tokenize_nlq(line) for line in lines]
+
+
+# query lines by kind: good ones, with a concrete or a placeholder predicate, spaced by form feeds, a lone CR
+# or U+2028; and bad ones, with a malformed IRI, a malformed placeholder label or no WHERE, and a blank line
+_GOOD_QUERIES = ["ASK WHERE { <e:s%d> <p:p> <e:o> }", "SELECT DISTINCT ?x WHERE { ?x <p:q%d> <e:o> . ?x <p:p> ?y }",
+                 "ASK WHERE {<e:s%d>\u2028<p:p>\x0c<e:o>\r}", "ASK WHERE { <e:s%d> <Placeholder:P> <e:o> }"]
+_BAD_QUERIES = ["ASK WHERE { <e:s%d> <p:p> <e o> }", "ASK WHERE { <e:s> <p:p> <Placeholder:p%d> }",
+                "ASK { <e:s%d> <p:p> <e:o> }", ""]
+
+
+def _mostly(good, bad):
+    """``good``, and one time in ten ``bad``."""
+    return st.tuples(st.integers(0, 9), good, bad).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+_QUERY_LINES = _mostly(st.tuples(st.sampled_from(_GOOD_QUERIES), st.integers(0, 3)).map(lambda q: q[0] % q[1]),
+                       st.sampled_from(_BAD_QUERIES).map(lambda q: q.replace("%d", "9")))
+_QUESTION_LINES = _mostly(st.lists(st.sampled_from(["is", "Oslo", "here?", "é", "x\u2028y", "a\x0cb", "a\rb"]),
+                                   min_size=1, max_size=4).map(" ".join),
+                          st.sampled_from(["", "\x0c", " \u2028 "]))
+# a run of rows whose queries share a shape, each row ending in LF or CRLF
+_ROW_RUNS = st.tuples(st.integers(1, 6), _QUESTION_LINES, _QUERY_LINES, st.sampled_from(["\n", "\r\n"]))
+_BAD_BYTES = st.tuples(st.sampled_from(["c.nlq", "c.ql", "m.json"]), st.integers(0, 40),
+                       st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3"]))
+
+
+def _outcome(read, *paths):
+    """The rows a reader returns, or the type and message of what it raises."""
+    try:
+        return read(*paths)
+    except (SplitHygieneError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def _manifest(kind: str, n: int) -> str:
+    ids = [f"i{k}" for k in range(n)]
+    origins = {i: f"t{k % 3}" for k, i in enumerate(ids) if k % 4}
+    return {
+        "ids": json.dumps({"ids": ids, "origins": origins}),
+        "ids-short": json.dumps({"ids": ids[1:]}),
+        "ids-long": json.dumps({"ids": ids + ["extra"]}),
+        "repeated": json.dumps({"ids": ids[:1] * 2 + ids[2:]}),
+        "assignments": json.dumps({"assignments": {f"o{k}": "other" for k in range(2)} | dict.fromkeys(ids, "c"),
+                                   "origins": origins}),
+        "no-ids": json.dumps({"origins": origins}),
+        "not-json": "{",
+    }[kind]
+
+
+@settings(max_examples=500, deadline=None)
+@given(runs=st.lists(_ROW_RUNS, max_size=6), final_lf=st.tuples(st.booleans(), st.booleans()),
+       faulty=st.booleans(), extra=st.sampled_from([None, None, None, None, "c.nlq", "c.ql"]),
+       bad_bytes=st.one_of(st.just([]), st.lists(_BAD_BYTES, min_size=1, max_size=2)),
+       manifest=st.sampled_from([None, "ids", "assignments", "ids-short", "ids-long", "repeated", "no-ids",
+                                 "not-json"]),
+       missing=st.sampled_from([None] * 9 + ["c.nlq", "c.ql", "m.json"]),
+       block=st.sampled_from([1, 2, 3, 7, 64, corpus.BLOCK]))
+def test_read_parallel_equals_the_whole_file_reference_on_random_file_pairs(tmp_path_factory, runs, final_lf, faulty,
+                                                                           extra, bad_bytes, manifest, missing, block):
+    # the streamed reader returns the rows, or raises the error, of the reader that held both files whole,
+    # whatever block size it reads (a CRLF, a character or a bad byte may straddle two blocks); a pair that is
+    # not `faulty` has no unequal line count, byte that is not UTF-8, missing file or bad manifest
+    if not faulty:
+        extra, bad_bytes, missing = None, [], None
+        manifest = manifest if manifest in (None, "ids", "assignments") else None
+    path = tmp_path_factory.mktemp("pair")
+    rows = [(question, query, end) for n, question, query, end in runs for _ in range(n)]
+    files = {"c.nlq": [question + end for question, _, end in rows], "c.ql": [query + end for _, query, end in rows]}
+    if extra is not None:
+        files[extra].append("is ASK WHERE { <e:s> <p:p> <e:o> }\n")
+    data = {}
+    for name, lines, keep_lf in zip(files, files.values(), final_lf):
+        text = "".join(lines)
+        data[name] = (text if keep_lf or not text.endswith("\n") else text[:-1]).encode("utf-8")
+    data["m.json"] = _manifest(manifest or "ids", len(rows)).encode("utf-8")
+    for name, line, byte in bad_bytes:
+        pieces = data[name].split(b"\n")
+        pieces[line % len(pieces)] += byte
+        data[name] = b"\n".join(pieces)
+    for name, content in data.items():
+        if name != missing:
+            (path / name).write_bytes(content)
+    paths = [path / "c.nlq", path / "c.ql"] + ([path / "m.json"] if manifest else [])
+    with mock.patch.object(corpus, "BLOCK", block):
+        streamed = _outcome(corpus.read_parallel, *paths)
+    assert streamed == _outcome(ref_read_parallel, *paths)
+
+
+def test_read_parallel_peaks_near_the_rows_it_returns(tmp_path, scaled_world):
+    # both files stream and the manifest is dropped before the rows are built: the read holds little beside them
+    _, data = scaled_world
+    corpus.write_corpus(tmp_path, data.instances)
+    paths = [tmp_path / f"instances.{ext}" for ext in ("nlq", "ql", "manifest.json")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = corpus.read_parallel(*paths)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert rows == data.instances and len(rows) > 16_000
+    assert kept <= 520 * len(rows), kept / len(rows)
+    assert peak <= 1.10 * kept, peak / kept
+
+
+@pytest.mark.parametrize("sizes", [[0], [1], [corpus.BLOCK - 1], [corpus.BLOCK], [corpus.BLOCK + 1],
+                                   [3, 0, corpus.BLOCK + 1, 2 * corpus.BLOCK, 5]])
+def test_file_digest_hashes_the_files_concatenated(tmp_path, sizes):
+    paths = [tmp_path / f"f{k}" for k in range(len(sizes))]
+    for k, (path, size) in enumerate(zip(paths, sizes)):
+        path.write_bytes(bytes((k + i) % 251 for i in range(size)))
+    assert corpus.file_digest(paths) == hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
 
 
 def test_read_parallel_rejects_repeated_manifest_ids(tmp_path):

@@ -34,6 +34,14 @@ def test_load_duplicate_lines_collapse(tmp_path):
     assert len(kgstore.load_ntriples(path)) == 1
 
 
+def test_load_holds_one_str_per_distinct_iri(tmp_path):
+    path = tmp_path / "g.nt"
+    path.write_text("<e:a> <p:p> <e:b> .\n<e:b> <p:p> <e:a> .\n<e:a> <p:q> <e:a> .\n<e:b> <p:p> <e:a> .\n")
+    terms = [term for triple in kgstore.load_ntriples(path).triples for term in triple]
+    assert len(terms) == 9
+    assert len({id(term) for term in terms}) == len(set(terms)) == 4
+
+
 def test_load_skips_literals_and_counts(tmp_path):
     path = tmp_path / "g.nt"
     path.write_text(

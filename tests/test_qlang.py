@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,15 +221,45 @@ def _parsed_predicates(text):
         return None
 
 
+# concrete IRIs, one that holds the placeholder prefix after its start, and placeholders
+_GOOD_ANGLES = ["<e:s>", "<p:p>", "<p:q>", "<e:é>", "<x:Placeholder:A>", "<Placeholder:A>", "<Placeholder:B1>"]
+
+
+@st.composite
+def _shape_runs(draw):
+    """Queries of one shape in a row, most of their angle terms well-formed: from the third on, the last shape's
+    pattern answers when every term is a concrete IRI."""
+    pieces = draw(st.sampled_from(_SHAPES)).split("@")
+    angles = st.one_of(st.sampled_from(_GOOD_ANGLES), st.sampled_from(_GOOD_ANGLES), st.sampled_from(_ANGLES))
+    runs = draw(st.lists(st.lists(angles, min_size=len(pieces) - 1, max_size=len(pieces) - 1), min_size=1,
+                         max_size=6))
+    return ["".join(piece + term for piece, term in zip(pieces, terms)) + pieces[-1] for terms in runs]
+
+
 @settings(max_examples=400, deadline=None)
-@given(texts=st.lists(st.one_of(_shaped_queries(), _shaped_queries(), st.text(max_size=30)), min_size=1,
-                      max_size=20))
-def test_query_checker_reads_what_the_parser_reads_through_one_memo(texts):
+@given(runs=st.lists(st.one_of(_shaped_queries().map(lambda q: [q]), st.text(max_size=30).map(lambda t: [t]),
+                               _shape_runs(), _shape_runs()), min_size=1, max_size=10))
+def test_query_checker_reads_what_the_parser_reads_through_one_memo(runs):
     # one memo for every text, as for the lines of a file: a shape is cached by its first good query,
-    # and later queries of that shape are checked by their angle terms alone
+    # later queries of that shape are checked by their angle terms alone, and a run of one shape by its pattern
     check = query_checker()
-    for text in texts:
+    for text in (text for run in runs for text in run):
         assert _predicates_outcome(check, text) == _predicates_outcome(_parsed_predicates, text), text
+
+
+def test_query_checker_answers_a_run_of_one_shape_by_its_pattern(monkeypatch):
+    splits = []
+    split = qlang._ANGLE_TERM.split
+    monkeypatch.setattr(qlang, "_ANGLE_TERM", mock.Mock(split=lambda text: splits.append(text) or split(text)))
+    check = query_checker()
+    texts = [f"ASK WHERE {{ <e:s{i}> <p:p{i % 2}> <e:o> }}" for i in range(100)]
+    assert [check(text) for text in texts] == [(f"p:p{i % 2}",) for i in range(100)]
+    assert splits == texts[:2]  # the first parses the shape, the second compiles its pattern
+    assert check("ASK WHERE { <e:s> <Placeholder:P> <e:o> }") is None and len(splits) == 3
+    with pytest.raises(ParseError) as err:  # no pattern group holds a malformed term
+        check("ASK WHERE { <e:s> <p:p> <Placeholder:p> }")
+    assert (err.value.position, err.value.message, len(splits)) == (24, "malformed placeholder label 'p'", 4)
+    assert check(texts[7]) == ("p:p1",) and len(splits) == 4
 
 
 def test_query_checker_parses_each_shape_once(monkeypatch):

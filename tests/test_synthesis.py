@@ -273,12 +273,12 @@ def test_generate_tokenizes_one_label_per_iri_and_holds_no_ast_until_asked(indus
     assert len(instances) == 4 and sorted(entities) == [f"{DBR}{n}" for n in ("Publishing", "Robot_Comics",
                                                                                "Tiger_Aircraft")]
     assert entities[f"{DBR}Robot_Comics"] == ("robot", "comics")
-    assert all("query_ast" not in vars(inst.pair) for inst in instances)
+    assert not any(hasattr(obj, "__dict__") for inst in instances for obj in (inst, inst.pair))
     # one predicates tuple per template, shared by its rows
     assert {id(inst.pair.predicates) for inst in instances} == {id(t.query_form.predicates)
                                                                 for t in (industry_template, other)}
     for inst in instances:
-        assert inst.pair.query_ast == parse_query(inst.pair.query_text)
+        assert inst.pair.query_ast == inst.pair.query_ast == parse_query(inst.pair.query_text)
         assert inst.pair.predicates == tuple(qlang.extract_predicates(inst.pair.query_ast)) == (DBO_INDUSTRY,)
 
 
