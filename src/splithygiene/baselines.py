@@ -342,33 +342,27 @@ class NGramIndex:
         return len(self.token_ids)
 
 
-def _padded(sentences, order: int, token_id) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The sentences as one id array, each after order-1 ``<s>`` and before ``</s>``.
+def ngram_index(sentences, order: int) -> NGramIndex:
+    """Intern a corpus's tokens and number its n-grams of every order up to `order`.
 
-    Returns the ids, each position's offset in its padded sentence, and each
-    sentence's event count (its tokens plus the end marker).
+    Each sentence is padded with order-1 ``<s>`` before it and ``</s>`` after it.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    token_ids = {BOS: _BOS_ID, EOS: _EOS_ID}
     flat: list[int] = []
     sizes = []
     pad = [_BOS_ID] * (order - 1)
     for sent in sentences:
         start = len(flat)
         flat += pad
-        flat.extend(map(token_id, sent))
+        flat.extend(token_ids.setdefault(t, len(token_ids)) for t in sent)
         flat.append(_EOS_ID)
         sizes.append(len(flat) - start)
-    ids = np.array(flat, dtype=np.int64)
+    tokens = np.array(flat, dtype=np.int64)
+    del flat  # the largest transient of the build: free it before the per-order arrays
     padded = np.array(sizes, dtype=np.int64)
-    offset = np.arange(ids.size) - np.repeat(np.cumsum(padded) - padded, padded)
-    return ids, offset, [size - (order - 1) for size in sizes]
-
-
-def ngram_index(sentences, order: int) -> NGramIndex:
-    """Intern a corpus's tokens and number its n-grams of every order up to `order`."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    token_ids = {BOS: _BOS_ID, EOS: _EOS_ID}
-    tokens, offset, sizes = _padded(sentences, order, lambda t: token_ids.setdefault(t, len(token_ids)))
+    offset = np.arange(tokens.size) - np.repeat(np.cumsum(padded) - padded, padded)
     width = len(token_ids)
     events = np.flatnonzero(offset >= order - 1)
     grams = {1: tokens[events].astype(np.int32)}
@@ -381,8 +375,8 @@ def ngram_index(sentences, order: int) -> NGramIndex:
         ids[at] = inverse
         del at, inverse
         grams[m] = ids[events]
-    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
+    starts = np.zeros(padded.size + 1, dtype=np.int64)
+    np.cumsum(padded - (order - 1), out=starts[1:])
     return NGramIndex(order=order, token_ids=token_ids, keys=keys, starts=starts, grams=grams)
 
 
@@ -436,56 +430,41 @@ def train_ngram_lm(index: NGramIndex, rows, k: float = 0.1) -> NGramLM:
     seen = np.flatnonzero(counts[1]).tolist()
     tokens = {i: token for token, i in index.token_ids.items()}
     vocab = frozenset(tokens[i] for i in seen) | {EOS, UNK}
+    if not math.isfinite(k * len(vocab)):
+        raise ValueError(f"smoothing constant {k} overflows: k * |vocab| = {k} * {len(vocab)} is not finite")
     return NGramLM(index=index, k=k, vocab=vocab, counts=counts, totals=totals, events=int(events.size))
 
 
-def score_sentences(lm: NGramLM, sentences) -> list[list[float]]:
-    """Per-token log probabilities of each sentence, the end-of-sentence marker included.
+def score_rows(lm: NGramLM, rows) -> list[list[float]]:
+    """Per-token log probabilities of each of the index's sentence `rows`, the end-of-sentence marker included.
 
-    A token outside the vocabulary (other than ``<s>``) is scored as ``<unk>``.
-    Each token backs off to the highest order m >= 2 whose context has a train
-    total > 0, else to the unigram table, and scores
-    ``log((count + k) / (total + k * |vocab|))``. The ids and backoff are found
-    for all tokens at once; the quotient and ``math.log`` run per token on
-    Python numbers.
+    A token no train row holds has count 0 at every order, and so has total 0
+    in every context that holds it. Each token backs off to the highest order
+    m >= 2 whose context has a train total > 0, else to the unigram table, and
+    scores ``log((count + k) / (total + k * |vocab|))``. The gram ids and
+    backoff are read from the index for all tokens at once; the quotient and
+    ``math.log`` run per token on Python numbers.
     """
     index = lm.index
-    ids = {token: index.token_ids[token] for token in lm.vocab if token in index.token_ids}
-    ids[BOS] = _BOS_ID
-    unk = ids.get(UNK, -1)  # -1: a token the corpus never has
-    tokens, offset, sizes = _padded(sentences, lm.order, lambda t: ids.get(t, unk))
-    events = np.flatnonzero(offset >= lm.order - 1)
-    last = tokens[events]
-    count = np.where(last >= 0, lm.counts[1][last], 0)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    events = _spans(index.starts, rows)
+    count = lm.counts[1][index.grams[1][events]]
     total = np.full(events.size, lm.events, dtype=np.int64)
-    grams = tokens  # the order-(m-1) gram ending at each position, -1 when absent
     for m in range(2, lm.order + 1):
-        context = grams[events - 1]
-        at = np.flatnonzero(offset >= m - 1)
-        prefix, token = grams[at - 1], tokens[at]
-        keys = index.keys[m]
-        key = prefix * index.width + token
-        found = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        grams = np.full(tokens.size, -1, dtype=np.int64)
-        grams[at] = np.where((prefix >= 0) & (token >= 0) & (keys[found] == key), found, -1)
-        seen = np.flatnonzero(context >= 0)
-        seen_total = lm.totals[m][context[seen]]
-        seen, seen_total = seen[seen_total > 0], seen_total[seen_total > 0]  # these score at order m, not lower
-        gram = grams[events[seen]]
-        total[seen] = seen_total
-        count[seen] = np.where(gram >= 0, lm.counts[m][gram], 0)
+        gram = index.grams[m][events]
+        context_total = lm.totals[m][index.keys[m][gram] // index.width]
+        seen = np.flatnonzero(context_total > 0)  # these score at order m, not lower
+        total[seen] = context_total[seen]
+        count[seen] = lm.counts[m][gram[seen]]
     k, kv = lm.k, lm.k * lm.vocab_size
     logs = [math.log((c + k) / (t + kv)) for c, t in zip(count.tolist(), total.tolist())]
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(logs[start:start + size])
-        start += size
-    return out
+    ends = np.cumsum(np.diff(index.starts)[rows]).tolist()
+    return [logs[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def lm_perplexity(lm: NGramLM, sentences) -> float:
-    corpus = [list(s) for s in sentences]
-    if not corpus:
+def lm_perplexity(lm: NGramLM, rows) -> float:
+    """The perplexity of the index's sentence `rows` under the model."""
+    rows = list(rows)
+    if not rows:
         raise EmptyCorpus("no evaluation sentences")
-    return metrics.perplexity(score_sentences(lm, corpus))
+    return metrics.perplexity(score_rows(lm, rows))

@@ -209,15 +209,16 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
 @click.option("--out-logp", type=click.Path(), default=None, help="Optional pred.logp output.")
 def lm(train_ql, eval_ql, order, k, out_logp):
     """Train the n-gram query LM and report perplexity on an evaluation file."""
-    from .baselines import ngram_index, score_sentences, train_ngram_lm
+    from .baselines import ngram_index, score_rows, train_ngram_lm
     from .metrics import perplexity
 
     train = [line.split() for line in read_lines(train_ql)]
     eval_sents = [line.split() for line in read_lines(eval_ql)]
-    model = train_ngram_lm(ngram_index(train, order), range(len(train)), k)
+    index = ngram_index(train + eval_sents, order)  # the eval sentences are rows after the train ones
+    model = train_ngram_lm(index, range(len(train)), k)
     if not eval_sents:
         raise EmptyCorpus("no evaluation sentences")
-    scored = score_sentences(model, eval_sents)
+    scored = score_rows(model, range(len(train), len(train) + len(eval_sents)))
     if out_logp:
         write_lines(out_logp, (" ".join(repr(lp) for lp in sent) for sent in scored))
     click.echo(json.dumps({"metric": "lm_perplexity", "value": perplexity(scored)}))

@@ -123,25 +123,25 @@ def canonical_key(pair: QAPair) -> str:
 def dedup(records, key=lambda rec: canonical_key(rec.pair)):
     """Drop records whose key (default: the pair's canonical key) repeats, keeping firsts in order.
 
-    Only the hash of each kept record's key is kept, with its position. A
+    Only the hash of each kept record's key is kept, mapped to the record. A
     hash seen before is settled by recomputing the keys of the kept records
     that share it, so the result is exact and no key string is held.
     """
     kept = []
-    first: dict[int, int] = {}  # key hash -> position in kept of the first record with it
-    later: dict[int, list[int]] = {}  # key hash -> positions of the other kept records with it
+    first: dict[int, object] = {}  # key hash -> the first kept record with it
+    later: dict[int, list] = {}  # key hash -> the other kept records with it
     removed = 0
     for rec in records:
         k = key(rec)
         h = hash(k)
-        at = first.get(h)
-        if at is None:
-            first[h] = len(kept)
-        elif key(kept[at]) == k or any(key(kept[i]) == k for i in later.get(h, ())):
+        other = first.get(h)
+        if other is None:
+            first[h] = rec
+        elif key(other) == k or any(key(o) == k for o in later.get(h, ())):
             removed += 1
             continue
         else:
-            later.setdefault(h, []).append(len(kept))
+            later.setdefault(h, []).append(rec)
         kept.append(rec)
     return kept, removed
 

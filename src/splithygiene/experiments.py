@@ -321,7 +321,7 @@ def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig, lm
         refs = [inst.pair.query_text.split() for inst in part]
         preds = memorizer_predict(memorizer, [inst.pair.nlq for inst in part])
         out["memorizer_bleu"][name] = corpus_bleu(preds, refs).bleu if part else 0.0
-        out["lm_perplexity"][name] = lm_perplexity(lm, refs) if part else 0.0
+        out["lm_perplexity"][name] = lm_perplexity(lm, [rows[inst.id] for inst in part]) if part else 0.0
     return out
 
 

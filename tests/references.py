@@ -644,8 +644,9 @@ def ref_train_ngram_lm(sentences, order: int = 5, k: float = 0.1) -> RefNGramLM:
     return RefNGramLM(order=order, k=k, vocab=frozenset(vocab), counts=counts, context_totals=totals)
 
 
-def _ref_map_token(lm: RefNGramLM, token: str) -> str:
-    return token if token in lm.vocab or token == BOS else UNK
+def _ref_map_token(lm: RefNGramLM, token: str) -> str | None:
+    """The token, or None for one outside the vocabulary: no sentence holds None, so it is never trained."""
+    return token if token in lm.vocab or token == BOS else None
 
 
 def ref_token_log_prob(lm: RefNGramLM, context, token: str) -> float:

@@ -101,8 +101,8 @@ def test_criterion_4_perplexity_gap_direction(capsys, toy_data, toy_config, sani
     _, _, sanitized = sanitized_world
     lm_index, _, rows = experiments.baseline_corpus(toy_data, toy_config)
     lm = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in sanitized.train], toy_config.lm_k)
-    valid_ppl = baselines.lm_perplexity(lm, [i.pair.query_text.split() for i in sanitized.valid])
-    test_ppl = baselines.lm_perplexity(lm, [i.pair.query_text.split() for i in sanitized.test])
+    valid_ppl = baselines.lm_perplexity(lm, [rows[i.id] for i in sanitized.valid])
+    test_ppl = baselines.lm_perplexity(lm, [rows[i.id] for i in sanitized.test])
     elapsed = time.perf_counter() - started
     ok = test_ppl >= 1.5 * valid_ppl and elapsed < 60.0
     _announce(capsys, 4, ok,
@@ -113,12 +113,12 @@ def test_criterion_4_perplexity_gap_direction(capsys, toy_data, toy_config, sani
 def test_criterion_5_fraction_sweep_trend(capsys, toy_data, toy_config, sanitized_world, toy_baseline_corpus):
     _, _, sanitized = sanitized_world
     lm_index, _, rows = toy_baseline_corpus
-    test_refs = [i.pair.query_text.split() for i in sanitized.test]
+    test_rows = [rows[i.id] for i in sanitized.test]
     ppls = []
     for fraction in toy_config.fractions:
         sub = partitioner.subsample_train(sanitized, fraction, toy_config.rng_seeds[0])
         lm = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in sub.train], toy_config.lm_k)
-        ppls.append(baselines.lm_perplexity(lm, test_refs))
+        ppls.append(baselines.lm_perplexity(lm, test_rows))
     inversions = [(a, b) for a, b in zip(ppls, ppls[1:]) if b > a]
     ok = len(inversions) <= 1 and all(b <= a * 1.05 for a, b in inversions)
     _announce(capsys, 5, ok,
@@ -131,11 +131,11 @@ def test_criterion_6_halved_holdout(capsys, toy_data, toy_config, sanitized_worl
     seed_test, _, sanitized = sanitized_world
     lm_index, _, rows = toy_baseline_corpus
     lm1 = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in sanitized.train], toy_config.lm_k)
-    exp1_ppl = baselines.lm_perplexity(lm1, [i.pair.query_text.split() for i in sanitized.test])
+    exp1_ppl = baselines.lm_perplexity(lm1, [rows[i.id] for i in sanitized.test])
     halved = experiments.halve_seed_test_ids(seed_test, toy_config.rng_seeds[0])
     _, san2 = experiments._sanitized_split(toy_data, toy_config, halved)
     lm2 = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in san2.train], toy_config.lm_k)
-    exp3_ppl = baselines.lm_perplexity(lm2, [i.pair.query_text.split() for i in san2.test])
+    exp3_ppl = baselines.lm_perplexity(lm2, [rows[i.id] for i in san2.test])
     leak = partitioner.seen_fractions(san2, toy_data.index)["test"]
     ok = exp3_ppl <= 1.1 * exp1_ppl and leak == 0.0
     _announce(capsys, 6, ok,

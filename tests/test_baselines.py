@@ -669,20 +669,23 @@ def test_namespace_defaults_when_no_separator_follows_the_scheme():
 # n-gram language model
 # ---------------------------------------------------------------------------
 
-def _lm(sentences, order, k):
-    """A model of every sentence, over an index of those sentences."""
-    return baselines.train_ngram_lm(baselines.ngram_index(sentences, order), range(len(sentences)), k)
+def _lm(sentences, order, k, evals=()):
+    """A model of every sentence, over an index of those sentences followed by `evals`; and the rows of `evals`."""
+    index = baselines.ngram_index([*sentences, *evals], order)
+    lm = baselines.train_ngram_lm(index, range(len(sentences)), k)
+    return lm, list(range(len(sentences), len(sentences) + len(evals)))
 
 
-def _log_prob(lm, history, token):
-    """log P(token | history): the score of `token` after `history` in one sentence."""
-    return baselines.score_sentences(lm, [list(history) + [token]])[0][len(history)]
+def _log_probs(sentences, order, k, queries):
+    """log P(token | history) of each (history, token) query: the score of `token` after `history` in one row."""
+    lm, rows = _lm(sentences, order, k, [[*history, token] for history, token in queries])
+    return [scored[len(history)] for scored, (history, _) in zip(baselines.score_rows(lm, rows), queries)]
 
 
 def test_lm_repeated_sentence_perplexity_tends_to_1():
     sentence = ["ASK", "WHERE", "{", "<a>", "<b>", "<c>", "}"]
-    lm = _lm([sentence] * 50, order=3, k=1e-9)
-    assert baselines.lm_perplexity(lm, [sentence]) == pytest.approx(1.0, abs=1e-4)
+    lm, rows = _lm([sentence] * 50, order=3, k=1e-9, evals=[sentence])
+    assert baselines.lm_perplexity(lm, rows) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_lm_uniform_unigram_tends_to_vocab_size():
@@ -692,11 +695,11 @@ def test_lm_uniform_unigram_tends_to_vocab_size():
     symbols = [f"s{i}" for i in range(8)]
     length = 400
     sentence = [symbols[i % 8] for i in range(length)]
-    lm = _lm([sentence], order=1, k=1e-12)
+    lm, rows = _lm([sentence], order=1, k=1e-12, evals=[sentence])
     p_sym = (length / 8) / (length + 1)
     p_eos = 1 / (length + 1)
     expected = math.exp(-(length * math.log(p_sym) + math.log(p_eos)) / (length + 1))
-    got = baselines.lm_perplexity(lm, [sentence])
+    got = baselines.lm_perplexity(lm, rows)
     assert got == pytest.approx(expected, rel=1e-6)
     assert got == pytest.approx(8.0, rel=0.05)
 
@@ -704,43 +707,54 @@ def test_lm_uniform_unigram_tends_to_vocab_size():
 def test_lm_two_sentence_bigram_hand_computed():
     # corpus: "x y" and "x z"; order 2, k = 0.1
     # vocab = {x, y, z, </s>, <unk>}, so V = 5
-    lm = _lm([["x", "y"], ["x", "z"]], order=2, k=0.1)
+    lm, rows = _lm([["x", "y"], ["x", "z"]], order=2, k=0.1, evals=[["x", "y"]])
     v = 5
     p_x_bos = (2 + 0.1) / (2 + 0.1 * v)       # context (<s>,): x seen twice
     p_y_x = (1 + 0.1) / (2 + 0.1 * v)         # context (x,): y once of two
     p_eos_y = (1 + 0.1) / (1 + 0.1 * v)       # context (y,): only </s>
     expected = [p_x_bos, p_y_x, p_eos_y]
-    scored = baselines.score_sentences(lm, [["x", "y"]])[0]
+    scored = baselines.score_rows(lm, rows)[0]
     assert scored == pytest.approx([math.log(p) for p in expected])
     expected_ppl = math.exp(-sum(math.log(p) for p in expected) / 3)
-    assert baselines.lm_perplexity(lm, [["x", "y"]]) == pytest.approx(expected_ppl)
+    assert baselines.lm_perplexity(lm, rows) == pytest.approx(expected_ppl)
 
 
 def test_lm_backoff_on_unseen_context():
-    lm = _lm([["x", "y", "z"]], order=3, k=0.1)
+    lm, _ = _lm([["x", "y", "z"]], order=3, k=0.1)
     # context ("q", "q") is unseen at order 3 and ("q",) at order 2: falls
     # back to the unigram table
     v = lm.vocab_size
     unigram_total = lm.context_totals[1][()]
     expected = math.log((1 + 0.1) / (unigram_total + 0.1 * v))
-    assert _log_prob(lm, ["q", "q"], "x") == pytest.approx(expected)
+    assert _log_probs([["x", "y", "z"]], 3, 0.1, [(["q", "q"], "x")]) == pytest.approx([expected])
 
 
 def test_lm_unknown_tokens_map_to_unk():
-    lm = _lm([["x", "y"]], order=2, k=0.5)
-    lp = _log_prob(lm, ["x"], "never-seen")
-    assert lp < 0
-    assert lp == _log_prob(lm, ["x"], baselines.UNK)
+    # no train row holds either token, so both score as unseen
+    unseen, unk = _log_probs([["x", "y"]], 2, 0.5, [(["x"], "never-seen"), (["x"], baselines.UNK)])
+    assert unseen < 0
+    assert unseen == unk
+
+
+def test_lm_a_trained_unk_lends_no_count_to_an_unseen_token():
+    # corpus: "x <unk>"; order 2, k = 0.5; vocab = {x, <unk>, </s>}, so V = 3
+    corpus = [["x", baselines.UNK]]
+    unseen, unk = _log_probs(corpus, 2, 0.5, [(["x"], "never-seen"), (["x"], baselines.UNK)])
+    assert unseen == math.log((0 + 0.5) / (1 + 0.5 * 3))  # context (x,): only <unk>, never "never-seen"
+    assert unk == math.log((1 + 0.5) / (1 + 0.5 * 3))
+    ref = references.ref_train_ngram_lm(corpus, 2, 0.5)
+    assert references.ref_token_log_prob(ref, ["x"], "never-seen") == unseen
 
 
 def test_lm_distributions_normalize():
     rnd = random.Random(3)
     vocab = [f"w{i}" for i in range(6)]
     corpus = [[rnd.choice(vocab) for _ in range(rnd.randrange(1, 7))] for _ in range(30)]
-    lm = _lm(corpus, order=3, k=0.1)
-    symbols = sorted(lm.vocab)
-    for history in ([], ["w0"], ["w0", "w1"], ["zzz"], ["w3", "w3"]):
-        total = sum(math.exp(_log_prob(lm, history, w)) for w in symbols)
+    symbols = sorted(_lm(corpus, order=3, k=0.1)[0].vocab)
+    histories = ([], ["w0"], ["w0", "w1"], ["zzz"], ["w3", "w3"])
+    scored = _log_probs(corpus, 3, 0.1, [(history, w) for history in histories for w in symbols])
+    for start in range(0, len(scored), len(symbols)):
+        total = sum(math.exp(lp) for lp in scored[start:start + len(symbols)])
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -756,16 +770,22 @@ def test_lm_validation_errors():
     for k in (math.nan, math.inf):
         with pytest.raises(ValueError, match="smoothing constant must be finite and > 0"):
             _lm([["x"]], order=2, k=k)
-    lm = _lm([["x"]], order=2, k=0.1)
+    lm, _ = _lm([["x"]], order=2, k=0.1)
     with pytest.raises(EmptyCorpus):
         baselines.lm_perplexity(lm, [])
 
 
+def test_lm_names_a_smoothing_constant_whose_product_with_the_vocabulary_overflows():
+    # vocab = {x, </s>, <unk>}: 1e308 * 3 is inf, so every quotient would be 0 and its log undefined
+    with pytest.raises(ValueError, match=r"^smoothing constant 1e\+308 overflows: k \* \|vocab\| = 1e\+308 \* 3 "
+                                         r"is not finite$"):
+        _lm([["x"]], order=2, k=1e308)
+
+
 def test_lm_perplexity_uses_metrics_definition():
-    lm = _lm([["x", "y"], ["y", "x"]], order=2, k=0.2)
-    sents = [["x", "y"], ["y"]]
-    scored = baselines.score_sentences(lm, sents)
-    assert baselines.lm_perplexity(lm, sents) == metrics.perplexity(scored)
+    lm, rows = _lm([["x", "y"], ["y", "x"]], order=2, k=0.2, evals=[["x", "y"], ["y"]])
+    scored = baselines.score_rows(lm, rows)
+    assert baselines.lm_perplexity(lm, rows) == metrics.perplexity(scored)
 
 
 def test_lm_unigram_context_total_counts_tokens_and_end_markers():
@@ -803,25 +823,31 @@ def test_lm_equals_reference_on_random_corpora():
     seen = Counter()
     for _ in range(600):
         corpus, rows, evals, order, k = _random_lm_case(rnd)
-        lm = baselines.train_ngram_lm(baselines.ngram_index(corpus, order), rows, k)
+        sentences = corpus + evals
+        # the eval rows, then two rows of the whole index, repeats allowed
+        scored_rows = [*range(len(corpus), len(sentences)), *rnd.choices(range(len(sentences)), k=2)]
+        scored = [sentences[r] for r in scored_rows]
+        lm = baselines.train_ngram_lm(baselines.ngram_index(sentences, order), rows, k)
         ref = references.ref_train_ngram_lm([corpus[r] for r in rows], order, k)
         assert lm.vocab == ref.vocab
         assert lm.context_totals[1][()] == ref.context_totals[1][()]
-        assert baselines.score_sentences(lm, evals) == [references.ref_score_sentence(ref, s) for s in evals]
-        assert baselines.lm_perplexity(lm, evals) == references.ref_lm_perplexity(ref, evals)
+        assert baselines.score_rows(lm, scored_rows) == [references.ref_score_sentence(ref, s) for s in scored]
+        assert baselines.lm_perplexity(lm, scored_rows) == references.ref_lm_perplexity(ref, scored)
         train_tokens = {t for r in rows for t in corpus[r]}
+        oov = any(t not in train_tokens for s in scored for t in s)
         seen["order", order] += 1
         seen["k", k] += 1
-        seen["empty sentence"] += any(not s for s in corpus + evals)
+        seen["empty sentence"] += any(not s for s in sentences)
         seen["repeated row"] += len(set(rows)) < len(rows)
-        seen["oov eval token"] += any(t not in train_tokens for s in evals for t in s)
+        seen["oov eval token"] += oov
+        seen["oov eval token, trained <unk>"] += oov and baselines.UNK in train_tokens
         for special in _SPECIALS:
-            seen["literal", special] += any(special in s for s in corpus + evals)
+            seen["literal", special] += any(special in s for s in sentences)
     for order in range(1, 7):
         assert seen["order", order] >= 50, seen
     for k in (1e-9, 0.1, 2.5):
         assert seen["k", k] >= 100, seen
-    for case in ("empty sentence", "repeated row", "oov eval token"):
+    for case in ("empty sentence", "repeated row", "oov eval token", "oov eval token, trained <unk>"):
         assert seen[case] >= 100, seen
     for special in _SPECIALS:
         assert seen["literal", special] >= 100, seen
@@ -849,6 +875,7 @@ def test_lm_equals_reference_on_toy_partitions(toy_data, toy_config, toy_baselin
         assert lm.context_totals[1][()] == ref.context_totals[1][()]
         for part in (split.valid, split.test):
             sents = [i.pair.query_text.split() for i in part]
+            part_rows = [rows[i.id] for i in part]
             assert sents
-            assert baselines.score_sentences(lm, sents) == [references.ref_score_sentence(ref, s) for s in sents]
-            assert baselines.lm_perplexity(lm, sents) == references.ref_lm_perplexity(ref, sents)
+            assert baselines.score_rows(lm, part_rows) == [references.ref_score_sentence(ref, s) for s in sents]
+            assert baselines.lm_perplexity(lm, part_rows) == references.ref_lm_perplexity(ref, sents)

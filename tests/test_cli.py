@@ -749,13 +749,15 @@ def test_memorize_writes_the_predictions_the_preset_makes_on_a_leaky_split(tmp_p
 def test_lm_scores_the_eval_file_once(tmp_path, runner, monkeypatch):
     (tmp_path / "q.ql").write_text("a b\nb a c\n")
     calls = []
-    score = baselines.score_sentences
-    monkeypatch.setattr(baselines, "score_sentences", lambda *args: calls.append(1) or score(*args))
+    score = baselines.score_rows
+    monkeypatch.setattr(baselines, "score_rows", lambda *args: calls.append(1) or score(*args))
     result = _ok(runner.invoke(main, ["lm", "--train-ql", str(tmp_path / "q.ql"), "--eval-ql", str(tmp_path / "q.ql"),
                                       "--out-logp", str(tmp_path / "q.logp")]))
     assert len(calls) == 1
-    model = baselines.train_ngram_lm(baselines.ngram_index([["a", "b"], ["b", "a", "c"]], 5), range(2), 0.1)
-    assert json.loads(result.output)["value"] == baselines.lm_perplexity(model, [["a", "b"], ["b", "a", "c"]])
+    # one index over the train lines, then the eval lines: the eval lines are rows 2 and 3
+    sents = [["a", "b"], ["b", "a", "c"]]
+    model = baselines.train_ngram_lm(baselines.ngram_index(sents + sents, 5), range(2), 0.1)
+    assert json.loads(result.output)["value"] == baselines.lm_perplexity(model, [2, 3])
 
 
 @pytest.mark.parametrize("out_logp", [[], ["--out-logp", "q.logp"]])
