@@ -432,6 +432,9 @@ def train_ngram_lm(index: NGramIndex, rows, k: float = 0.1) -> NGramLM:
     vocab = frozenset(tokens[i] for i in seen) | {EOS, UNK}
     if not math.isfinite(k * len(vocab)):
         raise ValueError(f"smoothing constant {k} overflows: k * |vocab| = {k} * {len(vocab)} is not finite")
+    if k / (events.size + k * len(vocab)) == 0.0:  # no context's total exceeds the event count
+        raise ValueError(f"smoothing constant {k} underflows: the least probability k / (events + k * |vocab|) "
+                         f"= {k} / ({events.size} + {k} * {len(vocab)}) is 0")
     return NGramLM(index=index, k=k, vocab=vocab, counts=counts, totals=totals, events=int(events.size))
 
 

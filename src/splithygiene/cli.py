@@ -23,13 +23,14 @@ from pathlib import Path
 
 import click
 
-from . import experiments, qlang
+from . import experiments
 from .attribution import build_index, write_attribution
 from .corpus import (
     LEAKY,
     SANITIZED,
     dedup,
     file_digest,
+    nlq_tokens,
     read_logp,
     read_lines,
     read_parallel,
@@ -195,7 +196,7 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
     index = build_index(train, read_templates(templates_path))
     model = train_memorizer(memorizer_index(train, index), range(len(train)))
     words: dict[str, tuple[str, ...]] = {}
-    questions = [qlang.tokenize_nlq(line, words) for line in read_lines(input_path)]
+    questions = [nlq_tokens(line, input_path, i, words) for i, line in enumerate(read_lines(input_path), start=1)]
     preds = [" ".join(pred) for pred in memorizer_predict(model, questions)]
     write_lines(out_path, preds)
     click.echo(f"wrote {len(preds)} predictions")

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import uuid
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import count, islice
@@ -187,67 +187,39 @@ def read_text(path) -> str:
         raise _not_utf8(path) from None
 
 
-class _Lines:
+def _lines(path) -> Iterator[str]:
     """A file's LF-delimited lines, without their ends, read BLOCK characters at a time.
 
     A CR before an LF is part of the end. Only LF ends a line: a U+2028, a
     form feed or a lone CR is text, so a JSON string that holds one stays on
-    its line. The file opens at once, and closes when the `with` block ends.
-    A file that cannot be opened, or a byte that is not UTF-8, ends the
-    lines early; `count` reads what is left, then raises that fault or
-    returns the number of lines.
+    its line. A file that cannot be opened raises OSError when the first line
+    is asked for; a byte that is not UTF-8 raises InputFileError naming
+    path:line when its block is read.
     """
-
-    def __init__(self, path):
-        self.path = path
-        self.n = 0  # the lines of the blocks read so far
-        self.fault: Exception | None = None
-        try:
-            self._fh = open(path, encoding="utf-8", newline="\n")
-        except OSError as exc:
-            self._fh, self.fault = None, exc
-        self._lines = self._read()
-
-    def __enter__(self) -> "_Lines":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._fh is not None:
-            self._fh.close()
-
-    def __iter__(self) -> Iterator[str]:
-        return self._lines
-
-    def _read(self) -> Iterator[str]:
-        if self._fh is None:
-            return
+    with open(path, encoding="utf-8", newline="\n") as fh:
         rest = ""  # the start of a line that the next block ends
         try:
-            while text := self._fh.read(BLOCK):
+            while text := fh.read(BLOCK):
                 lines = (rest + text).replace("\r\n", "\n").split("\n")
                 rest = lines.pop()
-                self.n += len(lines)
                 yield from lines
         except UnicodeDecodeError:  # its offset is into one block, not the file
-            self.fault = _not_utf8(self.path)
-            return
-        if rest:
-            self.n += 1
-            yield rest
-
-    def count(self) -> int:
-        deque(self._lines, maxlen=0)
-        if self.fault is not None:
-            raise self.fault
-        return self.n
+            raise _not_utf8(path) from None
+    if rest:
+        yield rest
 
 
 def read_lines(path) -> list[str]:
-    """A file's lines, by the rule of `_Lines`; a byte that is not UTF-8 raises InputFileError naming path:line."""
-    with _Lines(path) as lines:
-        out = list(lines)
-        lines.count()
-    return out
+    """A file's lines, by the rule of `_lines`; a byte that is not UTF-8 raises InputFileError naming path:line."""
+    return list(_lines(path))
+
+
+def nlq_tokens(line: str, path, i: int, words: dict | None = None) -> tuple[str, ...]:
+    """The tokens of the question on line ``i`` of ``path``; a line with none raises InputFileError."""
+    nlq = qlang.tokenize_nlq(line, words)
+    if not nlq:
+        raise InputFileError(f"{path}:{i}: empty NLQ line")
+    return nlq
 
 
 # (check, description) pairs for the keys of JSON records read from outside
@@ -335,44 +307,36 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
     once per query shape, and a row keeps its query's predicates, not its AST.
     A bad line raises InputFileError naming path and line, any parser offset kept.
 
-    Both files are read a block at a time, in step (`_Lines`), and the
-    manifest is read before the rows are built. A fault found on the way is
-    raised once both files are read, in this order: the .nlq file, then the
-    .ql file, cannot be read or is not UTF-8; their line counts differ; the
-    manifest is bad, or lists another number of ids; the first bad line.
+    Both files are read twice, a block at a time (`_lines`): once to count
+    their lines, once to build the rows, with the manifest read in between.
+    Each fault is raised as it is found, in this order: the .nlq file, then
+    the .ql file, cannot be read or is not UTF-8; their line counts differ;
+    the manifest is bad, or lists another number of ids; the first bad line.
+    A second read that gives another number of rows (a pipe, or a file
+    changed between the reads) raises InputFileError naming both files.
     """
-    with _Lines(nlq_path) as nlq_lines, _Lines(query_path) as query_lines:
-        keys: Iterable[tuple[str, str | None]] = ((f"line-{i}", None) for i in count())
-        ids = manifest_fault = line_fault = None
-        if manifest_path is not None:
-            try:
-                ids, origins = _manifest_ids(manifest_path, Path(nlq_path).stem)
-                keys = zip(ids, origins)
-            except (OSError, SplitHygieneError) as exc:
-                keys, manifest_fault = (), exc
-        out: list[Instance] = []
-        check = qlang.query_checker()
-        words: dict[str, tuple[str, ...]] = {}
-        for i, ((key, origin), nlq_line, query_line) in enumerate(zip(keys, nlq_lines, query_lines), start=1):
-            nlq = qlang.tokenize_nlq(nlq_line, words)
-            if not nlq:
-                line_fault = InputFileError(f"{nlq_path}:{i}: empty NLQ line")
-                break
-            try:
-                predicates = check(query_line)
-            except ParseError as exc:
-                line_fault = InputFileError(f"{query_path}:{i}: {exc}")
-                break
-            out.append(Instance(key, QAPair(nlq, query_line, predicates), origin))
-        n, n_query = nlq_lines.count(), query_lines.count()
+    n, n_query = (sum(1 for _ in _lines(path)) for path in (nlq_path, query_path))
     if n != n_query:
         raise LineCountMismatch(f"{nlq_path} has {n} lines but {query_path} has {n_query}")
-    if manifest_fault is not None:
-        raise manifest_fault
-    if ids is not None and len(ids) != n:
-        raise LineCountMismatch(f"manifest lists {len(ids)} ids for {nlq_path} but the file has {n} lines")
-    if line_fault is not None:
-        raise line_fault
+    keys: Iterable[tuple[str, str | None]] = ((f"line-{i}", None) for i in count())
+    if manifest_path is not None:
+        ids, origins = _manifest_ids(manifest_path, Path(nlq_path).stem)
+        if len(ids) != n:
+            raise LineCountMismatch(f"manifest lists {len(ids)} ids for {nlq_path} but the file has {n} lines")
+        keys = zip(ids, origins)
+    out: list[Instance] = []
+    check = qlang.query_checker()
+    words: dict[str, tuple[str, ...]] = {}
+    for i, ((key, origin), nlq_line, query_line) in enumerate(zip(keys, _lines(nlq_path), _lines(query_path)), start=1):
+        nlq = nlq_tokens(nlq_line, nlq_path, i, words)
+        try:
+            predicates = check(query_line)
+        except ParseError as exc:
+            raise InputFileError(f"{query_path}:{i}: {exc}") from None
+        out.append(Instance(key, QAPair(nlq, query_line, predicates), origin))
+    if len(out) != n:
+        raise InputFileError(f"{nlq_path}, {query_path}: {n} lines counted, then {len(out)} rows read; "
+                             "a corpus file must be a regular file that does not change while it is read")
     return out
 
 

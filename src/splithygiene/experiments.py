@@ -40,7 +40,7 @@ from .corpus import (
     write_split,
     write_text,
 )
-from .errors import ConfigError, RatioError
+from .errors import ConfigError, EmptyCorpus, RatioError
 from .kgstore import Graph, load_ntriples
 from .partitioner import (
     Split3,
@@ -246,7 +246,8 @@ def build_pipeline_data(config: RunConfig) -> PipelineData:
 
     Each stage is de-duplicated. Generation is keyed by the first rng seed
     and the template id, so the corpus is one deterministic function of the
-    config. The KG is freed once generation ends.
+    config. The KG is freed once generation ends. A corpus with no instance
+    raises EmptyCorpus naming the seeds and KG files.
     """
     seeds_path = config.resolved_seeds_path()
     kg_path = config.resolved_kg_path()
@@ -254,6 +255,8 @@ def build_pipeline_data(config: RunConfig) -> PipelineData:
     seeds, templates, removed = extract_stage(seeds_path)
     instances, removed["instances"] = generate_stage(
         templates, load_graph(kg_path), config.instance_limit, config.rng_seeds[0])
+    if not instances:
+        raise EmptyCorpus(f"{seeds_path} and {kg_path} generate no instance (instance_limit = {config.instance_limit})")
     return PipelineData(
         seeds=seeds,
         templates=templates,

@@ -116,7 +116,7 @@ def corpus_bleu(candidates, references) -> BleuReport:
 
 
 def perplexity(log_probs) -> float:
-    """exp of the negative mean per-token natural-log probability."""
+    """exp of the negative mean per-token natural-log probability; a result that is not finite raises InvalidLogProb."""
     total = 0.0
     count = 0
     for sentence in log_probs:
@@ -130,5 +130,12 @@ def perplexity(log_probs) -> float:
             count += 1
     if count == 0:
         raise EmptyCorpus("no token log probabilities")
-    return math.exp(-total / count)
+    mean = total / count
+    try:
+        ppl = math.exp(-mean)
+    except OverflowError:
+        ppl = math.inf
+    if math.isinf(ppl):  # a sum of log probabilities that overflowed makes the mean -inf
+        raise InvalidLogProb(f"mean log probability {mean!r}: the perplexity exp(-mean) is not a finite float")
+    return ppl
 

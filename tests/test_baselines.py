@@ -782,6 +782,16 @@ def test_lm_names_a_smoothing_constant_whose_product_with_the_vocabulary_overflo
         _lm([["x"]], order=2, k=1e308)
 
 
+
+def test_lm_names_a_smoothing_constant_whose_least_probability_underflows():
+    # 1e-323 is twice the least float. With 4 events (x and </s>, twice) and vocab = {x, </s>, <unk>}, an unseen
+    # token would score log(1e-323 / 4) = log(0.0); with 2 events, 1e-323 / 2 is the least float, not 0
+    with pytest.raises(ValueError, match=r"^smoothing constant 1e-323 underflows: the least probability "
+                                         r"k / \(events \+ k \* \|vocab\|\) = 1e-323 / \(4 \+ 1e-323 \* 3\) is 0$"):
+        _lm([["x"], ["x"]], order=1, k=1e-323)
+    lm, rows = _lm([["x"]], order=1, k=1e-323, evals=[["y"]])
+    assert baselines.score_rows(lm, rows)[0][0] == math.log(5e-324)
+
 def test_lm_perplexity_uses_metrics_definition():
     lm, rows = _lm([["x", "y"], ["y", "x"]], order=2, k=0.2, evals=[["x", "y"], ["y"]])
     scored = baselines.score_rows(lm, rows)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import references
 from splithygiene import baselines, corpus, experiments, partitioner, synthesis, toydata
 from splithygiene.cli import main
-from splithygiene.errors import SplitHygieneError
+from splithygiene.errors import InputFileError, SplitHygieneError
 
 SEEDS = str(toydata.toy_seeds_path())
 KG = str(toydata.toy_kg_path())
@@ -769,6 +770,108 @@ def test_lm_on_an_empty_eval_file_exits_2(tmp_path, runner, out_logp, monkeypatc
     assert result.exit_code == 2
     assert result.output == "error: no evaluation sentences\n"
     assert not (tmp_path / "q.logp").exists()
+
+
+def _three_thousand_a_b(tmp_path):
+    train = tmp_path / "t.ql"
+    train.write_text("a b\n" * 3000)  # 9,000 events, vocab = {a, b, </s>, <unk>}
+    return train
+
+
+@pytest.mark.parametrize("k", ["1e-320", "1e-322"])
+def test_lm_names_a_smoothing_constant_whose_probabilities_underflow(tmp_path, runner, k):
+    (tmp_path / "e.ql").write_text("c\n")
+    result = runner.invoke(main, ["lm", "--train-ql", str(_three_thousand_a_b(tmp_path)),
+                                  "--eval-ql", str(tmp_path / "e.ql"), "--order", "1", "--k", k])
+    assert result.exit_code == 2
+    assert result.output == (f"error: smoothing constant {k} underflows: the least probability "
+                             f"k / (events + k * |vocab|) = {k} / (9000 + {k} * 4) is 0\n")
+
+
+def test_lm_names_a_perplexity_that_overflows(tmp_path, runner):
+    # 100 unseen tokens at log(1e-310 / 9000) each: the mean is below -709.78, where exp overflows
+    (tmp_path / "e.ql").write_text(" ".join(["c"] * 100) + "\n")
+    result = runner.invoke(main, ["lm", "--train-ql", str(_three_thousand_a_b(tmp_path)),
+                                  "--eval-ql", str(tmp_path / "e.ql"), "--order", "1", "--k", "1e-310"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: mean log probability -715.")
+    assert result.output.endswith(": the perplexity exp(-mean) is not a finite float\n")
+
+
+@pytest.mark.parametrize("values, mean", [("-1000 -1000", "-1000.0"), ("-1e308 -1e308", "-inf")])
+def test_eval_names_a_perplexity_that_is_not_a_finite_float(tmp_path, runner, values, mean):
+    test, logp = tmp_path / "r.ql", tmp_path / "p.logp"
+    test.write_text("a\n")
+    logp.write_text(values + "\n")
+    result = runner.invoke(main, ["eval", "--pred", str(test), "--test", str(test), "--logp", str(logp),
+                                  "--out", str(tmp_path / "eval.json")])
+    assert result.exit_code == 2
+    assert result.output == f"error: mean log probability {mean}: the perplexity exp(-mean) is not a finite float\n"
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("line", ["", " \t\u2028"])
+def test_memorize_rejects_an_empty_question_line(tmp_path, runner, line):
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text(_ONE_QUERY + "\n")
+    (tmp_path / "t.jsonl").write_text(_TEMPLATE_LINE + "\n")
+    questions = tmp_path / "in.nlq"
+    questions.write_text(f"is this here ?\n{line}\n", encoding="utf-8")
+    result = runner.invoke(main, ["memorize", "--train-nlq", str(tmp_path / "c.nlq"),
+                                  "--train-ql", str(tmp_path / "c.ql"), "--templates", str(tmp_path / "t.jsonl"),
+                                  "--input", str(questions), "--out", str(tmp_path / "pred.ql")])
+    assert result.exit_code == 2
+    assert result.output == f"error: {questions}:2: empty NLQ line\n"
+    assert not (tmp_path / "pred.ql").exists()
+
+
+@pytest.mark.parametrize("second", ["", "is this here ?\n"])
+def test_a_corpus_file_that_reads_other_lines_the_second_time_exits_2_and_writes_nothing(tmp_path, runner,
+                                                                                        monkeypatch, second):
+    # read_parallel counts the lines, then reads them again to build the rows: a pipe reads empty the second
+    # time, and a file may change between the reads; here every open of c.nlq after the first reads `second`
+    nlq, ql, templates = tmp_path / "c.nlq", tmp_path / "c.ql", tmp_path / "t.jsonl"
+    nlq.write_text("is this here ?\n" * 2)
+    ql.write_text((_ONE_QUERY + "\n") * 2)
+    templates.write_text(_TEMPLATE_LINE + "\n")
+    opened = []
+
+    def reopen(file, *args, **kwargs):
+        opened.append(Path(file))
+        if opened[-1] == nlq and opened.count(nlq) > 1:
+            return io.StringIO(second)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", reopen, raising=False)
+    rows = second.count("\n")
+    message = (f"{nlq}, {ql}: 2 lines counted, then {rows} rows read; "
+               "a corpus file must be a regular file that does not change while it is read")
+    with pytest.raises(InputFileError) as err:
+        corpus.read_parallel(nlq, ql)
+    assert str(err.value) == message
+    for args in (["attribute", "--templates", str(templates), "--out", str(tmp_path / "a.tsv")],
+                 ["partition", "--scheme", "leaky", "--out-dir", str(tmp_path / "split")]):
+        opened.clear()
+        result = runner.invoke(main, [*args, "--nlq", str(nlq), "--ql", str(ql)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.nlq", "c.ql", "t.jsonl"]
+
+
+@pytest.mark.parametrize("empty", ["instance_limit", "kg"])
+def test_a_preset_whose_corpus_comes_out_empty_fails_at_stage_pipeline(tmp_path, runner, empty):
+    # no instance at all, by instance_limit = 0 or by a KG that binds no template: nothing is partitioned
+    config, kg = tmp_path / "run.conf", tmp_path / "empty.nt"
+    config.write_text("instance_limit = 0\n" if empty == "instance_limit" else "")
+    kg.write_text("")
+    args = ["run", "exp1", "--config", str(config), "--workdir", str(tmp_path / "w")]
+    result = runner.invoke(main, args if empty == "instance_limit" else [*args, "--kg", str(kg)])
+    assert result.exit_code == 2
+    expected = (KG, 0) if empty == "instance_limit" else (kg, 100)
+    assert result.output == f"error: {SEEDS} and {expected[0]} generate no instance (instance_limit = {expected[1]})\n"
+    out = tmp_path / "w" / "exp1"
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json"]
+    assert [(row["metric"], row["split"]) for row in _report_rows(out / "report.csv")] == [("incomplete", "pipeline")]
 
 
 @pytest.mark.parametrize("k", ["nan", "inf"])

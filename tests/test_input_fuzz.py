@@ -222,7 +222,7 @@ def _lines(text: str) -> list[list[str]]:
 @_FUZZ
 @given(train=st.one_of(st.text(max_size=40), _near(_TOKEN_PIECES, 20)),
        evals=st.one_of(st.text(max_size=40), _near(_TOKEN_PIECES, 20)),
-       order=st.integers(0, 6), k=st.sampled_from(["0.1", "2.5", "1e-9", "0", "nan", "1e308"]))
+       order=st.integers(0, 6), k=st.sampled_from(["0.1", "2.5", "1e-9", "0", "nan", "1e308", "1e-320"]))
 def test_lm_cli_exits_0_with_the_reference_perplexity_or_2_with_an_error(tmp_path, train, evals, order, k):
     paths = {name: tmp_path / f"{name}.ql" for name in ("train", "eval")}
     for name, text in (("train", train), ("eval", evals)):

@@ -192,6 +192,19 @@ def test_perplexity_rejects_bad_log_probs():
         metrics.perplexity([[float("-inf")]])
 
 
+
+@pytest.mark.parametrize("log_probs, mean", [([[-1000.0, -1000.0]], "-1000.0"), ([[-1e308, -1e308]], "-inf")])
+def test_perplexity_names_a_mean_whose_exp_is_not_finite(log_probs, mean):
+    # exp(1000) overflows; the sum of the second pair overflows to -inf and exp(inf) is inf
+    with pytest.raises(InvalidLogProb, match=rf"^mean log probability {mean}: the perplexity exp\(-mean\) "
+                                             r"is not a finite float$"):
+        metrics.perplexity(log_probs)
+
+
+def test_perplexity_near_the_largest_float_is_exp_of_the_negative_mean():
+    for mean in (-709.0, -709.78):
+        assert metrics.perplexity([[mean]]) == math.exp(-mean)
+
 def test_perplexity_rejects_empty_input():
     with pytest.raises(EmptyCorpus):
         metrics.perplexity([])
