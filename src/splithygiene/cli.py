@@ -9,8 +9,8 @@ defaulting to $SPLITHYGIENE_WORKDIR or the current directory. Exit codes:
 0 success, 2 validation/usage error, 1 runtime error.
 
 The commands that run a baseline or a metric import `baselines` and `metrics`
-themselves, and `rng` imports numpy when it first draws, so `extract` and
-`attribute` never load numpy.
+themselves, and `rng` draws in pure Python, so the preparation steps (extract,
+generate, attribute, partition) never load numpy.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class _Main(click.Group):
             _fail(1, str(exc))
 
 
-_rng_seed_option = click.option("--rng-seed", type=int, default=0, show_default=True,
+_rng_seed_option = click.option("--rng-seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True,
                                 help="Seed for every shuffle.")
 
 

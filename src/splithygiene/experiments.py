@@ -94,8 +94,8 @@ class RunConfig:
             "kg_path": (isinstance(self.kg_path, str), "a string"),
             "workdir": (isinstance(self.workdir, str), "a string"),
             # a repeated rng seed or fraction would be reported as another replicate or sweep point
-            "rng_seeds": (tuple_of(self.rng_seeds, _is_int) and distinct(self.rng_seeds),
-                          "one or more distinct integers"),
+            "rng_seeds": (tuple_of(self.rng_seeds, lambda s: _is_int(s) and 0 <= s < 2**64)
+                          and distinct(self.rng_seeds), "one or more distinct integers in [0, 2**64)"),
             "ratios": (tuple_of(self.ratios, _is_real) and len(self.ratios) == 3, "three numbers"),
             "seed_test_fraction": (_is_real(self.seed_test_fraction), "a number"),
             "fractions": (tuple_of(self.fractions, _is_real) and distinct(self.fractions),

@@ -206,13 +206,13 @@ def build_triples() -> list[tuple[str, str, str]]:
     gen = rng.generator(TOY_BUILD_SEED, "toy-world")
 
     def pick(seq):
-        return seq[int(gen.integers(len(seq)))]
+        return seq[gen.integers(len(seq))]
 
     companies = []
     combos = [(h, t) for h in _COMPANY_HEADS for t in _COMPANY_TAILS]
     order = gen.permutation(len(combos))
     for i in range(N_COMPANIES):
-        head, tail = combos[int(order[i])]
+        head, tail = combos[order[i]]
         name = f"{head} {tail}"
         if i % 3 == 0:
             name += f" {_COMPANY_SUFFIXES[(i // 3) % len(_COMPANY_SUFFIXES)]}"
@@ -222,11 +222,11 @@ def build_triples() -> list[tuple[str, str, str]]:
     pairs = [(f, l) for f in _FIRST_NAMES for l in _LAST_NAMES]
     order = gen.permutation(len(pairs))
     for i in range(N_PERSONS):
-        first, last = pairs[int(order[i])]
+        first, last = pairs[order[i]]
         persons.append(f"{first} {last}")
 
     triples: set[tuple[str, str, str]] = set()
-    city_order = [int(i) for i in gen.permutation(len(_CITIES))]
+    city_order = gen.permutation(len(_CITIES))
     for slot, city_idx in enumerate(city_order):
         triples.add((_entity(_CITIES[city_idx]), _predicate("country"),
                      _entity(_COUNTRIES[slot % len(_COUNTRIES)])))

@@ -33,7 +33,9 @@ every query, where the package streams the files and checks queries
 through one memo of shapes. The query parser
 reference is the character scanner, which reads one character at a time where
 the package walks lexemes, and the tokenizer reference runs the
-trailing-punctuation loop on every token.
+trailing-punctuation loop on every token. The random stream reference is
+numpy's Philox generator, which the package drew from before it drew the same
+words in pure Python; it shares only the stream label's key word with `rng`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from splithygiene import metrics
+from splithygiene import metrics, rng
 from splithygiene.attribution import AttributionIndex
 from splithygiene.baselines import BOS, EOS, UNK
 from splithygiene.corpus import STRING_LIST, STRING_MAP, Instance, QAPair, json_record
@@ -681,3 +683,13 @@ def ref_lm_perplexity(lm: RefNGramLM, sentences) -> float:
     if not corpus:
         raise EmptyCorpus("no evaluation sentences")
     return metrics.perplexity([ref_score_sentence(lm, sent) for sent in corpus])
+
+
+# ---------------------------------------------------------------------------
+# random stream
+# ---------------------------------------------------------------------------
+
+def ref_generator(seed: int, *stream) -> np.random.Generator:
+    """numpy's Philox4x64-10 generator keyed by (seed, the stream label's word)."""
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(rng._stream_word(stream))])
+    return np.random.Generator(np.random.Philox(key=key))

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import references
 from splithygiene import baselines, corpus, experiments, partitioner, synthesis, toydata
 from splithygiene.cli import main
-from splithygiene.errors import InputFileError, SplitHygieneError
+from splithygiene.errors import ConfigError, InputFileError, SplitHygieneError
 
 SEEDS = str(toydata.toy_seeds_path())
 KG = str(toydata.toy_kg_path())
@@ -140,14 +140,16 @@ def test_partition_sanitized_checks_its_options_before_reading_the_corpus(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-# imports the CLI, then runs each tab-separated argument list given; prints whether numpy was loaded after each
-_NUMPY_PROBE = """
+# imports the CLI, then runs each tab-separated argument list given after a module name; prints whether that
+# module was loaded after the import and after each run
+_IMPORT_PROBE = """
 import json, sys
 import splithygiene.cli, splithygiene.experiments
-loaded = ["numpy" in sys.modules]
-for args in sys.argv[1:]:
+module = sys.argv[1]
+loaded = [module in sys.modules]
+for args in sys.argv[2:]:
     splithygiene.cli.main.main(args=args.split("\\t"), standalone_mode=False)
-    loaded.append("numpy" in sys.modules)
+    loaded.append(module in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -161,12 +163,65 @@ def test_the_cli_import_extract_and_attribute_load_no_numpy(tmp_path, runner):
     attribute = ["attribute", "--nlq", str(corpus_dir / "instances.nlq"), "--ql", str(corpus_dir / "instances.ql"),
                  "--manifest", str(corpus_dir / "instances.manifest.json"), "--templates", str(tmp_path / "t.jsonl"),
                  "--out", str(tmp_path / "attribution.tsv")]
-    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, "\t".join(extract), "\t".join(attribute)],
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "numpy", "\t".join(extract), "\t".join(attribute)],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == [False, False, False]
     assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "t.jsonl").read_bytes()
     assert (tmp_path / "attribution.tsv").read_text().count("\n") > 100
+
+
+def test_the_preparation_steps_load_no_numpy(tmp_path):
+    # generate and both partition schemes draw their shuffles, in pure Python
+    templates, out = str(tmp_path / "t.jsonl"), tmp_path / "corpus"
+    corpus_files = ["--nlq", str(out / "instances.nlq"), "--ql", str(out / "instances.ql"),
+                    "--manifest", str(out / "instances.manifest.json")]
+    steps = [
+        ["extract", "--seeds", SEEDS, "--out", templates],
+        ["generate", "--templates", templates, "--kg", KG, "--limit", "20", "--rng-seed", "3", "--out-dir", str(out)],
+        ["attribute", *corpus_files, "--templates", templates, "--out", str(tmp_path / "attribution.tsv")],
+        ["partition", "--scheme", "leaky", *corpus_files, "--out-dir", str(tmp_path / "leaky")],
+        ["partition", "--scheme", "sanitized", *corpus_files, "--templates", templates, "--seeds", SEEDS,
+         "--out-dir", str(tmp_path / "sanitized")],
+    ]
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "numpy", *map("\t".join, steps)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [False] * 6
+    for scheme in ("leaky", "sanitized"):
+        assert (tmp_path / scheme / "test.nlq").read_text().count("\n") > 10
+
+
+def test_a_preset_loads_numpy_but_not_numpy_random(tmp_path):
+    run = ["run", "exp3", "--workdir", str(tmp_path / "w")]
+    for module, after_run in (("numpy", True), ("numpy.random", False)):
+        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, module, "\t".join(run)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [False, after_run]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["generate", "partition"])
+def test_an_rng_seed_option_outside_64_bits_exits_2(tmp_path, runner, command, seed):
+    # a seed outside [0, 2**64) would name the stream of another seed
+    for name in ("t.jsonl", "x.nlq", "x.ql"):
+        (tmp_path / name).write_text("")
+    args = {
+        "generate": ["generate", "--templates", str(tmp_path / "t.jsonl"), "--kg", KG],
+        "partition": ["partition", "--scheme", "leaky", "--nlq", str(tmp_path / "x.nlq"),
+                      "--ql", str(tmp_path / "x.ql")],
+    }[command]
+    result = runner.invoke(main, [*args, "--rng-seed", seed, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "--rng-seed" in result.output and "0<=x<=18446744073709551615" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", [(-1,), (2**64,), (-1, 2**64 - 1), (101, 3 * 2**64 - 1)])
+def test_an_rng_seed_outside_64_bits_is_a_config_error(seeds):
+    with pytest.raises(ConfigError, match=r"rng_seeds: expected one or more distinct integers in \[0, 2\*\*64\)"):
+        experiments.RunConfig(rng_seeds=seeds)
 
 
 def test_missing_file_is_a_usage_error(tmp_path, runner):
@@ -451,6 +506,8 @@ def test_a_key_out_of_range_is_named_at_load_for_every_preset(tmp_path, runner, 
     ("lm_k = nan", "lm_k"),
     ("rng_seeds = 7, seven", "rng_seeds"),
     ("rng_seeds = 101, 101", "rng_seeds"),
+    ("rng_seeds = 101, -1", "rng_seeds"),
+    ("rng_seeds = 18446744073709551616", "rng_seeds"),
     ("fractions = 0.5, 0.25, 0.5", "fractions"),
 ])
 def test_config_of_wrong_type_or_range_exits_2_without_traceback(tmp_path, line, key):
@@ -932,6 +989,7 @@ def test_load_config_returns_a_valid_config_or_an_exit_2_error(tmp_path, lines):
     for key in ("seeds_path", "kg_path", "workdir"):
         assert type(getattr(cfg, key)) is str
     assert type(cfg.rng_seeds) is tuple and cfg.rng_seeds and all(map(_is_int, cfg.rng_seeds))
+    assert all(0 <= seed < 2**64 for seed in cfg.rng_seeds)
     assert type(cfg.ratios) is tuple and len(cfg.ratios) == 3 and all(map(_is_real, cfg.ratios))
     assert min(cfg.ratios) >= 0 and abs(sum(cfg.ratios) - 1) <= 1e-9
     assert _is_real(cfg.seed_test_fraction) and 0 <= cfg.seed_test_fraction <= 1
