@@ -168,14 +168,20 @@ def unique_ids(path, records, kept=None) -> list:
 # Parallel corpus I/O
 # ---------------------------------------------------------------------------
 
-def _not_utf8(path) -> InputFileError:
-    """The error naming the line of a file's first byte that is not UTF-8, found one line at a time."""
+def _not_utf8(path, newline: str | None = "\n") -> InputFileError:
+    """The error naming the line, numbered as `_lines(path, newline)` numbers it, of a file's first non-UTF-8 byte."""
+    line = 1  # the line the piece starts on
     with open(path, "rb") as fh:
-        for line, data in enumerate(fh, start=1):  # a binary file's lines end at LF only
+        for data in fh:  # a binary file's pieces end at LF only
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:  # the reason decoding the whole file gives: the LF ends a sequence
+                if newline is None:  # each CR before the fault ends a line
+                    line += data.count(b"\r", 0, exc.start)
                 return InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})")
+            line += 1
+            if newline is None:  # each CR ends a line too, but a CRLF is one end
+                line += data.count(b"\r") - data.endswith(b"\r\n")
     return InputFileError(f"{path}: not UTF-8 text")  # the file changed since the read that failed
 
 
@@ -187,24 +193,27 @@ def read_text(path) -> str:
         raise _not_utf8(path) from None
 
 
-def _lines(path) -> Iterator[str]:
-    """A file's LF-delimited lines, without their ends, read BLOCK characters at a time.
+def _lines(path, newline: str | None = "\n") -> Iterator[str]:
+    """A file's lines, without their ends, read BLOCK characters at a time.
 
-    A CR before an LF is part of the end. Only LF ends a line: a U+2028, a
-    form feed or a lone CR is text, so a JSON string that holds one stays on
-    its line. A file that cannot be opened raises OSError when the first line
-    is asked for; a byte that is not UTF-8 raises InputFileError naming
-    path:line when its block is read.
+    With the default ``newline`` (corpus, JSONL, config, logp) only LF ends a
+    line, and a CR before it is part of the end: a U+2028, a form feed or a
+    lone CR is text, so a JSON string that holds one stays on its line. With
+    None (N-Triples), universal newlines: CR, LF and CRLF each end a line. A
+    file that cannot be opened raises OSError when the first line is asked
+    for; a non-UTF-8 byte raises InputFileError naming path:line when its
+    block is read.
     """
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    with open(path, encoding="utf-8", newline=newline) as fh:
         rest = ""  # the start of a line that the next block ends
         try:
             while text := fh.read(BLOCK):
-                lines = (rest + text).replace("\r\n", "\n").split("\n")
+                text = rest + text  # finding no CR is faster than a replace that finds no CRLF
+                lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
                 rest = lines.pop()
                 yield from lines
         except UnicodeDecodeError:  # its offset is into one block, not the file
-            raise _not_utf8(path) from None
+            raise _not_utf8(path, newline) from None
     if rest:
         yield rest
 

@@ -36,6 +36,7 @@ from .corpus import (
     make_manifest,
     read_lines,
     read_seeds,
+    read_text,
     unique_ids,
     write_split,
     write_text,
@@ -444,12 +445,10 @@ def run_experiment(preset: str, config: RunConfig, data: PipelineData | None = N
 
 
 def consolidate_reports(workdir) -> str:
-    """Concatenate every report.csv under workdir into one CSV string."""
+    """Concatenate every report.csv under workdir into one CSV string; a non-UTF-8 one raises InputFileError."""
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_REPORT_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for path in sorted(Path(workdir).glob("*/report.csv")):
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                writer.writerow(row)
+        writer.writerows(csv.DictReader(io.StringIO(read_text(path), newline="")))
     return buffer.getvalue()

@@ -12,15 +12,14 @@ import heapq
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from pathlib import Path
 
-from .errors import InputFileError, UnboundVariable
+from .corpus import _lines
+from .errors import UnboundVariable
 from .qlang import ASK, CONCRETE_IRI, Iri, QueryAst, Var
 
 _IRI = rf"<({CONCRETE_IRI})>"  # an IRI a query can write
 _TRIPLE_LINE = re.compile(rf"^{_IRI}\s+{_IRI}\s+(.+?)\s*\.\s*$")
 _IRI_OBJECT = re.compile(rf"^{_IRI}$")
-_LINE_END = re.compile(rb"\r\n?|\n")  # as universal newlines end a line
 
 
 @dataclass(frozen=True)
@@ -51,53 +50,38 @@ class Graph:
         return len(self.triples)
 
 
-def _utf8_lines(fh, path):
-    """The lines of `fh`, a text file read with universal newlines; text that is not UTF-8 raises
-    InputFileError naming path:line."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # its offset is into the file; the stream's is into one chunk
-            line = len(_LINE_END.findall(data, 0, exc.start)) + 1
-            raise InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-        raise
-
-
 def load_ntriples(path) -> Graph:
     """Load IRI-object triples from an N-Triples file.
 
-    Literal-object lines are skipped and counted; lines that are neither
-    comments, blank, nor well-formed triples are recorded as malformed
-    (1-based line numbers) in the graph's load report, not raised; so is a
-    line naming an IRI that starts like a placeholder term. A file
-    that is not UTF-8 raises InputFileError naming the line. The graph
-    holds one str per distinct IRI.
+    The file is read by `corpus._lines` with universal newlines: CR, LF and
+    CRLF each end a line. Literal-object lines are skipped and counted;
+    lines that are neither comments, blank, nor well-formed triples are
+    recorded as malformed (1-based line numbers) in the graph's load report,
+    not raised; so is a line naming an IRI that starts like a placeholder
+    term. A file that is not UTF-8 raises InputFileError naming the line.
+    The graph holds one str per distinct IRI.
     """
     triples: set[tuple[str, str, str]] = set()
     names: dict[str, str] = {}  # one str per distinct IRI, however often the file names it
     skipped = 0
     malformed: list[int] = []
-    with open(Path(path), encoding="utf-8") as fh:
-        for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            m = _TRIPLE_LINE.match(stripped)
-            if not m:
-                malformed.append(line_no)
-                continue
-            obj_text = m.group(3)
-            obj = _IRI_OBJECT.match(obj_text)
-            if obj:
-                s, p, o = m.group(1), m.group(2), obj.group(1)
-                triples.add((names.setdefault(s, s), names.setdefault(p, p), names.setdefault(o, o)))
-            elif obj_text.startswith('"'):
-                skipped += 1
-            else:
-                malformed.append(line_no)
+    for line_no, line in enumerate(_lines(path, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        m = _TRIPLE_LINE.match(stripped)
+        if not m:
+            malformed.append(line_no)
+            continue
+        obj_text = m.group(3)
+        obj = _IRI_OBJECT.match(obj_text)
+        if obj:
+            s, p, o = m.group(1), m.group(2), obj.group(1)
+            triples.add((names.setdefault(s, s), names.setdefault(p, p), names.setdefault(o, o)))
+        elif obj_text.startswith('"'):
+            skipped += 1
+        else:
+            malformed.append(line_no)
     return Graph(triples, LoadReport(skipped, tuple(malformed)))
 
 

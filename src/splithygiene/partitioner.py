@@ -39,9 +39,8 @@ class Split3:
 
 @dataclass(frozen=True)
 class TemplateSplit:
-    """Disjoint template-id sets coordinated by the seed split."""
+    """The templates a seed split holds out; every other template of the index is on the train side."""
 
-    train_template_ids: frozenset[str]
     test_template_ids: frozenset[str]
     # templates matching both train and test seeds; routed to test
     both_matched_ids: frozenset[str] = frozenset()
@@ -115,7 +114,6 @@ def split_templates(index: AttributionIndex, seeds, seed_test_ids) -> TemplateSp
                 if t.predicates == preds:
                     sides[t.id].add(seed.id in test_seed_ids)
     return TemplateSplit(
-        train_template_ids=frozenset(tid for tid, side in sides.items() if True not in side),
         test_template_ids=frozenset(tid for tid, side in sides.items() if True in side),
         both_matched_ids=frozenset(tid for tid, side in sides.items() if len(side) == 2),
     )
@@ -129,18 +127,17 @@ def sanitized_partition(
 ) -> Split3:
     """Template-coordinated split whose test set is strictly unseen.
 
-    An instance is a test candidate iff its attributed set is non-empty,
-    intersects the test templates, and avoids the train templates: an
-    ambiguous instance is one when all its attributed templates are held out,
-    however many there are, and unattributed instances always join the train
+    An instance is a test candidate iff its attributed set is non-empty and
+    every template in it is held out: an ambiguous instance is one however
+    many templates it has, and unattributed instances always join the train
     pool. Candidates that still share an attributed template with any pool
     instance are demoted to the pool until none remain, which makes the
     no-shared-template guarantee unconditional. The seeded cut then takes floor(VALID_FRACTION*|pool|)
     pool instances for valid; the rest of the pool is train.
     """
     items = list(instances)
-    in_test = {inst.id: _meets(index, tsplit.test_template_ids, inst)
-               and not _meets(index, tsplit.train_template_ids, inst) for inst in items}
+    held_out = tsplit.test_template_ids
+    in_test = {inst.id: bool(ts := index.attributed(inst.id)) and held_out.issuperset(ts) for inst in items}
     while True:
         pool_templates = index.tally(inst for inst in items if not in_test[inst.id]).keys()
         demote = [inst.id for inst in items if in_test[inst.id] and _meets(index, pool_templates, inst)]

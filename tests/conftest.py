@@ -196,7 +196,4 @@ def random_template_split(rnd: random.Random, templates) -> partitioner.Template
     ids = sorted(t.id for t in templates)
     n_test = rnd.randrange(1, max(2, len(ids)))
     test = set(rnd.sample(ids, n_test))
-    return partitioner.TemplateSplit(
-        train_template_ids=frozenset(i for i in ids if i not in test),
-        test_template_ids=frozenset(test),
-    )
+    return partitioner.TemplateSplit(test_template_ids=frozenset(test))

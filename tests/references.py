@@ -22,6 +22,12 @@ where the package fills in a form compiled once per template. The attribution
 reference tries the matcher on every template, with no pre-filter, and the
 template-split reference tries it on every (template, seed) pair; both read
 a template's concrete predicates with their own loop over its patterns. The
+sanitized-split reference keeps the two-set candidate rule (meets the
+held-out templates, misses the train ones) where the package tests that
+every attributed template is held out. The N-Triples reader reference
+iterates the file with universal newlines and numbers a non-UTF-8 byte by
+the line ends before it in the whole file, where the package reads through
+the corpus line reader. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
 The read-back reference compares the parsed query with the template's term
@@ -49,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from splithygiene import metrics, rng
+from splithygiene import kgstore, metrics, rng
 from splithygiene.attribution import AttributionIndex
 from splithygiene.baselines import BOS, EOS, UNK
 from splithygiene.corpus import STRING_LIST, STRING_MAP, Instance, QAPair, json_record
@@ -424,6 +430,48 @@ def ref_read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance
 
 
 # ---------------------------------------------------------------------------
+# N-Triples reading
+# ---------------------------------------------------------------------------
+
+_REF_LINE_END = re.compile(rb"\r\n?|\n")  # as universal newlines end a line
+
+
+def ref_load_ntriples(path) -> tuple[set[tuple[str, str, str]], int, tuple[int, ...]]:
+    """(triples, skipped literal lines, malformed line numbers) of an N-Triples file.
+
+    The file is iterated as a text file with universal newlines. A byte that
+    is not UTF-8 is found by decoding the whole file again, and its line is
+    numbered by the CRLF, CR and LF ends before it. Lines are parsed with
+    the package's own triple and IRI-object patterns.
+    """
+    triples, skipped, malformed = set(), 0, []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len(_REF_LINE_END.findall(data, 0, exc.start)) + 1
+                raise InputFileError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+            raise
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        m = kgstore._TRIPLE_LINE.match(stripped)
+        obj = m and kgstore._IRI_OBJECT.match(m.group(3))
+        if obj:
+            triples.add((m.group(1), m.group(2), obj.group(1)))
+        elif m and m.group(3).startswith('"'):
+            skipped += 1
+        else:
+            malformed.append(line_no)
+    return triples, skipped, tuple(malformed)
+
+
+# ---------------------------------------------------------------------------
 # Memorizer training
 # ---------------------------------------------------------------------------
 
@@ -591,6 +639,24 @@ def ref_split_templates(templates, seeds, seed_test_ids) -> tuple[set[str], set[
         if len(sides) == 2:
             both.add(t.id)
     return train, test, both
+
+
+def ref_sanitized_partition(instances, train_ids, test_ids, index: AttributionIndex, rng_seed: int):
+    """(train, valid, test) by the two-set rule: a test candidate's attributed templates meet
+    `test_ids` and miss `train_ids`; candidates sharing a template with the pool are demoted until
+    none do, and the seeded cut takes a tenth of the pool, rounded down, for valid."""
+    attributed = {inst.id: set(index.attributed(inst.id)) for inst in instances}
+    in_test = {i: bool(ts & test_ids) and not ts & train_ids for i, ts in attributed.items()}
+    while True:
+        pool_templates = set().union(*(ts for i, ts in attributed.items() if not in_test[i]))
+        demote = [i for i, ts in attributed.items() if in_test[i] and ts & pool_templates]
+        if not demote:
+            break
+        in_test.update(dict.fromkeys(demote, False))
+    pool = [inst for inst in instances if not in_test[inst.id]]
+    n_valid = len(pool) // 10
+    valid, train = rng.seeded_cut(pool, (n_valid, len(pool) - n_valid), rng_seed, "sanitized-valid")
+    return list(train), list(valid), [inst for inst in instances if in_test[inst.id]]
 
 
 def ref_attribute_instance(instance, templates) -> list[str]:

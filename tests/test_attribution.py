@@ -324,7 +324,7 @@ def test_split_templates_makes_no_matcher_call_on_default_toy_data(toy_data, toy
     calls = _counted_matcher(monkeypatch)
     tsplit = partitioner.split_templates(index, toy_data.seeds, seed_test)
     assert calls[0] == 0
-    assert tsplit.train_template_ids and tsplit.test_template_ids
+    assert set(index.templates) - tsplit.test_template_ids and tsplit.test_template_ids
 
 
 def test_a_whole_exp1_calls_the_matcher_only_to_build_the_index(toy_config, tmp_path, monkeypatch):

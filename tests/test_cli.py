@@ -414,6 +414,19 @@ def test_run_preset_and_report(tmp_path, runner):
     assert (workdir / "consolidated.csv").read_text().count("lm_perplexity") >= 2
 
 
+def test_report_names_the_report_that_is_not_utf8(tmp_path, runner):
+    header = "experiment,scheme,rng_seed\n"
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "report.csv").write_text(header + "exp1,leaky,1\n", encoding="utf-8")
+    bad = tmp_path / "b" / "report.csv"
+    bad.parent.mkdir()
+    bad.write_bytes(header.encode() + b"exp1,sanitized,\xff\n")
+    result = runner.invoke(main, ["report", "--workdir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {bad}:2: not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "consolidated.csv").exists()
+
+
 def test_workdir_env_default(tmp_path, runner, monkeypatch):
     monkeypatch.setenv("SPLITHYGIENE_WORKDIR", str(tmp_path / "envdir"))
     _ok(runner.invoke(main, ["run", "exp3"]))

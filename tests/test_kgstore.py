@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import PIZZA_SEED_QUERY, INDUSTRY_TEMPLATE_QUERY
-from splithygiene import kgstore
+from splithygiene import corpus, kgstore
 from splithygiene.errors import InputFileError, UnboundVariable
 from splithygiene.qlang import ASK, Iri, Placeholder, QueryAst, Var, parse_query
-from references import ref_eval
+from references import ref_eval, ref_load_ntriples
 
 DBR = "http://dbpedia.org/resource/"
 DBO_INDUSTRY = "http://dbpedia.org/ontology/industry"
@@ -93,6 +94,50 @@ def test_non_utf8_graph_names_the_line(tmp_path, data, line):
     with pytest.raises(InputFileError, match="not UTF-8") as err:
         kgstore.load_ntriples(path)
     assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+_NT_TERMS = st.sampled_from(["<e:s>", "<e:o>", "<p:p>", "<e:caf\u00e9>", "<Placeholder:A>", '"a literal"', "_:b0"])
+_NT_LINES = st.one_of(
+    st.tuples(_NT_TERMS, _NT_TERMS, _NT_TERMS, st.sampled_from([" .", ".", " . ", "", " . # note"])).map(
+        lambda t: " ".join(t[:3]) + t[3]),
+    st.sampled_from(["", "  ", "# a comment", "  # indented", "\t<e:s> <p:p> <e:o> .", "<e:s> <p:p>"]),
+    st.text(st.sampled_from("<>e:sp .#\"\x0b\x0c\x85\u2028\u00e9"), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(_NT_LINES, st.sampled_from(["\n", "\r", "\r\n"])), max_size=12),
+       final_end=st.booleans(), pad=st.sampled_from([None, -2, -1, 0, 1]),
+       bad=st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.sampled_from([b"\xff", b"\x80", b"\xc3"]))),
+       block=st.sampled_from([1, 2, 3, 7, 64, corpus.BLOCK]))
+def test_load_ntriples_equals_the_universal_newline_reader(tmp_path_factory, lines, final_end, pad, bad, block):
+    # the file's lines, the load report and a UTF-8 fault's path:line message are those of the reader that
+    # iterated the file with universal newlines, whatever block size it is read in; at the full block size, `pad`
+    # starts the file with a comment whose CRLF starts `pad` characters before the end of the first block, so at
+    # -1 the CRLF straddles two blocks
+    text = "".join(line + end for line, end in lines)
+    if lines and not final_end:
+        text = text[:-len(lines[-1][1])]
+    if pad is not None and block == corpus.BLOCK:
+        text = "#" + "x" * (corpus.BLOCK + pad - 1) + "\r\n" + text
+    data = text.encode("utf-8")
+    if bad is not None:
+        at, byte = bad
+        at %= len(data) + 1
+        data = data[:at] + byte + data[at:]
+    path = tmp_path_factory.mktemp("nt") / "g.nt"
+    path.write_bytes(data)
+    try:
+        expected = ref_load_ntriples(path)
+    except InputFileError as exc:
+        expected = str(exc)
+    with mock.patch.object(corpus, "BLOCK", block):
+        try:
+            graph = kgstore.load_ntriples(path)
+            got = (set(graph.triples), graph.load_report.skipped_literals, graph.load_report.malformed_lines)
+        except InputFileError as exc:
+            got = str(exc)
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance, random_corpus, random_template_split
-from references import ref_split_templates, ref_template_matches_seed
+from references import ref_sanitized_partition, ref_split_templates, ref_template_matches_seed
 from splithygiene import attribution, corpus, experiments, partitioner, rng, synthesis
 from splithygiene.errors import RatioError
 from splithygiene.qlang import NlqPattern, parse_query
@@ -135,14 +135,14 @@ def test_split_templates_routes_by_seed_membership(pizza_seed, industry_template
     index = attribution.build_index([], [industry_template])
     tsplit = partitioner.split_templates(index, [pizza_seed], {pizza_seed.id})
     assert industry_template.id in tsplit.test_template_ids
-    assert tsplit.train_template_ids == frozenset()
+    assert set(index.templates) - tsplit.test_template_ids == set()
 
 
 def test_split_templates_empty_test_ids():
     templates, seeds, _, index = _toy_corpus()
     tsplit = partitioner.split_templates(index, seeds, set())
     assert tsplit.test_template_ids == frozenset()
-    assert tsplit.train_template_ids == frozenset(t.id for t in templates)
+    assert set(index.templates) - tsplit.test_template_ids == {t.id for t in templates}
 
 
 def test_split_templates_two_matching_test_seeds():
@@ -155,7 +155,7 @@ def test_split_templates_two_matching_test_seeds():
     }
     tsplit = partitioner.split_templates(index, seeds, test_seed_ids)
     assert tsplit.test_template_ids == expected_test == {"t2", "t5"}
-    assert len(tsplit.train_template_ids) == 6
+    assert len(set(index.templates) - tsplit.test_template_ids) == 6
 
 
 def test_split_templates_equals_the_all_pairs_rule_on_toy_and_scaled_seeds(toy_data, scaled_world):
@@ -169,8 +169,9 @@ def test_split_templates_equals_the_all_pairs_rule_on_toy_and_scaled_seeds(toy_d
             # the corpus table holds every seed skeleton; a table with no corpus matches each one afresh
             for index in (data.index, attribution.build_index([], data.templates)):
                 tsplit = partitioner.split_templates(index, seeds, held_out)
-                assert (tsplit.train_template_ids, tsplit.test_template_ids, tsplit.both_matched_ids) == expected
-            assert tsplit.train_template_ids and tsplit.test_template_ids
+                train = set(index.templates) - tsplit.test_template_ids
+                assert (train, tsplit.test_template_ids, tsplit.both_matched_ids) == expected
+            assert train and tsplit.test_template_ids
             seen_both += bool(tsplit.both_matched_ids)
     assert seen_both, "no split had a template matching seeds on both sides"
 
@@ -226,17 +227,14 @@ def test_sanitized_ambiguous_instances_stay_in_train_pool():
     ]
     index = attribution.build_index(instances, templates)
     assert set(index.attributed("both")) == {"tA", "tB"}
-    tsplit = partitioner.TemplateSplit(
-        train_template_ids=frozenset({"tB"}),
-        test_template_ids=frozenset({"tA"}),
-    )
+    tsplit = partitioner.TemplateSplit(test_template_ids=frozenset({"tA"}))
     split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=3)
     assert "both" in _ids(split.train) + _ids(split.valid)
     # the pooled ambiguous instance carries tA, so the tA-only candidates are
     # demoted too and the test split drains rather than leak
     assert split.counts[2] == 0
     # held out with every template it is attributed to, the ambiguous instance reaches test
-    tsplit = partitioner.TemplateSplit(train_template_ids=frozenset(), test_template_ids=frozenset({"tA", "tB"}))
+    tsplit = partitioner.TemplateSplit(test_template_ids=frozenset({"tA", "tB"}))
     split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=3)
     assert set(_ids(split.test)) == set(_ids(instances))
 
@@ -279,11 +277,43 @@ def test_sanitized_invariant_on_random_corpora_with_demotion():
             assert not (set(index.attributed(t_inst.id)) & pool_templates)
         candidates = [i for i in instances
                       if set(index.attributed(i.id)) & tsplit.test_template_ids
-                      and not set(index.attributed(i.id)) & tsplit.train_template_ids
+                      and not set(index.attributed(i.id)) & (set(index.templates) - tsplit.test_template_ids)
                       and index.attributed(i.id)]
         if len(split.test) < len(candidates):
             demoted_somewhere = True
     assert demoted_somewhere, "expected at least one corpus to exercise demotion"
+
+
+def _same_split_as_the_two_set_rule(instances, tsplit, index, rng_seed):
+    split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed)
+    train = set(index.templates) - tsplit.test_template_ids
+    expected = ref_sanitized_partition(instances, train, tsplit.test_template_ids, index, rng_seed)
+    assert [_ids(part) for part in (split.train, split.valid, split.test)] == [_ids(part) for part in expected]
+    return split
+
+
+def test_one_held_out_set_splits_as_the_two_set_rule_on_random_corpora():
+    # any held-out set, none and every template included: the train side is the rest of the index's templates;
+    # a stray question that no template matches is unattributed, so it meets neither side
+    rnd = random.Random(30)
+    tested = 0
+    for _ in range(40):
+        _, templates, instances, _ = random_corpus(rnd)
+        instances.insert(rnd.randrange(len(instances) + 1), make_instance("stray", "zzz qqq ?", ASK_Q % 0))
+        index = attribution.build_index(instances, templates)
+        for share in (0.0, rnd.random(), 1.0):
+            tsplit = partitioner.TemplateSplit(frozenset(t.id for t in templates if rnd.random() < share))
+            tested += bool(_same_split_as_the_two_set_rule(instances, tsplit, index, rnd.randrange(100)).test)
+    assert tested > 20
+
+
+def test_one_held_out_set_splits_as_the_two_set_rule_on_toy_and_scaled_seed_splits(toy_data, scaled_world):
+    for data in (toy_data, scaled_world[1]):
+        for fraction, rng_seed in ((0.2, 101), (0.5, 7), (0.9, 8)):
+            held_out = experiments.held_out_seed_ids(data.seeds, fraction, rng_seed)
+            tsplit = partitioner.split_templates(data.index, data.seeds, held_out)
+            split = _same_split_as_the_two_set_rule(data.instances, tsplit, data.index, rng_seed)
+            assert split.test and split.train
 
 
 def test_sanitized_deterministic():
@@ -338,9 +368,7 @@ def _brute_seen_fraction(split, part, index):
 
 def test_leakage_zero_on_sanitized_split():
     templates, _, instances, index = _toy_corpus()
-    tsplit = partitioner.TemplateSplit(
-        train_template_ids=frozenset({"t1", "t2", "t3", "t4"}),
-        test_template_ids=frozenset({"t0"}))
+    tsplit = partitioner.TemplateSplit(test_template_ids=frozenset({"t0"}))
     split = partitioner.sanitized_partition(instances, tsplit, index, rng_seed=4)
     stats = partitioner.seen_fractions(split, index)
     assert stats["test"] == 0.0
