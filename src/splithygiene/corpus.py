@@ -205,16 +205,18 @@ def _lines(path, newline: str | None = "\n") -> Iterator[str]:
     block is read.
     """
     with open(path, encoding="utf-8", newline=newline) as fh:
-        rest = ""  # the start of a line that the next block ends
+        pieces = []  # the blocks of a line that no LF has ended yet
         try:
             while text := fh.read(BLOCK):
-                text = rest + text  # finding no CR is faster than a replace that finds no CRLF
-                lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
-                rest = lines.pop()
-                yield from lines
+                pieces.append(text)
+                if "\n" in text:  # a long line's blocks are joined once, not copied again on every block
+                    text = "".join(pieces)  # finding no CR is faster than a replace that finds no CRLF
+                    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+                    pieces = [lines.pop()]
+                    yield from lines
         except UnicodeDecodeError:  # its offset is into one block, not the file
             raise _not_utf8(path, newline) from None
-    if rest:
+    if rest := "".join(pieces):
         yield rest
 
 
@@ -515,22 +517,6 @@ def file_digest(paths) -> str:
 # Seeds on disk (JSONL)
 # ---------------------------------------------------------------------------
 
-def seed_to_dict(seed: Seed) -> dict:
-    forms = {}
-    for label in sorted(seed.surface_forms):
-        sf = seed.surface_forms[label]
-        entry: dict = {"span": [sf.start, sf.end]}
-        if sf.iri is not None:
-            entry["iri"] = sf.iri
-        forms[label] = entry
-    return {
-        "id": seed.id,
-        "nlq": seed.pair.nlq_text(),
-        "query": seed.pair.query_text,
-        "surface_forms": forms,
-    }
-
-
 def _is_surface_forms(value) -> bool:
     return isinstance(value, dict) and all(
         isinstance(entry, dict) and isinstance(entry.get("iri", ""), str)
@@ -549,10 +535,6 @@ def seed_from_dict(doc: dict) -> Seed:
         for label, entry in doc.get("surface_forms", {}).items()
     }
     return Seed(id=doc["id"], pair=QAPair.from_text(doc["nlq"], doc["query"]), surface_forms=forms)
-
-
-def write_seeds(path, seeds) -> None:
-    write_lines(path, (json.dumps(seed_to_dict(s)) for s in seeds))
 
 
 def read_seeds(path, extract=None) -> list:

@@ -49,15 +49,6 @@ class Generator:
     def __init__(self, key0: int, key1: int):
         self._next32 = chain.from_iterable(_philox_words(key0, key1)).__next__
 
-    def integers(self, n: int) -> int:
-        """A uniform integer in [0, n) by Lemire's multiply-and-reject method; n == 1 draws no word."""
-        if not 1 <= n <= _MASK32:  # each draw reads one 32-bit word
-            raise ValueError(f"integers({n}): n is outside [1, 2**32)")
-        m = self._next32() * n if n > 1 else 0
-        while m & _MASK32 < (1 << 32) % n:
-            m = self._next32() * n
-        return m >> 32
-
     def permutation(self, n: int) -> list[int]:
         return self._shuffled(n, 1)
 

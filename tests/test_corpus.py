@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -15,7 +16,7 @@ from conftest import COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, make_instance
 from splithygiene import corpus, partitioner, qlang, toydata
 from splithygiene.errors import InputFileError, LineCountMismatch, SplitHygieneError
 from splithygiene.partitioner import Split3
-from references import ref_dedup_keys, ref_read_parallel, ref_tokenize_nlq
+from references import _ref_read_lines, ref_dedup_keys, ref_read_parallel, ref_tokenize_nlq
 
 ASK_Q = "ASK WHERE { <e:s%d> <p:p> <e:o> }"
 
@@ -195,6 +196,17 @@ def test_read_lines_ends_a_line_at_lf_only_and_drops_one_cr_before_it(tmp_path, 
     path = tmp_path / "f.txt"
     path.write_bytes(text.encode("utf-8"))
     assert corpus.read_lines(path) == lines
+
+
+def test_read_lines_joins_a_long_line_once(tmp_path, monkeypatch):
+    # 16,384 blocks with no LF, then a CR that ends a block before the LF that starts the next; a reader that
+    # copied the unfinished line on every block took seconds here
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"x" * ((1 << 20) - 1) + b"\r\nb")
+    monkeypatch.setattr(corpus, "BLOCK", 64)
+    start = time.perf_counter()
+    assert corpus.read_lines(path) == _ref_read_lines(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_read_parallel_reads_a_unicode_line_break_inside_a_line_as_whitespace(tmp_path):
@@ -507,7 +519,10 @@ def test_seeds_jsonl_round_trip(tmp_path):
                  "ASK WHERE { <e:Peter_Piper_Pizza> <p:industry> <e:Pizza> }")
     seed = corpus.Seed(id="s1", pair=pair, surface_forms={
         "B": corpus.SurfaceForm(1, 4), "A": corpus.SurfaceForm(6, 7, "e:Pizza")})
-    corpus.write_seeds(tmp_path / "seeds.jsonl", [seed])
+    (tmp_path / "seeds.jsonl").write_text(json.dumps({
+        "id": "s1", "nlq": "is peter piper pizza in the pizza industry ?",
+        "query": "ASK WHERE { <e:Peter_Piper_Pizza> <p:industry> <e:Pizza> }",
+        "surface_forms": {"A": {"span": [6, 7], "iri": "e:Pizza"}, "B": {"span": [1, 4]}}}) + "\n", encoding="utf-8")
     (back,) = corpus.read_seeds(tmp_path / "seeds.jsonl")
     assert back == seed
 

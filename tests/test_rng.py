@@ -12,7 +12,6 @@ from splithygiene import rng
 
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 LABELS = st.tuples(st.text(max_size=6), st.integers(-5, 5))
-INTERVALS = [1, 2, 3, 24, 2**31 + 5, 2**32 - 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -38,25 +37,13 @@ def test_permutation_at_and_past_a_power_of_two_is_the_reference_permutation(n):
         assert rng.permutation(n, seed, "p") == references.ref_generator(seed, "p").permutation(n).tolist()
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, label=LABELS, draws=st.integers(1, 30))
-@pytest.mark.parametrize("n", INTERVALS)
-def test_integers_are_the_reference_integers(n, seed, label, draws):
-    gen, ref = rng.generator(seed, *label), references.ref_generator(seed, *label)
-    assert [gen.integers(n) for _ in range(draws)] == [int(ref.integers(n)) for _ in range(draws)]
-    # the stream is where the reference left it: integers(1) drew no word, a rejected draw one more
-    assert gen.permutation(20) == ref.permutation(20).tolist()
-
-
 @settings(max_examples=200, deadline=None)
-@given(seed=SEEDS, calls=st.lists(st.one_of(st.tuples(st.just("integers"), st.sampled_from(INTERVALS)),
-                                            st.tuples(st.just("permutation"), st.integers(0, 70))), max_size=12))
-def test_interleaved_draws_on_one_stream_are_the_reference_draws(seed, calls):
+@given(seed=SEEDS, sizes=st.lists(st.integers(0, 70), max_size=12))
+def test_interleaved_draws_on_one_stream_are_the_reference_draws(seed, sizes):
     # a draw that ends on the low half of a 64-bit word leaves the high half to the next call
     gen, ref = rng.generator(seed, "mixed"), references.ref_generator(seed, "mixed")
-    for method, n in calls:
-        expected = getattr(ref, method)(n)
-        assert getattr(gen, method)(n) == (expected.tolist() if method == "permutation" else int(expected))
+    for n in sizes:
+        assert gen.permutation(n) == ref.permutation(n).tolist()
 
 
 def _reference_cut(items, sizes, seed, *stream):
@@ -83,10 +70,9 @@ def test_seeded_cut_at_the_paper_size_is_the_reference_cut(sizes):
     assert rng.seeded_cut(items, sizes, 42, "cut") == _reference_cut(items, sizes, 42, "cut")
 
 
-@pytest.mark.parametrize("method, n", [("permutation", -1), ("permutation", 2**32), ("permutation", 2**40),
-                                       ("integers", 0), ("integers", -1), ("integers", 2**32), ("integers", 2**40)])
+@pytest.mark.parametrize("method, n", [("permutation", -1), ("permutation", 2**32), ("permutation", 2**40)])
 def test_a_size_outside_32_bits_is_rejected(method, n):
-    with pytest.raises(ValueError, match=r"n is outside \[[01], 2\*\*32\)"):
+    with pytest.raises(ValueError, match=r"n is outside \[0, 2\*\*32\)"):
         getattr(rng.generator(0, "size"), method)(n)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -9,6 +10,8 @@ from conftest import (
     COMICS_INSTANCE_QUERY,
     INDUSTRY_TEMPLATE_NLQ,
     INDUSTRY_TEMPLATE_QUERY,
+    PIZZA_SEED_NLQ,
+    PIZZA_SEED_QUERY,
 )
 from splithygiene import corpus, experiments, kgstore, qlang, synthesis
 from splithygiene.errors import AdjacentSlots, UnlocatableEntity
@@ -300,11 +303,13 @@ def test_generate_instantiates_a_5000_pattern_template():
 # template de-duplication / templates.jsonl
 # ---------------------------------------------------------------------------
 
-def test_dedup_templates(tmp_path, pizza_seed, industry_template):
+def test_dedup_templates(tmp_path, industry_template):
     # another seed whose question and query patterns are the pizza seed's
-    comics = corpus.Seed(id="comics-seed", pair=corpus.QAPair.from_text(COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY),
-                         surface_forms={"B": corpus.SurfaceForm(1, 3), "A": corpus.SurfaceForm(5, 6)})
-    corpus.write_seeds(tmp_path / "seeds.jsonl", [pizza_seed, comics])
+    records = [("pizza-seed", PIZZA_SEED_NLQ, PIZZA_SEED_QUERY, [6, 7], [1, 4]),
+               ("comics-seed", COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, [5, 6], [1, 3])]
+    (tmp_path / "seeds.jsonl").write_text("".join(
+        json.dumps({"id": i, "nlq": nlq, "query": query, "surface_forms": {"A": {"span": a}, "B": {"span": b}}}) + "\n"
+        for i, nlq, query, a, b in records), encoding="utf-8")
     seeds, templates, removed = experiments.extract_stage(tmp_path / "seeds.jsonl")
     assert [s.id for s in seeds] == ["pizza-seed", "comics-seed"]
     assert templates == [industry_template]
