@@ -10,7 +10,6 @@ record origin template ids by one rule (`_origins`).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import uuid
@@ -22,6 +21,7 @@ from pathlib import Path
 
 from . import qlang
 from .errors import InputFileError, LineCountMismatch, ParseError, SplitHygieneError
+from .rng import sha256
 
 LEAKY = "leaky"
 SANITIZED = "sanitized"
@@ -213,6 +213,7 @@ def _lines(path, newline: str | None = "\n") -> Iterator[str]:
                     text = "".join(pieces)  # finding no CR is faster than a replace that finds no CRLF
                     lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
                     pieces = [lines.pop()]
+                    del text  # else the joined block stays alive beside its lines while they are yielded
                     yield from lines
         except UnicodeDecodeError:  # its offset is into one block, not the file
             raise _not_utf8(path, newline) from None
@@ -502,8 +503,12 @@ def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str
 # ---------------------------------------------------------------------------
 
 def file_digest(paths) -> str:
-    """SHA-256 of the given files' bytes, concatenated in order, read BLOCK bytes at a time into one buffer."""
-    h = hashlib.sha256()
+    """SHA-256 of the given files' bytes, concatenated in order, read BLOCK bytes at a time into one buffer.
+
+    The hash is `rng.sha256`, CPython's built-in, so no command loads OpenSSL to hash its inputs. It runs at
+    0.19-0.24 GB/s against ~1.1 GB/s for OpenSSL's: 186 MiB takes ~0.7 s more (2-CPU VM, Python 3.11).
+    """
+    h = sha256()
     buffer = bytearray(BLOCK)
     view = memoryview(buffer)
     for p in paths:

@@ -3,14 +3,24 @@
 Every shuffle draws from a Philox4x64-10 stream (Salmon et al., SC 2011) keyed by (rng_seed, stream label),
 drawn in pure Python; the label isolates independent uses of one seed, so results never depend on call order.
 The counter starts at 0 and is incremented before each block; each 64-bit word gives its low 32 bits first.
+The label's key word is the first 8 bytes, big-endian, of the SHA-256 of its parts joined by U+001F. Every
+SHA-256 of the package comes from `sha256`: CPython's built-in module, not hashlib, which maps OpenSSL's
+libcrypto (~3.5 MB more resident) when it is imported.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from array import array
 from itertools import accumulate, chain
+
+try:  # the built-in is _sha2 on Python 3.12+ and _sha256 before; hashlib only on a build that has neither
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
@@ -18,7 +28,7 @@ _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # key schedule increments
 
 
 def _stream_word(parts: tuple) -> int:
-    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode("utf-8")).digest()
+    digest = sha256("\x1f".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

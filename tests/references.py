@@ -41,11 +41,13 @@ reference is the character scanner, which reads one character at a time where
 the package walks lexemes, and the tokenizer reference runs the
 trailing-punctuation loop on every token. The random stream reference is
 numpy's Philox generator, which the package drew from before it drew the same
-words in pure Python; it shares only the stream label's key word with `rng`.
+words in pure Python, keyed by the stream label's word as hashlib's SHA-256
+computes it, where `rng` takes CPython's built-in SHA-256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import re
@@ -755,7 +757,12 @@ def ref_lm_perplexity(lm: RefNGramLM, sentences) -> float:
 # random stream
 # ---------------------------------------------------------------------------
 
+def ref_stream_word(parts: tuple) -> int:
+    """The first 8 bytes, big-endian, of hashlib's SHA-256 of the label's parts as text joined by U+001F."""
+    return int.from_bytes(hashlib.sha256("\x1f".join(map(str, parts)).encode("utf-8")).digest()[:8], "big")
+
+
 def ref_generator(seed: int, *stream) -> np.random.Generator:
     """numpy's Philox4x64-10 generator keyed by (seed, the stream label's word)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(rng._stream_word(stream))])
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(ref_stream_word(stream))])
     return np.random.Generator(np.random.Philox(key=key))

@@ -192,6 +192,36 @@ def test_the_preparation_steps_load_no_numpy(tmp_path):
         assert (tmp_path / scheme / "test.nlq").read_text().count("\n") > 10
 
 
+def test_no_command_loads_openssl(tmp_path):
+    # SHA-256 (stream keys, config digests) comes from CPython's built-in module: hashlib would load _hashlib,
+    # which maps OpenSSL's libcrypto
+    templates, out, split = str(tmp_path / "t.jsonl"), tmp_path / "corpus", tmp_path / "sanitized"
+    corpus_files = ["--nlq", str(out / "instances.nlq"), "--ql", str(out / "instances.ql"),
+                    "--manifest", str(out / "instances.manifest.json")]
+    steps = [
+        ["extract", "--seeds", SEEDS, "--out", templates],
+        ["generate", "--templates", templates, "--kg", KG, "--limit", "20", "--rng-seed", "3", "--out-dir", str(out)],
+        ["attribute", *corpus_files, "--templates", templates, "--out", str(tmp_path / "attribution.tsv")],
+        ["partition", "--scheme", "leaky", *corpus_files, "--out-dir", str(tmp_path / "leaky")],
+        ["partition", "--scheme", "sanitized", *corpus_files, "--templates", templates, "--seeds", SEEDS,
+         "--out-dir", str(split)],
+        ["memorize", "--train-nlq", str(split / "train.nlq"), "--train-ql", str(split / "train.ql"),
+         "--templates", templates, "--input", str(split / "test.nlq"), "--out", str(tmp_path / "pred.ql")],
+        ["lm", "--train-ql", str(split / "train.ql"), "--eval-ql", str(split / "test.ql"),
+         "--out-logp", str(tmp_path / "test.logp")],
+        ["eval", "--pred", str(tmp_path / "pred.ql"), "--test", str(split / "test.ql"),
+         "--logp", str(tmp_path / "test.logp"), "--out", str(tmp_path / "eval.json")],
+        ["run", "exp3", "--workdir", str(tmp_path / "w")],
+        ["report", "--workdir", str(tmp_path / "w")],
+    ]
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "_hashlib", *map("\t".join, steps)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [False] * (1 + len(steps))
+    assert json.loads((tmp_path / "eval.json").read_text())["perplexity"] > 1
+    assert (tmp_path / "w" / "consolidated.csv").read_text().count("\n") > 1
+
+
 def test_a_preset_loads_numpy_but_not_numpy_random(tmp_path):
     run = ["run", "exp3", "--workdir", str(tmp_path / "w")]
     for module, after_run in (("numpy", True), ("numpy.random", False)):

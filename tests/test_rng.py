@@ -1,7 +1,12 @@
-"""The pure-Python random stream against numpy's Philox generator (`references.ref_generator`)."""
+"""The pure-Python random stream against numpy's Philox generator (`references.ref_generator`), and its
+label's key word against hashlib's SHA-256 (`references.ref_stream_word`)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import subprocess
+import sys
 from itertools import accumulate
 
 import pytest
@@ -12,6 +17,39 @@ from splithygiene import rng
 
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 LABELS = st.tuples(st.text(max_size=6), st.integers(-5, 5))
+
+
+@pytest.mark.parametrize("parts", [
+    (), ("",), ("leaky-partition",), ("generate", "t-s000"), (0,), (-5, 2**64), ("a", 1), ("a", "1"), ("a\x1f1",),
+    ("ære", "Zürich", "東京"), ("\x1f",), ("\x1f", "\x1f"), ("", ""), ("x" * 200,), ("\ud7ff\U0010ffff",),
+])
+def test_the_stream_word_is_hashlibs_sha256_of_the_label(parts):
+    # the joiner is not escaped, so ("a", 1), ("a", "1") and ("a\x1f1",) name one stream
+    assert rng._stream_word(parts) == references.ref_stream_word(parts)
+
+
+# digests the package takes with its SHA-256: a stream word and a file digest; with "blocked", neither built-in
+# SHA-256 module can be imported, so the package falls back to hashlib. Prints whether _hashlib was loaded.
+_SHA_PROBE = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from splithygiene import corpus, rng
+print(json.dumps([rng._stream_word(("generate", "t-s000")), corpus.file_digest(sys.argv[2:]), "_hashlib" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("mode", ["built-in", "blocked"])
+def test_sha256_comes_from_hashlib_only_on_a_build_without_the_built_in(tmp_path, mode):
+    paths = [tmp_path / "a", tmp_path / "b"]
+    paths[0].write_bytes(bytes(range(256)) * 700)
+    paths[1].write_text("Zürich\n", encoding="utf-8")
+    result = subprocess.run([sys.executable, "-c", _SHA_PROBE, mode, *map(str, paths)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    word, digest, loaded_openssl = json.loads(result.stdout)
+    assert word == references.ref_stream_word(("generate", "t-s000"))
+    assert digest == hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+    assert loaded_openssl == (mode == "blocked")
 
 
 @settings(max_examples=40, deadline=None)
