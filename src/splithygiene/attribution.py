@@ -92,8 +92,8 @@ def build_index(instances, templates) -> AttributionIndex:
     by_instance = {}
     found: dict[tuple[int, tuple[str, ...]], tuple[str, ...]] = {}  # (id of a table entry, predicates) -> ids
     for inst in instances:
-        preds = inst.pair.concrete_predicates()
-        matched = matches(inst.pair.nlq)  # the table keeps each entry, so its id names it
+        preds = inst.concrete_predicates()
+        matched = matches(inst.nlq)  # the table keeps each entry, so its id names it
         key = (id(matched), preds)
         ids = found.get(key)
         if ids is None:

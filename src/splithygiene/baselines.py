@@ -109,14 +109,14 @@ def _harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     """
     attributed = index.attributed(inst.id)
     origin = inst.origin_template_id
-    bindings_of = {t.id: bindings for t, bindings in index.matches(inst.pair.nlq)}
+    bindings_of = {t.id: bindings for t, bindings in index.matches(inst.nlq)}
     labels = []
     for tid in [origin] if origin in attributed else attributed:
-        iris = index.templates[tid].query_form.match(inst.pair.query_text)
+        iris = index.templates[tid].query_form.match(inst.query_text)
         if iris is None:
             continue
         for label, span in bindings_of[tid].items():
-            labels.append((" ".join(span_tokens(inst.pair.nlq, span)), iris[label]))
+            labels.append((" ".join(span_tokens(inst.nlq, span)), iris[label]))
     return labels
 
 
@@ -127,7 +127,7 @@ def memorizer_index(instances, index: AttributionIndex) -> MemorizerIndex:
     flat: list[int] = []
     starts = [0]
     for inst in instances:
-        flat.extend(vocab.setdefault(t, len(vocab)) for t in dict.fromkeys(inst.pair.nlq))
+        flat.extend(vocab.setdefault(t, len(vocab)) for t in dict.fromkeys(inst.nlq))
         starts.append(len(flat))
     words = frozenset().union(*(t.nlq_pattern.words for t in index.templates.values()))
     frequent = np.array([t.casefold() in words for t in vocab], dtype=bool)
@@ -305,7 +305,7 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
         ta, tb = offsets[a], offsets[b]
         picks = _nearest_block(model, qsize[a:b], tokens[ta:tb], owner[ta:tb] - a)
         for i, p in zip(unmatched[a:b], picks.tolist()):
-            out[i] = model.fallback[p].pair.query_text.split()
+            out[i] = model.fallback[p].query_text.split()
     return out
 
 

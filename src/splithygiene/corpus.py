@@ -31,26 +31,24 @@ BLOCK = 1 << 16  # characters read, or bytes hashed, per step
 
 
 @dataclass(frozen=True, slots=True)
-class QAPair:
-    """A natural-language question paired with a formal query.
+class Instance:
+    """One corpus row: a question's tokens, its query's text and predicates, and the template that generated it.
 
     ``predicates`` are the query's predicate IRIs in triple order, None when
-    one of them is a placeholder. The pair stores no AST: ``query_ast``
-    parses the query's text each time it is asked for.
+    one of them is a placeholder. ``origin_template_id`` is None for a row
+    whose origin is not known. The row stores no AST: ``query_ast`` parses
+    the query's text each time it is asked for.
     """
 
+    id: str
     nlq: tuple[str, ...]
     query_text: str
     predicates: tuple[str, ...] | None
+    origin_template_id: str | None = None
 
     def __post_init__(self):
         if not self.nlq:
             raise ValueError("NLQ token sequence must be non-empty")
-
-    @classmethod
-    def from_text(cls, nlq_text: str, query_text: str) -> "QAPair":
-        """The pair of a question and a query; a query outside the subset raises ParseError."""
-        return cls(qlang.tokenize_nlq(nlq_text), query_text, qlang.query_checker()(query_text))
 
     @property
     def query_ast(self) -> qlang.QueryAst:
@@ -76,15 +74,14 @@ class SurfaceForm:
 
 
 @dataclass(frozen=True)
-class Seed:
-    """A curated question-query pair with labeled entity surface forms."""
+class Seed(Instance):
+    """A curated question-query row with labeled entity surface forms; its ``origin_template_id`` is None."""
 
-    id: str
-    pair: QAPair
     surface_forms: dict[str, SurfaceForm] = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.pair.nlq)
+        super().__post_init__()
+        n = len(self.nlq)
         taken: set[int] = set()
         for label, sf in self.surface_forms.items():
             if not (0 <= sf.start < sf.end <= n):
@@ -95,33 +92,24 @@ class Seed:
             taken.update(range(sf.start, sf.end))
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
-    """A question-query pair generated from (or attributed to) a template."""
-
-    id: str
-    pair: QAPair
-    origin_template_id: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # De-duplication
 # ---------------------------------------------------------------------------
 
-def canonical_key(pair: QAPair) -> str:
+def canonical_key(rec: Instance) -> str:
     """Lowercased single-spaced NLQ + whitespace-normalized query text.
 
     Query text keeps its case: IRIs are case-sensitive, questions are not.
     Lowercasing the joined tokens equals joining the lowercased tokens: the
     only mapping that reads its context, a final capital sigma, stops at a space.
     """
-    nlq = " ".join(pair.nlq).lower()
-    query = " ".join(pair.query_text.split())
+    nlq = " ".join(rec.nlq).lower()
+    query = " ".join(rec.query_text.split())
     return nlq + "\n" + query
 
 
-def dedup(records, key=lambda rec: canonical_key(rec.pair)):
-    """Drop records whose key (default: the pair's canonical key) repeats, keeping firsts in order.
+def dedup(records, key=canonical_key):
+    """Drop records whose key (default: the row's canonical key) repeats, keeping firsts in order.
 
     Only the hash of each kept record's key is kept, mapped to the record. A
     hash seen before is settled by recomputing the keys of the kept records
@@ -345,7 +333,7 @@ def read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance]:
             predicates = check(query_line)
         except ParseError as exc:
             raise InputFileError(f"{query_path}:{i}: {exc}") from None
-        out.append(Instance(key, QAPair(nlq, query_line, predicates), origin))
+        out.append(Instance(key, nlq, query_line, predicates, origin))
     if len(out) != n:
         raise InputFileError(f"{nlq_path}, {query_path}: {n} lines counted, then {len(out)} rows read; "
                              "a corpus file must be a regular file that does not change while it is read")
@@ -411,8 +399,8 @@ def write_lines(path, lines) -> None:
 def write_parallel(out_dir, name: str, instances) -> None:
     """Write ``<name>.nlq`` and ``<name>.ql`` under out_dir, one instance per line."""
     out = Path(out_dir)
-    write_lines(out / f"{name}.nlq", (i.pair.nlq_text() for i in instances))
-    write_lines(out / f"{name}.ql", (i.pair.query_text for i in instances))
+    write_lines(out / f"{name}.nlq", (i.nlq_text() for i in instances))
+    write_lines(out / f"{name}.ql", (i.query_text for i in instances))
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -466,12 +454,9 @@ def write_corpus(out_dir, instances) -> None:
 def write_split(out_dir, split3, manifest: dict) -> None:
     """Write train/valid/test as parallel .nlq/.ql files plus manifest.json."""
     out = Path(out_dir)
-    try:
-        for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
-            write_parallel(out, name, instances)
-        write_text(out / "manifest.json", json_text(manifest))
-    except OSError as exc:
-        raise OSError(f"writing split under {out}: {exc}") from exc
+    for name, instances in (("train", split3.train), ("valid", split3.valid), ("test", split3.test)):
+        write_parallel(out, name, instances)
+    write_text(out / "manifest.json", json_text(manifest))
 
 
 def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str) -> dict:
@@ -539,7 +524,8 @@ def seed_from_dict(doc: dict) -> Seed:
         label: SurfaceForm(entry["span"][0], entry["span"][1], entry.get("iri"))
         for label, entry in doc.get("surface_forms", {}).items()
     }
-    return Seed(id=doc["id"], pair=QAPair.from_text(doc["nlq"], doc["query"]), surface_forms=forms)
+    return Seed(doc["id"], qlang.tokenize_nlq(doc["nlq"]), doc["query"], qlang.query_checker()(doc["query"]),
+                surface_forms=forms)
 
 
 def read_seeds(path, extract=None) -> list:

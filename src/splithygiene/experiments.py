@@ -298,7 +298,7 @@ def baseline_corpus(data: PipelineData, config: RunConfig) -> tuple[NGramIndex, 
     over every instance, and each instance id's row in both."""
     from .baselines import memorizer_index, ngram_index
 
-    lm_index = ngram_index((inst.pair.query_text.split() for inst in data.instances), config.lm_order)
+    lm_index = ngram_index((inst.query_text.split() for inst in data.instances), config.lm_order)
     rows = {inst.id: row for row, inst in enumerate(data.instances)}
     return lm_index, memorizer_index(data.instances, data.index), rows
 
@@ -322,8 +322,8 @@ def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig, lm
         "template_seen_fraction": seen_fractions(split, data.index),
     }
     for name, part in (("valid", split.valid), ("test", split.test)):
-        refs = [inst.pair.query_text.split() for inst in part]
-        preds = memorizer_predict(memorizer, [inst.pair.nlq for inst in part])
+        refs = [inst.query_text.split() for inst in part]
+        preds = memorizer_predict(memorizer, [inst.nlq for inst in part])
         out["memorizer_bleu"][name] = corpus_bleu(preds, refs).bleu if part else 0.0
         out["lm_perplexity"][name] = lm_perplexity(lm, [rows[inst.id] for inst in part]) if part else 0.0
     return out

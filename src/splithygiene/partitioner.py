@@ -107,9 +107,9 @@ def split_templates(index: AttributionIndex, seeds, seed_test_ids) -> TemplateSp
     test_seed_ids = set(seed_test_ids)
     sides: dict[str, set[bool]] = {tid: set() for tid in index.templates}  # in test, per matched seed
     for seed in seeds:
-        matched = index.matches(seed.pair.nlq)
+        matched = index.matches(seed.nlq)
         if matched:
-            preds = seed.pair.concrete_predicates()
+            preds = seed.concrete_predicates()
             for t, _ in matched:
                 if t.predicates == preds:
                     sides[t.id].add(seed.id in test_seed_ids)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import qlang, rng
-from .corpus import STRING, Instance, QAPair, Seed, read_records, unique_ids, write_lines
+from .corpus import STRING, Instance, Seed, read_records, unique_ids, write_lines
 from .errors import UnlocatableEntity
 from .kgstore import Graph, evaluate
 from .qlang import Iri, NlqPattern, Placeholder, QueryAst, Slot, Var, Word
@@ -173,8 +173,8 @@ def extract_template(seed: Seed) -> Template:
     against IRI local names) becomes a placeholder everywhere it occurs
     in the query.
     """
-    nlq = seed.pair.nlq
-    query = seed.pair.query_ast  # parsed here, once: the pair keeps no AST
+    nlq = seed.nlq
+    query = seed.query_ast  # parsed here, once: the seed keeps no AST
     label_iris: dict[str, str] = {}
     for label in sorted(seed.surface_forms):
         sf = seed.surface_forms[label]
@@ -264,8 +264,7 @@ def generate_instances(template: Template, graph: Graph, limit: int, rng_seed: i
     for k, row_idx in enumerate(order[:limit]):
         row = rows[row_idx]
         nlq = qlang.substitute_slots(template.nlq_pattern, {label: entities[row[key]] for label, key in keys})
-        pair = QAPair(nlq, form.fill(row), form.fill_predicates(row))
-        instances.append(Instance(id=f"{template.id}-{k}", pair=pair, origin_template_id=template.id))
+        instances.append(Instance(f"{template.id}-{k}", nlq, form.fill(row), form.fill_predicates(row), template.id))
     return instances
 
 

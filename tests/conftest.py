@@ -65,13 +65,12 @@ def toy_baseline_corpus(toy_data, toy_config):
 
 @pytest.fixture(scope="session")
 def pizza_seed():
-    pair = corpus.QAPair.from_text(PIZZA_SEED_NLQ, PIZZA_SEED_QUERY)
     # tokens: is peter piper pizza in the pizza industry ?
     forms = {
         "B": corpus.SurfaceForm(1, 4),
         "A": corpus.SurfaceForm(6, 7),
     }
-    return corpus.Seed(id="pizza-seed", pair=pair, surface_forms=forms)
+    return make_seed("pizza-seed", PIZZA_SEED_NLQ, PIZZA_SEED_QUERY, forms)
 
 
 @pytest.fixture(scope="session")
@@ -79,12 +78,17 @@ def industry_template(pizza_seed):
     return synthesis.extract_template(pizza_seed)
 
 
+def _row_fields(nlq_text, query_text):
+    """A row's tokens, query text and predicates; a query outside the subset raises ParseError."""
+    return qlang.tokenize_nlq(nlq_text), query_text, qlang.query_checker()(query_text)
+
+
 def make_instance(instance_id, nlq_text, query_text, origin=None):
-    return corpus.Instance(
-        id=instance_id,
-        pair=corpus.QAPair.from_text(nlq_text, query_text),
-        origin_template_id=origin,
-    )
+    return corpus.Instance(instance_id, *_row_fields(nlq_text, query_text), origin)
+
+
+def make_seed(seed_id, nlq_text, query_text, surface_forms=None):
+    return corpus.Seed(seed_id, *_row_fields(nlq_text, query_text), surface_forms=surface_forms or {})
 
 
 # ---------------------------------------------------------------------------

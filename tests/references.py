@@ -60,7 +60,7 @@ import numpy as np
 from splithygiene import kgstore, metrics, rng
 from splithygiene.attribution import AttributionIndex
 from splithygiene.baselines import BOS, EOS, UNK
-from splithygiene.corpus import STRING_LIST, STRING_MAP, Instance, QAPair, json_record
+from splithygiene.corpus import STRING_LIST, STRING_MAP, Instance, json_record
 from splithygiene.errors import EmptyCorpus, InputFileError, LineCountMismatch, ParseError
 from splithygiene.qlang import (
     ASK,
@@ -426,8 +426,8 @@ def ref_read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance
         except ParseError as exc:
             raise InputFileError(f"{query_path}:{i + 1}: {exc}") from None
         predicates = [p.value for _, p, _ in ast.patterns if isinstance(p, Iri)]
-        pair = QAPair(nlq, query_line, tuple(predicates) if len(predicates) == len(ast.patterns) else None)
-        out.append(Instance(ids[i], pair, origins.get(ids[i])))
+        concrete = tuple(predicates) if len(predicates) == len(ast.patterns) else None
+        out.append(Instance(ids[i], nlq, query_line, concrete, origins.get(ids[i])))
     return out
 
 
@@ -498,12 +498,12 @@ def ref_harvest(inst, index: AttributionIndex) -> list[tuple[str, str]]:
     labels = []
     for tid in [origin] if origin in attributed else attributed:
         template = index.templates[tid]
-        bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
-        iris = ref_read_back(template, ref_parse_query(inst.pair.query_text))
+        bindings = match_nlq(template.nlq_pattern, inst.nlq)
+        iris = ref_read_back(template, ref_parse_query(inst.query_text))
         if iris is None:
             continue
         for label, span in bindings.items():
-            labels.append((" ".join(span_tokens(inst.pair.nlq, span)), iris[label]))
+            labels.append((" ".join(span_tokens(inst.nlq, span)), iris[label]))
     return labels
 
 
@@ -521,7 +521,7 @@ def ref_train_memorizer(train_instances, index: AttributionIndex) -> RefMemorize
     namespace = namespaces.most_common(1)[0][0] if namespaces else _DEFAULT_NAMESPACE
     seen = index.tally(train)
     fallback = sorted(train, key=lambda inst: inst.id)  # stable: ties keep training order
-    distinct = [set(inst.pair.nlq) for inst in fallback]
+    distinct = [set(inst.nlq) for inst in fallback]
     postings: dict[str, list[int]] = {}
     for pos, tokens in enumerate(distinct):
         for token in tokens:
@@ -578,12 +578,12 @@ def ref_memorizer_predict(model, nlq) -> list[str]:
     question = set(tokens)
 
     def jaccard(inst) -> float:
-        other = set(inst.pair.nlq)
+        other = set(inst.nlq)
         union = question | other
         return len(question & other) / len(union) if union else 0.0
 
     chosen = min(model.fallback, key=lambda inst: (-jaccard(inst), inst.id))
-    return chosen.pair.query_text.split()
+    return chosen.query_text.split()
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +627,9 @@ def ref_concrete_predicates(ast) -> list[str]:
 
 def ref_template_matches_seed(template, seed) -> bool:
     """True when the NLQs align slot-wise and the predicate lists are equal."""
-    if match_nlq(template.nlq_pattern, seed.pair.nlq) is None:
+    if match_nlq(template.nlq_pattern, seed.nlq) is None:
         return False
-    return ref_concrete_predicates(template.query_pattern) == extract_predicates(ref_parse_query(seed.pair.query_text))
+    return ref_concrete_predicates(template.query_pattern) == extract_predicates(ref_parse_query(seed.query_text))
 
 
 def ref_split_templates(templates, seeds, seed_test_ids) -> tuple[set[str], set[str], set[str]]:
@@ -663,10 +663,10 @@ def ref_sanitized_partition(instances, train_ids, test_ids, index: AttributionIn
 
 def ref_attribute_instance(instance, templates) -> list[str]:
     """Try every template's matcher, then its predicate rule."""
-    instance_preds = extract_predicates(ref_parse_query(instance.pair.query_text))
+    instance_preds = extract_predicates(ref_parse_query(instance.query_text))
     out = []
     for t in sorted(templates, key=lambda t: t.id):
-        if match_nlq(t.nlq_pattern, instance.pair.nlq) is None:
+        if match_nlq(t.nlq_pattern, instance.nlq) is None:
             continue
         if predicates_subsequence(ref_concrete_predicates(t.query_pattern), instance_preds):
             out.append(t.id)

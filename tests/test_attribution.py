@@ -227,10 +227,9 @@ def _adversaries(rnd, template, inst, tid):
         template_form, question_form = rnd.choice([("STRASSE", "straße"), ("straße", "STRASSE"),
                                                    ("Straße", "strasse")])
         cased[e] = Word(template_form)
-        nlq = list(inst.pair.nlq)
-        nlq[_word_positions(template.nlq_pattern, inst.pair.nlq)[e]] = question_form
-        target = dataclasses.replace(inst, id=f"{inst.id}-{tid}",
-                                     pair=dataclasses.replace(inst.pair, nlq=tuple(nlq)))
+        nlq = list(inst.nlq)
+        nlq[_word_positions(template.nlq_pattern, inst.nlq)[e]] = question_form
+        target = dataclasses.replace(inst, id=f"{inst.id}-{tid}", nlq=tuple(nlq))
     else:
         cased[e] = Word(token.upper() if variant == "upper" else token.title())
     out.append((variant, _with_elements(template, f"{tid}-case", cased), target))
@@ -379,7 +378,7 @@ def test_the_match_table_matches_once_per_skeleton(industry_template, monkeypatc
 
 def test_placeholder_predicate_instance_raises_even_when_no_template_words_match(industry_template):
     inst = make_instance("ph", "nothing like it here ?", "ASK WHERE { <e:s> <Placeholder:A> <e:o> }")
-    assert not industry_template.nlq_pattern.words <= set(inst.pair.nlq)
+    assert not industry_template.nlq_pattern.words <= set(inst.nlq)
     with pytest.raises(PlaceholderPredicate):
         attribution.build_index([inst], [industry_template])
     with pytest.raises(PlaceholderPredicate):

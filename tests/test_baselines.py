@@ -228,8 +228,8 @@ def test_predict_unseen_labels_via_iri_convention(industry_template):
 def test_predict_training_question_verbatim(industry_template):
     inst, index = _pizza_world(industry_template)
     model = _memorizer([inst], index)
-    predicted = _predict(model, inst.pair.nlq)
-    assert predicted == qlang.serialize(inst.pair.query_ast).split()
+    predicted = _predict(model, inst.nlq)
+    assert predicted == qlang.serialize(inst.query_ast).split()
 
 
 def test_predict_fallback_is_jaccard_nearest(industry_template):
@@ -245,8 +245,8 @@ def test_predict_fallback_is_jaccard_nearest(industry_template):
         a, b = set(a), set(b)
         return len(a & b) / len(a | b)
 
-    best = max(train, key=lambda i: jaccard(question, i.pair.nlq))
-    assert _predict(model, question) == best.pair.query_text.split()
+    best = max(train, key=lambda i: jaccard(question, i.nlq))
+    assert _predict(model, question) == best.query_text.split()
     assert best.id == "t-b"
 
 
@@ -258,7 +258,7 @@ def test_predict_fallback_tie_breaks_on_lowest_id(industry_template):
     index = attribution.build_index(train, [industry_template])
     model = _memorizer(train, index)
     predicted = _predict(model, qlang.tokenize_nlq("alpha beta gamma ?"))
-    assert predicted == train[1].pair.query_text.split()
+    assert predicted == train[1].query_text.split()
 
 
 def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy_data):
@@ -268,8 +268,8 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
     index = toy_data.index
     model = _memorizer(split_instances, index)
     for inst in split_instances[::23]:
-        predicted = _predict(model, inst.pair.nlq)
-        assert predicted == qlang.serialize(inst.pair.query_ast).split()
+        predicted = _predict(model, inst.nlq)
+        assert predicted == qlang.serialize(inst.query_ast).split()
     # both seen templates match; the lower id has fewer literal words, binds more slot tokens and loses
     short = dataclasses.replace(industry_template, id="a-short", nlq_pattern=qlang.NlqPattern.from_text("is <B> ?"),
                                 query_pattern=qlang.parse_query(f"ASK WHERE {{ <Placeholder:B> <{DBO_INDUSTRY}> ?x }}"))
@@ -285,7 +285,7 @@ def test_predict_prefers_template_with_fewest_slot_tokens(industry_template, toy
 def _instance(instance_id, tokens, n):
     """A train instance with the given question tokens, case kept as given."""
     query = f"ASK WHERE {{ <e:n{n}> <p:p> <e:x> }}"
-    return corpus.Instance(id=instance_id, pair=corpus.QAPair(tuple(tokens), query, ("p:p",)))
+    return corpus.Instance(instance_id, tuple(tokens), query, ("p:p",))
 
 
 def _jaccard(a, b):
@@ -300,9 +300,9 @@ def test_predict_fallback_ties_across_fractions_go_to_lowest_id(industry_templat
     index = attribution.build_index(train, [industry_template])
     model = _memorizer(train, index)
     question = ("alpha", "beta", "alpha")
-    assert _jaccard(question, train[0].pair.nlq) == _jaccard(question, train[1].pair.nlq) == 0.5
-    assert _predict(model, question) == train[1].pair.query_text.split()
-    assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
+    assert _jaccard(question, train[0].nlq) == _jaccard(question, train[1].nlq) == 0.5
+    assert _predict(model, question) == train[1].query_text.split()
+    assert ref_memorizer_predict(model, question) == train[1].query_text.split()
 
 
 def test_predict_fallback_without_overlap_takes_lowest_id(industry_template):
@@ -310,8 +310,8 @@ def test_predict_fallback_without_overlap_takes_lowest_id(industry_template):
     index = attribution.build_index(train, [industry_template])
     model = _memorizer(train, index)
     for question in (("never", "seen", "?"), ("ALPHA",), ()):
-        assert _predict(model, question) == train[1].pair.query_text.split()
-        assert ref_memorizer_predict(model, question) == train[1].pair.query_text.split()
+        assert _predict(model, question) == train[1].query_text.split()
+        assert ref_memorizer_predict(model, question) == train[1].query_text.split()
 
 
 def test_predict_prefilter_casefolds_template_words(industry_template):
@@ -348,7 +348,7 @@ def _memorizer_case(rnd):
         train.append(_instance(f"n{rnd.randrange(30):02d}", tokens, n))  # ids may repeat
     rnd.shuffle(train)
     index = attribution.build_index(train, templates)
-    questions = [inst.pair.nlq for inst in instances]
+    questions = [inst.nlq for inst in instances]
     questions += [_case_variant(rnd, q) for q in questions]
     questions += [tuple(rnd.choice(_NOISE_WORDS + ["unseen", "zzz"]) for _ in range(rnd.randrange(1, 8)))
                   for _ in range(10)]
@@ -362,7 +362,7 @@ def test_predict_equals_linear_scan_on_random_corpora():
         rnd = random.Random(case)
         train, index, questions = _memorizer_case(rnd)
         model = _memorizer(train, index)
-        train_tokens = {t for inst in model.fallback for t in inst.pair.nlq}
+        train_tokens = {t for inst in model.fallback for t in inst.nlq}
         for question, predicted in zip(questions, baselines.memorizer_predict(model, questions), strict=True):
             expected = ref_memorizer_predict(model, question)
             assert predicted == expected, (case, question)
@@ -374,7 +374,7 @@ def test_predict_equals_linear_scan_on_random_corpora():
             if matched or not model.fallback:
                 continue
             seen["no_overlap"] += not set(question) & train_tokens
-            scores = [(_jaccard(question, inst.pair.nlq), len(set(question) & set(inst.pair.nlq)))
+            scores = [(_jaccard(question, inst.nlq), len(set(question) & set(inst.nlq)))
                       for inst in model.fallback]
             best = max(score for score, _ in scores)
             seen["fraction_tie"] += best > 0 and len({o for score, o in scores if score == best}) > 1
@@ -388,9 +388,9 @@ def test_predict_equals_linear_scan_on_default_sanitized_split(toy_data, toy_con
                                             toy_config.rng_seeds[0])
     model = _memorizer(split.train, toy_data.index)
     assert len(split.test) > 500
-    predicted = baselines.memorizer_predict(model, [inst.pair.nlq for inst in split.test])
+    predicted = baselines.memorizer_predict(model, [inst.nlq for inst in split.test])
     for inst, prediction in zip(split.test, predicted, strict=True):
-        assert prediction == ref_memorizer_predict(model, inst.pair.nlq)
+        assert prediction == ref_memorizer_predict(model, inst.nlq)
 
 
 def test_predict_does_not_depend_on_the_batch_or_its_blocks(monkeypatch, toy_data, toy_config):
@@ -398,7 +398,7 @@ def test_predict_does_not_depend_on_the_batch_or_its_blocks(monkeypatch, toy_dat
     seed_test = experiments.seed_split_ids(toy_data, toy_config)
     _, split = experiments._sanitized_split(toy_data, toy_config, seed_test)
     model = _memorizer(split.train, toy_data.index)
-    questions = [inst.pair.nlq for inst in split.test + split.valid + split.train[::10]]
+    questions = [inst.nlq for inst in split.test + split.valid + split.train[::10]]
     whole = baselines.memorizer_predict(model, questions)
     order = list(range(len(questions)))
     random.Random(5).shuffle(order)
@@ -425,9 +425,9 @@ def _assert_sample_equals_the_linear_scan(data, train, test, seed):
     model = baselines.train_memorizer(baselines.memorizer_index(data.instances, data.index),
                                       [rows[inst.id] for inst in train])
     sample = random.Random(seed).sample(test, 40)
-    predicted = baselines.memorizer_predict(model, [inst.pair.nlq for inst in sample])
+    predicted = baselines.memorizer_predict(model, [inst.nlq for inst in sample])
     for inst, prediction in zip(sample, predicted, strict=True):
-        assert prediction == ref_memorizer_predict(model, inst.pair.nlq), inst.id
+        assert prediction == ref_memorizer_predict(model, inst.nlq), inst.id
 
 
 def test_batched_fallback_equals_the_linear_scan_on_a_scaled_sanitized_split(scaled_world):
@@ -461,7 +461,7 @@ def _assert_same_memorizer(model, ref, index):
     assert model.entity_namespace == ref.entity_namespace
     words = {w for t in index.templates.values() for w in t.nlq_pattern.words}
     assert model.index.frequent.tolist() == [token.casefold() in words for token in model.index.vocab]
-    sets = [frozenset(t for t in inst.pair.nlq if t.casefold() in words) for inst in ref.fallback]
+    sets = [frozenset(t for t in inst.nlq if t.casefold() in words) for inst in ref.fallback]
     assert len(set(zip(sets, model.group.tolist()))) == len(set(sets)) == model.best.size
     members: dict[int, list[int]] = {}
     for p, g in enumerate(model.group.tolist()):
@@ -549,9 +549,8 @@ def _exp1_calls(tmp_path, monkeypatch, toy_data, toy_config, bindings) -> Counte
 
 
 def _fresh(inst, origin):
-    """The instance with the given origin and a pair that holds no parsed AST: the fixtures' rows stay as built."""
-    pair = corpus.QAPair(inst.pair.nlq, inst.pair.query_text, inst.pair.predicates)
-    return corpus.Instance(inst.id, pair, origin)
+    """The instance with the given origin, as a new row: the fixtures' rows stay as built."""
+    return dataclasses.replace(inst, origin_template_id=origin)
 
 
 def test_text_harvest_equals_the_reference_harvest_on_the_toy_and_4x_worlds(toy_data, scaled_world):
@@ -564,10 +563,10 @@ def test_text_harvest_equals_the_reference_harvest_on_the_toy_and_4x_worlds(toy_
             for origin in (inst.origin_template_id, None):
                 row = _fresh(inst, origin)
                 assert baselines._harvest(row, index) == references.ref_harvest(row, index), (inst.id, origin)
-            ast = references.ref_parse_query(inst.pair.query_text)
+            ast = references.ref_parse_query(inst.query_text)
             for tid in index.attributed(inst.id):
                 template = index.templates[tid]
-                iris = template.query_form.match(inst.pair.query_text)
+                iris = template.query_form.match(inst.query_text)
                 assert iris == references.ref_read_back(template, ast), (inst.id, tid)
                 missed += iris is None
     assert missed > 1000
@@ -640,14 +639,14 @@ def test_a_harvest_that_aligns_parsed_queries_leaves_no_ast_on_its_rows(tmp_path
     experiments.write_partition(tmp_path, split, "leaky", seed, toy_config.ratios, toy_data.config_digest)
     train = corpus.read_parallel(tmp_path / "train.nlq", tmp_path / "train.ql")
     index = attribution.build_index(train, toy_data.templates)
-    missed = sum(index.templates[tid].query_form.match(inst.pair.query_text) is None
+    missed = sum(index.templates[tid].query_form.match(inst.query_text) is None
                for inst in train for tid in index.attributed(inst.id))
     model = _memorizer(train, index)
     assert missed > 100
-    assert not any(hasattr(obj, "__dict__") for inst in train for obj in (inst, inst.pair))
-    assert all(inst.pair.query_ast == inst.pair.query_ast for inst in train)
+    assert not any(hasattr(inst, "__dict__") for inst in train)
+    assert all(inst.query_ast == inst.query_ast for inst in train)
     assert list(model.label_index.items()) == list(references.ref_train_memorizer(train, index).label_index.items())
-    questions = [inst.pair.nlq for inst in split.test]
+    questions = [inst.nlq for inst in split.test]
     assert baselines.memorizer_predict(model, questions) == [ref_memorizer_predict(model, q) for q in questions]
 
 
@@ -880,11 +879,11 @@ def test_lm_equals_reference_on_toy_partitions(toy_data, toy_config, toy_baselin
     assert len(parts) == 10
     for split in parts:
         lm = baselines.train_ngram_lm(lm_index, [rows[i.id] for i in split.train], toy_config.lm_k)
-        ref = references.ref_train_ngram_lm([i.pair.query_text.split() for i in split.train],
+        ref = references.ref_train_ngram_lm([i.query_text.split() for i in split.train],
                                             toy_config.lm_order, toy_config.lm_k)
         assert lm.context_totals[1][()] == ref.context_totals[1][()]
         for part in (split.valid, split.test):
-            sents = [i.pair.query_text.split() for i in part]
+            sents = [i.query_text.split() for i in part]
             part_rows = [rows[i.id] for i in part]
             assert sents
             assert baselines.score_rows(lm, part_rows) == [references.ref_score_sentence(ref, s) for s in sents]

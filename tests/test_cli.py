@@ -328,6 +328,30 @@ def test_an_output_in_a_missing_directory_is_named(tmp_path, runner, command):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["generate", "attribute", "partition-leaky", "partition-sanitized", "run"])
+def test_a_directory_at_an_output_file_path_is_named_and_exits_2(tmp_path, runner, command):
+    # a split's files are written as any other output is, so the error that names the path is not rewrapped
+    templates = str(tmp_path / "templates.jsonl")
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", templates]))
+    (tmp_path / "c.nlq").write_text("is this here ?\n")
+    (tmp_path / "c.ql").write_text("ASK WHERE { <e:s> <p:p> <e:o> }\n")
+    rows = ["--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql")]
+    out = tmp_path / "out"
+    args, blocked = {
+        "generate": (["generate", "--templates", templates, "--kg", KG, "--out-dir", str(out)],
+                     out / "instances.nlq"),
+        "attribute": (["attribute", *rows, "--templates", templates, "--out", str(out / "a.tsv")], out / "a.tsv"),
+        "partition-leaky": (["partition", "--scheme", "leaky", *rows, "--out-dir", str(out)], out / "train.nlq"),
+        "partition-sanitized": (["partition", "--scheme", "sanitized", *rows, "--templates", templates,
+                                 "--seeds", SEEDS, "--out-dir", str(out)], out / "train.nlq"),
+        "run": (["run", "exp3", "--workdir", str(out)], out / "exp3" / "sanitized" / "train.nlq"),
+    }[command]
+    blocked.mkdir(parents=True)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == f"error: [Errno 21] Is a directory: '{blocked}'"
+
+
 @pytest.mark.parametrize("command", ["extract", "attribute", "memorize", "lm", "eval", "report"])
 def test_every_command_writes_into_a_missing_directory(tmp_path, runner, command):
     out = tmp_path / "missing" / "deeper" / "out.txt"
@@ -841,7 +865,7 @@ def test_memorize_writes_the_predictions_the_preset_makes_on_a_leaky_split(tmp_p
                              "--input", str(tmp_path / "test.nlq"), "--out", str(pred)]))
     _, mem_index, rows = toy_baseline_corpus
     model = baselines.train_memorizer(mem_index, [rows[inst.id] for inst in split.train])
-    predicted = baselines.memorizer_predict(model, [inst.pair.nlq for inst in split.test])
+    predicted = baselines.memorizer_predict(model, [inst.nlq for inst in split.test])
     expected = "".join(" ".join(tokens) + "\n" for tokens in predicted)
     assert len(split.test) > 300
     assert pred.read_bytes() == expected.encode("utf-8")

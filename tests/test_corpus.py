@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, make_instance
+from conftest import COMICS_INSTANCE_NLQ, COMICS_INSTANCE_QUERY, make_instance, make_seed
 from splithygiene import corpus, partitioner, qlang, toydata
 from splithygiene.errors import InputFileError, LineCountMismatch, SplitHygieneError
 from splithygiene.partitioner import Split3
@@ -21,28 +21,24 @@ from references import _ref_read_lines, ref_dedup_keys, ref_read_parallel, ref_t
 ASK_Q = "ASK WHERE { <e:s%d> <p:p> <e:o> }"
 
 
-def _pair(nlq: str, query: str) -> corpus.QAPair:
-    return corpus.QAPair.from_text(nlq, query)
-
-
 def _instances(n, offset=0):
     return [make_instance(f"i{offset + k}", f"token number {offset + k} ?", ASK_Q % (offset + k))
             for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
-# QAPair
+# Instance
 # ---------------------------------------------------------------------------
 
-def test_qapair_requires_nonempty_nlq():
+def test_instance_requires_nonempty_nlq():
     with pytest.raises(ValueError):
-        corpus.QAPair.from_text("", "ASK WHERE { <e:s> <p:p> <e:o> }")
+        make_instance("i", "", "ASK WHERE { <e:s> <p:p> <e:o> }")
 
 
-def test_qapair_reserialization_is_stable():
-    pair = _pair("is this here ?", "ASK WHERE {  <e:s>   <p:p>  <e:o>  }")
-    again = qlang.parse_query(qlang.serialize(pair.query_ast))
-    assert again == pair.query_ast
+def test_instance_reserialization_is_stable():
+    inst = make_instance("i", "is this here ?", "ASK WHERE {  <e:s>   <p:p>  <e:o>  }")
+    again = qlang.parse_query(qlang.serialize(inst.query_ast))
+    assert again == inst.query_ast
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +70,12 @@ def test_dedup_preserves_query_case():
 
 def test_dedup_three_duplicate_groups():
     groups = _instances(7)
-    dupes = [make_instance(f"d{k}", groups[k].pair.nlq_text(), groups[k].pair.query_text)
+    dupes = [make_instance(f"d{k}", groups[k].nlq_text(), groups[k].query_text)
              for k in range(3)]
     records = groups + dupes
-    expected_kept = ref_dedup_keys([corpus.canonical_key(r.pair) for r in records])
+    expected_kept = ref_dedup_keys([corpus.canonical_key(r) for r in records])
     kept, removed = corpus.dedup(records)
-    assert [corpus.canonical_key(r.pair) for r in kept] == expected_kept
+    assert [corpus.canonical_key(r) for r in kept] == expected_kept
     assert (len(kept), removed) == (7, 3)
 
 
@@ -88,8 +84,8 @@ def test_dedup_three_duplicate_groups():
                        min_size=1, max_size=5))
 def test_canonical_key_lowercases_each_token_on_its_own(tokens):
     # a capital sigma lowercases to a final sigma by what surrounds it: never across the joining space
-    pair = corpus.QAPair(tuple(tokens), ASK_Q % 1, ("p:p",))
-    assert corpus.canonical_key(pair) == " ".join(t.lower() for t in tokens) + "\n" + ASK_Q % 1
+    row = corpus.Instance("i", tuple(tokens), ASK_Q % 1, ("p:p",))
+    assert corpus.canonical_key(row) == " ".join(t.lower() for t in tokens) + "\n" + ASK_Q % 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,11 +117,11 @@ def test_dedup_settles_hash_collisions_by_equality(keys):
 
 def test_dedup_of_a_corpus_that_is_mostly_duplicates():
     originals = _instances(5)
-    records = [make_instance(f"r{n}", originals[n % 5].pair.nlq_text().upper(), originals[n % 5].pair.query_text)
+    records = [make_instance(f"r{n}", originals[n % 5].nlq_text().upper(), originals[n % 5].query_text)
                for n in range(500)] + _instances(3, offset=5)
     kept, removed = corpus.dedup(records)
-    assert [corpus.canonical_key(r.pair) for r in kept] == ref_dedup_keys(
-        [corpus.canonical_key(r.pair) for r in records])
+    assert [corpus.canonical_key(r) for r in kept] == ref_dedup_keys(
+        [corpus.canonical_key(r) for r in records])
     assert [r.id for r in kept] == ["r0", "r1", "r2", "r3", "r4", "i5", "i6", "i7"]
     assert removed == 495
 
@@ -159,7 +155,7 @@ def test_read_parallel_without_manifest(tmp_path):
     (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")
     instances = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
     assert [i.id for i in instances] == ["line-0", "line-1"]
-    assert instances[0].pair.nlq == ("is", "one", "here", "?")
+    assert instances[0].nlq == ("is", "one", "here", "?")
 
 
 def test_read_parallel_line_count_mismatch(tmp_path):
@@ -213,17 +209,17 @@ def test_read_parallel_reads_a_unicode_line_break_inside_a_line_as_whitespace(tm
     (tmp_path / "c.nlq").write_bytes("is one\u2028here ?\r\n".encode("utf-8"))
     (tmp_path / "c.ql").write_bytes("ASK WHERE { <e:s1>\x85<p:p> <e:o> }\r\n".encode("utf-8"))
     (inst,) = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
-    assert inst.pair.nlq == ("is", "one", "here", "?")
-    assert inst.pair.query_ast == qlang.parse_query(ASK_Q % 1)
+    assert inst.nlq == ("is", "one", "here", "?")
+    assert inst.query_ast == qlang.parse_query(ASK_Q % 1)
 
 
 def test_read_parallel_rows_hold_no_ast_until_asked(tmp_path):
     (tmp_path / "c.nlq").write_text("is one here ?\nis two here ?\n")
     (tmp_path / "c.ql").write_text(ASK_Q % 1 + "\n" + ASK_Q % 2 + "\n")
     rows = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
-    first, second = (i.pair for i in rows)
+    first, second = rows
     # slotted rows: no attribute dict to keep an AST in
-    assert not any(hasattr(obj, "__dict__") for obj in (*rows, first, second))
+    assert not any(hasattr(row, "__dict__") for row in rows)
     assert first.predicates is second.predicates and first.predicates == ("p:p",)
     assert first.query_ast == first.query_ast == qlang.parse_query(ASK_Q % 1)
     assert second.query_ast.patterns[0][0] == qlang.Iri("e:s2")
@@ -242,7 +238,7 @@ def test_read_parallel_tokenizes_each_line_as_the_reference_does(tmp_path_factor
     (path / "c.nlq").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     (path / "c.ql").write_text((ASK_Q % 1 + "\n") * len(lines))
     read = corpus.read_parallel(path / "c.nlq", path / "c.ql")
-    assert [inst.pair.nlq for inst in read] == [ref_tokenize_nlq(line) for line in lines]
+    assert [inst.nlq for inst in read] == [ref_tokenize_nlq(line) for line in lines]
 
 
 # query lines by kind: good ones, with a concrete or a placeholder predicate, spaced by form feeds, a lone CR
@@ -344,7 +340,7 @@ def test_read_parallel_peaks_near_the_rows_it_returns(tmp_path, scaled_world):
     finally:
         tracemalloc.stop()
     assert rows == data.instances and len(rows) > 16_000
-    assert kept <= 520 * len(rows), kept / len(rows)
+    assert kept <= 490 * len(rows), kept / len(rows)
     assert peak <= 1.10 * kept, peak / kept
 
 
@@ -369,7 +365,7 @@ def test_read_parallel_instance_from_table_lines(tmp_path):
     (tmp_path / "c.nlq").write_text(COMICS_INSTANCE_NLQ + "\n")
     (tmp_path / "c.ql").write_text(COMICS_INSTANCE_QUERY + "\n")
     (inst,) = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
-    assert qlang.extract_predicates(inst.pair.query_ast) == [
+    assert qlang.extract_predicates(inst.query_ast) == [
         "http://dbpedia.org/ontology/industry"]
 
 
@@ -385,8 +381,8 @@ def test_write_split_round_trip(tmp_path):
     back = corpus.read_parallel(tmp_path / "train.nlq", tmp_path / "train.ql",
                                 tmp_path / "manifest.json")
     assert [i.id for i in back] == [i.id for i in items[:8]]
-    assert [i.pair.nlq_text() for i in back] == [i.pair.nlq_text() for i in items[:8]]
-    assert [i.pair.query_text for i in back] == [i.pair.query_text for i in items[:8]]
+    assert [i.nlq_text() for i in back] == [i.nlq_text() for i in items[:8]]
+    assert [i.query_text for i in back] == [i.query_text for i in items[:8]]
     assert manifest["counts"] == [8, 1, 1]
 
 
@@ -515,10 +511,9 @@ def test_manifest_supplies_origins(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_seeds_jsonl_round_trip(tmp_path):
-    pair = _pair("is peter piper pizza in the pizza industry ?",
-                 "ASK WHERE { <e:Peter_Piper_Pizza> <p:industry> <e:Pizza> }")
-    seed = corpus.Seed(id="s1", pair=pair, surface_forms={
-        "B": corpus.SurfaceForm(1, 4), "A": corpus.SurfaceForm(6, 7, "e:Pizza")})
+    seed = make_seed("s1", "is peter piper pizza in the pizza industry ?",
+                     "ASK WHERE { <e:Peter_Piper_Pizza> <p:industry> <e:Pizza> }",
+                     {"B": corpus.SurfaceForm(1, 4), "A": corpus.SurfaceForm(6, 7, "e:Pizza")})
     (tmp_path / "seeds.jsonl").write_text(json.dumps({
         "id": "s1", "nlq": "is peter piper pizza in the pizza industry ?",
         "query": "ASK WHERE { <e:Peter_Piper_Pizza> <p:industry> <e:Pizza> }",
@@ -528,12 +523,11 @@ def test_seeds_jsonl_round_trip(tmp_path):
 
 
 def test_seed_span_validation():
-    pair = _pair("a b c ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
     with pytest.raises(ValueError):
-        corpus.Seed(id="s", pair=pair, surface_forms={"A": corpus.SurfaceForm(2, 9)})
+        make_seed("s", "a b c ?", "ASK WHERE { <e:s> <p:p> <e:o> }", {"A": corpus.SurfaceForm(2, 9)})
     with pytest.raises(ValueError):
-        corpus.Seed(id="s", pair=pair, surface_forms={
-            "A": corpus.SurfaceForm(0, 2), "B": corpus.SurfaceForm(1, 3)})
+        make_seed("s", "a b c ?", "ASK WHERE { <e:s> <p:p> <e:o> }",
+                  {"A": corpus.SurfaceForm(0, 2), "B": corpus.SurfaceForm(1, 3)})
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def test_read_parallel_returns_instances_or_raises_a_named_error(tmp_path, files
         instances = corpus.read_parallel(*paths[:2], paths[2] if manifest is not None else None)
     except SplitHygieneError:
         return
-    assert all(inst.pair.nlq for inst in instances)
+    assert all(inst.nlq for inst in instances)
 
 
 _LOGP_PIECES = ["-0.5", "0", "-1e-3", "nan", "-inf", "1_0", "x", "\n", "\r\n", "\x85", " ", "\t"]

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_instance, random_corpus, random_template_split
+from conftest import make_instance, make_seed, random_corpus, random_template_split
 from references import ref_sanitized_partition, ref_split_templates, ref_template_matches_seed
 from splithygiene import attribution, corpus, experiments, partitioner, rng, synthesis
 from splithygiene.errors import RatioError
@@ -36,11 +36,9 @@ def _toy_corpus(n_templates=5, per_template=20):
             origin_seed_id=f"s{t}",
         )
         templates.append(template)
-        seed_pair = corpus.QAPair.from_text(
-            f"does {word} touch thing zero ?",
-            f"ASK WHERE {{ <e:{word}> <p:{word}> <e:Thing_Zero> }}")
-        seeds.append(corpus.Seed(id=f"s{t}", pair=seed_pair,
-                                 surface_forms={"A": corpus.SurfaceForm(3, 5)}))
+        seeds.append(make_seed(f"s{t}", f"does {word} touch thing zero ?",
+                               f"ASK WHERE {{ <e:{word}> <p:{word}> <e:Thing_Zero> }}",
+                               {"A": corpus.SurfaceForm(3, 5)}))
         for k in range(per_template):
             instances.append(make_instance(
                 f"t{t}-i{k}",

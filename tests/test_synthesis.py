@@ -12,6 +12,7 @@ from conftest import (
     INDUSTRY_TEMPLATE_QUERY,
     PIZZA_SEED_NLQ,
     PIZZA_SEED_QUERY,
+    make_seed,
 )
 from splithygiene import corpus, experiments, kgstore, qlang, synthesis
 from splithygiene.errors import AdjacentSlots, UnlocatableEntity
@@ -38,9 +39,8 @@ def test_extract_template_from_seed(pizza_seed, industry_template):
 
 
 def test_extract_template_locates_iri_by_label_convention():
-    pair = corpus.QAPair.from_text(
-        "is robot comics in the publishing industry ?", COMICS_INSTANCE_QUERY)
-    seed = corpus.Seed(id="s", pair=pair, surface_forms={"B": corpus.SurfaceForm(1, 3)})
+    seed = make_seed("s", "is robot comics in the publishing industry ?", COMICS_INSTANCE_QUERY,
+                     {"B": corpus.SurfaceForm(1, 3)})
     t = synthesis.extract_template(seed)
     assert t.query_pattern.patterns[0][0] == Placeholder("B")
 
@@ -48,36 +48,34 @@ def test_extract_template_locates_iri_by_label_convention():
 def test_extract_template_locates_an_iri_whose_label_tokenizes_its_punctuation():
     # "Oslo_Jr." is labelled "oslo jr.", which the question tokenizer reads as "oslo jr ."
     iri = "http://toy.example.org/resource/Oslo_Jr."
-    pair = corpus.QAPair.from_text("is delta forge based in oslo jr. ?", f"ASK WHERE {{ <e:df> <p:hq> <{iri}> }}")
-    assert pair.nlq[5:8] == ("oslo", "jr", ".")
-    seed = corpus.Seed(id="s", pair=pair, surface_forms={"A": corpus.SurfaceForm(5, 8)})
+    seed = make_seed("s", "is delta forge based in oslo jr. ?", f"ASK WHERE {{ <e:df> <p:hq> <{iri}> }}",
+                     {"A": corpus.SurfaceForm(5, 8)})
+    assert seed.nlq[5:8] == ("oslo", "jr", ".")
     t = synthesis.extract_template(seed)
     assert t.query_pattern.patterns[0][2] == Placeholder("A")
     assert [str(e) for e in t.nlq_pattern.elements] == ["is", "delta", "forge", "based", "in", "<A>", "?"]
 
 
 def test_extract_template_zero_slots_keeps_pair():
-    pair = corpus.QAPair.from_text("is this fixed ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
-    seed = corpus.Seed(id="s", pair=pair, surface_forms={})
+    seed = make_seed("s", "is this fixed ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
     t = synthesis.extract_template(seed)
     assert t.placeholder_labels == ()
-    assert t.query_pattern == pair.query_ast
-    assert [e.token for e in t.nlq_pattern.elements] == list(pair.nlq)
+    assert t.query_pattern == seed.query_ast
+    assert [e.token for e in t.nlq_pattern.elements] == list(seed.nlq)
 
 
 def test_extract_template_unlocatable_entity():
-    pair = corpus.QAPair.from_text("is something else here ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
-    seed = corpus.Seed(id="s", pair=pair, surface_forms={"A": corpus.SurfaceForm(1, 2)})
+    seed = make_seed("s", "is something else here ?", "ASK WHERE { <e:s> <p:p> <e:o> }",
+                     {"A": corpus.SurfaceForm(1, 2)})
     with pytest.raises(UnlocatableEntity):
         synthesis.extract_template(seed)
 
 
 def test_extract_template_adjacent_slots():
-    pair = corpus.QAPair.from_text(
-        "is robot comics publishing here ?",
-        f"ASK WHERE {{ <{DBR}Robot_Comics> <p:p> <{DBR}Publishing> }}")
-    seed = corpus.Seed(id="s", pair=pair, surface_forms={
-        "B": corpus.SurfaceForm(1, 3), "A": corpus.SurfaceForm(3, 4)})
+    seed = make_seed(
+        "s", "is robot comics publishing here ?",
+        f"ASK WHERE {{ <{DBR}Robot_Comics> <p:p> <{DBR}Publishing> }}",
+        {"B": corpus.SurfaceForm(1, 3), "A": corpus.SurfaceForm(3, 4)})
     with pytest.raises(AdjacentSlots):
         synthesis.extract_template(seed)
 
@@ -100,8 +98,7 @@ def test_binding_query_matches_printed_select_form(industry_template):
 
 
 def test_binding_query_zero_slots_unchanged():
-    pair = corpus.QAPair.from_text("fixed thing ?", "ASK WHERE { <e:s> <p:p> <e:o> }")
-    t = synthesis.extract_template(corpus.Seed(id="s", pair=pair, surface_forms={}))
+    t = synthesis.extract_template(make_seed("s", "fixed thing ?", "ASK WHERE { <e:s> <p:p> <e:o> }"))
     assert synthesis.derive_binding_query(t) == t.query_pattern
 
 
@@ -137,8 +134,8 @@ def test_binding_query_variable_collision_rejected():
 def test_generate_reproduces_table_instance(industry_template):
     graph = kgstore.Graph([(f"{DBR}Robot_Comics", DBO_INDUSTRY, f"{DBR}Publishing")])
     (inst,) = synthesis.generate_instances(industry_template, graph, limit=5, rng_seed=1)
-    assert inst.pair.nlq == qlang.tokenize_nlq(COMICS_INSTANCE_NLQ)
-    assert inst.pair.query_ast == parse_query(COMICS_INSTANCE_QUERY)
+    assert inst.nlq == qlang.tokenize_nlq(COMICS_INSTANCE_NLQ)
+    assert inst.query_ast == parse_query(COMICS_INSTANCE_QUERY)
     assert inst.origin_template_id == industry_template.id
 
 
@@ -153,7 +150,7 @@ def test_generate_emits_every_row_when_limit_allows(industry_template):
     expected_rows = ref_eval(triples, synthesis.derive_binding_query(industry_template))
     instances = synthesis.generate_instances(industry_template, graph, limit=50, rng_seed=3)
     assert len(instances) == len(expected_rows) == 9
-    assert len({i.pair.query_text for i in instances}) == 9
+    assert len({i.query_text for i in instances}) == 9
 
 
 def test_generate_deterministic(industry_template):
@@ -163,7 +160,7 @@ def test_generate_deterministic(industry_template):
     b = synthesis.generate_instances(industry_template, graph, 5, rng_seed=9)
     assert a == b
     c = synthesis.generate_instances(industry_template, graph, 5, rng_seed=10)
-    assert [i.pair for i in c] != [i.pair for i in a]
+    assert c != a
 
 
 def test_generate_drops_rows_binding_an_entity_labelled_by_no_token(industry_template):
@@ -171,7 +168,7 @@ def test_generate_drops_rows_binding_an_entity_labelled_by_no_token(industry_tem
     empty = [f"{DBR}", f"{DBR}__", "e:thing#", "e:thing#_"]
     triples = [(subject, DBO_INDUSTRY, f"{DBR}Pizza") for subject in empty + [f"{DBR}_x_", f"{DBR}Ok"]]
     instances = synthesis.generate_instances(industry_template, kgstore.Graph(triples), 50, rng_seed=3)
-    assert sorted(inst.pair.nlq for inst in instances) == [
+    assert sorted(inst.nlq for inst in instances) == [
         ("is", "ok", "in", "the", "pizza", "industry", "?"),
         ("is", "x", "in", "the", "pizza", "industry", "?"),
     ]
@@ -184,12 +181,11 @@ def test_generate_zero_slot_template_checks_graph():
         ("fixed thing ?", "ASK WHERE { <e:s> <p:p> <e:o> }"),
         ("what does it touch ?", "SELECT DISTINCT ?x WHERE { <e:s> <p:p> ?x . ?x <p:q> <e:o> }"),
     ):
-        pair = corpus.QAPair.from_text(nlq, query)
-        t = synthesis.extract_template(corpus.Seed(id="s", pair=pair, surface_forms={}))
+        t = synthesis.extract_template(make_seed("s", nlq, query))
         [inst] = synthesis.generate_instances(t, hit, 5, 1)
         assert inst.id == "t-s-0"
-        assert inst.pair.nlq == tuple(nlq.split())
-        assert inst.pair.query_text == serialize(t.query_pattern) == query
+        assert inst.nlq == tuple(nlq.split())
+        assert inst.query_text == serialize(t.query_pattern) == query
         assert inst.origin_template_id == "t-s"
         assert synthesis.generate_instances(t, miss, 5, 1) == []
 
@@ -202,10 +198,10 @@ def test_generated_questions_read_back_unchanged(tmp_path, toy_config):
     _, templates, _ = experiments.extract_stage(toy_config.resolved_seeds_path())
     instances, _ = experiments.generate_stage(templates, kgstore.load_ntriples(kg), toy_config.instance_limit,
                                               toy_config.rng_seeds[0])
-    assert sum("jr" in inst.pair.nlq for inst in instances) >= 10
+    assert sum("jr" in inst.nlq for inst in instances) >= 10
     corpus.write_parallel(tmp_path, "c", instances)
     read = corpus.read_parallel(tmp_path / "c.nlq", tmp_path / "c.ql")
-    assert [(i.pair.nlq, i.pair.query_ast) for i in read] == [(i.pair.nlq, i.pair.query_ast) for i in instances]
+    assert [(i.nlq, i.query_ast) for i in read] == [(i.nlq, i.query_ast) for i in instances]
 
 
 def test_generated_instances_invert_and_hold(toy_data, toy_config):
@@ -215,14 +211,14 @@ def test_generated_instances_invert_and_hold(toy_data, toy_config):
     by_id = {t.id: t for t in toy_data.templates}
     for inst in toy_data.instances[::7]:
         template = by_id[inst.origin_template_id]
-        bindings = match_nlq(template.nlq_pattern, inst.pair.nlq)
+        bindings = match_nlq(template.nlq_pattern, inst.nlq)
         assert bindings is not None
         rebuilt = qlang.substitute_slots(
             template.nlq_pattern,
-            {label: qlang.span_tokens(inst.pair.nlq, span) for label, span in bindings.items()},
+            {label: qlang.span_tokens(inst.nlq, span) for label, span in bindings.items()},
         )
-        assert rebuilt == inst.pair.nlq
-        result = kgstore.evaluate(graph, inst.pair.query_ast)
+        assert rebuilt == inst.nlq
+        result = kgstore.evaluate(graph, inst.query_ast)
         assert result is True or (not isinstance(result, bool) and result)
 
 
@@ -276,13 +272,13 @@ def test_generate_tokenizes_one_label_per_iri_and_holds_no_ast_until_asked(indus
     assert len(instances) == 4 and sorted(entities) == [f"{DBR}{n}" for n in ("Publishing", "Robot_Comics",
                                                                                "Tiger_Aircraft")]
     assert entities[f"{DBR}Robot_Comics"] == ("robot", "comics")
-    assert not any(hasattr(obj, "__dict__") for inst in instances for obj in (inst, inst.pair))
+    assert not any(hasattr(inst, "__dict__") for inst in instances)
     # one predicates tuple per template, shared by its rows
-    assert {id(inst.pair.predicates) for inst in instances} == {id(t.query_form.predicates)
-                                                                for t in (industry_template, other)}
+    assert {id(inst.predicates) for inst in instances} == {id(t.query_form.predicates)
+                                                            for t in (industry_template, other)}
     for inst in instances:
-        assert inst.pair.query_ast == inst.pair.query_ast == parse_query(inst.pair.query_text)
-        assert inst.pair.predicates == tuple(qlang.extract_predicates(inst.pair.query_ast)) == (DBO_INDUSTRY,)
+        assert inst.query_ast == inst.query_ast == parse_query(inst.query_text)
+        assert inst.predicates == tuple(qlang.extract_predicates(inst.query_ast)) == (DBO_INDUSTRY,)
 
 
 def test_generate_instantiates_a_5000_pattern_template():
@@ -292,11 +288,11 @@ def test_generate_instantiates_a_5000_pattern_template():
                                   parse_query(f"ASK WHERE {{ {body} }}"), "s")
     graph = kgstore.Graph([(s, f"p:{i}", f"e:o{i}") for i in range(n) for s in ("e:Here", "e:There")])
     instances = synthesis.generate_instances(template, graph, 10, 1)
-    assert sorted(inst.pair.nlq for inst in instances) == [("is", "e:here", "everywhere", "?"),
-                                                           ("is", "e:there", "everywhere", "?")]
+    assert sorted(inst.nlq for inst in instances) == [("is", "e:here", "everywhere", "?"),
+                                                       ("is", "e:there", "everywhere", "?")]
     for inst in instances:
-        assert inst.pair.query_ast == parse_query(inst.pair.query_text)
-        assert len(inst.pair.query_ast.patterns) == n
+        assert inst.query_ast == parse_query(inst.query_text)
+        assert len(inst.query_ast.patterns) == n
 
 
 # ---------------------------------------------------------------------------
