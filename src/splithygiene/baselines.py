@@ -19,6 +19,7 @@ import numpy as np
 
 from . import metrics
 from .attribution import AttributionIndex
+from .corpus import MAX_LM_ORDER
 from .errors import EmptyCorpus
 from .qlang import span_tokens
 from .synthesis import Template, entity_namespace, label_to_iri_form
@@ -289,13 +290,14 @@ def memorizer_predict(model: MemorizerModel, questions) -> list[list[str]]:
     if not model.fallback:
         return [[] if prediction is None else prediction for prediction in out]
     vocab, frequent = model.index.vocab, model.index.frequent
-    distinct = [set(questions[i]) for i in unmatched]
-    known = [[vocab[t] for t in question if t in vocab] for question in distinct]
-    qsize = np.array([len(question) for question in distinct], dtype=np.int64)
-    counts = np.array([len(ids) for ids in known], dtype=np.int64)
-    tokens = np.array([t for ids in known for t in ids], dtype=np.int64)
-    owner = np.repeat(np.arange(len(unmatched)), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    qsize, tokens, offsets = [], [], [0]
+    for i in unmatched:  # one question's token set at a time
+        distinct = set(questions[i])
+        qsize.append(len(distinct))
+        tokens += (vocab[t] for t in distinct if t in vocab)
+        offsets.append(len(tokens))
+    qsize, tokens, offsets = (np.array(values, dtype=np.int64) for values in (qsize, tokens, offsets))
+    owner = np.repeat(np.arange(len(unmatched)), np.diff(offsets))
     # a question's candidate entries: one per group, plus one per posting of each of its tokens
     listed = np.where(frequent[tokens], np.diff(model.group_starts)[tokens], np.diff(model.rare_starts)[tokens])
     cost = model.best.size + np.bincount(owner, weights=listed, minlength=len(unmatched)).astype(np.int64)
@@ -346,9 +348,10 @@ def ngram_index(sentences, order: int) -> NGramIndex:
     """Intern a corpus's tokens and number its n-grams of every order up to `order`.
 
     Each sentence is padded with order-1 ``<s>`` before it and ``</s>`` after it.
+    The order must lie in [1, MAX_LM_ORDER].
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_LM_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_LM_ORDER}], got {order}")
     token_ids = {BOS: _BOS_ID, EOS: _EOS_ID}
     flat: list[int] = []
     sizes = []

@@ -10,7 +10,10 @@ defaulting to $SPLITHYGIENE_WORKDIR or the current directory. Exit codes:
 
 The commands that run a baseline or a metric import `baselines` and `metrics`
 themselves, and `rng` draws in pure Python, so the preparation steps (extract,
-generate, attribute, partition) never load numpy.
+generate, attribute, partition) never load numpy. Importing this module sets
+OPENBLAS_NUM_THREADS to 1 unless the environment sets it: the package calls
+no BLAS routine, so OpenBLAS's worker threads would only compete with the
+main thread for the CPU.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from . import experiments
 from .attribution import build_index, write_attribution
 from .corpus import (
     LEAKY,
+    MAX_LM_ORDER,
     SANITIZED,
     dedup,
     file_digest,
@@ -43,6 +47,8 @@ from .corpus import (
 from .errors import EmptyCorpus, InputFileError, LineCountMismatch, RatioError, SplitHygieneError
 from .partitioner import _check_ratios, leaky_partition, sanitized_partition, split_templates
 from .synthesis import read_templates, write_templates
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when a command first loads numpy
 
 _WORKDIR_ENV = "SPLITHYGIENE_WORKDIR"
 _DEFAULTS = experiments.RunConfig()
@@ -205,7 +211,8 @@ def memorize(train_nlq, train_ql, train_manifest, templates_path, input_path, ou
 @main.command()
 @click.option("--train-ql", type=click.Path(exists=True), required=True)
 @click.option("--eval-ql", type=click.Path(exists=True), required=True)
-@click.option("--order", type=int, default=_DEFAULTS.lm_order, show_default=True)
+@click.option("--order", type=int, default=_DEFAULTS.lm_order, show_default=True,
+              help=f"N-gram order, in [1, {MAX_LM_ORDER}].")
 @click.option("--k", type=float, default=_DEFAULTS.lm_k, show_default=True)
 @click.option("--out-logp", type=click.Path(), default=None, help="Optional pred.logp output.")
 def lm(train_ql, eval_ql, order, k, out_logp):

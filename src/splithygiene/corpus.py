@@ -26,6 +26,7 @@ from .rng import sha256
 LEAKY = "leaky"
 SANITIZED = "sanitized"
 VALID_FRACTION = 0.1  # the share of a sanitized split's train pool cut to valid
+MAX_LM_ORDER = 32  # the longest n-gram the LM counts; an order past a corpus's longest query adds nothing
 BATCH = 1024  # lines, or id-map members, encoded and written per chunk
 BLOCK = 1 << 16  # characters read, or bytes hashed, per step
 

@@ -30,6 +30,7 @@ from . import qlang, rng, toydata
 from .attribution import AttributionIndex, build_index, write_attribution
 from .corpus import (
     LEAKY,
+    MAX_LM_ORDER,
     SANITIZED,
     dedup,
     file_digest,
@@ -102,7 +103,8 @@ class RunConfig:
             "fractions": (tuple_of(self.fractions, _is_real) and distinct(self.fractions),
                           "one or more distinct numbers"),
             "instance_limit": (_is_int(self.instance_limit) and self.instance_limit >= 0, "an integer >= 0"),
-            "lm_order": (_is_int(self.lm_order) and self.lm_order >= 1, "an integer >= 1"),
+            "lm_order": (_is_int(self.lm_order) and 1 <= self.lm_order <= MAX_LM_ORDER,
+                         f"an integer in [1, {MAX_LM_ORDER}]"),
             "lm_k": (_is_real(self.lm_k) and math.isfinite(self.lm_k) and self.lm_k > 0, "a finite number > 0"),
         }
         for key, (ok, what) in expected.items():
@@ -308,25 +310,23 @@ def _evaluate_partition(split: Split3, data: PipelineData, config: RunConfig, lm
     """Baseline metrics for one partition: memorizer BLEU, LM ppl, leakage.
 
     Both models select the train rows of indexes that cover the whole corpus;
-    `rows` maps each instance id to its row.
+    `rows` maps each instance id to its row. The memorizer is trained, scored
+    and dropped before the LM is trained, so one model's tables are alive at a time.
     """
     from .baselines import lm_perplexity, memorizer_predict, train_memorizer, train_ngram_lm
     from .metrics import corpus_bleu
 
+    parts = {"valid": split.valid, "test": split.test}
     train_rows = [rows[inst.id] for inst in split.train]
     memorizer = train_memorizer(mem_index, train_rows)
+    bleu = {name: corpus_bleu(memorizer_predict(memorizer, [inst.nlq for inst in part]),
+                              [inst.query_text.split() for inst in part]).bleu if part else 0.0
+            for name, part in parts.items()}
+    del memorizer
     lm = train_ngram_lm(lm_index, train_rows, config.lm_k)
-    out: dict[str, dict[str, float]] = {
-        "memorizer_bleu": {},
-        "lm_perplexity": {},
-        "template_seen_fraction": seen_fractions(split, data.index),
-    }
-    for name, part in (("valid", split.valid), ("test", split.test)):
-        refs = [inst.query_text.split() for inst in part]
-        preds = memorizer_predict(memorizer, [inst.nlq for inst in part])
-        out["memorizer_bleu"][name] = corpus_bleu(preds, refs).bleu if part else 0.0
-        out["lm_perplexity"][name] = lm_perplexity(lm, [rows[inst.id] for inst in part]) if part else 0.0
-    return out
+    del train_rows
+    ppl = {name: lm_perplexity(lm, [rows[inst.id] for inst in part]) if part else 0.0 for name, part in parts.items()}
+    return {"memorizer_bleu": bleu, "lm_perplexity": ppl, "template_seen_fraction": seen_fractions(split, data.index)}
 
 
 def _row(*values) -> dict[str, str]:

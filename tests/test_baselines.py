@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -631,6 +632,37 @@ def test_memorizer_harvests_only_the_rows_a_training_selects(tmp_path, monkeypat
     assert 0 < sum(harvested.values()) <= len(selected) < len(toy_data.instances)
 
 
+def test_a_partition_drops_its_memorizer_before_it_trains_its_lm(tmp_path, monkeypatch, toy_data, toy_config):
+    # each partition runs the memorizer phase, then the LM phase: no LM is alive while a memorizer predicts,
+    # and no memorizer is alive while an LM trains
+    models = []  # a weak reference to each model this run trains
+    overlaps = Counter()
+    train_memorizer, predict, train_lm = baselines.train_memorizer, baselines.memorizer_predict, baselines.train_ngram_lm
+
+    def trained(fn):
+        def wrapper(*args):
+            model = fn(*args)
+            models.append(weakref.ref(model))
+            return model
+        return wrapper
+
+    def checked(fn, name, other):
+        def wrapper(*args):
+            overlaps[name] += sum(isinstance(model(), other) for model in models)
+            overlaps[name, "calls"] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(baselines, "train_memorizer", trained(train_memorizer))
+    monkeypatch.setattr(baselines, "memorizer_predict", checked(predict, "predict", baselines.NGramLM))
+    monkeypatch.setattr(baselines, "train_ngram_lm",
+                        trained(checked(train_lm, "train_ngram_lm", baselines.MemorizerModel)))
+    config = dataclasses.replace(toy_config, rng_seeds=(101, 102), workdir=str(tmp_path))
+    experiments.run_experiment("exp1", config, toy_data)
+    # two leaky partitions and the sanitized one, each predicting valid and test
+    assert overlaps == Counter({("predict", "calls"): 6, ("train_ngram_lm", "calls"): 3}), overlaps
+
+
 def test_a_harvest_that_aligns_parsed_queries_leaves_no_ast_on_its_rows(tmp_path, toy_data, toy_config):
     # a split read without its manifest has no origins, so every attributed template is read, and a
     # subsumed template's form misses the longer query: those queries are parsed to their canonical text
@@ -762,8 +794,9 @@ def test_lm_validation_errors():
         _lm([], order=2, k=0.1)
     with pytest.raises(EmptyCorpus):
         baselines.train_ngram_lm(baselines.ngram_index([["x"]], 2), [], 0.1)
-    with pytest.raises(ValueError):
-        _lm([["x"]], order=0, k=0.1)
+    for order in (0, 33, 10**20):
+        with pytest.raises(ValueError, match=rf"^order must be in \[1, 32\], got {order}$"):
+            _lm([["x"]], order=order, k=0.1)
     with pytest.raises(ValueError):
         _lm([["x"]], order=2, k=0.0)
     for k in (math.nan, math.inf):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,32 @@ def test_a_preset_loads_numpy_but_not_numpy_random(tmp_path):
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [False, after_run]
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_the_cli_starts_numpy_with_one_openblas_thread_unless_the_environment_says_otherwise(given, expected):
+    # the package calls no BLAS routine, so an OpenBLAS worker thread only competes with the main thread
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    probe = ("import os, splithygiene.cli, numpy; tasks = '/proc/self/task'; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.split()
+    assert value == expected
+    if expected == "1" and threads != "-":
+        assert threads == "1"
+
+
+@pytest.mark.parametrize("order", ["0", "33", str(10**20)])
+def test_an_lm_order_outside_the_indexable_range_exits_2_naming_it(tmp_path, runner, order):
+    # a longer order than the longest query adds nothing, and one past 32 is refused before any index is built
+    (tmp_path / "t.ql").write_text("a b\n")
+    result = runner.invoke(main, ["lm", "--train-ql", str(tmp_path / "t.ql"), "--eval-ql", str(tmp_path / "t.ql"),
+                                  "--order", order])
+    assert result.exit_code == 2
+    assert result.output == f"error: order must be in [1, 32], got {order}\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -570,6 +597,8 @@ def test_a_key_out_of_range_is_named_at_load_for_every_preset(tmp_path, runner, 
     ("instance_limit = 1.5", "instance_limit"),
     ("instance_limit = -1", "instance_limit"),
     ("lm_order = 0", "lm_order"),
+    ("lm_order = 33", "lm_order"),
+    ("lm_order = 100000000000", "lm_order"),
     ("lm_k = nan", "lm_k"),
     ("rng_seeds = 7, seven", "rng_seeds"),
     ("rng_seeds = 101, 101", "rng_seeds"),
