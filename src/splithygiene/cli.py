@@ -62,13 +62,16 @@ def _fail(code: int, message: str):
 class _Main(click.Group):
     """Maps validation errors of any subcommand to exit code 2, other I/O errors to 1.
 
-    A missing input file, or a directory named in its place by an option or a config key, is a usage error.
+    A path an option or a config key names is a usage error when a file it needs is missing, when a
+    directory stands where a file should be, or when a regular file stands where a directory should be:
+    opening a path under a file raises NotADirectoryError, and making that file a directory FileExistsError.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (SplitHygieneError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+        except (SplitHygieneError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+                ValueError) as exc:
             _fail(2, str(exc))
         except OSError as exc:
             _fail(1, str(exc))

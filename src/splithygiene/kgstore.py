@@ -32,8 +32,9 @@ class Graph:
     """Immutable set of (subject, predicate, object) IRI triples with one index.
 
     The index maps a pattern's bound positions, None where unbound, to the
-    matching triples, for the shapes the evaluator looks up:
-    (None, p, None), (s, p, None), (None, p, o) and (None, None, None).
+    matching triples, for the shapes with a bound predicate that the evaluator
+    looks up: (None, p, None), (s, p, None) and (None, p, o). A pattern with
+    the predicate unbound reads `triples` itself.
     """
 
     def __init__(self, triples, load_report: LoadReport | None = None):
@@ -42,7 +43,7 @@ class Graph:
         index: dict[tuple, list[tuple[str, str, str]]] = {}
         for triple in self.triples:
             s, p, o = triple
-            for key in ((None, None, None), (None, p, None), (s, p, None), (None, p, o)):
+            for key in ((None, p, None), (s, p, None), (None, p, o)):
                 index.setdefault(key, []).append(triple)
         self._index = index
 
@@ -89,11 +90,11 @@ def _lookup(graph: Graph, s: str | None, p: str | None, o: str | None):
     """The triples that agree with the given positions; None is unbound.
 
     A fully bound pattern is a membership test on `graph.triples`. With the
-    predicate unbound the index offers every triple, and the caller checks the
+    predicate unbound every triple is offered, and the caller checks the
     subject and object.
     """
     if p is None:
-        return graph._index.get((None, None, None), ())
+        return graph.triples
     if s is not None and o is not None:
         return ((s, p, o),) if (s, p, o) in graph.triples else ()
     return graph._index.get((s, p, None) if s is not None else (None, p, o), ())

@@ -385,6 +385,11 @@ class NlqPattern:
         return tuple(map(tuple, runs))
 
     @cached_property
+    def folded_runs(self) -> tuple[tuple[str, ...], ...]:
+        """`runs` case-folded, as `match_nlq` compares them with the question's tokens."""
+        return tuple(tuple(token.casefold() for token in run) for run in self.runs)
+
+    @cached_property
     def word_count(self) -> int:
         """The number of literal-word elements."""
         return sum(isinstance(e, Word) for e in self.elements)
@@ -392,7 +397,7 @@ class NlqPattern:
     @cached_property
     def words(self) -> frozenset[str]:
         """Case-folded literal words: each must be a case-folded question token for a match."""
-        return frozenset(e.token.casefold() for e in self.elements if isinstance(e, Word))
+        return frozenset().union(*self.folded_runs)
 
     def marker_text(self) -> str:
         return " ".join(str(e) for e in self.elements)
@@ -407,45 +412,33 @@ def match_nlq(pattern: NlqPattern, nlq) -> SlotBindings | None:
     Words must equal the question tokens (case-folded); each slot absorbs one
     or more contiguous tokens. Among all segmentations the leftmost-shortest
     one wins: scanning left to right, every slot takes the fewest tokens that
-    still lets the rest match. Whether the rest matches depends only on the
-    (element, position) pair, so a slot records the pairs that failed and never
-    retries them: O(elements x tokens^2) in the worst case, not exponential in
-    the slot count. The walk keeps its open slots in a list, not on the call
-    stack, so a pattern of any length matches.
+    still lets the rest match. The pattern's first word run must be the
+    question's prefix and its last run the suffix; each run between two slots
+    takes its earliest place that leaves a token for the slot before it and
+    for the slot after it. The placement is exact: a later place only shrinks
+    what is left for the rest of the pattern, so when the earliest place fails
+    every place does, and the earliest place gives each slot its fewest
+    tokens. O(words x tokens), with no search state.
     """
-    elems = pattern.elements
-    tokens = list(nlq)
-    n = len(tokens)
-    m = len(elems)  # every element takes at least one token: prune when fewer tokens are left
-    failed: set[tuple[int, int]] = set()
-    open_slots: list[list[int]] = []  # [element, start, end] of each slot on the current path
-    e = i = 0
-    while True:
-        while e < m and n - i >= m - e:
-            el = elems[e]
-            if isinstance(el, Word):
-                if tokens[i].casefold() != el.token.casefold():
-                    break
-            elif (e, i) in failed:
-                break
-            else:  # the slot takes one token first
-                open_slots.append([e, i, i + 1])
-            e += 1
-            i += 1
-        if e == m and i == n:
-            # the last slot first: the memorizer's harvest keeps this order
-            return {elems[se].label: (start, end) for se, start, end in reversed(open_slots)}
-        while open_slots:  # the innermost open slot that can take one more token does
-            slot = open_slots[-1]
-            se, start, end = slot
-            if end < n - (m - se - 1):  # leave a token for each later element
-                slot[2] = end + 1
-                e, i = se + 1, end + 1
-                break
-            failed.add((se, start))
-            open_slots.pop()
-        else:
+    runs = pattern.folded_runs
+    folded = tuple(token.casefold() for token in nlq)
+    if len(runs) == 1:
+        return {} if folded == runs[0] else None
+    i, end = len(runs[0]), len(folded) - len(runs[-1])  # where the first slot and the last run start
+    if end <= i or folded[:i] != runs[0] or folded[end:] != runs[-1]:
+        return None
+    spans = []
+    for run in runs[1:-1]:  # no two slots are adjacent, so each of these runs has a word
+        p, w = i + 1, len(run)
+        while p + w < end and folded[p:p + w] != run:
+            p += 1
+        if p + w >= end:
             return None
+        spans.append((i, p))
+        i = p + w
+    spans.append((i, end))
+    # the last slot first: the memorizer's harvest keeps this order
+    return dict(zip(reversed(pattern.labels), reversed(spans)))
 
 
 def span_tokens(nlq, span: tuple[int, int]) -> tuple[str, ...]:

@@ -4,7 +4,10 @@ These deliberately share no code with the package: n-gram clipping is done by
 multiset intersection, BGP evaluation by exhaustive nested loops over the
 triple list, slot matching by enumerating every segmentation, and subsequence
 checking by trying every index mapping. The exceptions are the package's
-earlier loops kept as references for their fast replacements. The memorizer
+earlier loops kept as references for their fast replacements. The slot
+matcher's walk reference is the backtracking walk with memory of failed
+(element, position) pairs, which checks the package's run placement at
+sizes the enumeration cannot reach. The memorizer
 training reference is the per-partition trainer, which harvests every train
 instance's labels (reading each template back from the query that the
 reference parser reads, where the package matches the query text against
@@ -340,6 +343,49 @@ def ref_match_nlq(pattern, nlq):
         return None
     best = min(results, key=lambda spans: tuple(end - start for start, end in spans))
     return dict(zip(slots, best))
+
+
+def ref_match_nlq_walk(pattern, nlq):
+    """The leftmost-shortest segmentation by a backtracking walk over the elements.
+
+    Each slot takes one token first, and the innermost open slot that can take
+    one more does when the rest fails. Whether the rest matches depends only
+    on the (element, position) pair, so the pairs that failed are never
+    retried: O(elements x tokens^2), where the enumeration above is
+    exponential in the slot count. Bindings come last slot first.
+    """
+    elems = pattern.elements
+    tokens = list(nlq)
+    n = len(tokens)
+    m = len(elems)  # every element takes at least one token: prune when fewer tokens are left
+    failed: set[tuple[int, int]] = set()
+    open_slots: list[list[int]] = []  # [element, start, end] of each slot on the current path
+    e = i = 0
+    while True:
+        while e < m and n - i >= m - e:
+            el = elems[e]
+            if isinstance(el, Word):
+                if tokens[i].casefold() != el.token.casefold():
+                    break
+            elif (e, i) in failed:
+                break
+            else:
+                open_slots.append([e, i, i + 1])
+            e += 1
+            i += 1
+        if e == m and i == n:
+            return {elems[se].label: (start, end) for se, start, end in reversed(open_slots)}
+        while open_slots:
+            slot = open_slots[-1]
+            se, start, end = slot
+            if end < n - (m - se - 1):  # leave a token for each later element
+                slot[2] = end + 1
+                e, i = se + 1, end + 1
+                break
+            failed.add((se, start))
+            open_slots.pop()
+        else:
+            return None
 
 
 def ref_subsequence(template_preds, instance_preds) -> bool:

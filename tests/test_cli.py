@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -350,7 +351,7 @@ def test_an_output_in_a_missing_directory_is_named(tmp_path, runner, command):
     before = sorted(tmp_path.rglob("*"))
     missing = tmp_path / "blocker" / "missing"
     result = runner.invoke(main, args + [str(missing / "out.txt")])
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert result.output.splitlines()[-1] == f"error: [Errno 20] Not a directory: '{missing}'"
     assert sorted(tmp_path.rglob("*")) == before
 
@@ -377,6 +378,35 @@ def test_a_directory_at_an_output_file_path_is_named_and_exits_2(tmp_path, runne
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert result.output.splitlines()[-1] == f"error: [Errno 21] Is a directory: '{blocked}'"
+
+
+@pytest.mark.parametrize("command", ["extract", "generate", "attribute", "partition-leaky", "partition-sanitized",
+                                     "memorize", "lm", "eval", "report", "run", "config-input"])
+def test_a_file_at_a_directory_path_is_named_and_exits_2(tmp_path, runner, command):
+    # the mirror of a directory at a file path: a regular file holds the name of a directory on the way
+    blocker = tmp_path / "afile"
+    blocker.write_text("a file where a directory is needed")
+    commands = _output_commands(tmp_path, runner)
+    rows = ["--nlq", str(tmp_path / "c.nlq"), "--ql", str(tmp_path / "c.ql")]
+    templates = str(tmp_path / "templates.jsonl")
+    (tmp_path / "run.conf").write_text(f'seeds_path = "{blocker / "x"}"\n')
+    exists, under = f"[Errno 17] File exists: '{blocker}'", "[Errno 20] Not a directory: '{}'"
+    args, message = {
+        "generate": (["generate", "--templates", templates, "--kg", KG, "--out-dir", str(blocker)], exists),
+        "partition-leaky": (["partition", "--scheme", "leaky", *rows, "--out-dir", str(blocker)], exists),
+        "partition-sanitized": (["partition", "--scheme", "sanitized", *rows, "--templates", templates,
+                                 "--seeds", SEEDS, "--out-dir", str(blocker)], exists),
+        "report": (["report", "--workdir", str(blocker)], exists),
+        "run": (["run", "exp3", "--workdir", str(blocker)], under.format(blocker / "exp3")),
+        "config-input": (["run", "exp3", "--config", str(tmp_path / "run.conf"), "--workdir", str(tmp_path / "w")],
+                         under.format(blocker / "x")),
+    }.get(command) or (commands[command] + [str(blocker / "out.txt")], exists)
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == f"error: {message}"
+    if command != "config-input":  # a preset that fails on its inputs writes a report that says so
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["extract", "attribute", "memorize", "lm", "eval", "report"])
@@ -535,11 +565,16 @@ def test_unknown_config_key_rejected(tmp_path, runner):
     assert result.exit_code == 2
 
 
-def test_runtime_failure_exits_1(tmp_path, runner):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("a file where a directory is needed")
-    result = runner.invoke(main, ["run", "exp3", "--workdir", str(blocker / "sub")])
+def test_runtime_failure_exits_1(tmp_path, runner, monkeypatch):
+    # a full disk is no fault of the command line; a file where a directory should be is (exit 2, above)
+    def full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+
+    monkeypatch.setattr(corpus.os, "replace", full)
+    first = tmp_path / "w" / "exp3" / "templates.jsonl"  # the first file the preset writes
+    result = runner.invoke(main, ["run", "exp3", "--workdir", str(tmp_path / "w")])
     assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == f"error: [Errno 28] No space left on device: '{first}'"
 
 
 def _report_rows(path):
