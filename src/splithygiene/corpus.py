@@ -20,7 +20,7 @@ from itertools import count, islice
 from pathlib import Path
 
 from . import qlang
-from .errors import InputFileError, LineCountMismatch, ParseError, SplitHygieneError
+from .errors import InputFileError, LineCountMismatch, ParseError, PlaceholderPredicate, SplitHygieneError
 from .rng import sha256
 
 LEAKY = "leaky"
@@ -56,9 +56,12 @@ class Instance:
         return qlang.parse_query(self.query_text)
 
     def concrete_predicates(self) -> tuple[str, ...]:
-        """``predicates``; a placeholder predicate raises PlaceholderPredicate."""
+        """``predicates``; a placeholder predicate raises PlaceholderPredicate naming the instance id."""
         if self.predicates is None:
-            qlang.extract_predicates(self.query_ast)
+            try:
+                qlang.extract_predicates(self.query_ast)
+            except PlaceholderPredicate as exc:
+                raise PlaceholderPredicate(f"instance {self.id!r}: {exc}") from None
         return self.predicates
 
     def nlq_text(self) -> str:
@@ -489,18 +492,16 @@ def make_manifest(split3, scheme: str, rng_seed: int, ratios, config_digest: str
 # ---------------------------------------------------------------------------
 
 def file_digest(paths) -> str:
-    """SHA-256 of the given files' bytes, concatenated in order, read BLOCK bytes at a time into one buffer.
+    """SHA-256 of the given files' bytes, concatenated in order, read BLOCK bytes at a time.
 
     The hash is `rng.sha256`, CPython's built-in, so no command loads OpenSSL to hash its inputs. It runs at
     0.19-0.24 GB/s against ~1.1 GB/s for OpenSSL's: 186 MiB takes ~0.7 s more (2-CPU VM, Python 3.11).
     """
     h = sha256()
-    buffer = bytearray(BLOCK)
-    view = memoryview(buffer)
     for p in paths:
-        with open(p, "rb", buffering=0) as fh:
-            while n := fh.readinto(buffer):
-                h.update(view[:n])
+        with open(p, "rb") as fh:
+            while chunk := fh.read(BLOCK):
+                h.update(chunk)
     return h.hexdigest()
 
 

@@ -375,7 +375,8 @@ def write_partition(out_dir, split: Split3, scheme: str, rng_seed: int, ratios, 
     """Write the split files and manifest.json, plus diagnostics.json when an index is given.
 
     Ratios that a leaky split would reject raise RatioError before anything is
-    written, so every manifest records three finite ratios that sum to 1.
+    written, for either scheme, so a leaky manifest records three finite ratios
+    that sum to 1; a sanitized one records ``valid_fraction`` in their place.
     """
     _check_ratios(ratios)
     write_split(out_dir, split, make_manifest(split, scheme, rng_seed, ratios, digest))

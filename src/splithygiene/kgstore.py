@@ -17,9 +17,7 @@ from .corpus import _lines
 from .errors import UnboundVariable
 from .qlang import ASK, CONCRETE_IRI, Iri, QueryAst, Var
 
-_IRI = rf"<({CONCRETE_IRI})>"  # an IRI a query can write
-_TRIPLE_LINE = re.compile(rf"^{_IRI}\s+{_IRI}\s+(.+?)\s*\.\s*$")
-_IRI_OBJECT = re.compile(rf"^{_IRI}$")
+_IRI = re.compile(rf"<({CONCRETE_IRI})>")  # an IRI a query can write
 
 
 @dataclass(frozen=True)
@@ -52,15 +50,17 @@ class Graph:
 
 
 def load_ntriples(path) -> Graph:
-    """Load IRI-object triples from an N-Triples file.
+    """Load IRI-object triples from an N-Triples file, in time linear in each line's length.
 
     The file is read by `corpus._lines` with universal newlines: CR, LF and
-    CRLF each end a line. Literal-object lines are skipped and counted;
-    lines that are neither comments, blank, nor well-formed triples are
-    recorded as malformed (1-based line numbers) in the graph's load report,
-    not raised; so is a line naming an IRI that starts like a placeholder
-    term. A file that is not UTF-8 raises InputFileError naming the line.
-    The graph holds one str per distinct IRI.
+    CRLF each end a line. A stripped line that is not blank or a comment must
+    end in a dot, and the text before it is cut at its first two blank runs:
+    subject and predicate must be `<IRI>` terms, and the rest, trailing blanks
+    removed, is the object. An `<IRI>` object makes a triple and a `"` one is
+    a literal, skipped and counted; any other line, or one naming an IRI that
+    starts like a placeholder term, is recorded as malformed (1-based line
+    numbers) in the graph's load report, not raised. A file that is not UTF-8
+    raises InputFileError naming the line. The graph holds one str per distinct IRI.
     """
     triples: set[tuple[str, str, str]] = set()
     names: dict[str, str] = {}  # one str per distinct IRI, however often the file names it
@@ -70,16 +70,16 @@ def load_ntriples(path) -> Graph:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        m = _TRIPLE_LINE.match(stripped)
-        if not m:
+        fields = stripped[:-1].split(None, 2) if stripped.endswith(".") else ()
+        if len(fields) < 3:
             malformed.append(line_no)
             continue
-        obj_text = m.group(3)
-        obj = _IRI_OBJECT.match(obj_text)
-        if obj:
-            s, p, o = m.group(1), m.group(2), obj.group(1)
+        obj_text = fields[2].rstrip()
+        s, p, o = map(_IRI.fullmatch, (fields[0], fields[1], obj_text))
+        if s and p and o:
+            s, p, o = s[1], p[1], o[1]
             triples.add((names.setdefault(s, s), names.setdefault(p, p), names.setdefault(o, o)))
-        elif obj_text.startswith('"'):
+        elif s and p and obj_text.startswith('"'):
             skipped += 1
         else:
             malformed.append(line_no)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 import sys
 from pathlib import Path
 
@@ -35,6 +37,21 @@ AIRCRAFT_INSTANCE_QUERY = (
     "ASK WHERE {<http://dbpedia.org/resource/Tiger_Aircraft> "
     "<http://dbpedia.org/ontology/industry> <http://dbpedia.org/resource/Aerospace>}"
 )
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the ``with`` block once ``seconds`` of wall time have passed (SIGALRM, main thread)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than its {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

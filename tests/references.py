@@ -30,7 +30,9 @@ held-out templates, misses the train ones) where the package tests that
 every attributed template is held out. The N-Triples reader reference
 iterates the file with universal newlines and numbers a non-UTF-8 byte by
 the line ends before it in the whole file, where the package reads through
-the corpus line reader. The
+the corpus line reader, and parses each line with its own copy of the
+package's earlier lazy line pattern, where the package splits the line at
+its blank runs. The
 n-gram LM reference is the dict-of-Counters model, counted one token and
 order at a time; the indexed LM must give the same float for every token.
 The read-back reference compares the parsed query with the template's term
@@ -60,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from splithygiene import kgstore, metrics, rng
+from splithygiene import metrics, rng
 from splithygiene.attribution import AttributionIndex
 from splithygiene.baselines import BOS, EOS, UNK
 from splithygiene.corpus import STRING_LIST, STRING_MAP, Instance, json_record
@@ -482,6 +484,11 @@ def ref_read_parallel(nlq_path, query_path, manifest_path=None) -> list[Instance
 # ---------------------------------------------------------------------------
 
 _REF_LINE_END = re.compile(rb"\r\n?|\n")  # as universal newlines end a line
+# the package's earlier line patterns: a lazy object between two IRI terms and the final dot, and an IRI object;
+# an IRI is an angle term with no blank, brace or bracket that does not start like a placeholder
+_REF_IRI = r"<((?!Placeholder:)[^<>{}\s]+)>"
+_REF_TRIPLE_LINE = re.compile(rf"^{_REF_IRI}\s+{_REF_IRI}\s+(.+?)\s*\.\s*$")
+_REF_IRI_OBJECT = re.compile(rf"^{_REF_IRI}$")
 
 
 def ref_load_ntriples(path) -> tuple[set[tuple[str, str, str]], int, tuple[int, ...]]:
@@ -490,7 +497,8 @@ def ref_load_ntriples(path) -> tuple[set[tuple[str, str, str]], int, tuple[int, 
     The file is iterated as a text file with universal newlines. A byte that
     is not UTF-8 is found by decoding the whole file again, and its line is
     numbered by the CRLF, CR and LF ends before it. Lines are parsed with
-    the package's own triple and IRI-object patterns.
+    the package's earlier lazy triple pattern, whose backtracking over blank
+    runs costs time quadratic in a line's blanks.
     """
     triples, skipped, malformed = set(), 0, []
     with open(path, encoding="utf-8") as fh:
@@ -508,8 +516,8 @@ def ref_load_ntriples(path) -> tuple[set[tuple[str, str, str]], int, tuple[int, 
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        m = kgstore._TRIPLE_LINE.match(stripped)
-        obj = m and kgstore._IRI_OBJECT.match(m.group(3))
+        m = _REF_TRIPLE_LINE.match(stripped)
+        obj = m and _REF_IRI_OBJECT.match(m.group(3))
         if obj:
             triples.add((m.group(1), m.group(2), obj.group(1)))
         elif m and m.group(3).startswith('"'):

@@ -326,6 +326,27 @@ def test_a_template_with_an_empty_id_keeps_its_origins_through_generate(tmp_path
     assert manifest["origins"] == json.loads((out / "instances.manifest.json").read_text())["origins"]
 
 
+@pytest.mark.parametrize("command", ["attribute", "partition", "memorize"])
+def test_a_placeholder_predicate_names_its_instance_and_exits_2(tmp_path, runner, command):
+    templates = str(tmp_path / "templates.jsonl")
+    _ok(runner.invoke(main, ["extract", "--seeds", SEEDS, "--out", templates]))
+    nlq, ql = str(tmp_path / "c.nlq"), str(tmp_path / "c.ql")
+    Path(nlq).write_text("is it so ?\nis it so ?\n")
+    Path(ql).write_text("ASK WHERE { <e:s> <p:p> <e:o> }\nASK WHERE { <e:s> <Placeholder:A> <e:o> }\n")
+    args = {
+        "attribute": ["attribute", "--nlq", nlq, "--ql", ql, "--templates", templates,
+                      "--out", str(tmp_path / "a.tsv")],
+        "partition": ["partition", "--scheme", "sanitized", "--nlq", nlq, "--ql", ql, "--templates", templates,
+                      "--seeds", SEEDS, "--out-dir", str(tmp_path / "split")],
+        "memorize": ["memorize", "--train-nlq", nlq, "--train-ql", ql, "--templates", templates, "--input", nlq,
+                     "--out", str(tmp_path / "pred.ql")],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    # a manifest-less corpus numbers its ids from line-0, as attribution.tsv does
+    assert result.output.splitlines()[-1] == "error: instance 'line-1': predicate <Placeholder:A> is not a concrete IRI"
+
+
 def _output_commands(tmp_path, runner) -> dict[str, list[str]]:
     """Each command that writes one file, with its inputs on the toy data, less the option naming its output."""
     templates = tmp_path / "templates.jsonl"

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import references
-from splithygiene import corpus, kgstore, qlang
+from conftest import time_limit
+from splithygiene import corpus, experiments, kgstore, qlang, synthesis
 from splithygiene.cli import main
 from splithygiene.errors import InputFileError, ParseError, SplitHygieneError
 
@@ -167,6 +169,64 @@ def test_read_parallel_returns_instances_or_raises_a_named_error(tmp_path, files
     except SplitHygieneError:
         return
     assert all(inst.nlq for inst in instances)
+
+
+_MB = 1_000_000
+_ASK = "ASK WHERE { <e:s> <p:p> <e:o> }"
+_SEED = {"id": "s", "nlq": "is crystal spark in the pizza industry ?",
+         "query": "ASK WHERE { <http://toy.example.org/resource/Crystal_Spark> "
+                  "<http://toy.example.org/ontology/industry> <http://toy.example.org/resource/Pizza> }",
+         "surface_forms": {"A": {"span": [5, 6]}, "B": {"span": [1, 3]}}}
+_TEMPLATE = {"id": "t", "nlq_pattern": "is <B> in the <A> industry ?", "origin_seed_id": "s",
+             "query_pattern": "ASK WHERE { <Placeholder:B> <p:industry> <Placeholder:A> }"}
+
+
+def _write(path, text: str):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _corpus_reader(tmp_path, questions, queries, ids=None):
+    nlq = _write(tmp_path / "c.nlq", "".join(q + "\n" for q in questions))
+    ql = _write(tmp_path / "c.ql", "".join(q + "\n" for q in queries))
+    manifest = None if ids is None else _write(tmp_path / "c.manifest.json", json.dumps({"ids": ids}))
+    return lambda: corpus.read_parallel(nlq, ql, manifest)
+
+
+# each reader of an outside file on one large input: a function of the directory that writes the input and returns
+# the call that reads it, and the end of the error it raises, if any; the N-Triples loader has its own test of a long
+# blank run
+_LARGE_INPUTS = {
+    "1 MB question": (lambda d: _corpus_reader(d, ["word " * (_MB // 5)], [_ASK]), None),
+    "1 MB lt run": (lambda d: _corpus_reader(d, ["q"], ["<" * _MB]), "c.ql:1: position 0: expected SELECT"),
+    "1 MB unclosed angle term": (lambda d: _corpus_reader(d, ["q"], ["ASK WHERE { <e:s " + "x " * (_MB // 2)]),
+                                 "c.ql:1: position 12: expected closing '>'"),
+    "1 MB blank runs": (lambda d: _corpus_reader(d, ["q"], [_ASK.replace(" ", " " * (_MB // 8))]), None),
+    "100,000-id manifest": (lambda d: _corpus_reader(d, ["q"] * 100_000, [_ASK] * 100_000,
+                                                     [f"i{k}" for k in range(100_000)]), None),
+    "1 MB seed question": (lambda d: lambda: experiments.extract_stage(_write(
+        d / "s.jsonl", json.dumps({**_SEED, "nlq": _SEED["nlq"] + " word" * (_MB // 5)}) + "\n")), None),
+    "1 MB template pattern": (lambda d: lambda: synthesis.read_templates(_write(
+        d / "t.jsonl", json.dumps({**_TEMPLATE, "nlq_pattern": _TEMPLATE["nlq_pattern"] + " word" * (_MB // 5)})
+        + "\n")), None),
+    "100,000-item config list": (lambda d: lambda: experiments.load_config(_write(
+        d / "run.conf", "rng_seeds = " + ", ".join(map(str, range(100_000))) + "\n")), None),
+    "200,000 log probabilities": (lambda d: lambda: corpus.read_logp(_write(d / "p.logp", "-1.5 " * 200_000 + "\n")),
+                                  None),
+}
+
+
+@pytest.mark.parametrize("case", _LARGE_INPUTS)
+def test_each_outside_file_reader_reads_a_large_input_within_2_s(tmp_path, case):
+    # each took 0.04-0.65 s on a 2-CPU VM; a reader whose cost grows faster than its input takes far longer
+    make, error = _LARGE_INPUTS[case]
+    read = make(tmp_path)
+    with time_limit(2.0):
+        if error is None:
+            read()
+        else:
+            with pytest.raises(InputFileError, match=re.escape(error) + "$"):
+                read()
 
 
 _LOGP_PIECES = ["-0.5", "0", "-1e-3", "nan", "-inf", "1_0", "x", "\n", "\r\n", "\x85", " ", "\t"]

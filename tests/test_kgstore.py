@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PIZZA_SEED_QUERY, INDUSTRY_TEMPLATE_QUERY
+from conftest import PIZZA_SEED_QUERY, INDUSTRY_TEMPLATE_QUERY, time_limit
 from splithygiene import corpus, kgstore
 from splithygiene.errors import InputFileError, UnboundVariable
 from splithygiene.qlang import ASK, Iri, Placeholder, QueryAst, Var, parse_query
@@ -96,12 +96,20 @@ def test_non_utf8_graph_names_the_line(tmp_path, data, line):
     assert str(err.value).startswith(f"{path}:{line}: ")
 
 
-_NT_TERMS = st.sampled_from(["<e:s>", "<e:o>", "<p:p>", "<e:caf\u00e9>", "<Placeholder:A>", '"a literal"', "_:b0"])
+# blanks that str.split() and the regex \s both see; a CR or LF would end the line instead
+_NT_BLANK_CHARS = " \t\x0b\x0c\x1c\x85\u00a0"
+_NT_TERM_LIST = ["<e:s>", "<e:o>", "<p:p>", "<e:caf\u00e9>", "<e:o.>", "<Placeholder:A>", "<e:Placeholder:B>",
+                 '"a literal"', '"a . literal"', '"a"@en', "_:b0", ".", "<e:s><p:p>"]
+_NT_ENDS = [".", "", "..", ". .", ". # note", "<e:o> ."]  # the last: a fourth field before the final dot
+_NT_TERMS = st.sampled_from(_NT_TERM_LIST)
+_NT_BLANKS = st.text(st.sampled_from(_NT_BLANK_CHARS), min_size=1, max_size=3)
 _NT_LINES = st.one_of(
-    st.tuples(_NT_TERMS, _NT_TERMS, _NT_TERMS, st.sampled_from([" .", ".", " . ", "", " . # note"])).map(
-        lambda t: " ".join(t[:3]) + t[3]),
-    st.sampled_from(["", "  ", "# a comment", "  # indented", "\t<e:s> <p:p> <e:o> .", "<e:s> <p:p>"]),
-    st.text(st.sampled_from("<>e:sp .#\"\x0b\x0c\x85\u2028\u00e9"), max_size=12),
+    st.tuples(st.sampled_from(["", "\t"]), _NT_TERMS, _NT_BLANKS, _NT_TERMS, _NT_BLANKS, _NT_TERMS,
+              st.one_of(st.just(""), _NT_BLANKS), st.sampled_from(_NT_ENDS),
+              st.sampled_from(["", " ", "\x85"])).map("".join),
+    st.sampled_from(["", "  ", "# a comment", "  # indented", "\t<e:s> <p:p> <e:o> .", "<e:s> <p:p>", "<e:s> <p:p> .",
+                     "<e:s> <p:p>  .", "<e:s>\xa0<p:p>\x1c<e:o>\x0b.", '<e:s> <p:p> "a . b" . # x .']),
+    st.text(st.sampled_from("<>e:sp .#\"\x0b\x0c\x1c\x85\u2028\u00a0\u00e9\t"), max_size=12),
 )
 
 
@@ -138,6 +146,47 @@ def test_load_ntriples_equals_the_universal_newline_reader(tmp_path_factory, lin
         except InputFileError as exc:
             got = str(exc)
     assert got == expected
+
+
+def _random_nt_line(rand: random.Random) -> str:
+    """A line of three terms between blank runs and an end, or of random pieces, some of them blanks.
+
+    Half the three-term lines draw only IRIs and a literal and end in a dot, so triples are common.
+    """
+    if rand.random() < 0.25:
+        pieces = _NT_TERM_LIST + list(_NT_BLANK_CHARS) + ["#", "<", ">", "@en", "..", " . "]
+        return "".join(rand.choices(pieces, k=rand.randint(0, 8)))
+    plain = rand.random() < 0.5
+    blanks = ["".join(rand.choices(_NT_BLANK_CHARS, k=rand.randint(0 if k in (0, 3) else 1, 3))) for k in range(5)]
+    terms = rand.choices(["<e:s>", "<p:p>", "<e:o.>", '"a . literal"'] if plain else _NT_TERM_LIST, k=3)
+    end = "." if plain else rand.choice(_NT_ENDS)
+    return "".join(blanks[k] + terms[k] for k in range(3)) + blanks[3] + end + blanks[4]
+
+
+def test_load_ntriples_equals_the_reference_on_2000_seeded_random_files(tmp_path):
+    rand = random.Random(36)
+    path = tmp_path / "g.nt"
+    outcomes = [0, 0, 0]  # files with a triple, a skipped literal, a malformed line
+    for _ in range(2000):
+        lines = [_random_nt_line(rand) for _ in range(rand.randint(1, 8))]
+        path.write_bytes("".join(line + rand.choice(["\n", "\r", "\r\n"]) for line in lines).encode("utf-8"))
+        expected = ref_load_ntriples(path)
+        graph = kgstore.load_ntriples(path)
+        assert (set(graph.triples), graph.load_report.skipped_literals, graph.load_report.malformed_lines) == expected
+        outcomes = [n + bool(x) for n, x in zip(outcomes, expected)]
+    assert min(outcomes) > 200, outcomes
+
+
+def test_load_cost_is_linear_in_a_line_blank_run(tmp_path):
+    # the earlier lazy line pattern retried the rest of the line from every blank of a run: a 16,000-blank run
+    # took ~0.6 s in each of these lines, and 200,000 blanks would take ~90 s
+    blanks = " " * 200_000
+    path = tmp_path / "g.nt"
+    path.write_text(f'<e:s> <p:p> "a{blanks}literal" .\n<e:s> <p:p> <e:o>{blanks}<e:o2>\n<e:s> <p:p> <e:o> .\n')
+    with time_limit(1.0):
+        graph = kgstore.load_ntriples(path)
+    assert graph.triples == {("e:s", "p:p", "e:o")}
+    assert graph.load_report == kgstore.LoadReport(skipped_literals=1, malformed_lines=(2,))
 
 
 # ---------------------------------------------------------------------------

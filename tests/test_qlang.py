@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
-import signal
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, time_limit
 from splithygiene import attribution, qlang, synthesis
 from splithygiene.errors import AdjacentSlots, ParseError, PatternError, PlaceholderPredicate
 from splithygiene.qlang import (
@@ -278,10 +277,6 @@ def test_query_checker_parses_each_shape_once(monkeypatch):
     assert (err.value.position, err.value.message, len(calls)) == (24, "malformed placeholder label 'p'", 2)
 
 
-def _raise_timeout(signum, frame):
-    raise TimeoutError("took longer than its time limit")
-
-
 _LONG = 80_000
 
 
@@ -296,18 +291,13 @@ _LONG = 80_000
 def test_parse_cost_is_linear_in_the_line_length(text, position, message):
     # an angle-term lexeme that may contain "<" rescans to the end of the line
     # from every "<": about 17 s on the run of "<" above
-    previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2.0):
         if position is None:
             assert parse_query(text).patterns == ((Iri("e:s"), Iri("p:p"), Iri("e:o")),)
         else:
             with pytest.raises(ParseError) as err:
                 parse_query(text)
             assert (err.value.position, err.value.message) == (position, message)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +476,9 @@ def test_match_cost_is_polynomial_in_the_slot_count():
     # lengths with no memory of what failed tries every segmentation, about
     # C(40, 9); run placement searches nothing
     slots = NlqPattern.from_tokens([t for k in range(9) for t in (f"<S{k}>", "a")] + ["zzz"])
-    previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2.0):
         assert match_nlq(slots, ("a",) * 40) is None
         assert match_nlq(slots, ("a",) * 39 + ("zzz",))["S8"] == (16, 38)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_match_cost_is_linear_in_the_token_count():
@@ -506,15 +491,10 @@ def test_match_cost_is_linear_in_the_token_count():
     template = synthesis.Template("t", slots, parse_query(f"ASK WHERE {{ {body} }}"), "seed-t")
     query = "ASK WHERE { " + " . ".join(f"<e:s{k}> <p:p> <e:o>" for k in range(100)) + " }"
     instances = [make_instance("miss", " ".join(miss), query), make_instance("hit", " ".join(hit), query)]
-    previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_limit(1.0):
         assert match_nlq(slots, miss) is None
         assert match_nlq(slots, hit)["S99"] == (198, 998)
         assert attribution.build_index(instances, [template]).by_instance == {"miss": (), "hit": ("t",)}
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # Three case-fold classes, each spelled several ways: a pattern word and a
